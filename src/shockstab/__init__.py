@@ -6,178 +6,18 @@ assembles the resulting sparse operator, and judges linear stability from its
 eigenvalue of largest real part.  Time-marching utilities cross-check the
 predicted growth rates, and a CLI drives the whole pipeline from plain-text
 settings files.
+
+The package namespace re-exports the ``__all__`` of each library module.
 """
 
-from .errors import (
-    EigenSolveError,
-    EvolutionError,
-    FitError,
-    FlowFileError,
-    GridError,
-    LinearizationError,
-    SettingsError,
-    ShockStabError,
-    StateError,
-)
-from .harness import (
-    EvolutionSeries,
-    GrowthRateFit,
-    OneDResult,
-    ValidationCase,
-    dominance_gap,
-    evolve_linear,
-    evolve_nonlinear,
-    fit_growth_rate,
-    make_base_flow,
-    project_1d_to_2d,
-    run_validation_case,
-    solve_1d_steady,
-    write_series,
-)
-from .mesh import (
-    Grid,
-    GridMetrics,
-    compute_metrics,
-    make_annular_grid,
-    make_cartesian_grid,
-    read_grid,
-    write_grid,
-)
-from .numerics import (
-    LIMITERS,
-    RECONSTRUCTION_KINDS,
-    RIEMANN_SOLVERS,
-    ReconstructionScheme,
-    RoundParams,
-    limiter_value,
-    physical_flux,
-    reconstruct_pair,
-    riemann_flux,
-    round_face_value,
-)
-from .residual import (
-    BC_KINDS,
-    BoundaryCondition,
-    BoundaryConditionSet,
-    GhostField,
-    face_reconstruction,
-    fill_ghosts,
-    ghost_dependency,
-    normal_shock_bcs,
-    residual,
-)
-from .stability import (
-    NEUTRAL_TOL,
-    EigenPair,
-    StabilityMatrix,
-    assemble,
-    eigensolve,
-    eigensolve_leading,
-    flux_jacobians,
-    max_real_eigenpair,
-    mode_field,
-    read_matrix,
-    reconstruction_coefficients,
-    spectral_radius_upper,
-    stability_verdict,
-    write_matrix,
-)
-from .state import (
-    FlowField,
-    GasModel,
-    cons_to_prim,
-    init_normal_shock_rh,
-    is_physical_prim,
-    normal_shock_states,
-    perturbation_to_primitive,
-    prim_to_cons,
-    read_flow_files,
-    sound_speed,
-    write_flow_files,
-)
+from . import errors, harness, mesh, numerics, residual, stability, state
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ShockStabError",
-    "GridError",
-    "FlowFileError",
-    "StateError",
-    "SettingsError",
-    "LinearizationError",
-    "EigenSolveError",
-    "EvolutionError",
-    "FitError",
-    # mesh
-    "Grid",
-    "GridMetrics",
-    "read_grid",
-    "write_grid",
-    "make_cartesian_grid",
-    "make_annular_grid",
-    "compute_metrics",
-    # state
-    "GasModel",
-    "FlowField",
-    "prim_to_cons",
-    "cons_to_prim",
-    "sound_speed",
-    "is_physical_prim",
-    "normal_shock_states",
-    "init_normal_shock_rh",
-    "read_flow_files",
-    "write_flow_files",
-    "perturbation_to_primitive",
-    # numerics
-    "LIMITERS",
-    "RECONSTRUCTION_KINDS",
-    "RIEMANN_SOLVERS",
-    "RoundParams",
-    "ReconstructionScheme",
-    "limiter_value",
-    "round_face_value",
-    "reconstruct_pair",
-    "physical_flux",
-    "riemann_flux",
-    # residual
-    "BC_KINDS",
-    "BoundaryCondition",
-    "BoundaryConditionSet",
-    "GhostField",
-    "normal_shock_bcs",
-    "fill_ghosts",
-    "ghost_dependency",
-    "face_reconstruction",
-    "residual",
-    # stability
-    "NEUTRAL_TOL",
-    "StabilityMatrix",
-    "EigenPair",
-    "stability_verdict",
-    "flux_jacobians",
-    "reconstruction_coefficients",
-    "assemble",
-    "eigensolve",
-    "eigensolve_leading",
-    "max_real_eigenpair",
-    "spectral_radius_upper",
-    "mode_field",
-    "write_matrix",
-    "read_matrix",
-    # harness
-    "OneDResult",
-    "EvolutionSeries",
-    "GrowthRateFit",
-    "ValidationCase",
-    "solve_1d_steady",
-    "project_1d_to_2d",
-    "make_base_flow",
-    "evolve_linear",
-    "evolve_nonlinear",
-    "fit_growth_rate",
-    "dominance_gap",
-    "run_validation_case",
-    "write_series",
-]
+__all__ = ["__version__"]
+# The tuple is built before the loop rebinds ``residual`` to the function of
+# that name, which the package exports.
+for _module in (errors, mesh, state, numerics, residual, stability, harness):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

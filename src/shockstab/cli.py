@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, stability
-from .errors import SettingsError, ShockStabError
-from .mesh import Grid, compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
+from .errors import FitError, SettingsError, ShockStabError
+from .mesh import Grid, GridMetrics, compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
 from .numerics import LIMITERS, RECONSTRUCTION_KINDS, RIEMANN_SOLVERS, ReconstructionScheme
 from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet
 from .state import (
@@ -38,7 +38,8 @@ from .state import (
     write_prim_files,
 )
 
-__all__ = ["Settings", "parse_settings", "parse_settings_text", "settings_to_text", "main", "gridgen_main"]
+__all__ = ["Settings", "Analysis", "parse_settings", "parse_settings_text", "settings_to_text", "analyze",
+           "time_march", "main", "gridgen_main"]
 
 TEST_CASES = ("normal_shock", "external_flow")
 INIT_MODES = ("oned_projection", "rankine_hugoniot")
@@ -381,6 +382,82 @@ def _write_mode_files(outdir: Path, base: FlowField, vector: np.ndarray, gas: Ga
                     fh.write(f"{prim_mode[i, j, k].real:.17g}\n")
 
 
+def _scheme_label(settings: Settings) -> str:
+    if settings.reconstruction == "muscl":
+        return f"muscl/{settings.limiter}"
+    return settings.reconstruction
+
+
+@dataclass
+class Analysis:
+    """Base flow, linearized operator and spectrum of one settings object.
+
+    ``spectrum`` is sorted by descending real part: the full spectrum for
+    ``eig_method = dense``, the leading ``arnoldi_k`` eigenvalues for
+    ``arnoldi``.  The analysis runs on ``base``, which is exactly
+    ``prim_to_cons(base_prim)``; ``oned`` is the 1-D march behind a projected
+    base (``None`` otherwise).
+    """
+
+    settings: Settings
+    gas: GasModel
+    scheme: ReconstructionScheme
+    metrics: GridMetrics
+    bc: BoundaryConditionSet
+    base: FlowField
+    base_prim: np.ndarray
+    oned: harness.OneDResult | None
+    stab: stability.StabilityMatrix
+    spectrum: np.ndarray
+
+
+def analyze(settings: Settings) -> Analysis:
+    """Build the base flow, assemble ``S`` and solve for its spectrum.
+
+    Every run mode (single analysis, ``--sweep``, ``--validate``) starts
+    here, so each analyses the operator its settings describe.
+    """
+    gas = GasModel(settings.gamma)
+    scheme = _build_scheme(settings)
+    grid = _build_grid(settings)
+    metrics = compute_metrics(grid)
+    bc = _build_bcs(settings, gas)
+    base, oned, base_prim = _build_base(settings, grid, gas, scheme)
+    stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
+    if settings.eig_method == "dense":
+        spectrum = stability.eigensolve(stab.matrix, cap=settings.eig_cap)
+    else:
+        spectrum = stability.eigensolve_leading(stab.matrix, k=settings.arnoldi_k, seed=settings.seed)
+    return Analysis(settings, gas, scheme, metrics, bc, base, base_prim, oned, stab, spectrum)
+
+
+def time_march(analysis: Analysis):
+    """Linear and nonlinear time marches of an analysed case, with fitted rates.
+
+    Returns ``({"linear": (series, sigma), "nonlinear": (series, sigma)},
+    fit_errors)``.  A rate that cannot be fitted cleanly is ``None``, with
+    the reason in ``fit_errors``, rather than aborting the cross-check.
+    """
+    s = analysis.settings
+    runs = {
+        "linear": harness.evolve_linear(analysis.stab.matrix, s.validate_linear_steps, seed=s.seed),
+        "nonlinear": harness.evolve_nonlinear(
+            analysis.base, analysis.bc, analysis.metrics, analysis.scheme, s.solver, analysis.gas,
+            steps=s.validate_nonlinear_steps, cfl=s.validate_cfl, amplitude=s.validate_amplitude,
+            seed=s.seed,
+        ),
+    }
+    marches, errors = {}, []
+    for kind, series in runs.items():
+        sigma = None
+        try:
+            sigma = harness.fit_growth_rate(series.t, series.log_norm, norms_are_log=True).sigma
+        except FitError as exc:
+            errors.append(f"{kind}: {exc}")
+        marches[kind] = (series, sigma)
+    return marches, errors
+
+
 def _sweep_values(settings: Settings):
     try:
         machs = [float(tok) for tok in settings.sweep_mach.split(",") if tok.strip()]
@@ -399,91 +476,57 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
     """Eigenvalue table over the configured Mach numbers and solvers."""
     if settings.test_case != "normal_shock":
         raise SettingsError("--sweep supports the normal_shock case only")
+    # Boundary states follow each entry's Mach number; explicit ones would pin
+    # a single Mach number's states across the whole table.
+    pinned = [key for key in ("inflow_rho", "inflow_u", "inflow_v", "inflow_p", "exit_pressure")
+              if getattr(settings, key) is not None]
+    if pinned:
+        raise SettingsError(f"--sweep derives the boundary states from each Mach number; "
+                            f"remove {', '.join(pinned)}")
     machs, solvers = _sweep_values(settings)
-    ni, nj = parse_grid_spec(settings.grid) if settings.grid else (None, None)
-    if ni is None:
-        raise SettingsError("--sweep requires the inline Cartesian 'grid'")
-    scheme = _build_scheme(settings)
+    cases = [_validate(replace(settings, mach=mach, solver=solver)) for solver in solvers for mach in machs]
     with open(outdir / "sweep.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda lambda_im gap\n")
-        for solver in solvers:
-            for mach in machs:
-                case = harness.run_validation_case(
-                    ni, nj, mach, settings.epsilon, scheme, solver,
-                    gas=GasModel(settings.gamma), init=settings.initialization,
-                    shock_col=settings.shock_col, oned_steps=settings.oned_steps,
-                    oned_cfl=settings.oned_cfl, run_linear=False, run_nonlinear=False,
-                    eig_cap=settings.eig_cap, seed=settings.seed,
-                )
-                fh.write(
-                    f"{mach:.17g} {solver} {case.scheme_label} "
-                    f"{case.max_real:.17g} {case.lambda_max.imag:.17g} {case.gap:.17g}\n"
-                )
+        for case in cases:
+            spectrum = analyze(case).spectrum
+            fh.write(
+                f"{case.mach:.17g} {case.solver} {_scheme_label(case)} "
+                f"{spectrum[0].real:.17g} {spectrum[0].imag:.17g} {harness.dominance_gap(spectrum):.17g}\n"
+            )
 
 
-def run_validation(settings: Settings, outdir: Path) -> None:
-    """Time-marching cross-check of the configured case."""
-    if settings.test_case != "normal_shock":
-        raise SettingsError("--validate supports the normal_shock case only")
-    ni, nj = parse_grid_spec(settings.grid) if settings.grid else (None, None)
-    if ni is None:
-        raise SettingsError("--validate requires the inline Cartesian 'grid'")
-    case = harness.run_validation_case(
-        ni, nj, settings.mach, settings.epsilon, _build_scheme(settings), settings.solver,
-        gas=GasModel(settings.gamma), init=settings.initialization,
-        shock_col=settings.shock_col, oned_steps=settings.oned_steps, oned_cfl=settings.oned_cfl,
-        linear_steps=settings.validate_linear_steps,
-        nonlinear_steps=settings.validate_nonlinear_steps,
-        nonlinear_cfl=settings.validate_cfl, amplitude=settings.validate_amplitude,
-        seed=settings.seed, eig_cap=settings.eig_cap,
-    )
-
-    def rel(sigma):
-        if sigma is None:
-            return float("nan")
-        return abs(sigma - case.max_real) / max(abs(case.max_real), 1.0e-300)
-
+def run_validation(analysis: Analysis, outdir: Path) -> None:
+    """Time-marching cross-check of an analysed case."""
+    s = analysis.settings
+    max_real = float(analysis.spectrum[0].real)
+    marches, errors = time_march(analysis)
+    columns = []
+    for kind, (series, sigma) in marches.items():
+        sigma = float("nan") if sigma is None else sigma
+        columns.append(f"{sigma:.17g} {abs(sigma - max_real) / max(abs(max_real), 1.0e-300):.17g}")
+        harness.write_series(series, outdir / f"series_{kind}.dat")
     with open(outdir / "validation.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda sigma_linear rel_diff_linear "
                  "sigma_nonlinear rel_diff_nonlinear gap\n")
-        sl = float("nan") if case.sigma_linear is None else case.sigma_linear
-        sn = float("nan") if case.sigma_nonlinear is None else case.sigma_nonlinear
         fh.write(
-            f"{case.mach:.17g} {case.solver} {case.scheme_label} {case.max_real:.17g} "
-            f"{sl:.17g} {rel(case.sigma_linear):.17g} {sn:.17g} {rel(case.sigma_nonlinear):.17g} "
-            f"{case.gap:.17g}\n"
+            f"{s.mach:.17g} {s.solver} {_scheme_label(s)} {max_real:.17g} {' '.join(columns)} "
+            f"{harness.dominance_gap(analysis.spectrum):.17g}\n"
         )
-        for err in case.fit_errors:
+        for err in errors:
             fh.write(f"# {err}\n")
-    if case.linear_series is not None:
-        harness.write_series(case.linear_series, outdir / "series_linear.dat")
-    if case.nonlinear_series is not None:
-        harness.write_series(case.nonlinear_series, outdir / "series_nonlinear.dat")
 
 
-def run_analysis(settings: Settings, dump_matrix: bool = False) -> int:
-    """Full pipeline for one settings object; returns the process exit code."""
+def run_analysis(analysis: Analysis, dump_matrix: bool = False) -> int:
+    """Eigenpair, verdict and artifacts of an analysed case; returns the exit code."""
+    settings, base, stab, spectrum = analysis.settings, analysis.base, analysis.stab, analysis.spectrum
     outdir = Path(settings.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    gas = GasModel(settings.gamma)
-    scheme = _build_scheme(settings)
-    grid = _build_grid(settings)
-    metrics = compute_metrics(grid)
-    bc = _build_bcs(settings, gas)
-    base, oned, base_prim = _build_base(settings, grid, gas, scheme)
-
-    stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
-    if settings.eig_method == "dense":
-        spectrum = stability.eigensolve(stab.matrix, cap=settings.eig_cap)
-    else:
-        spectrum = stability.eigensolve_leading(stab.matrix, k=settings.arnoldi_k, seed=settings.seed)
     pair = stability.max_real_eigenpair(stab.matrix, eigenvalues=spectrum, seed=settings.seed)
     verdict = stability.stability_verdict(pair.eigenvalue.real)
 
     (outdir / "settings_echo.dat").write_text(settings_to_text(settings), encoding="ascii")
     _write_eigenvalues(outdir / "eigenvalues.dat", spectrum)
-    _write_mode_files(outdir, base, pair.vector, gas)
-    write_prim_files(base_prim, str(outdir / "flow_"))
+    _write_mode_files(outdir, base, pair.vector, analysis.gas)
+    write_prim_files(analysis.base_prim, str(outdir / "flow_"))
     if dump_matrix:
         stability.write_matrix(stab.matrix, outdir / "matrix.dat")
 
@@ -500,7 +543,6 @@ def run_analysis(settings: Settings, dump_matrix: bool = False) -> int:
         ("eig_method", settings.eig_method),
         ("spectrum_size", len(spectrum)),
         ("max_re_lambda", float(pair.eigenvalue.real)),
-        ("lambda_max_re", float(pair.eigenvalue.real)),
         ("lambda_max_im", float(pair.eigenvalue.imag)),
         ("verdict", verdict),
         ("base_residual_inf", stab.base_residual_inf),
@@ -511,8 +553,8 @@ def run_analysis(settings: Settings, dump_matrix: bool = False) -> int:
     if settings.test_case == "normal_shock":
         pairs[1:1] = [("mach", settings.mach), ("epsilon", settings.epsilon),
                       ("initialization", settings.initialization)]
-    if oned is not None:
-        pairs.append(("oned_residual_inf", oned.residual_inf))
+    if analysis.oned is not None:
+        pairs.append(("oned_residual_inf", analysis.oned.residual_inf))
     _write_summary(outdir / "summary.txt", pairs)
 
     print(f"max Re(lambda) = {pair.eigenvalue.real:.6e} ({verdict}); artifacts in {outdir}")
@@ -542,9 +584,12 @@ def main(argv=None) -> int:
             run_sweep(settings, outdir)
             print(f"sweep table written to {outdir / 'sweep.dat'}")
             return 0
-        code = run_analysis(settings, dump_matrix=args.dump_matrix)
+        if args.validate and settings.test_case != "normal_shock":
+            raise SettingsError("--validate supports the normal_shock case only")
+        analysis = analyze(settings)
+        code = run_analysis(analysis, dump_matrix=args.dump_matrix)
         if args.validate:
-            run_validation(settings, outdir)
+            run_validation(analysis, outdir)
             print(f"validation table written to {outdir / 'validation.dat'}")
         return code
     except (ShockStabError, OSError) as exc:

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ShockStabError",
+    "GridError",
+    "FlowFileError",
+    "StateError",
+    "SettingsError",
+    "LinearizationError",
+    "EigenSolveError",
+    "EvolutionError",
+    "FitError",
+]
+
 
 class ShockStabError(Exception):
     """Base class for all errors raised by this package."""

@@ -11,27 +11,21 @@ log-slope is extracted by a saturation-aware least-squares fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvolutionError, FitError, StateError
-from .mesh import Grid, GridMetrics, compute_metrics, make_cartesian_grid
+from .mesh import Grid, GridMetrics, compute_metrics
 from .numerics import ReconstructionScheme
 from .residual import BoundaryConditionSet, fill_ghosts, normal_shock_bcs, residual
-from .stability import (
-    StabilityMatrix,
-    assemble,
-    eigensolve,
-    spectral_radius_upper,
-)
+from .stability import spectral_radius_upper
 from .state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, is_physical_prim, sound_speed
 
 __all__ = [
     "OneDResult",
     "EvolutionSeries",
     "GrowthRateFit",
-    "ValidationCase",
     "solve_1d_steady",
     "project_1d_to_2d",
     "make_base_flow",
@@ -40,7 +34,6 @@ __all__ = [
     "evolve_nonlinear",
     "fit_growth_rate",
     "dominance_gap",
-    "run_validation_case",
     "write_series",
 ]
 
@@ -429,113 +422,6 @@ def dominance_gap(eigenvalues: np.ndarray, merge_tol: float = 1.0e-9) -> float:
         if top - r > merge_tol * scale:
             return float(top - r)
     return float("inf")
-
-
-@dataclass
-class ValidationCase:
-    """One row of the analysis-versus-time-marching comparison."""
-
-    mach: float
-    epsilon: float
-    solver: str
-    scheme: ReconstructionScheme
-    ni: int
-    nj: int
-    lambda_max: complex
-    max_real: float
-    gap: float
-    base_residual_inf: float
-    oned_residual_inf: float | None = None
-    sigma_linear: float | None = None
-    sigma_nonlinear: float | None = None
-    linear_fit: GrowthRateFit | None = None
-    nonlinear_fit: GrowthRateFit | None = None
-    linear_series: EvolutionSeries | None = None
-    nonlinear_series: EvolutionSeries | None = None
-    fit_errors: list = field(default_factory=list)
-    stability: StabilityMatrix | None = None
-
-    @property
-    def scheme_label(self) -> str:
-        if self.scheme.kind == "muscl":
-            return f"muscl/{self.scheme.limiter}"
-        return self.scheme.kind
-
-
-def run_validation_case(
-    ni: int,
-    nj: int,
-    mach: float,
-    epsilon: float,
-    scheme: ReconstructionScheme,
-    solver: str,
-    gas: GasModel = GasModel(),
-    init: str = "oned_projection",
-    shock_col: int | None = None,
-    oned_steps: int = 2000,
-    oned_cfl: float = 0.5,
-    run_linear: bool = True,
-    run_nonlinear: bool = True,
-    linear_steps: int = 20000,
-    nonlinear_steps: int = 4000,
-    nonlinear_cfl: float = 0.4,
-    amplitude: float = 1.0e-8,
-    seed: int = 20230614,
-    eig_cap: int = 12000,
-    keep_matrix: bool = False,
-) -> ValidationCase:
-    """Assemble, eigensolve, and (optionally) cross-check one configuration.
-
-    The grid is Cartesian with unit cells.  Growth rates that cannot be
-    fitted cleanly are left ``None`` with the reason recorded in
-    ``fit_errors`` rather than aborting the whole case.
-    """
-    base, oned = make_base_flow(
-        ni, nj, mach, epsilon, scheme, solver,
-        init=init, gas=gas, oned_steps=oned_steps, oned_cfl=oned_cfl, shock_col=shock_col,
-    )
-    grid = make_cartesian_grid(ni, nj)
-    metrics = compute_metrics(grid)
-    bc = normal_shock_bcs(mach, gas)
-    stab = assemble(base, metrics, scheme, solver, bc, gas)
-    spectrum = eigensolve(stab.matrix, cap=eig_cap)
-    lam = complex(spectrum[0])
-    case = ValidationCase(
-        mach=mach,
-        epsilon=epsilon,
-        solver=solver,
-        scheme=scheme,
-        ni=ni,
-        nj=nj,
-        lambda_max=lam,
-        max_real=float(lam.real),
-        gap=dominance_gap(spectrum),
-        base_residual_inf=stab.base_residual_inf,
-        oned_residual_inf=None if oned is None else oned.residual_inf,
-        stability=stab if keep_matrix else None,
-    )
-    if run_linear:
-        series = evolve_linear(stab.matrix, linear_steps, seed=seed)
-        case.linear_series = series
-        try:
-            fit = fit_growth_rate(series.t, series.log_norm, norms_are_log=True)
-            case.linear_fit = fit
-            case.sigma_linear = fit.sigma
-        except FitError as exc:
-            case.fit_errors.append(f"linear: {exc}")
-    if run_nonlinear:
-        series = evolve_nonlinear(
-            base, bc, metrics, scheme, solver, gas,
-            steps=nonlinear_steps, cfl=nonlinear_cfl, amplitude=amplitude, seed=seed,
-        )
-        case.nonlinear_series = series
-        try:
-            fit = fit_growth_rate(series.t, series.log_norm, norms_are_log=True)
-            case.nonlinear_fit = fit
-            case.sigma_nonlinear = fit.sigma
-        except FitError as exc:
-            case.fit_errors.append(f"nonlinear: {exc}")
-    return case
 
 
 def write_series(series: EvolutionSeries, path) -> None:

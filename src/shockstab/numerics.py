@@ -131,8 +131,6 @@ class ReconstructionScheme:
     ``variables`` selects the working set: ``conservative`` (default) or
     ``primitive``.  With ``positivity_fallback`` enabled, a face state with
     non-positive density or pressure is replaced by its first-order value.
-    ``frozen_limiter`` affects only the linearization (limiter values held
-    at their base-flow values), not the residual itself.
     """
 
     kind: str = "muscl"
@@ -140,7 +138,6 @@ class ReconstructionScheme:
     round_params: RoundParams = field(default_factory=RoundParams)
     variables: str = "conservative"
     positivity_fallback: bool = True
-    frozen_limiter: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in RECONSTRUCTION_KINDS:

@@ -27,15 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolveError, LinearizationError
 from .mesh import GridMetrics
-from .numerics import (
-    ReconstructionScheme,
-    ZERO_SLOPE_GUARD,
-    limiter_value,
-    reconstruct_pair,
-    reconstruction_kink_flags,
-    riemann_flux,
-    round_face_value,
-)
+from .numerics import ReconstructionScheme, reconstruct_pair, reconstruction_kink_flags, riemann_flux
 from .residual import (
     BoundaryConditionSet,
     _iface_stencils,
@@ -136,39 +128,6 @@ def _first_order_coefficients(shape):
     return al, ar
 
 
-def _frozen_coefficients(s0, s1, s2, s3, scheme: ReconstructionScheme):
-    """Exact stencil coefficients with limiter/weight factors held fixed."""
-    if scheme.variables != "conservative":
-        raise LinearizationError("frozen-limiter linearization supports conservative variables only")
-    shape = s0.shape[:-1]
-    al = np.zeros(shape + (4, 4, 4))
-    ar = np.zeros_like(al)
-    rng4 = np.arange(4)
-    if scheme.kind == "muscl":
-        dl = s1 - s0
-        safe = np.abs(dl) >= ZERO_SLOPE_GUARD
-        r = np.where(safe, (s2 - s1) / np.where(safe, dl, 1.0), 0.0)
-        psi = np.where(safe, limiter_value(scheme.limiter, r), 0.0)
-        al[..., 0, rng4, rng4] = -0.5 * psi
-        al[..., 1, rng4, rng4] = 1.0 + 0.5 * psi
-        dr = s3 - s2
-        safe = np.abs(dr) >= ZERO_SLOPE_GUARD
-        r = np.where(safe, (s2 - s1) / np.where(safe, dr, 1.0), 0.0)
-        psi = np.where(safe, limiter_value(scheme.limiter, r), 0.0)
-        ar[..., 2, rng4, rng4] = 1.0 + 0.5 * psi
-        ar[..., 3, rng4, rng4] = -0.5 * psi
-    else:  # round
-        for (up, ce, dn), a, idx in (((s0, s1, s2), al, (0, 1, 2)), ((s3, s2, s1), ar, (3, 2, 1))):
-            den_raw = dn - up
-            safe = np.abs(den_raw) >= ZERO_SLOPE_GUARD
-            uh = np.where(safe, (ce - up) / np.where(safe, den_raw, 1.0), 0.0)
-            uhf = round_face_value(uh, scheme.round_params)
-            a[..., idx[0], rng4, rng4] = np.where(safe, 1.0 - uhf, 0.0)
-            a[..., idx[1], rng4, rng4] = np.where(safe, 0.0, 1.0)
-            a[..., idx[2], rng4, rng4] = np.where(safe, uhf, 0.0)
-    return al, ar
-
-
 def reconstruction_coefficients(
     s0: np.ndarray,
     s1: np.ndarray,
@@ -183,15 +142,11 @@ def reconstruction_coefficients(
     Returns ``(AL, AR)`` of shape ``(..., 4, 4, 4)`` where ``AL[..., c, r, m]``
     is ``dUleft_r/dU(cell c)_m`` and cells are numbered along the stencil.
     First-order coefficients are exact (0, I, 0 pattern); the nonlinear
-    schemes are differenced centrally unless ``scheme.frozen_limiter`` holds
-    the limiter/weight factors at their base values, in which case the
-    resulting linear map is written down exactly.
+    schemes are differenced centrally.
     """
     s0, s1, s2, s3 = (np.asarray(a, dtype=float) for a in (s0, s1, s2, s3))
     if scheme.kind == "first_order":
         return _first_order_coefficients(s0.shape[:-1])
-    if scheme.frozen_limiter:
-        return _frozen_coefficients(s0, s1, s2, s3, scheme)
     cells = (s0, s1, s2, s3)
     al = np.empty(s0.shape[:-1] + (4, 4, 4))
     ar = np.empty_like(al)

@@ -21,13 +21,12 @@ import time
 import numpy as np
 
 from shockstab import GasModel, ReconstructionScheme, cli
-from shockstab.harness import make_base_flow, run_validation_case
+from shockstab.harness import dominance_gap, make_base_flow
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid, write_grid
 from shockstab.numerics import RIEMANN_SOLVERS, physical_flux, riemann_flux
 from shockstab.residual import fill_ghosts, normal_shock_bcs, residual
 from shockstab.state import (
     FlowField,
-    cons_to_prim,
     normal_shock_states,
     prim_to_cons,
     write_flow_files,
@@ -219,6 +218,27 @@ def test_criterion_04_eigensolver_oracles():
             t0, 1.0)
 
 
+def _shock_settings(outdir, solver: str, scheme: str, mach: float = 20.0) -> str:
+    lines = [
+        "test_case = normal_shock",
+        "grid = 11x11",
+        f"mach = {mach:g}",
+        "epsilon = 0.1",
+        f"solver = {solver}",
+        f"reconstruction = {scheme}",
+        "initialization = oned_projection",
+        f"output_dir = {outdir}",
+    ]
+    if scheme == "muscl":
+        lines.insert(6, "limiter = van_albada")
+    return "\n".join(lines) + "\n"
+
+
+def _analyze(solver: str, scheme: str, mach: float = 20.0) -> cli.Analysis:
+    """Base, operator and spectrum of the 11x11 normal-shock case at eps = 0.1."""
+    return cli.analyze(cli.parse_settings_text(_shock_settings(".", solver, scheme, mach)))
+
+
 def test_criterion_05_growth_rates_match_time_marching():
     t0 = time.perf_counter()
     failures = []
@@ -226,26 +246,29 @@ def test_criterion_05_growth_rates_match_time_marching():
     total = 0
     for mach in (2.0, 3.0, 6.0, 20.0):
         for solver in ("roe", "hllc"):
-            for label, scheme in (("muscl/van_albada", MUSCL_VA), ("round", ROUND)):
+            for label, reconstruction in (("muscl/van_albada", "muscl"), ("round", "round")):
                 total += 1
-                case = run_validation_case(11, 11, mach, 0.1, scheme, solver, gas=GAS)
+                analysis = _analyze(solver, reconstruction, mach)
+                max_real = float(analysis.spectrum[0].real)
                 name = f"M0={mach:g} {solver} {label}"
-                if not (case.max_real > 0.01 and case.gap >= 1e-3):
+                if not (max_real > 0.01 and dominance_gap(analysis.spectrum) >= 1e-3):
                     continue  # rate comparison applies to clear instabilities only
                 gated += 1
-                if case.sigma_linear is None:
+                marches, fit_errors = cli.time_march(analysis)
+                sigma_linear, sigma_nonlinear = marches["linear"][1], marches["nonlinear"][1]
+                if sigma_linear is None:
                     _check(failures, False,
-                           f"{name}: no linear rate ({'; '.join(map(str, case.fit_errors))})")
+                           f"{name}: no linear rate ({'; '.join(map(str, fit_errors))})")
                 else:
-                    rel = abs(case.sigma_linear - case.max_real) / case.max_real
+                    rel = abs(sigma_linear - max_real) / max_real
                     worst_lin = max(worst_lin, rel)
                     _check(failures, rel <= 1e-3,
                            f"{name}: linear rate rel err {rel:.2e} > 1e-3")
-                if case.sigma_nonlinear is None:
+                if sigma_nonlinear is None:
                     _check(failures, False,
-                           f"{name}: no nonlinear rate ({'; '.join(map(str, case.fit_errors))})")
+                           f"{name}: no nonlinear rate ({'; '.join(map(str, fit_errors))})")
                 else:
-                    rel = abs(case.sigma_nonlinear - case.max_real) / case.max_real
+                    rel = abs(sigma_nonlinear - max_real) / max_real
                     worst_nl = max(worst_nl, rel)
                     _check(failures, rel <= 0.10,
                            f"{name}: nonlinear rate rel err {rel:.2e} > 0.10")
@@ -255,20 +278,12 @@ def test_criterion_05_growth_rates_match_time_marching():
             f"(tol 0.1)", t0, 600.0)
 
 
-def _converged_max_real(scheme: ReconstructionScheme, solver: str) -> float:
-    base, _ = make_base_flow(11, 11, 20.0, 0.1, scheme, solver,
-                             init="oned_projection", gas=GAS)
-    metrics = compute_metrics(make_cartesian_grid(11, 11))
-    smat = assemble(base, metrics, scheme, solver, normal_shock_bcs(20.0, GAS), GAS)
-    return float(eigensolve(smat.matrix)[0].real)
-
-
 def test_criterion_06_solver_dissipation_contrast():
     t0 = time.perf_counter()
     mx = {
-        (solver, label): _converged_max_real(scheme, solver)
+        (solver, label): float(_analyze(solver, reconstruction).spectrum[0].real)
         for solver in ("hll", "hllc")
-        for label, scheme in (("1st", FIRST), ("2nd", MUSCL_VA))
+        for label, reconstruction in (("1st", "first_order"), ("2nd", "muscl"))
     }
     failures = []
     # translation of the discrete profile is an exact neutral mode, so the
@@ -295,12 +310,8 @@ def test_criterion_06_solver_dissipation_contrast():
 def test_criterion_07_unstable_mode_structure():
     t0 = time.perf_counter()
     ni = nj = 11
-    base, _ = make_base_flow(ni, nj, 20.0, 0.1, MUSCL_VA, "hllc",
-                             init="oned_projection", gas=GAS)
-    metrics = compute_metrics(make_cartesian_grid(ni, nj))
-    smat = assemble(base, metrics, MUSCL_VA, "hllc", normal_shock_bcs(20.0, GAS), GAS)
-    spectrum = eigensolve(smat.matrix)
-    pair = max_real_eigenpair(smat.matrix, spectrum)
+    analysis = _analyze("hllc", "muscl")
+    pair = max_real_eigenpair(analysis.stab.matrix, analysis.spectrum)
     lam = pair.eigenvalue
 
     failures = []
@@ -311,7 +322,7 @@ def test_criterion_07_unstable_mode_structure():
     # column-wise mode amplitude against the base-flow structure
     mode = np.abs(mode_field(pair.vector, ni, nj))
     colmax = mode.max(axis=(1, 2))
-    prim = cons_to_prim(base.q, GAS)
+    prim = analysis.base_prim
     up, down = normal_shock_states(20.0, GAS)
     dev_up = (np.abs(prim - up) / np.maximum(np.abs(up), 1e-3)).max(axis=(1, 2))
     dev_down = (np.abs(prim - down) / np.maximum(np.abs(down), 1e-3)).max(axis=(1, 2))
@@ -372,22 +383,6 @@ def test_criterion_08_resolution_trend():
     _report(8, "growth rate vs transverse resolution", failures,
             f"max Re: 50x10 {coarse:+.4e} < 50x50 {fine:+.4e}; "
             "iterative path cross-checked dense on the coarse grid", t0, 1800.0)
-
-
-def _shock_settings(outdir, solver: str, scheme: str) -> str:
-    lines = [
-        "test_case = normal_shock",
-        "grid = 11x11",
-        "mach = 20",
-        "epsilon = 0.1",
-        f"solver = {solver}",
-        f"reconstruction = {scheme}",
-        "initialization = oned_projection",
-        f"output_dir = {outdir}",
-    ]
-    if scheme == "muscl":
-        lines.insert(6, "limiter = van_albada")
-    return "\n".join(lines) + "\n"
 
 
 def test_criterion_09_flow_file_route(tmp_path):

@@ -20,6 +20,10 @@ GAS = GasModel()
 MINIMAL = "test_case = normal_shock\ngrid = 11x11\nmach = 20\nepsilon = 0.1\n"
 
 
+def _summary(outdir) -> dict:
+    return dict(line.split("=", 1) for line in (outdir / "summary.txt").read_text().splitlines())
+
+
 def stable_settings(outdir) -> str:
     # a sharp-profile base under HLL is neutrally stable: fast (no 1-D march)
     return (
@@ -181,9 +185,7 @@ class TestMainAnalysis:
         spectrum = np.loadtxt(out / "eigenvalues.dat")
         assert spectrum.shape == (4 * 11 * 11, 2)
         assert np.all(np.diff(spectrum[:, 0]) <= 1e-12)  # sorted by real part
-        summary = dict(
-            line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
-        )
+        summary = _summary(out)
         assert summary["verdict"] == "stable"
         assert float(summary["max_re_lambda"]) <= 1e-10
         assert int(summary["unknowns"]) == 484
@@ -193,9 +195,7 @@ class TestMainAnalysis:
         code = cli.main([self.write(tmp_path, unstable_settings(out))])
         assert code == 1
         assert "(unstable)" in capsys.readouterr().out
-        summary = dict(
-            line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
-        )
+        summary = _summary(out)
         assert summary["verdict"] == "unstable"
         assert float(summary["max_re_lambda"]) > 0.01
 
@@ -267,9 +267,7 @@ class TestExternalFlow:
     def test_uniform_duct_is_stable(self, tmp_path):
         cfg, out = self.make_case(tmp_path)
         assert cli.main([str(cfg)]) == 0
-        summary = dict(
-            line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines()
-        )
+        summary = _summary(out)
         assert float(summary["max_re_lambda"]) < -0.1
         # the echoed base flow reproduces the input files bit for bit
         assert (out / "flow_rho.dat").read_bytes() == (tmp_path / "base_rho.dat").read_bytes()
@@ -325,6 +323,80 @@ class TestSweepAndValidate:
         cfg.write_text(text, encoding="ascii")
         assert cli.main([str(cfg), "--sweep"]) == 2
         assert "sweep_mach" in capsys.readouterr().err
+
+    def test_sweep_rejects_pinned_boundary_states(self, tmp_path, capsys):
+        for extra in ("exit_pressure = 10\n",
+                      "inflow_rho = 1\ninflow_u = 3\ninflow_v = 0\ninflow_p = 0.7\n"):
+            out = tmp_path / "out"
+            cfg = tmp_path / "pinned.cfg"
+            cfg.write_text(MINIMAL + extra + f"sweep_mach = 2,3\noutput_dir = {out}\n", encoding="ascii")
+            assert cli.main([str(cfg), "--sweep"]) == 2
+            assert "--sweep" in capsys.readouterr().err
+            assert not (out / "sweep.dat").exists()
+
+    # Both modes below must analyse the operator of the configured grid and
+    # boundaries, not a unit-cell grid with the default shock boundaries.
+    SCALED = (
+        "test_case = normal_shock\ngrid = 5x3\ndomain = 0,10,0,6\nmach = 20\nepsilon = 0.1\n"
+        "solver = hllc\nreconstruction = muscl\ninitialization = rankine_hugoniot\n"
+        "bc_right = zero_gradient\n"
+    )
+
+    def test_validation_checks_the_analysed_operator(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text(self.SCALED + "validate_linear_steps = 50\nvalidate_nonlinear_steps = 20\n"
+                       f"output_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--validate"]) == 1
+        row = (out / "validation.dat").read_text().splitlines()[1].split()
+        assert float(row[3]) == float(_summary(out)["max_re_lambda"])
+
+    def test_sweep_row_matches_single_run(self, tmp_path):
+        single, sweep = tmp_path / "single", tmp_path / "sweep"
+        for out, flags in ((single, []), (sweep, ["--sweep"])):
+            cfg = tmp_path / f"{out.name}.cfg"
+            cfg.write_text(self.SCALED + f"sweep_mach = 3,20\nsweep_solvers = hllc\noutput_dir = {out}\n",
+                           encoding="ascii")
+            cli.main([str(cfg), *flags])
+        rows = [l.split() for l in (sweep / "sweep.dat").read_text().splitlines()[1:]]
+        row = next(r for r in rows if r[0] == "20")
+        assert float(row[3]) == float(_summary(single)["max_re_lambda"])
+
+
+class TestAnalyze:
+    @staticmethod
+    def settings(**keys):
+        keys = {"grid": "8x3", "mach": 2, "epsilon": 0.1, **keys}
+        return parse_settings_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+
+    def test_time_march_structure(self):
+        analysis = cli.analyze(self.settings(
+            reconstruction="first_order", initialization="rankine_hugoniot",
+            validate_linear_steps=300, validate_nonlinear_steps=100))
+        assert analysis.spectrum.shape == (4 * 8 * 3,)
+        assert np.all(np.diff(analysis.spectrum.real) <= 0.0)
+        assert analysis.oned is None
+        assert np.array_equal(analysis.base.q, prim_to_cons(analysis.base_prim, GAS))
+        marches, errors = cli.time_march(analysis)
+        assert list(marches) == ["linear", "nonlinear"]
+        for kind, (series, sigma) in marches.items():
+            assert len(series.t) > 1
+            # every rate is either fitted or has a recorded reason
+            assert (sigma is not None) or any(e.startswith(kind) for e in errors)
+
+    def test_projection_bookkeeping(self):
+        analysis = cli.analyze(self.settings(solver="hllc", oned_steps=200))
+        assert analysis.stab.n == 4 * 8 * 3
+        assert analysis.oned is not None
+        assert analysis.oned.residual_history.shape == (200,)
+
+    def test_deterministic(self):
+        settings = self.settings(reconstruction="first_order", initialization="rankine_hugoniot",
+                                 validate_linear_steps=200, validate_nonlinear_steps=10)
+        a, b = cli.analyze(settings), cli.analyze(settings)
+        assert np.array_equal(a.spectrum, b.spectrum)
+        lin_a, lin_b = cli.time_march(a)[0]["linear"][0], cli.time_march(b)[0]["linear"][0]
+        assert np.array_equal(lin_a.log_norm, lin_b.log_norm)
 
 
 class TestGridgen:

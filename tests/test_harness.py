@@ -13,7 +13,6 @@ from shockstab.harness import (
     local_wave_speed_sums,
     make_base_flow,
     project_1d_to_2d,
-    run_validation_case,
     solve_1d_steady,
     write_series,
 )
@@ -274,44 +273,6 @@ class TestDominanceGap:
 
     def test_single_real_part_is_infinite(self):
         assert dominance_gap(np.array([0.7 + 1j, 0.7 - 1j])) == np.inf
-
-
-class TestRunValidationCase:
-    def test_smoke_structure(self):
-        case = run_validation_case(
-            8, 3, 2.0, 0.1, FIRST, "roe",
-            init="rankine_hugoniot", linear_steps=300, nonlinear_steps=100,
-        )
-        assert case.max_real == case.lambda_max.real
-        assert case.gap > 0.0
-        assert case.ni == 8 and case.nj == 3
-        assert case.oned_residual_inf is None
-        assert case.stability is None
-        assert case.linear_series is not None
-        assert case.nonlinear_series is not None
-        # every requested rate either fitted or has a recorded reason
-        assert (case.sigma_linear is not None) or any(
-            e.startswith("linear") for e in case.fit_errors)
-        assert (case.sigma_nonlinear is not None) or any(
-            e.startswith("nonlinear") for e in case.fit_errors)
-        assert case.scheme_label == "first_order"
-
-    def test_keep_matrix_and_projection_bookkeeping(self):
-        case = run_validation_case(
-            8, 3, 2.0, 0.1, MUSCL, "hllc",
-            oned_steps=200, run_linear=False, run_nonlinear=False, keep_matrix=True,
-        )
-        assert case.stability is not None
-        assert case.stability.n == 4 * 8 * 3
-        assert case.oned_residual_inf is not None
-        assert case.scheme_label == "muscl/van_albada"
-
-    def test_deterministic(self):
-        kwargs = dict(init="rankine_hugoniot", linear_steps=200, run_nonlinear=False)
-        a = run_validation_case(8, 3, 2.0, 0.1, FIRST, "roe", **kwargs)
-        b = run_validation_case(8, 3, 2.0, 0.1, FIRST, "roe", **kwargs)
-        assert a.lambda_max == b.lambda_max
-        assert np.array_equal(a.linear_series.log_norm, b.linear_series.log_norm)
 
 
 class TestWriteSeries:
