@@ -88,7 +88,7 @@ class Settings:
     inflow_p: float | None = None
     exit_pressure: float | None = None
     eig_method: str = "dense"
-    eig_cap: int = 12000
+    eig_cap: int = stability.DENSE_CAP
     arnoldi_k: int = 12
     seed: int = 20230614
     oned_steps: int = 2000
@@ -102,14 +102,11 @@ class Settings:
     output_dir: str = "."
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Settings)}
 KNOWN_KEYS = tuple(f.name for f in fields(Settings))
 
-_INT_KEYS = {"shock_col", "eig_cap", "arnoldi_k", "seed", "oned_steps",
-             "validate_linear_steps", "validate_nonlinear_steps"}
-_FLOAT_KEYS = {"mach", "epsilon", "round_lambda1", "gamma", "inflow_rho", "inflow_u",
-               "inflow_v", "inflow_p", "exit_pressure", "oned_cfl",
-               "validate_cfl", "validate_amplitude"}
+# Field annotations are strings here (``from __future__ import annotations``).
+_INT_KEYS = {f.name for f in fields(Settings) if f.type.removesuffix(" | None") == "int"}
+_FLOAT_KEYS = {f.name for f in fields(Settings) if f.type.removesuffix(" | None") == "float"}
 
 
 def _parse_value(key: str, raw: str):
@@ -372,16 +369,6 @@ def _write_eigenvalues(path, spectrum: np.ndarray) -> None:
             fh.write(f"{lam.real:.17g} {lam.imag:.17g}\n")
 
 
-def _write_mode_files(outdir: Path, base: FlowField, vector: np.ndarray, gas: GasModel) -> None:
-    mode = stability.mode_field(vector, base.ni, base.nj)
-    prim_mode = perturbation_to_primitive(base.q, mode, gas)
-    for k, name in enumerate(("rho", "u", "v", "p")):
-        with open(outdir / f"mode_{name}.dat", "w", encoding="ascii") as fh:
-            for j in range(base.nj):
-                for i in range(base.ni):
-                    fh.write(f"{prim_mode[i, j, k].real:.17g}\n")
-
-
 def _scheme_label(settings: Settings) -> str:
     if settings.reconstruction == "muscl":
         return f"muscl/{settings.limiter}"
@@ -451,7 +438,7 @@ def time_march(analysis: Analysis):
     for kind, series in runs.items():
         sigma = None
         try:
-            sigma = harness.fit_growth_rate(series.t, series.log_norm, norms_are_log=True).sigma
+            sigma = harness.fit_growth_rate(series.t, series.log_norm).sigma
         except FitError as exc:
             errors.append(f"{kind}: {exc}")
         marches[kind] = (series, sigma)
@@ -464,6 +451,9 @@ def _sweep_values(settings: Settings):
     except ValueError:
         raise SettingsError(f"sweep_mach must be a comma list of numbers, got {settings.sweep_mach!r}") from None
     solvers = [tok.strip() for tok in settings.sweep_solvers.split(",") if tok.strip()]
+    for key, values in (("sweep_mach", machs), ("sweep_solvers", solvers)):
+        if not values:
+            raise SettingsError(f"{key} lists no entries")
     for solver in solvers:
         _check_choice("sweep_solvers", solver, RIEMANN_SOLVERS)
     for mach in machs:
@@ -525,7 +515,8 @@ def run_analysis(analysis: Analysis, dump_matrix: bool = False) -> int:
 
     (outdir / "settings_echo.dat").write_text(settings_to_text(settings), encoding="ascii")
     _write_eigenvalues(outdir / "eigenvalues.dat", spectrum)
-    _write_mode_files(outdir, base, pair.vector, analysis.gas)
+    mode = stability.mode_field(pair.vector, base.ni, base.nj)
+    write_prim_files(perturbation_to_primitive(base.q, mode, analysis.gas).real, str(outdir / "mode_"))
     write_prim_files(analysis.base_prim, str(outdir / "flow_"))
     if dump_matrix:
         stability.write_matrix(stab.matrix, outdir / "matrix.dat")
@@ -575,6 +566,9 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-matrix", action="store_true",
                         help="write the assembled operator as 'row col value' text")
     args = parser.parse_args(argv)
+    if args.sweep and (args.validate or args.dump_matrix):
+        parser.error("--sweep writes only the sweep table; it cannot be combined with "
+                     "--validate or --dump-matrix")
     try:
         settings = parse_settings(args.settings)
         outdir = Path(settings.output_dir)

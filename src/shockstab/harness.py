@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvolutionError, FitError, StateError
-from .mesh import Grid, GridMetrics, compute_metrics
+from .mesh import Grid, GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme
 from .residual import BoundaryConditionSet, fill_ghosts, normal_shock_bcs, residual
 from .stability import spectral_radius_upper
@@ -82,19 +82,6 @@ class GrowthRateFit:
     ln_range: float
 
 
-def _strip_grid(ni: int, dx) -> Grid:
-    """Unit-height strip of ``ni`` cells with per-cell widths ``dx``."""
-    if np.isscalar(dx):
-        dx = np.full(ni, float(dx))
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (ni,) or np.any(dx <= 0.0):
-        raise StateError(f"need {ni} positive cell widths, got shape {dx.shape}")
-    xn = np.concatenate(([0.0], np.cumsum(dx)))
-    x = np.repeat(xn[:, None], 2, axis=1)
-    y = np.tile(np.array([0.0, 1.0]), (ni + 1, 1))
-    return Grid(x=x, y=y)
-
-
 def local_wave_speed_sums(field: FlowField, metrics: GridMetrics, gas: GasModel) -> np.ndarray:
     """Per-cell sum of ``L * (|q_n| + a)`` over all four faces.
 
@@ -125,21 +112,20 @@ def solve_1d_steady(
     solver: str,
     gas: GasModel = GasModel(),
     cfl: float = 0.5,
-    dx=1.0,
     shock_col: int | None = None,
 ) -> OneDResult:
     """March the 1-D normal-shock problem to (near) steadiness.
 
-    The 1-D equations are run as a one-cell-high strip of the 2-D residual
-    with periodic top/bottom boundaries, whose transverse fluxes cancel
-    exactly, so precisely the same scheme/solver code is exercised.  Forward
-    Euler with per-cell CFL time steps is applied for exactly ``steps``
-    iterations (no early exit); the final residual norm is reported so the
-    caller can judge convergence.
+    The 1-D equations are run as a one-cell-high strip of ``ni`` unit
+    squares of the 2-D residual with periodic top/bottom boundaries, whose
+    transverse fluxes cancel exactly, so precisely the same scheme/solver
+    code is exercised.  Forward Euler with per-cell CFL time steps is
+    applied for exactly ``steps`` iterations (no early exit); the final
+    residual norm is reported so the caller can judge convergence.
     """
     if steps < 1:
         raise EvolutionError(f"need at least one iteration, got {steps}")
-    grid = _strip_grid(ni, dx)
+    grid = make_cartesian_grid(ni, 1)
     metrics = compute_metrics(grid)
     bc = normal_shock_bcs(mach, gas)
     fld = init_normal_shock_rh(ni, 1, mach, epsilon, shock_col=shock_col, gas=gas)
@@ -318,56 +304,46 @@ def evolve_nonlinear(
     return EvolutionSeries(t=np.array(ts), log_norm=np.array(logs), diverged=diverged, truncated=truncated)
 
 
-def fit_growth_rate(
-    t: np.ndarray,
-    norms: np.ndarray,
-    norms_are_log: bool = False,
-    skip_fraction: float = 0.2,
-    tail_residual_limit: float = 0.01,
-    shrink_step: float = 0.05,
-    min_samples: int = 10,
-    slope_fraction: float = 0.3,
-) -> GrowthRateFit:
-    """Exponential rate from a norm history by least squares on ``ln |norm|``.
+#: Fewest samples a growth-rate fit may use.
+_MIN_FIT_SAMPLES = 10
 
-    The fit window is auto-selected in three stages.  First the exponential
-    segment is located from smoothed local slopes: the longest contiguous run
-    whose slope stays within ``slope_fraction`` of the peak sustained slope
-    (in the direction of the series' net trend).  This drops the initial dip
-    while stable components die out as well as the post-saturation plateau of
-    a nonlinear run — the plateau can creep slowly and still be excluded,
+
+def fit_growth_rate(t: np.ndarray, log_norms: np.ndarray) -> GrowthRateFit:
+    """Exponential rate from a history of ``ln |norm|`` by least squares.
+
+    The series is cut at its first non-finite value.  The fit window is
+    then auto-selected in three stages.  First the exponential segment is
+    located from smoothed local slopes: the longest contiguous run whose
+    slope stays within 30% of the peak sustained slope (in the direction of
+    the series' net trend).  This drops the initial dip while stable
+    components die out as well as the post-saturation plateau of a
+    nonlinear run — the plateau can creep slowly and still be excluded,
     which a fixed head-discard on the raw series cannot guarantee.  Second,
-    the first ``skip_fraction`` of that run is discarded (mode mixing decays
-    much more slowly than it takes the norm to leave the noise floor).  Last,
-    while the largest fit residual exceeds ``tail_residual_limit`` times the
-    window's ln-range, the window is shrunk by ``shrink_step`` (at least one
-    sample) from whichever end misfits more — the head when mode mixing
-    lingers, the tail when the saturation knee leaks in — with a floor of
-    ``min_samples``; hitting the floor raises :class:`FitError` with the
-    offending numbers.
+    the first 20% of that run is discarded (mode mixing decays much more
+    slowly than it takes the norm to leave the noise floor).  Last, while
+    the largest fit residual exceeds 1% of the window's ln-range, the window
+    is shrunk by 5% (at least one sample) from whichever end misfits more —
+    the head when mode mixing lingers, the tail when the saturation knee
+    leaks in — with a floor of 10 samples; hitting the floor raises
+    :class:`FitError` with the offending numbers.
     """
     t = np.asarray(t, dtype=float)
-    y = np.asarray(norms, dtype=float)
+    y = np.asarray(log_norms, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise FitError(f"time and norm arrays must be congruent 1-D, got {t.shape} vs {y.shape}")
-    if not norms_are_log:
-        good = np.isfinite(y) & (y > 0.0)
-        cut = int(np.argmax(~good)) if not np.all(good) else y.size
-        t, y = t[:cut], np.log(y[:cut])
-    else:
-        good = np.isfinite(y)
-        cut = int(np.argmax(~good)) if not np.all(good) else y.size
-        t, y = t[:cut], y[:cut]
+    good = np.isfinite(y)
+    cut = int(np.argmax(~good)) if not np.all(good) else y.size
+    t, y = t[:cut], y[:cut]
     n_total = y.size
-    if n_total < min_samples:
-        raise FitError(f"only {n_total} usable samples; need {min_samples}")
+    if n_total < _MIN_FIT_SAMPLES:
+        raise FitError(f"only {n_total} usable samples; need {_MIN_FIT_SAMPLES}")
     width = max(2, n_total // 50)
     slopes = (y[width:] - y[:-width]) / (t[width:] - t[:-width])
     net = y[-1] - y[0]
     if net > 0.0 and np.max(slopes) > 0.0:
-        mask = slopes >= slope_fraction * np.max(slopes)
+        mask = slopes >= 0.3 * np.max(slopes)
     elif net < 0.0 and np.min(slopes) < 0.0:
-        mask = slopes <= slope_fraction * np.min(slopes)
+        mask = slopes <= 0.3 * np.min(slopes)
     else:
         mask = np.ones(slopes.size, dtype=bool)
     edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
@@ -377,16 +353,16 @@ def fit_growth_rate(
     longest = int(np.argmax(run_ends - run_starts))
     lo = int(run_starts[longest])
     hi = min(int(run_ends[longest]) - 1 + width, n_total - 1)
-    lo += int(round(skip_fraction * (hi - lo + 1)))
+    lo += int(round(0.2 * (hi - lo + 1)))
     t_win, y_win = t[lo:hi + 1], y[lo:hi + 1]
-    if y_win.size < min_samples:
-        raise FitError(f"only {y_win.size} usable samples after transient removal; need {min_samples}")
+    if y_win.size < _MIN_FIT_SAMPLES:
+        raise FitError(f"only {y_win.size} usable samples after transient removal; need {_MIN_FIT_SAMPLES}")
     while True:
         sigma, intercept = np.polyfit(t_win, y_win, 1)
         resid = y_win - (sigma * t_win + intercept)
         ln_range = float(np.max(y_win) - np.min(y_win))
         max_resid = float(np.max(np.abs(resid)))
-        if ln_range > 0.0 and max_resid <= tail_residual_limit * ln_range:
+        if ln_range > 0.0 and max_resid <= 0.01 * ln_range:
             return GrowthRateFit(
                 sigma=float(sigma),
                 intercept=float(intercept),
@@ -395,12 +371,12 @@ def fit_growth_rate(
                 max_residual=max_resid,
                 ln_range=ln_range,
             )
-        drop = max(1, int(round(shrink_step * y_win.size)))
-        if y_win.size - drop < min_samples:
+        drop = max(1, int(round(0.05 * y_win.size)))
+        if y_win.size - drop < _MIN_FIT_SAMPLES:
             raise FitError(
                 "no clean exponential segment: "
                 f"window of {y_win.size} samples has max residual {max_resid:g} "
-                f"against ln-range {ln_range:g} (limit {tail_residual_limit:g} relative)"
+                f"against ln-range {ln_range:g} (limit 0.01 relative)"
             )
         if abs(resid[0]) >= abs(resid[-1]):
             t_win, y_win = t_win[drop:], y_win[drop:]
@@ -408,18 +384,18 @@ def fit_growth_rate(
             t_win, y_win = t_win[:-drop], y_win[:-drop]
 
 
-def dominance_gap(eigenvalues: np.ndarray, merge_tol: float = 1.0e-9) -> float:
+def dominance_gap(eigenvalues: np.ndarray) -> float:
     """Difference between the two largest distinct real parts of a spectrum.
 
-    Conjugate partners (and numerically coincident real parts) are merged
-    within ``merge_tol``; a spectrum with a single distinct real part has an
-    infinite gap.
+    Conjugate partners (and real parts within ``1e-9 * max(1, |top|)`` of
+    the top one) are merged; a spectrum with a single distinct real part
+    has an infinite gap.
     """
     re = np.unique(np.real(np.asarray(eigenvalues)))[::-1]
     top = re[0]
     scale = max(1.0, abs(top))
     for r in re[1:]:
-        if top - r > merge_tol * scale:
+        if top - r > 1.0e-9 * scale:
             return float(top - r)
     return float("inf")
 

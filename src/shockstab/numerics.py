@@ -27,6 +27,7 @@ from .errors import StateError
 from .state import GasModel, cons_to_prim, is_physical_prim, prim_to_cons
 
 __all__ = [
+    "FD_STEP",
     "ZERO_SLOPE_GUARD",
     "LIMITERS",
     "RIEMANN_SOLVERS",
@@ -43,6 +44,9 @@ __all__ = [
 
 #: Variations smaller than this (absolute) trigger the first-order fallback.
 ZERO_SLOPE_GUARD = 1.0e-40
+
+#: Absolute perturbation applied to conservative components when differencing.
+FD_STEP = 1.0e-7
 
 LIMITERS = ("superbee", "van_leer", "van_albada", "minmod", "deng")
 RECONSTRUCTION_KINDS = ("first_order", "muscl", "round")
@@ -66,6 +70,20 @@ _LIMITER_KINKS = {
     "minmod": (0.0, 1.0),
     "deng": (0.0, 0.25, 2.5),
 }
+
+
+def _central_difference(fn, x: np.ndarray) -> np.ndarray:
+    """Jacobian ``J[..., r, c] = d fn_r / d x_c`` of a map of ``(..., 4)`` states.
+
+    Each column is ``(fn(x + e_c) - fn(x - e_c)) / (2 * FD_STEP)`` with
+    ``e_c`` the step :data:`FD_STEP` in component ``c``.
+    """
+    columns = []
+    for c in range(4):
+        e = np.zeros(4)
+        e[c] = FD_STEP
+        columns.append((fn(x + e) - fn(x - e)) / (2.0 * FD_STEP))
+    return np.stack(columns, axis=-1)
 
 
 def limiter_value(name: str, r: np.ndarray) -> np.ndarray:
@@ -152,6 +170,21 @@ class ReconstructionScheme:
         return self.kind != "first_order"
 
 
+def _round_blends(uh: np.ndarray, params: RoundParams):
+    """Uncapped branch values of the normalized-variable map.
+
+    Returns ``(low, high, bound)``: the linear curve ``1/3 + 5*uh/6``
+    blended with ``2*uh`` (branch ``(0, 0.5]``) and with
+    ``bound = lambda1*uh - lambda1 + 1`` (branch ``(0.5, 1]``).
+    """
+    lin = 1.0 / 3.0 + (5.0 / 6.0) * uh
+    w0 = params.eval_weight0(uh)
+    low = lin * w0 + 2.0 * uh * (1.0 - w0)
+    w1 = params.eval_weight1(uh)
+    bound = params.lambda1 * uh - params.lambda1 + 1.0
+    return low, lin * w1 + bound * (1.0 - w1), bound
+
+
 def round_face_value(uh: np.ndarray, params: RoundParams) -> np.ndarray:
     """Map the normalized cell value ``uh`` to a normalized face value.
 
@@ -161,14 +194,9 @@ def round_face_value(uh: np.ndarray, params: RoundParams) -> np.ndarray:
     (non-monotone data receives no correction).
     """
     uh = np.asarray(uh, dtype=float)
-    lin = 1.0 / 3.0 + (5.0 / 6.0) * uh
-    w0 = params.eval_weight0(uh)
-    low = np.minimum(lin * w0 + 2.0 * uh * (1.0 - w0), 2.0 * uh)
-    w1 = params.eval_weight1(uh)
-    bound = params.lambda1 * uh - params.lambda1 + 1.0
-    high = np.minimum(lin * w1 + bound * (1.0 - w1), bound)
-    out = np.where((uh > 0.0) & (uh <= 0.5), low, uh)
-    out = np.where((uh > 0.5) & (uh <= 1.0), high, out)
+    low, high, bound = _round_blends(uh, params)
+    out = np.where((uh > 0.0) & (uh <= 0.5), np.minimum(low, 2.0 * uh), uh)
+    out = np.where((uh > 0.5) & (uh <= 1.0), np.minimum(high, bound), out)
     return out
 
 
@@ -247,10 +275,19 @@ def reconstruct_pair(
     return left, right
 
 
-def _near(values: np.ndarray, points, tol: float) -> np.ndarray:
+#: A stencil variation below this fraction of the component's largest
+#: stencil magnitude (but nonzero) flags a face as near the guard switch.
+_SMALL_SLOPE_TOL = 1.0e-4
+
+#: Relative distance to a limiter kink, branch boundary or ``min`` tie that
+#: flags a face.
+_KINK_TOL = 1.0e-5
+
+
+def _near(values: np.ndarray, points) -> np.ndarray:
     hit = np.zeros(values.shape, dtype=bool)
     for p in points:
-        hit |= np.abs(values - p) <= tol * (1.0 + np.abs(values))
+        hit |= np.abs(values - p) <= _KINK_TOL * (1.0 + np.abs(values))
     return hit
 
 
@@ -261,8 +298,6 @@ def reconstruction_kink_flags(
     u3: np.ndarray,
     scheme: ReconstructionScheme,
     gas: GasModel,
-    small_slope_tol: float = 1.0e-4,
-    kink_tol: float = 1.0e-5,
 ) -> np.ndarray:
     """Mark faces where the reconstruction is (nearly) non-differentiable.
 
@@ -271,9 +306,6 @@ def reconstruction_kink_flags(
     zero-variation guard, a limiter kink, a normalized-variable branch
     boundary, or a tie between the two arguments of a ``min``.  Returns a
     boolean array over faces (any component flags the face).
-
-    ``small_slope_tol`` is relative to the largest stencil magnitude of the
-    component; ``kink_tol`` is relative to the local ratio scale.
     """
     u0, u1, u2, u3 = (np.asarray(a, dtype=float) for a in (u0, u1, u2, u3))
     if scheme.kind == "first_order":
@@ -290,33 +322,24 @@ def reconstruction_kink_flags(
     # denominator - where a state probe swings the ratio across the whole
     # branch structure - is fragile.
     if scheme.kind == "muscl":
+        # (numerator, denominator) of the slope ratio on each side
+        sides = ((u2 - u1, u1 - u0), (u2 - u1, u3 - u2))
         kinks = _LIMITER_KINKS[scheme.limiter]
-        for den_raw, num in (((u1 - u0), (u2 - u1)), ((u3 - u2), (u2 - u1))):
-            zero = den_raw == 0.0
-            tiny = ~zero & (np.abs(den_raw) <= small_slope_tol * scale)
-            regular = ~zero & ~tiny
-            r = num / np.where(regular, den_raw, 1.0)
-            flags |= tiny | (regular & _near(r, kinks, kink_tol))
     else:
-        params = scheme.round_params
-        for up, ce, dn in ((u0, u1, u2), (u3, u2, u1)):
-            den_raw = dn - up
-            zero = den_raw == 0.0
-            tiny = ~zero & (np.abs(den_raw) <= small_slope_tol * scale)
-            regular = ~zero & ~tiny
-            uh = (ce - up) / np.where(regular, den_raw, 1.0)
-            flags |= tiny | (regular & _near(uh, (0.0, 0.5, 1.0), kink_tol))
-            lin = 1.0 / 3.0 + (5.0 / 6.0) * uh
-            w0 = params.eval_weight0(uh)
-            a_low = lin * w0 + 2.0 * uh * (1.0 - w0)
-            w1 = params.eval_weight1(uh)
-            bound = params.lambda1 * uh - params.lambda1 + 1.0
-            a_high = lin * w1 + bound * (1.0 - w1)
-            tie_low = np.abs(a_low - 2.0 * uh) <= kink_tol * (1.0 + np.abs(a_low) + np.abs(uh))
-            tie_high = np.abs(a_high - bound) <= kink_tol * (1.0 + np.abs(a_high) + np.abs(bound))
-            flags |= regular & (
-                ((uh > 0.0) & (uh <= 0.5) & tie_low) | ((uh > 0.5) & (uh <= 1.0) & tie_high)
-            )
+        # (center - upwind, downwind - upwind) of the normalized variable
+        sides = ((u1 - u0, u2 - u0), (u2 - u3, u1 - u3))
+        kinks = (0.0, 0.5, 1.0)
+    for num, den_raw in sides:
+        zero = den_raw == 0.0
+        tiny = ~zero & (np.abs(den_raw) <= _SMALL_SLOPE_TOL * scale)
+        regular = ~zero & ~tiny
+        r = num / np.where(regular, den_raw, 1.0)
+        flags |= tiny | (regular & _near(r, kinks))
+        if scheme.kind == "round":
+            a_low, a_high, bound = _round_blends(r, scheme.round_params)
+            tie_low = np.abs(a_low - 2.0 * r) <= _KINK_TOL * (1.0 + np.abs(a_low) + np.abs(r))
+            tie_high = np.abs(a_high - bound) <= _KINK_TOL * (1.0 + np.abs(a_high) + np.abs(bound))
+            flags |= regular & (((r > 0.0) & (r <= 0.5) & tie_low) | ((r > 0.5) & (r <= 1.0) & tie_high))
 
     return np.any(flags, axis=-1)
 
@@ -433,11 +456,21 @@ def _davis_speeds(L: _FaceSide, R: _FaceSide):
     return sl, sr
 
 
+def _two_wave_flux(L: _FaceSide, R: _FaceSide, fl, fr, sl, sr):
+    """Flux of the single average state between the waves ``sl`` and ``sr``.
+
+    ``(sr*fL - sl*fR + sl*sr*(UR - UL)) / span`` with ``span = sr - sl``
+    (1 where the speeds coincide); returns the flux and ``span``.
+    """
+    span = np.where(sr - sl == 0.0, 1.0, sr - sl)
+    mid = (sr[..., None] * fl - sl[..., None] * fr + (sl * sr)[..., None] * (R.cons - L.cons)) / span[..., None]
+    return mid, span
+
+
 def _flux_hll(L: _FaceSide, R: _FaceSide, gas: GasModel) -> np.ndarray:
     sl, sr = _davis_speeds(L, R)
     fl, fr = L.flux(), R.flux()
-    span = np.where(sr - sl == 0.0, 1.0, sr - sl)
-    mid = (sr[..., None] * fl - sl[..., None] * fr + (sl * sr)[..., None] * (R.cons - L.cons)) / span[..., None]
+    mid, _ = _two_wave_flux(L, R, fl, fr, sl, sr)
     out = np.where(sl[..., None] >= 0.0, fl, mid)
     return np.where(sr[..., None] <= 0.0, fr, out)
 
@@ -473,26 +506,18 @@ def _einfeldt_speeds(L: _FaceSide, R: _FaceSide, qn, a):
 def _flux_hlle(L: _FaceSide, R: _FaceSide, gas: GasModel) -> np.ndarray:
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
-    span = br - bl
-    span = np.where(span == 0.0, 1.0, span)
-    return (
-        br[..., None] * L.flux() - bl[..., None] * R.flux() + (bl * br)[..., None] * (R.cons - L.cons)
-    ) / span[..., None]
+    return _two_wave_flux(L, R, L.flux(), R.flux(), bl, br)[0]
 
 
 def _flux_hllem(L: _FaceSide, R: _FaceSide, gas: GasModel) -> np.ndarray:
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
-    span = br - bl
-    span = np.where(span == 0.0, 1.0, span)
+    hll, span = _two_wave_flux(L, R, L.flux(), R.flux(), bl, br)
     alphas, ks = _wave_decomposition(L, R, qn, qt, H, a, rho_avg)
     # Anti-diffusion restores the entropy and shear waves that the two-wave
     # average smears; the amount is throttled by delta near sonic faces.
     delta = a / (a + np.abs(qn))
     linear = alphas[1][..., None] * ks[1] + alphas[2][..., None] * ks[2]
-    hll = (
-        br[..., None] * L.flux() - bl[..., None] * R.flux() + (bl * br)[..., None] * (R.cons - L.cons)
-    ) / span[..., None]
     return hll - (bl * br / span * delta)[..., None] * linear
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import StateError
 from .mesh import GridMetrics
-from .numerics import ReconstructionScheme, reconstruct_pair, riemann_flux
+from .numerics import ReconstructionScheme, _central_difference, reconstruct_pair, riemann_flux
 from .state import FlowField, GasModel, cons_to_prim, is_physical_prim, prim_to_cons, normal_shock_states
 
 __all__ = [
@@ -231,17 +231,9 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     return GhostField(ext=ext, ni=ni, nj=nj)
 
 
-def _fixed_pressure_jacobian(cells: np.ndarray, pressure: float, gas: GasModel, delta: float) -> np.ndarray:
+def _fixed_pressure_jacobian(cells: np.ndarray, pressure: float, gas: GasModel) -> np.ndarray:
     """Central-difference Jacobian of the exit-pressure ghost map."""
-    n = cells.shape[0]
-    jac = np.empty((n, 4, 4))
-    for c in range(4):
-        e = np.zeros(4)
-        e[c] = delta
-        plus = _exit_pressure_state(cells + e, pressure, gas)
-        minus = _exit_pressure_state(cells - e, pressure, gas)
-        jac[:, :, c] = (plus - minus) / (2.0 * delta)
-    return jac
+    return _central_difference(lambda u: _exit_pressure_state(u, pressure, gas), cells)
 
 
 def _mirror_jacobian(normal: np.ndarray) -> np.ndarray:
@@ -258,7 +250,7 @@ def _mirror_jacobian(normal: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _side_dependency(dep_v, jac_v, q_v, block_v, bc_side, wall_normals, gas: GasModel, delta: float):
+def _side_dependency(dep_v, jac_v, q_v, block_v, bc_side, wall_normals, gas: GasModel):
     """Fill ghost dependencies for one side through axis-normalized views.
 
     All views put the boundary-normal axis first with the adjacent ghost at
@@ -274,7 +266,7 @@ def _side_dependency(dep_v, jac_v, q_v, block_v, bc_side, wall_normals, gas: Gas
         dep_v[0] = dep_v[1] = block_v[0]
         jac_v[0] = jac_v[1] = eye
     elif bc_side.kind == "fixed_pressure_outflow":
-        jmap = _fixed_pressure_jacobian(q_v[0], bc_side.pressure, gas, delta)
+        jmap = _fixed_pressure_jacobian(q_v[0], bc_side.pressure, gas)
         dep_v[0] = dep_v[1] = block_v[0]
         jac_v[0] = jac_v[1] = jmap
     elif bc_side.kind == "slip_wall":
@@ -292,7 +284,6 @@ def ghost_dependency(
     bc: BoundaryConditionSet,
     metrics: GridMetrics,
     gas: GasModel,
-    delta: float = 1.0e-7,
 ):
     """Linearize every extended cell with respect to the interior unknowns.
 
@@ -302,7 +293,7 @@ def ghost_dependency(
     cell's state with respect to that interior cell.  Interior and periodic
     cells carry exact identities and slip walls their exact reflection;
     the (nonlinear) exit-pressure map is differenced centrally with step
-    ``delta``.
+    :data:`~shockstab.numerics.FD_STEP`.
     """
     ni, nj = base.ni, base.nj
     q = base.q
@@ -318,19 +309,19 @@ def ghost_dependency(
     jac_j = jac[2:-2, :].transpose(1, 0, 2, 3)
     _side_dependency(
         dep[:, 2:-2], jac_i, q, block,
-        bc.left, np.ascontiguousarray(metrics.iface_normal[0]), gas, delta,
+        bc.left, np.ascontiguousarray(metrics.iface_normal[0]), gas,
     )
     _side_dependency(
         dep[::-1, 2:-2], jac_i[::-1], q[::-1], block[::-1],
-        bc.right, np.ascontiguousarray(metrics.iface_normal[ni]), gas, delta,
+        bc.right, np.ascontiguousarray(metrics.iface_normal[ni]), gas,
     )
     _side_dependency(
         dep[2:-2, :].T, jac_j, q.transpose(1, 0, 2), block.T,
-        bc.bottom, np.ascontiguousarray(metrics.jface_normal[:, 0]), gas, delta,
+        bc.bottom, np.ascontiguousarray(metrics.jface_normal[:, 0]), gas,
     )
     _side_dependency(
         dep[2:-2, ::-1].T, jac_j[::-1], q.transpose(1, 0, 2)[::-1], block.T[::-1],
-        bc.top, np.ascontiguousarray(metrics.jface_normal[:, nj]), gas, delta,
+        bc.top, np.ascontiguousarray(metrics.jface_normal[:, nj]), gas,
     )
     return dep, jac
 

@@ -27,7 +27,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolveError, LinearizationError
 from .mesh import GridMetrics
-from .numerics import ReconstructionScheme, reconstruct_pair, reconstruction_kink_flags, riemann_flux
+from .numerics import (
+    FD_STEP,  # noqa: F401 - still importable as stability.FD_STEP
+    ReconstructionScheme,
+    _central_difference,
+    reconstruct_pair,
+    reconstruction_kink_flags,
+    riemann_flux,
+)
 from .residual import (
     BoundaryConditionSet,
     _iface_stencils,
@@ -40,7 +47,6 @@ from .residual import (
 from .state import FlowField, GasModel
 
 __all__ = [
-    "FD_STEP",
     "NEUTRAL_TOL",
     "StabilityMatrix",
     "EigenPair",
@@ -57,9 +63,6 @@ __all__ = [
     "read_matrix",
 ]
 
-#: Absolute perturbation applied to conservative components when differencing.
-FD_STEP = 1.0e-7
-
 #: Default dense-eigensolver size cap.
 DENSE_CAP = 12000
 
@@ -75,14 +78,14 @@ DENSE_CAP = 12000
 NEUTRAL_TOL = 1.0e-10
 
 
-def stability_verdict(max_real: float, tol: float = NEUTRAL_TOL) -> str:
+def stability_verdict(max_real: float) -> str:
     """Classify a spectrum by its largest real part.
 
     ``"unstable"`` only when ``max_real`` exceeds the numerical-zero band
-    ``tol``; values inside the band belong to the neutral shock-translation
-    mode (see :data:`NEUTRAL_TOL`) and classify as ``"stable"``.
+    :data:`NEUTRAL_TOL`; values inside the band belong to the neutral
+    shock-translation mode and classify as ``"stable"``.
     """
-    return "unstable" if max_real > tol else "stable"
+    return "unstable" if max_real > NEUTRAL_TOL else "stable"
 
 
 def flux_jacobians(
@@ -91,7 +94,6 @@ def flux_jacobians(
     right: np.ndarray,
     normal: np.ndarray,
     gas: GasModel,
-    delta: float = FD_STEP,
 ):
     """Central-difference flux derivatives with respect to both side states.
 
@@ -101,17 +103,8 @@ def flux_jacobians(
     """
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
-    jl = np.empty(left.shape[:-1] + (4, 4))
-    jr = np.empty_like(jl)
-    for c in range(4):
-        e = np.zeros(4)
-        e[c] = delta
-        fp = riemann_flux(solver, left + e, right, normal, gas, validate=False)
-        fm = riemann_flux(solver, left - e, right, normal, gas, validate=False)
-        jl[..., :, c] = (fp - fm) / (2.0 * delta)
-        fp = riemann_flux(solver, left, right + e, normal, gas, validate=False)
-        fm = riemann_flux(solver, left, right - e, normal, gas, validate=False)
-        jr[..., :, c] = (fp - fm) / (2.0 * delta)
+    jl = _central_difference(lambda u: riemann_flux(solver, u, right, normal, gas, validate=False), left)
+    jr = _central_difference(lambda u: riemann_flux(solver, left, u, normal, gas, validate=False), right)
     if not (np.all(np.isfinite(jl)) and np.all(np.isfinite(jr))):
         raise LinearizationError(
             f"flux differencing for solver {solver!r} produced non-finite entries; "
@@ -135,7 +128,6 @@ def reconstruction_coefficients(
     s3: np.ndarray,
     scheme: ReconstructionScheme,
     gas: GasModel,
-    delta: float = FD_STEP,
 ):
     """Derivatives of the face states with respect to the stencil cells.
 
@@ -151,15 +143,9 @@ def reconstruction_coefficients(
     al = np.empty(s0.shape[:-1] + (4, 4, 4))
     ar = np.empty_like(al)
     for c in range(4):
-        for m in range(4):
-            e = np.zeros(4)
-            e[m] = delta
-            bumped = [cells[k] + e if k == c else cells[k] for k in range(4)]
-            lp, rp = reconstruct_pair(*bumped, scheme, gas)
-            bumped = [cells[k] - e if k == c else cells[k] for k in range(4)]
-            lm, rm = reconstruct_pair(*bumped, scheme, gas)
-            al[..., c, :, m] = (lp - lm) / (2.0 * delta)
-            ar[..., c, :, m] = (rp - rm) / (2.0 * delta)
+        al[..., c, :, :], ar[..., c, :, :] = _central_difference(
+            lambda u: np.stack(reconstruct_pair(*cells[:c], u, *cells[c + 1:], scheme, gas)), cells[c]
+        )
     if not (np.all(np.isfinite(al)) and np.all(np.isfinite(ar))):
         raise LinearizationError("reconstruction differencing produced non-finite entries")
     return al, ar
@@ -232,9 +218,6 @@ def assemble(
     solver: str,
     bc: BoundaryConditionSet,
     gas: GasModel,
-    delta: float = FD_STEP,
-    kink_tol: float = 1.0e-5,
-    small_slope_tol: float = 1.0e-4,
 ) -> StabilityMatrix:
     """Assemble the global linearized operator about ``base``.
 
@@ -246,7 +229,7 @@ def assemble(
     """
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
-    dep, gjac = ghost_dependency(base, bc, metrics, gas, delta)
+    dep, gjac = ghost_dependency(base, bc, metrics, gas)
     (il, ir), (jl, jr), flags = face_reconstruction(ghosts, scheme, gas, collect_fallback=True)
 
     base_res = residual(base, ghosts, metrics, scheme, solver, gas)
@@ -267,8 +250,8 @@ def assemble(
             dep_sten = np.stack([dep[2 : ni + 2, c : c + nj + 1] for c in range(4)], axis=2)
             g_sten = np.stack([gjac[2 : ni + 2, c : c + nj + 1] for c in range(4)], axis=2)
 
-        jl_flux, jr_flux = flux_jacobians(solver, left_state, right_state, normal, gas, delta)
-        al, ar = reconstruction_coefficients(*stencils, scheme, gas, delta)
+        jl_flux, jr_flux = flux_jacobians(solver, left_state, right_state, normal, gas)
+        al, ar = reconstruction_coefficients(*stencils, scheme, gas)
         # Chain rule per stencil cell, then through the ghost map.
         contrib = np.einsum("...rk,...ckm->...crm", jl_flux, al)
         contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
@@ -290,12 +273,8 @@ def assemble(
     n = 4 * ni * nj
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
-    kink_i = reconstruction_kink_flags(
-        *_iface_stencils(ghosts.ext, ni, nj), scheme, gas, small_slope_tol, kink_tol
-    )
-    kink_j = reconstruction_kink_flags(
-        *_jface_stencils(ghosts.ext, ni, nj), scheme, gas, small_slope_tol, kink_tol
-    )
+    kink_i = reconstruction_kink_flags(*_iface_stencils(ghosts.ext, ni, nj), scheme, gas)
+    kink_j = reconstruction_kink_flags(*_jface_stencils(ghosts.ext, ni, nj), scheme, gas)
     return StabilityMatrix(
         matrix=matrix,
         ni=ni,
@@ -344,15 +323,10 @@ def eigensolve(matrix, cap: int = DENSE_CAP) -> np.ndarray:
     return _sort_spectrum(values)
 
 
-def eigensolve_leading(
-    matrix: sp.spmatrix,
-    k: int = 12,
-    seed: int = 20230614,
-    maxiter: int | None = None,
-    tol: float = 0.0,
-) -> np.ndarray:
+def eigensolve_leading(matrix: sp.spmatrix, k: int = 12, seed: int = 20230614) -> np.ndarray:
     """Leading eigenvalues (largest real part) via the implicitly restarted
-    Arnoldi iteration, with a seeded start vector for reproducibility."""
+    Arnoldi iteration, with a seeded start vector for reproducibility and
+    ARPACK's default iteration limit and (machine-precision) tolerance."""
     n = matrix.shape[0]
     if not 0 < k < n - 1:
         raise EigenSolveError(f"need 0 < k < n-1 for the iterative path, got k={k}, n={n}")
@@ -364,8 +338,6 @@ def eigensolve_leading(
             k=k,
             which="LR",
             v0=v0,
-            maxiter=maxiter,
-            tol=tol,
             return_eigenvectors=False,
         )
     except spla.ArpackNoConvergence as exc:
@@ -384,50 +356,43 @@ def spectral_radius_upper(matrix: sp.spmatrix) -> float:
 def max_real_eigenpair(
     matrix: sp.spmatrix,
     eigenvalues: np.ndarray | None = None,
-    cap: int = DENSE_CAP,
     seed: int = 20230614,
-    shift: float = 1.0e-8,
-    max_iterations: int = 50,
-    residual_factor: float = 1.0e-8,
 ) -> EigenPair:
     """Eigenvalue of largest real part and its eigenvector.
 
-    The eigenvector comes from inverse iteration with the slightly offset
-    shift ``lambda + shift`` (so the factored matrix is nonsingular), started
-    from a seeded random vector, and is normalized so its largest-magnitude
-    component equals 1 exactly.  Convergence requires
-    ``|S v - lambda v| <= residual_factor * |S|_F * |v|``.
+    The eigenvector comes from at most 50 steps of inverse iteration with
+    the slightly offset shift ``lambda + 1e-8`` (so the factored matrix is
+    nonsingular), started from a seeded random vector, and is normalized so
+    its largest-magnitude component equals 1 exactly.  Convergence requires
+    ``|S v - lambda v| <= 1e-8 * |S|_F * |v|``.
     """
     if not sp.issparse(matrix):
         matrix = sp.csr_matrix(np.asarray(matrix, dtype=float))
     if eigenvalues is None:
-        eigenvalues = eigensolve(matrix, cap=cap)
+        eigenvalues = eigensolve(matrix)
     lam = complex(eigenvalues[0])
     n = matrix.shape[0]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    shifted = (matrix.astype(complex) - (lam + shift) * sp.identity(n, dtype=complex)).tocsc()
+    shifted = (matrix.astype(complex) - (lam + 1.0e-8) * sp.identity(n, dtype=complex)).tocsc()
     try:
         lu = spla.splu(shifted)
     except RuntimeError as exc:
         raise EigenSolveError(f"inverse-iteration factorization failed: {exc}") from exc
-    frob = float(spla.norm(matrix.tocsr(), "fro"))
+    limit = 1.0e-8 * float(spla.norm(matrix.tocsr(), "fro"))
     best = None
-    for _ in range(max_iterations):
+    for _ in range(50):
         v = lu.solve(v)
         v /= np.linalg.norm(v)
         res = float(np.linalg.norm(matrix @ v - lam * v))
         if best is None or res < best[0]:
             best = (res, v.copy())
-        if res <= residual_factor * frob:
+        if res <= limit:
             break
     res, v = best
-    if res > residual_factor * frob:
-        raise EigenSolveError(
-            f"inverse iteration stalled: residual {res:g} exceeds {residual_factor:g} * |S|_F = "
-            f"{residual_factor * frob:g}"
-        )
+    if res > limit:
+        raise EigenSolveError(f"inverse iteration stalled: residual {res:g} exceeds 1e-8 * |S|_F = {limit:g}")
     pivot = int(np.argmax(np.abs(v)))
     v = v / v[pivot]
     res = float(np.linalg.norm(matrix @ v - lam * v))
@@ -448,19 +413,17 @@ def write_matrix(matrix: sp.spmatrix, path) -> None:
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")
+        # Blocks of records: Python lists of every entry would raise peak memory.
+        for start in range(0, coo.nnz, 4096):
+            block = order[start:start + 4096]
+            records = zip(coo.row[block].tolist(), coo.col[block].tolist(), coo.data[block].tolist())
+            fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in records)
 
 
 def read_matrix(path) -> sp.csr_matrix:
     """Read a matrix written by :func:`write_matrix`."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        nrows, ncols, nnz = int(header[0]), int(header[1]), int(header[2])
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        for k in range(nnz):
-            fields = fh.readline().split()
-            rows[k], cols[k], vals[k] = int(fields[0]), int(fields[1]), float(fields[2])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+        nrows, ncols, nnz = (int(tok) for tok in fh.readline().split())
+        records = np.array(fh.read().split(), dtype=float).reshape(nnz, 3)
+    rows, cols = records[:, 0].astype(np.int64), records[:, 1].astype(np.int64)
+    return sp.coo_matrix((records[:, 2], (rows, cols)), shape=(nrows, ncols)).tocsr()

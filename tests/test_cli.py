@@ -324,6 +324,26 @@ class TestSweepAndValidate:
         assert cli.main([str(cfg), "--sweep"]) == 2
         assert "sweep_mach" in capsys.readouterr().err
 
+    def test_sweep_rejects_empty_axis(self, tmp_path, capsys):
+        for axis in ("sweep_mach = ,\n", "sweep_solvers = ,\n"):
+            out = tmp_path / "out"
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text(MINIMAL + axis + f"output_dir = {out}\n", encoding="ascii")
+            assert cli.main([str(cfg), "--sweep"]) == 2
+            assert axis.split()[0] in capsys.readouterr().err
+            assert not (out / "sweep.dat").exists()
+
+    def test_sweep_rejects_other_run_flags(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(MINIMAL + f"output_dir = {out}\n", encoding="ascii")
+        for flag in ("--validate", "--dump-matrix"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([str(cfg), "--sweep", flag])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
     def test_sweep_rejects_pinned_boundary_states(self, tmp_path, capsys):
         for extra in ("exit_pressure = 10\n",
                       "inflow_rho = 1\ninflow_u = 3\ninflow_v = 0\ninflow_p = 0.7\n"):

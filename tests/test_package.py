@@ -1,6 +1,8 @@
 """The package namespace: what ``import shockstab`` exports."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import shockstab
 
@@ -38,3 +40,37 @@ def test_exports_are_the_defining_objects():
         module = importlib.import_module(f"shockstab.{modname}")
         for name in module.__all__:
             assert getattr(shockstab, name) is getattr(module, name), name
+
+
+def _module_level_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_every_module_level_name_is_used_or_exported():
+    # A definition nothing in the package reads, and no module exports, is dead.
+    src = Path(shockstab.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = []
+    for modname, tree in trees.items():
+        module = shockstab if modname == "__init__" else importlib.import_module(f"shockstab.{modname}")
+        exported = set(getattr(module, "__all__", ()))
+        dead += [f"{modname}.{name}" for name in _module_level_definitions(tree)
+                 if not name.startswith("__") and name not in exported and name not in used]
+    assert dead == []
