@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -131,10 +132,8 @@ def _check_choice(name: str, value: str, choices) -> None:
         raise SettingsError(f"key {name!r} must be one of {', '.join(choices)}; got {value!r}")
 
 
-def _positive(name: str, value, strict: bool = True) -> None:
-    if value is None:
-        return
-    if (value <= 0) if strict else (value < 0):
+def _positive(name: str, value) -> None:
+    if value <= 0:
         raise SettingsError(f"key {name!r} must be positive, got {value}")
 
 
@@ -365,8 +364,7 @@ def _write_summary(path, pairs) -> None:
 
 def _write_eigenvalues(path, spectrum: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for lam in spectrum:
-            fh.write(f"{lam.real:.17g} {lam.imag:.17g}\n")
+        fh.writelines(f"{lam.real:.17g} {lam.imag:.17g}\n" for lam in spectrum.tolist())
 
 
 def _scheme_label(settings: Settings) -> str:
@@ -588,6 +586,9 @@ def main(argv=None) -> int:
         return code
     except (ShockStabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()  # a crash is an error, never the "unstable" exit code
         return 2
 
 

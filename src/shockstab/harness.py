@@ -403,5 +403,4 @@ def dominance_gap(eigenvalues: np.ndarray) -> float:
 def write_series(series: EvolutionSeries, path) -> None:
     """Write a norm history as two-column ``t norm`` text."""
     with open(path, "w", encoding="ascii") as fh:
-        for t, ln in zip(series.t, series.log_norm):
-            fh.write(f"{t:.17g} {np.exp(ln):.17g}\n")
+        fh.writelines(f"{t:.17g} {n:.17g}\n" for t, n in zip(series.t.tolist(), series.norm.tolist()))

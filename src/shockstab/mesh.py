@@ -161,9 +161,8 @@ def write_grid(grid: Grid, path) -> None:
     """
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{grid.ni_nodes} {grid.nj_nodes}\n")
-        for j in range(grid.nj_nodes):
-            for i in range(grid.ni_nodes):
-                fh.write(f"{grid.x[i, j]:.17g} {grid.y[i, j]:.17g} 0\n")
+        records = zip(grid.x.T.ravel().tolist(), grid.y.T.ravel().tolist())  # i fastest
+        fh.writelines(f"{x:.17g} {y:.17g} 0\n" for x, y in records)
 
 
 def make_cartesian_grid(

@@ -19,7 +19,6 @@ streams exactly stationary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -119,25 +118,12 @@ def _default_round_weight(uh: np.ndarray) -> np.ndarray:
 class RoundParams:
     """Parameters of the normalized-variable face mapping.
 
-    ``weight0``/``weight1`` blend the linear third-order curve
-    ``1/3 + 5*uh/6`` against the local bounds on ``(0, 0.5]`` and
-    ``(0.5, 1]`` respectively; they may be floats or callables of the
-    normalized variable.  ``lambda1`` sets the upper bound
-    ``lambda1*uh - lambda1 + 1`` of the second branch; the default ``0.5``
-    makes the composite map continuous at ``uh = 0.5``.
+    ``lambda1`` sets the upper bound ``lambda1*uh - lambda1 + 1`` of the
+    second branch; the default ``0.5`` makes the composite map continuous
+    at ``uh = 0.5``.
     """
 
-    weight0: Callable[[np.ndarray], np.ndarray] | float = field(default=_default_round_weight)
-    weight1: Callable[[np.ndarray], np.ndarray] | float = field(default=_default_round_weight)
     lambda1: float = 0.5
-
-    def eval_weight0(self, uh: np.ndarray) -> np.ndarray:
-        w = self.weight0(uh) if callable(self.weight0) else np.full_like(uh, float(self.weight0))
-        return np.asarray(w, dtype=float)
-
-    def eval_weight1(self, uh: np.ndarray) -> np.ndarray:
-        w = self.weight1(uh) if callable(self.weight1) else np.full_like(uh, float(self.weight1))
-        return np.asarray(w, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -174,15 +160,15 @@ def _round_blends(uh: np.ndarray, params: RoundParams):
     """Uncapped branch values of the normalized-variable map.
 
     Returns ``(low, high, bound)``: the linear curve ``1/3 + 5*uh/6``
-    blended with ``2*uh`` (branch ``(0, 0.5]``) and with
-    ``bound = lambda1*uh - lambda1 + 1`` (branch ``(0.5, 1]``).
+    blended, with weight :func:`_default_round_weight`, with ``2*uh``
+    (branch ``(0, 0.5]``) and with ``bound = lambda1*uh - lambda1 + 1``
+    (branch ``(0.5, 1]``).
     """
     lin = 1.0 / 3.0 + (5.0 / 6.0) * uh
-    w0 = params.eval_weight0(uh)
-    low = lin * w0 + 2.0 * uh * (1.0 - w0)
-    w1 = params.eval_weight1(uh)
+    w = _default_round_weight(uh)
+    low = lin * w + 2.0 * uh * (1.0 - w)
     bound = params.lambda1 * uh - params.lambda1 + 1.0
-    return low, lin * w1 + bound * (1.0 - w1), bound
+    return low, lin * w + bound * (1.0 - w), bound
 
 
 def round_face_value(uh: np.ndarray, params: RoundParams) -> np.ndarray:

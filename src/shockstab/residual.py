@@ -175,27 +175,56 @@ def _exit_pressure_state(cells: np.ndarray, pressure: float, gas: GasModel) -> n
     return prim_to_cons(prim, gas)
 
 
-def _side_ghosts(q: np.ndarray, bc: BoundaryCondition, wall_normal, gas: GasModel):
-    """Ghost layers (adjacent, outer) for one side.
+#: Interior cells feeding each kind's two ghost layers (outer first), counted
+#: from the boundary-adjacent cell; a single cell feeds both layers.
+#: Supersonic inflow reads no cell.
+_GHOST_SOURCES = {
+    "zero_gradient": slice(0, 1),
+    "fixed_pressure_outflow": slice(0, 1),
+    "slip_wall": slice(1, None, -1),
+    "periodic": slice(-2, None),
+}
 
-    ``q`` must be ordered with the boundary-normal axis first and the
-    boundary-adjacent interior cell at index 0; the wrap cells for periodic
-    sides are at indices -1 and -2.
+
+def _side_views(frame: np.ndarray, metrics: GridMetrics):
+    """``(side, view, wall normal)`` for the four sides of an extended frame.
+
+    ``frame`` has shape ``(ni + 4, nj + 4, ...)``.  Each view puts the
+    boundary-normal axis first with the outer ghost at index 0, the
+    adjacent ghost at 1 and the interior from 2 on (so ``view[2:-2]`` is
+    the interior counted from the boundary).
     """
-    if bc.kind == "supersonic_inflow":
-        layer = np.broadcast_to(bc.state, q.shape[1:]).copy()
-        return layer, layer.copy()
-    if bc.kind == "zero_gradient":
-        return q[0].copy(), q[0].copy()
-    if bc.kind == "fixed_pressure_outflow":
-        layer = _exit_pressure_state(q[0], bc.pressure, gas)
-        return layer, layer.copy()
+    return (
+        ("left", frame[:, 2:-2], metrics.iface_normal[0]),
+        ("right", frame[::-1, 2:-2], metrics.iface_normal[metrics.ni]),
+        ("bottom", frame[2:-2].swapaxes(0, 1), metrics.jface_normal[:, 0]),
+        ("top", frame[2:-2, ::-1].swapaxes(0, 1), metrics.jface_normal[:, metrics.nj]),
+    )
+
+
+def _source_cells(side: str, bc: BoundaryCondition, view: np.ndarray) -> np.ndarray:
+    """Entries of a side view's interior that feed its two ghost layers."""
+    if bc.kind == "slip_wall" and view.shape[0] < 6:
+        raise StateError(f"slip_wall on the {side} side needs at least two cells across the grid")
+    return view[2:-2][_GHOST_SOURCES[bc.kind]]
+
+
+def _ghost_map(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel) -> np.ndarray:
+    """Ghost states of a side from its source cells."""
     if bc.kind == "slip_wall":
-        return _mirror_momentum(q[0], wall_normal), _mirror_momentum(q[1], wall_normal)
-    if bc.kind == "periodic":
-        n = q.shape[0]
-        return q[(n - 1) % n].copy(), q[(n - 2) % n].copy()
-    raise StateError(f"unknown boundary kind {bc.kind!r}")
+        return _mirror_momentum(cells, normal)
+    if bc.kind == "fixed_pressure_outflow":
+        return _exit_pressure_state(cells, bc.pressure, gas)
+    return cells
+
+
+def _ghost_map_jacobian(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel):
+    """Derivative of :func:`_ghost_map` with respect to its source cells."""
+    if bc.kind == "slip_wall":
+        return _mirror_jacobian(normal)
+    if bc.kind == "fixed_pressure_outflow":
+        return _central_difference(lambda u: _exit_pressure_state(u, bc.pressure, gas), cells)
+    return np.eye(4)
 
 
 def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics, gas: GasModel) -> GhostField:
@@ -209,18 +238,14 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     ni, nj = field.ni, field.nj
     if metrics.ni != ni or metrics.nj != nj:
         raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {ni} x {nj}")
-    q = field.q
     ext = np.empty((ni + 4, nj + 4, 4))
-    ext[2:-2, 2:-2] = q
-
-    adj, outer = _side_ghosts(q, bc.left, metrics.iface_normal[0], gas)
-    ext[1, 2:-2], ext[0, 2:-2] = adj, outer
-    adj, outer = _side_ghosts(q[::-1], bc.right, metrics.iface_normal[ni], gas)
-    ext[ni + 2, 2:-2], ext[ni + 3, 2:-2] = adj, outer
-    adj, outer = _side_ghosts(q.transpose(1, 0, 2), bc.bottom, metrics.jface_normal[:, 0], gas)
-    ext[2:-2, 1], ext[2:-2, 0] = adj, outer
-    adj, outer = _side_ghosts(q.transpose(1, 0, 2)[::-1], bc.top, metrics.jface_normal[:, nj], gas)
-    ext[2:-2, nj + 2], ext[2:-2, nj + 3] = adj, outer
+    ext[2:-2, 2:-2] = field.q
+    for side, view, normal in _side_views(ext, metrics):
+        side_bc = bc.side(side)
+        if side_bc.kind == "supersonic_inflow":
+            view[:2] = side_bc.state
+        else:
+            view[:2] = _ghost_map(side_bc, _source_cells(side, side_bc, view), normal, gas)
 
     # Corner blocks are never read by the axis-aligned stencils; copy the
     # nearest j-ghost rows to keep every entry finite.
@@ -229,11 +254,6 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     ext[-2:, 0:2] = ext[-2:, 2:3]
     ext[-2:, -2:] = ext[-2:, -3:-2]
     return GhostField(ext=ext, ni=ni, nj=nj)
-
-
-def _fixed_pressure_jacobian(cells: np.ndarray, pressure: float, gas: GasModel) -> np.ndarray:
-    """Central-difference Jacobian of the exit-pressure ghost map."""
-    return _central_difference(lambda u: _exit_pressure_state(u, pressure, gas), cells)
 
 
 def _mirror_jacobian(normal: np.ndarray) -> np.ndarray:
@@ -248,35 +268,6 @@ def _mirror_jacobian(normal: np.ndarray) -> np.ndarray:
     jac[:, 2, 1] = -2.0 * nx * ny
     jac[:, 2, 2] = 1.0 - 2.0 * ny * ny
     return jac
-
-
-def _side_dependency(dep_v, jac_v, q_v, block_v, bc_side, wall_normals, gas: GasModel):
-    """Fill ghost dependencies for one side through axis-normalized views.
-
-    All views put the boundary-normal axis first with the adjacent ghost at
-    index 1 and the outer ghost at index 0 of ``dep_v``/``jac_v``, while
-    ``q_v``/``block_v`` hold interior data with the boundary-adjacent cell at
-    index 0 (so periodic wrap targets sit at indices -1 and -2).
-    """
-    if bc_side.kind == "supersonic_inflow":
-        return  # frozen state: no dependency on the unknowns
-    m = block_v.shape[1]
-    eye = np.broadcast_to(np.eye(4), (m, 4, 4))
-    if bc_side.kind == "zero_gradient":
-        dep_v[0] = dep_v[1] = block_v[0]
-        jac_v[0] = jac_v[1] = eye
-    elif bc_side.kind == "fixed_pressure_outflow":
-        jmap = _fixed_pressure_jacobian(q_v[0], bc_side.pressure, gas)
-        dep_v[0] = dep_v[1] = block_v[0]
-        jac_v[0] = jac_v[1] = jmap
-    elif bc_side.kind == "slip_wall":
-        jmap = _mirror_jacobian(wall_normals)
-        dep_v[1], jac_v[1] = block_v[0], jmap
-        dep_v[0], jac_v[0] = block_v[1], jmap
-    elif bc_side.kind == "periodic":
-        n = block_v.shape[0]
-        dep_v[1], jac_v[1] = block_v[(n - 1) % n], eye
-        dep_v[0], jac_v[0] = block_v[(n - 2) % n], eye
 
 
 def ghost_dependency(
@@ -296,33 +287,22 @@ def ghost_dependency(
     :data:`~shockstab.numerics.FD_STEP`.
     """
     ni, nj = base.ni, base.nj
-    q = base.q
+    cells = np.zeros((ni + 4, nj + 4, 4))
+    cells[2:-2, 2:-2] = base.q
     dep = np.full((ni + 4, nj + 4), -1, dtype=np.int64)
     jac = np.zeros((ni + 4, nj + 4, 4, 4))
 
     ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    block = jj * ni + ii  # i-fastest flat cell index
-    dep[2:-2, 2:-2] = block
+    dep[2:-2, 2:-2] = jj * ni + ii  # i-fastest flat cell index
     jac[2:-2, 2:-2] = np.eye(4)
 
-    jac_i = jac[:, 2:-2]
-    jac_j = jac[2:-2, :].transpose(1, 0, 2, 3)
-    _side_dependency(
-        dep[:, 2:-2], jac_i, q, block,
-        bc.left, np.ascontiguousarray(metrics.iface_normal[0]), gas,
-    )
-    _side_dependency(
-        dep[::-1, 2:-2], jac_i[::-1], q[::-1], block[::-1],
-        bc.right, np.ascontiguousarray(metrics.iface_normal[ni]), gas,
-    )
-    _side_dependency(
-        dep[2:-2, :].T, jac_j, q.transpose(1, 0, 2), block.T,
-        bc.bottom, np.ascontiguousarray(metrics.jface_normal[:, 0]), gas,
-    )
-    _side_dependency(
-        dep[2:-2, ::-1].T, jac_j[::-1], q.transpose(1, 0, 2)[::-1], block.T[::-1],
-        bc.top, np.ascontiguousarray(metrics.jface_normal[:, nj]), gas,
-    )
+    views = zip(_side_views(cells, metrics), _side_views(dep, metrics), _side_views(jac, metrics))
+    for (side, cells_v, normal), (_, dep_v, _), (_, jac_v, _) in views:
+        side_bc = bc.side(side)
+        if side_bc.kind == "supersonic_inflow":
+            continue  # frozen state: no dependency on the unknowns
+        dep_v[:2] = _source_cells(side, side_bc, dep_v)
+        jac_v[:2] = _ghost_map_jacobian(side_bc, _source_cells(side, side_bc, cells_v), normal, gas)
     return dep, jac
 
 

@@ -235,53 +235,42 @@ def assemble(
     base_res = residual(base, ghosts, metrics, scheme, solver, gas)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
+    ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
+    block = jj * ni + ii
+    families = (
+        (_iface_stencils, il, ir, metrics.iface_normal, metrics.iface_len),
+        (_jface_stencils, jl, jr, metrics.jface_normal, metrics.jface_len),
+    )
     entries: list = []
-    for axis, (left_state, right_state) in (("i", (il, ir)), ("j", (jl, jr))):
-        if axis == "i":
-            stencils = _iface_stencils(ghosts.ext, ni, nj)
-            normal = metrics.iface_normal
-            length = metrics.iface_len
-            dep_sten = np.stack([dep[c : c + ni + 1, 2 : nj + 2] for c in range(4)], axis=2)
-            g_sten = np.stack([gjac[c : c + ni + 1, 2 : nj + 2] for c in range(4)], axis=2)
-        else:
-            stencils = _jface_stencils(ghosts.ext, ni, nj)
-            normal = metrics.jface_normal
-            length = metrics.jface_len
-            dep_sten = np.stack([dep[2 : ni + 2, c : c + nj + 1] for c in range(4)], axis=2)
-            g_sten = np.stack([gjac[2 : ni + 2, c : c + nj + 1] for c in range(4)], axis=2)
-
+    kinks = []
+    for axis, (stencils_of, left_state, right_state, normal, length) in enumerate(families):
+        stencils = stencils_of(ghosts.ext, ni, nj)
+        dep_sten = np.stack(stencils_of(dep, ni, nj), axis=2)
+        g_sten = np.stack(stencils_of(gjac, ni, nj), axis=2)
         jl_flux, jr_flux = flux_jacobians(solver, left_state, right_state, normal, gas)
         al, ar = reconstruction_coefficients(*stencils, scheme, gas)
         # Chain rule per stencil cell, then through the ghost map.
         contrib = np.einsum("...rk,...ckm->...crm", jl_flux, al)
         contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
         contrib = np.einsum("...crk,...ckm->...crm", contrib, g_sten)
-
-        ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-        block = jj * ni + ii
-        if axis == "i":
-            # Faces 1..ni feed cell (f-1, j) with -L/vol; faces 0..ni-1 feed (f, j) with +L/vol.
-            _scatter_family(entries, contrib[1:], dep_sten[1:], length[1:], metrics.volume, block, -1.0)
-            _scatter_family(entries, contrib[:-1], dep_sten[:-1], length[:-1], metrics.volume, block, +1.0)
-        else:
-            _scatter_family(entries, contrib[:, 1:], dep_sten[:, 1:], length[:, 1:], metrics.volume, block, -1.0)
-            _scatter_family(entries, contrib[:, :-1], dep_sten[:, :-1], length[:, :-1], metrics.volume, block, +1.0)
+        # Faces 1..n feed the cell before them with -L/vol; faces 0..n-1 the cell after them with +L/vol.
+        for faces, sign in ((slice(1, None), -1.0), (slice(None, -1), +1.0)):
+            pick = (slice(None),) * axis + (faces,)
+            _scatter_family(entries, contrib[pick], dep_sten[pick], length[pick], metrics.volume, block, sign)
+        kinks.append(reconstruction_kink_flags(*stencils, scheme, gas))
 
     rows = np.concatenate([e[0] for e in entries])
     cols = np.concatenate([e[1] for e in entries])
     vals = np.concatenate([e[2] for e in entries])
     n = 4 * ni * nj
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    kink_i = reconstruction_kink_flags(*_iface_stencils(ghosts.ext, ni, nj), scheme, gas)
-    kink_j = reconstruction_kink_flags(*_jface_stencils(ghosts.ext, ni, nj), scheme, gas)
     return StabilityMatrix(
         matrix=matrix,
         ni=ni,
         nj=nj,
         base_residual_inf=base_residual_inf,
-        kink_iface=kink_i,
-        kink_jface=kink_j,
+        kink_iface=kinks[0],
+        kink_jface=kinks[1],
         fallback_iface=flags["iface"],
         fallback_jface=flags["jface"],
     )

@@ -219,12 +219,9 @@ def write_prim_files(prim: np.ndarray, prefix: str) -> None:
     and read back through ``read_prim_files`` reproduces ``prim`` bit for
     bit.
     """
-    ni, nj = prim.shape[0], prim.shape[1]
     for k, path in enumerate(flow_file_paths(prefix)):
         with open(path, "w", encoding="ascii") as fh:
-            for j in range(nj):
-                for i in range(ni):
-                    fh.write(f"{prim[i, j, k]:.17g}\n")
+            fh.writelines(f"{v:.17g}\n" for v in prim[:, :, k].T.ravel().tolist())  # i fastest
 
 
 def write_flow_files(field: FlowField, prefix: str, gas: GasModel = GasModel()) -> None:

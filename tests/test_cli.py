@@ -205,6 +205,23 @@ class TestMainAnalysis:
         assert "error:" in capsys.readouterr().err
         assert cli.main([str(tmp_path / "missing.cfg")]) == 2
 
+    def test_slip_wall_one_cell_across_exit_two(self, tmp_path, capsys):
+        text = ("grid = 1x4\nmach = 3\nepsilon = 0.3\nsolver = hllc\n"
+                "initialization = rankine_hugoniot\nbc_left = slip_wall\nbc_right = slip_wall\n"
+                f"output_dir = {tmp_path / 'out'}\n")
+        assert cli.main([self.write(tmp_path, text)]) == 2
+        assert "slip_wall on the left side" in capsys.readouterr().err
+
+    def test_crash_exit_two(self, tmp_path, capsys, monkeypatch):
+        # an unexpected exception is an error, not the "unstable" exit code 1
+        def crash(settings):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "analyze", crash)
+        assert cli.main([self.write(tmp_path, stable_settings(tmp_path / "out"))]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
     def test_artifacts_are_deterministic(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cli.main([self.write(tmp_path, unstable_settings(out_a), "a.cfg")])

@@ -112,16 +112,17 @@ class TestRoundFaceValue:
         hi = round_face_value(np.array(0.5 + eps), params)
         assert abs(hi - lo) < 1e-7
 
-    def test_zero_weight_gives_bounds(self):
-        params = RoundParams(weight0=0.0, weight1=0.0, lambda1=0.5)
+    def test_capped_by_bounds(self):
+        # the blend lies above both bounds here, whatever the weight
+        params = RoundParams(lambda1=0.5)
         assert round_face_value(np.array(0.2), params) == pytest.approx(0.4, abs=1e-15)
         assert round_face_value(np.array(0.8), params) == pytest.approx(0.9, abs=1e-15)
 
-    def test_unit_weight_gives_linear_curve(self):
-        params = RoundParams(weight0=1.0, weight1=1.0)
-        assert round_face_value(np.array(0.4), params) == pytest.approx(1.0 / 3.0 + 1.0 / 3.0, abs=1e-15)
-        # capped by the second-branch bound where the linear curve exceeds it
-        assert round_face_value(np.array(0.8), params) == pytest.approx(0.9, abs=1e-15)
+    def test_blends_linear_curve_with_weight(self):
+        # uh = 0.4: weight 1/(1 + 1600*0.1**4)**2 between 1/3 + 5*uh/6 and 2*uh
+        w = 1.0 / 1.16**2
+        expected = w * (1.0 / 3.0 + 1.0 / 3.0) + (1.0 - w) * 0.8
+        assert round_face_value(np.array(0.4), RoundParams()) == pytest.approx(expected, abs=1e-15)
 
     def test_bounded_on_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -204,6 +204,21 @@ class TestFillGhosts:
         with pytest.raises(StateError):
             fill_ghosts(smooth_field(3, 3), zero_gradient_bcs(), self.metrics, GAS)
 
+    def test_slip_wall_needs_two_cells_across(self):
+        # a one-cell side has no second cell to mirror into the outer layer
+        metrics = compute_metrics(make_cartesian_grid(1, 4))
+        field = smooth_field(1, 4, seed=2)
+        bcs = BoundaryConditionSet(
+            left=BoundaryCondition.slip_wall(),
+            right=BoundaryCondition.slip_wall(),
+            bottom=BoundaryCondition.periodic(),
+            top=BoundaryCondition.periodic(),
+        )
+        with pytest.raises(StateError, match="left"):
+            fill_ghosts(field, bcs, metrics, GAS)
+        with pytest.raises(StateError, match="left"):
+            ghost_dependency(field, bcs, metrics, GAS)
+
 
 class TestGhostDependency:
     def all_kinds_bcs(self, mach=2.5):
@@ -247,14 +262,20 @@ class TestGhostDependency:
             assert dep[i + 2, 1] == 0 * 4 + i
             assert dep[i + 2, 0] == 1 * 4 + i
 
-    @pytest.mark.parametrize("case", ["mixed", "periodic"])
+    @pytest.mark.parametrize("case", ["mixed", "periodic", "strip"])
     def test_linearization_matches_refill(self, case):
         # perturb one interior cell and compare the predicted ghost response
-        # against a central difference of fill_ghosts
-        ni, nj = 4, 3
-        metrics = compute_metrics(perturbed_cartesian(ni, nj, seed=6, amp=0.08))
+        # against a central difference of fill_ghosts; "strip" is the 1-D
+        # march's ni x 1 strip, periodic one cell across
+        if case == "strip":
+            ni, nj = 6, 1
+            metrics = compute_metrics(make_cartesian_grid(ni, nj))
+            bcs = normal_shock_bcs(2.5, GAS)
+        else:
+            ni, nj = 4, 3
+            metrics = compute_metrics(perturbed_cartesian(ni, nj, seed=6, amp=0.08))
+            bcs = self.all_kinds_bcs() if case == "mixed" else periodic_bcs()
         field = smooth_field(ni, nj, seed=7)
-        bcs = self.all_kinds_bcs() if case == "mixed" else periodic_bcs()
         dep, jac = ghost_dependency(field, bcs, metrics, GAS)
         rng = np.random.default_rng(8)
         mask = np.zeros((ni + 4, nj + 4), dtype=bool)
