@@ -186,6 +186,8 @@ def _validate(settings: Settings) -> Settings:
         _positive(name, getattr(s, name))
     for name in ("eig_cap", "arnoldi_k", "oned_steps", "validate_linear_steps", "validate_nonlinear_steps"):
         _positive(name, getattr(s, name))
+    if s.seed < 0:
+        raise SettingsError(f"key 'seed' must be non-negative, got {s.seed}")
 
     bc_given = {side: getattr(s, f"bc_{side}") for side in SIDES}
     for side, kind in bc_given.items():
@@ -623,6 +625,9 @@ def gridgen_main(argv=None) -> int:
         return 0
     except (ShockStabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
+        traceback.print_exc()
         return 2
 
 

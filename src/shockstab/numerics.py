@@ -133,15 +133,13 @@ class ReconstructionScheme:
     ``kind`` is one of ``first_order``, ``muscl``, ``round``.  ``limiter``
     applies to ``muscl`` only; ``round_params`` to ``round`` only.
     ``variables`` selects the working set: ``conservative`` (default) or
-    ``primitive``.  With ``positivity_fallback`` enabled, a face state with
-    non-positive density or pressure is replaced by its first-order value.
+    ``primitive``.
     """
 
     kind: str = "muscl"
     limiter: str = "van_albada"
     round_params: RoundParams = field(default_factory=RoundParams)
     variables: str = "conservative"
-    positivity_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in RECONSTRUCTION_KINDS:
@@ -186,35 +184,35 @@ def round_face_value(uh: np.ndarray, params: RoundParams) -> np.ndarray:
     return out
 
 
-def _muscl_one_side(center, slope_src, ratio_num, limiter, sign):
-    """Face value ``center + sign * psi(ratio)/2 * slope_src`` with guard."""
-    safe = np.abs(slope_src) >= ZERO_SLOPE_GUARD
-    den = np.where(safe, slope_src, 1.0)
-    r = np.where(safe, ratio_num / den, 0.0)
-    val = center + sign * 0.5 * limiter_value(limiter, r) * slope_src
-    return np.where(safe, val, center)
+def _stencil_sides(kind: str, u0, u1, u2, u3):
+    """``(center, upwind, num, den, sign)`` of the left and right face values.
 
-
-def _round_one_side(upwind, center, downwind, params):
-    """Normalized-variable face value from the (upwind, center, downwind) triple."""
-    den_raw = downwind - upwind
-    safe = np.abs(den_raw) >= ZERO_SLOPE_GUARD
-    den = np.where(safe, den_raw, 1.0)
-    uh = np.where(safe, (center - upwind) / den, 0.0)
-    val = upwind + round_face_value(uh, params) * den_raw
-    return np.where(safe, val, center)
+    MUSCL limits the slope ratio ``num/den`` and moves ``center`` by
+    ``sign * psi/2 * den``; ROUND maps the normalized variable ``num/den``
+    and measures the face value from ``upwind`` in units of ``den``.
+    """
+    if kind == "muscl":
+        return (u1, u0, u2 - u1, u1 - u0, +1.0), (u2, u3, u2 - u1, u3 - u2, -1.0)
+    return (u1, u0, u1 - u0, u2 - u0, +1.0), (u2, u3, u2 - u3, u1 - u3, -1.0)
 
 
 def _reconstruct_values(u0, u1, u2, u3, scheme: ReconstructionScheme):
-    if scheme.kind == "first_order":
-        return u1.copy(), u2.copy()
-    if scheme.kind == "muscl":
-        left = _muscl_one_side(u1, u1 - u0, u2 - u1, scheme.limiter, +1.0)
-        right = _muscl_one_side(u2, u3 - u2, u2 - u1, scheme.limiter, -1.0)
-        return left, right
-    left = _round_one_side(u0, u1, u2, scheme.round_params)
-    right = _round_one_side(u3, u2, u1, scheme.round_params)
-    return left, right
+    """Left/right face values of a second-order scheme, before the positivity fallback.
+
+    Where ``|den|`` is below :data:`ZERO_SLOPE_GUARD` a component keeps its
+    cell value.
+    """
+    faces = []
+    for center, upwind, num, den_raw, sign in _stencil_sides(scheme.kind, u0, u1, u2, u3):
+        safe = np.abs(den_raw) >= ZERO_SLOPE_GUARD
+        den = np.where(safe, den_raw, 1.0)
+        r = np.where(safe, num / den, 0.0)
+        if scheme.kind == "muscl":
+            val = center + sign * 0.5 * limiter_value(scheme.limiter, r) * den_raw
+        else:
+            val = upwind + round_face_value(r, scheme.round_params) * den_raw
+        faces.append(np.where(safe, val, center))
+    return tuple(faces)
 
 
 def reconstruct_pair(
@@ -224,7 +222,6 @@ def reconstruct_pair(
     u3: np.ndarray,
     scheme: ReconstructionScheme,
     gas: GasModel,
-    fallback_flags: np.ndarray | None = None,
 ):
     """Left/right face states from the four-cell stencil ``u0..u3``.
 
@@ -232,14 +229,14 @@ def reconstruct_pair(
     ``(..., 4)`` arrays; with ``scheme.variables == 'primitive'`` the stencil
     is converted, reconstructed componentwise, and converted back.
 
-    When ``scheme.positivity_fallback`` is set, face states with non-positive
-    density or pressure revert to the first-order value of their side; if
-    ``fallback_flags`` (bool array over faces) is supplied, affected faces
-    are marked in place.
+    Face states with non-positive density or pressure revert to the
+    first-order value of their side.  Returns ``(left, right, fallback)``
+    where ``fallback`` (bool over faces) marks the faces where either side
+    reverted.
     """
     u0, u1, u2, u3 = (np.asarray(a, dtype=float) for a in (u0, u1, u2, u3))
     if scheme.kind == "first_order":
-        return u1.copy(), u2.copy()
+        return u1.copy(), u2.copy(), np.zeros(u1.shape[:-1], dtype=bool)
 
     if scheme.variables == "primitive":
         w0, w1, w2, w3 = (cons_to_prim(a, gas) for a in (u0, u1, u2, u3))
@@ -249,16 +246,13 @@ def reconstruct_pair(
     else:
         left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
 
-    if scheme.positivity_fallback:
-        bad_left = ~is_physical_prim(cons_to_prim(left, gas))
-        bad_right = ~is_physical_prim(cons_to_prim(right, gas))
-        if np.any(bad_left):
-            left = np.where(bad_left[..., None], u1, left)
-        if np.any(bad_right):
-            right = np.where(bad_right[..., None], u2, right)
-        if fallback_flags is not None:
-            fallback_flags |= bad_left | bad_right
-    return left, right
+    bad_left = ~is_physical_prim(cons_to_prim(left, gas))
+    bad_right = ~is_physical_prim(cons_to_prim(right, gas))
+    if np.any(bad_left):
+        left = np.where(bad_left[..., None], u1, left)
+    if np.any(bad_right):
+        right = np.where(bad_right[..., None], u2, right)
+    return left, right, bad_left | bad_right
 
 
 #: A stencil variation below this fraction of the component's largest
@@ -307,15 +301,8 @@ def reconstruction_kink_flags(
     # pins the face to the cell value), so only a *small but nonzero*
     # denominator - where a state probe swings the ratio across the whole
     # branch structure - is fragile.
-    if scheme.kind == "muscl":
-        # (numerator, denominator) of the slope ratio on each side
-        sides = ((u2 - u1, u1 - u0), (u2 - u1, u3 - u2))
-        kinks = _LIMITER_KINKS[scheme.limiter]
-    else:
-        # (center - upwind, downwind - upwind) of the normalized variable
-        sides = ((u1 - u0, u2 - u0), (u2 - u3, u1 - u3))
-        kinks = (0.0, 0.5, 1.0)
-    for num, den_raw in sides:
+    kinks = _LIMITER_KINKS[scheme.limiter] if scheme.kind == "muscl" else (0.0, 0.5, 1.0)
+    for _, _, num, den_raw, _ in _stencil_sides(scheme.kind, u0, u1, u2, u3):
         zero = den_raw == 0.0
         tiny = ~zero & (np.abs(den_raw) <= _SMALL_SLOPE_TOL * scale)
         regular = ~zero & ~tiny

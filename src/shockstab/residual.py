@@ -221,7 +221,9 @@ def _ghost_map(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas
 def _ghost_map_jacobian(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel):
     """Derivative of :func:`_ghost_map` with respect to its source cells."""
     if bc.kind == "slip_wall":
-        return _mirror_jacobian(normal)
+        # The reflection is linear: its columns are the reflected unit vectors.
+        units = np.broadcast_to(np.eye(4), normal.shape[:-1] + (4, 4))
+        return _mirror_momentum(units, normal[..., None, :]).swapaxes(-1, -2)
     if bc.kind == "fixed_pressure_outflow":
         return _central_difference(lambda u: _exit_pressure_state(u, bc.pressure, gas), cells)
     return np.eye(4)
@@ -254,20 +256,6 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     ext[-2:, 0:2] = ext[-2:, 2:3]
     ext[-2:, -2:] = ext[-2:, -3:-2]
     return GhostField(ext=ext, ni=ni, nj=nj)
-
-
-def _mirror_jacobian(normal: np.ndarray) -> np.ndarray:
-    """Exact Jacobian of the (linear) slip-wall reflection."""
-    n = normal.shape[0]
-    jac = np.zeros((n, 4, 4))
-    nx, ny = normal[:, 0], normal[:, 1]
-    jac[:, 0, 0] = 1.0
-    jac[:, 3, 3] = 1.0
-    jac[:, 1, 1] = 1.0 - 2.0 * nx * nx
-    jac[:, 1, 2] = -2.0 * nx * ny
-    jac[:, 2, 1] = -2.0 * nx * ny
-    jac[:, 2, 2] = 1.0 - 2.0 * ny * ny
-    return jac
 
 
 def ghost_dependency(
@@ -318,30 +306,17 @@ def _jface_stencils(ext: np.ndarray, ni: int, nj: int):
     return sl[:, 0 : nj + 1], sl[:, 1 : nj + 2], sl[:, 2 : nj + 3], sl[:, 3 : nj + 4]
 
 
-def face_reconstruction(
-    ghosts: GhostField,
-    scheme: ReconstructionScheme,
-    gas: GasModel,
-    collect_fallback: bool = False,
-):
-    """Reconstructed left/right states on both face families.
+def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
+    """Reconstructed states on both face families, i-faces first.
 
-    Returns ``(iface_lr, jface_lr, flags)`` where each ``*_lr`` is an
-    ``(left, right)`` pair and ``flags`` (or ``None``) marks faces whose
-    states needed the positivity fallback.
+    Returns one ``(left, right, fallback)`` triple per family, as given by
+    :func:`~shockstab.numerics.reconstruct_pair`.
     """
     ni, nj = ghosts.ni, ghosts.nj
-    flags = None
-    fi = fj = None
-    if collect_fallback:
-        fi = np.zeros((ni + 1, nj), dtype=bool)
-        fj = np.zeros((ni, nj + 1), dtype=bool)
-        flags = {"iface": fi, "jface": fj}
-    s0, s1, s2, s3 = _iface_stencils(ghosts.ext, ni, nj)
-    iface_lr = reconstruct_pair(s0, s1, s2, s3, scheme, gas, fallback_flags=fi)
-    t0, t1, t2, t3 = _jface_stencils(ghosts.ext, ni, nj)
-    jface_lr = reconstruct_pair(t0, t1, t2, t3, scheme, gas, fallback_flags=fj)
-    return iface_lr, jface_lr, flags
+    return (
+        reconstruct_pair(*_iface_stencils(ghosts.ext, ni, nj), scheme, gas),
+        reconstruct_pair(*_jface_stencils(ghosts.ext, ni, nj), scheme, gas),
+    )
 
 
 def residual(
@@ -356,7 +331,7 @@ def residual(
     ni, nj = field.ni, field.nj
     if (ghosts.ni, ghosts.nj) != (ni, nj):
         raise StateError("ghost frame does not match the field")
-    (il, ir), (jl, jr), _ = face_reconstruction(ghosts, scheme, gas)
+    (il, ir, _), (jl, jr, _) = face_reconstruction(ghosts, scheme, gas)
     flux_i = riemann_flux(solver, il, ir, metrics.iface_normal, gas)
     flux_j = riemann_flux(solver, jl, jr, metrics.jface_normal, gas)
     lf_i = metrics.iface_len[..., None] * flux_i

@@ -144,7 +144,7 @@ def reconstruction_coefficients(
     ar = np.empty_like(al)
     for c in range(4):
         al[..., c, :, :], ar[..., c, :, :] = _central_difference(
-            lambda u: np.stack(reconstruct_pair(*cells[:c], u, *cells[c + 1:], scheme, gas)), cells[c]
+            lambda u: np.stack(reconstruct_pair(*cells[:c], u, *cells[c + 1:], scheme, gas)[:2]), cells[c]
         )
     if not (np.all(np.isfinite(al)) and np.all(np.isfinite(ar))):
         raise LinearizationError("reconstruction differencing produced non-finite entries")
@@ -230,7 +230,7 @@ def assemble(
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
     dep, gjac = ghost_dependency(base, bc, metrics, gas)
-    (il, ir), (jl, jr), flags = face_reconstruction(ghosts, scheme, gas, collect_fallback=True)
+    (il, ir, fallback_i), (jl, jr, fallback_j) = face_reconstruction(ghosts, scheme, gas)
 
     base_res = residual(base, ghosts, metrics, scheme, solver, gas)
     base_residual_inf = float(np.max(np.abs(base_res)))
@@ -271,8 +271,8 @@ def assemble(
         base_residual_inf=base_residual_inf,
         kink_iface=kinks[0],
         kink_jface=kinks[1],
-        fallback_iface=flags["iface"],
-        fallback_jface=flags["jface"],
+        fallback_iface=fallback_i,
+        fallback_jface=fallback_j,
     )
 
 

@@ -92,6 +92,8 @@ class TestParsing:
             parse_settings_text(MINIMAL + "gamma = 1.0\n")
         with pytest.raises(SettingsError, match="must be positive"):
             parse_settings_text(MINIMAL + "oned_cfl = -0.5\n")
+        with pytest.raises(SettingsError, match="'seed' must be non-negative"):
+            parse_settings_text(MINIMAL + "seed = -1\n")
 
     @pytest.mark.parametrize("epsilon", ["0", "1"])
     def test_roe_rejects_degenerate_interface(self, epsilon):
@@ -471,6 +473,16 @@ class TestGridgen:
         code = cli.gridgen_main(["cartesian", "0", "3", "-o", str(tmp_path / "g.grd")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_crash_exit_two(self, tmp_path, capsys, monkeypatch):
+        # an unexpected exception is an error (exit 2), as in the main CLI
+        def crash(grid, path):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "write_grid", crash)
+        assert cli.gridgen_main(["cartesian", "4", "3", "-o", str(tmp_path / "g.grd")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ from shockstab.numerics import (
     RIEMANN_SOLVERS,
     ReconstructionScheme,
     RoundParams,
+    _reconstruct_values,
     limiter_value,
     physical_flux,
     reconstruct_pair,
@@ -145,16 +146,18 @@ class TestReconstructPair:
         scheme = ReconstructionScheme(kind=kind)
         u = prim_to_cons(np.array([1.3, 0.4, -0.2, 0.9]), GAS)
         stack = [np.tile(u, (6, 1)) for _ in range(4)]
-        left, right = reconstruct_pair(*stack, scheme, GAS)
+        left, right, fallback = reconstruct_pair(*stack, scheme, GAS)
+        assert not fallback.any()
         assert np.array_equal(left, stack[1])
         assert np.array_equal(right, stack[2])
 
     @pytest.mark.parametrize("limiter", LIMITERS)
     def test_linear_data_hits_midpoint(self, limiter):
-        # psi(1) = 1 makes every limiter exact on linear data
-        scheme = ReconstructionScheme(kind="muscl", limiter=limiter, positivity_fallback=False)
+        # psi(1) = 1 makes every limiter exact on linear data (raw formula,
+        # before the positivity fallback)
+        scheme = ReconstructionScheme(kind="muscl", limiter=limiter)
         u0, u1, u2, u3 = linear_ramp_stencil([0.1, 0.05, -0.02, 0.2], [2.0, 0.3, 0.1, 5.0])
-        left, right = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
+        left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
         mid = 0.5 * (u1 + u2)
         assert np.allclose(left, mid, rtol=1e-14)
         assert np.allclose(right, mid, rtol=1e-14)
@@ -164,7 +167,7 @@ class TestReconstructPair:
         # of the two-cell span, i.e. the face midpoint
         scheme = ReconstructionScheme(kind="round")
         u0, u1, u2, u3 = linear_ramp_stencil([0.1, 0.05, -0.02, 0.2], [2.0, 0.3, 0.1, 5.0])
-        left, right = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
+        left, right, _ = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
         mid = 0.5 * (u1 + u2)
         assert np.allclose(left, mid, rtol=1e-13)
         assert np.allclose(right, mid, rtol=1e-13)
@@ -176,28 +179,28 @@ class TestReconstructPair:
         u1 = np.array([[0.5, 0.0, 0.0, 2.0]])  # local minimum in rho
         u2 = np.array([[1.5, 0.0, 0.0, 2.0]])
         u3 = np.array([[1.6, 0.0, 0.0, 2.0]])
-        left, _ = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
+        left, _, _ = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
         assert left[0, 0] == u1[0, 0]
 
     @pytest.mark.parametrize("kind,limiter", [("muscl", lim) for lim in LIMITERS] + [("round", None)])
     def test_mirror_symmetry(self, kind, limiter):
-        scheme = ReconstructionScheme(
-            kind=kind, limiter=limiter or "van_albada", positivity_fallback=False
-        )
+        # raw formulas: the positivity fallback would replace many of these faces
+        scheme = ReconstructionScheme(kind=kind, limiter=limiter or "van_albada")
         rng = np.random.default_rng(4)
         stack = [random_cons(rng, 30) for _ in range(4)]
-        left, right = reconstruct_pair(*stack, scheme, GAS)
-        m_left, m_right = reconstruct_pair(*stack[::-1], scheme, GAS)
+        left, right = _reconstruct_values(*stack, scheme)
+        m_left, m_right = _reconstruct_values(*stack[::-1], scheme)
         assert np.array_equal(m_left, right)
         assert np.array_equal(m_right, left)
 
     @pytest.mark.parametrize("limiter", LIMITERS)
     def test_bounded_on_monotone_data(self, limiter):
-        scheme = ReconstructionScheme(kind="muscl", limiter=limiter, positivity_fallback=False)
+        # raw formula: the positivity fallback would replace most of these faces
+        scheme = ReconstructionScheme(kind="muscl", limiter=limiter)
         rng = np.random.default_rng(5)
         base = np.sort(rng.uniform(0.5, 4.0, (50, 4, 4)), axis=1)  # increasing stencils
         u0, u1, u2, u3 = base[:, 0], base[:, 1], base[:, 2], base[:, 3]
-        left, right = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
+        left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
         assert np.all(left >= u1 - 1e-12)
         assert np.all(left <= u2 + 1e-12)
         assert np.all(right >= u1 - 1e-12)
@@ -210,21 +213,19 @@ class TestReconstructPair:
         u1 = np.array([[1.0, 0.5, 0.0, 0.375]])
         u2 = np.array([[0.5, 0.9, 0.0, 0.85]])
         u3 = np.array([[0.25, 1.3, 0.0, 3.5]])
-        raw = ReconstructionScheme(kind="muscl", limiter="superbee", positivity_fallback=False)
-        left_raw, _ = reconstruct_pair(u0, u1, u2, u3, raw, GAS)
+        scheme = ReconstructionScheme(kind="muscl", limiter="superbee")
+        left_raw, _ = _reconstruct_values(u0, u1, u2, u3, scheme)
         assert cons_to_prim(left_raw, GAS)[0, 3] < 0.0
-        guarded = ReconstructionScheme(kind="muscl", limiter="superbee", positivity_fallback=True)
-        flags = np.zeros(1, dtype=bool)
-        left, _ = reconstruct_pair(u0, u1, u2, u3, guarded, GAS, fallback_flags=flags)
+        left, _, fallback = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
         assert np.array_equal(left, u1)
-        assert flags[0]
+        assert fallback.tolist() == [True]
 
     def test_primitive_variable_mode(self):
         # ramps linear in the primitives reconstruct to the primitive midpoint
         scheme = ReconstructionScheme(kind="muscl", limiter="minmod", variables="primitive")
         prim = [np.array([[1.0 + 0.2 * k, 0.5 + 0.1 * k, -0.3, 1.0 + 0.5 * k]]) for k in range(4)]
         stack = [prim_to_cons(w, GAS) for w in prim]
-        left, right = reconstruct_pair(*stack, scheme, GAS)
+        left, right, _ = reconstruct_pair(*stack, scheme, GAS)
         mid = 0.5 * (prim[1] + prim[2])
         assert np.allclose(cons_to_prim(left, GAS), mid, rtol=1e-14)
         assert np.allclose(cons_to_prim(right, GAS), mid, rtol=1e-14)
@@ -233,9 +234,10 @@ class TestReconstructPair:
         scheme = ReconstructionScheme(kind="first_order")
         rng = np.random.default_rng(6)
         stack = [random_cons(rng, 10) for _ in range(4)]
-        left, right = reconstruct_pair(*stack, scheme, GAS)
+        left, right, fallback = reconstruct_pair(*stack, scheme, GAS)
         assert np.array_equal(left, stack[1])
         assert np.array_equal(right, stack[2])
+        assert fallback.shape == (10,) and not fallback.any()
 
     def test_scheme_validation(self):
         with pytest.raises(StateError):

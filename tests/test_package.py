@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import shockstab
@@ -74,3 +75,48 @@ def test_every_module_level_name_is_used_or_exported():
         dead += [f"{modname}.{name}" for name in _module_level_definitions(tree)
                  if not name.startswith("__") and name not in exported and name not in used]
     assert dead == []
+
+
+def _benchmark_hook_names():
+    """``"module.function"`` strings the benchmark's tracer times, counts or observes.
+
+    ``perfbench/tracing.py`` is parsed, not imported, so the check does not
+    depend on the benchmark's own imports.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in ("TIMED", "CALLED", "FLOW_IO", "GRID_IO") for t in node.targets
+        ):
+            names += [elt.value for elt in node.value.elts]
+    observers = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_observers")
+    returned = [n.value for n in ast.walk(observers) if isinstance(n, ast.Return) and isinstance(n.value, ast.Dict)]
+    assert len(returned) == 1
+    names += [key.value for key in returned[0].keys]
+    return names
+
+
+def test_benchmark_hooks_name_public_functions():
+    # The tracer silently skips a name that no longer exists, which would
+    # empty the per-layer metrics built on it.
+    names = _benchmark_hook_names()
+    assert len(names) > 20 and all(isinstance(name, str) for name in names)
+    missing = []
+    for qualname in names:
+        modname, _, attr = qualname.partition(".")
+        module = importlib.import_module(f"shockstab.{modname}")
+        fn = getattr(module, attr, None)
+        if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+            missing.append(qualname)
+    assert missing == []
+
+
+def test_benchmark_observed_parameters():
+    # The observers read these arguments by name or by position.
+    from shockstab import harness, numerics, stability
+
+    assert "steps" in inspect.signature(harness.solve_1d_steady).parameters
+    assert list(inspect.signature(numerics.riemann_flux).parameters)[1] == "left"
+    assert list(inspect.signature(stability.write_matrix).parameters)[1] == "path"

@@ -421,12 +421,12 @@ class TestResidual:
         field = smooth_field(5, 3, seed=14)
         ghosts = fill_ghosts(field, zero_gradient_bcs(), metrics, GAS)
         scheme = ReconstructionScheme(kind="muscl", limiter="van_albada")
-        (il, ir), (jl, jr), flags = face_reconstruction(ghosts, scheme, GAS, collect_fallback=True)
+        (il, ir, fi), (jl, jr, fj) = face_reconstruction(ghosts, scheme, GAS)
         assert il.shape == (6, 3, 4) and ir.shape == (6, 3, 4)
         assert jl.shape == (5, 4, 4) and jr.shape == (5, 4, 4)
-        assert flags["iface"].shape == (6, 3)
-        assert flags["jface"].shape == (5, 4)
-        assert not flags["iface"].any() and not flags["jface"].any()
+        assert fi.shape == (6, 3) and fi.dtype == bool
+        assert fj.shape == (5, 4) and fj.dtype == bool
+        assert not fi.any() and not fj.any()
 
     def test_ghost_frame_mismatch_rejected(self):
         metrics = compute_metrics(make_cartesian_grid(5, 3))

@@ -255,6 +255,24 @@ class TestAssemble:
         assert smat.kink_iface.shape == (ni + 1, nj)
         assert smat.fallback_jface.shape == (ni, nj + 1)
 
+    def test_positivity_fallback_reaches_matrix(self):
+        # superbee drives the left-state pressure of i-faces 2 and 3 (the
+        # right faces of cells 1 and 2) negative; those states revert to
+        # the cell values
+        cells = np.array([[2.0, 0.1, 0.0, 0.3], [1.0, 0.5, 0.0, 0.375],
+                          [0.5, 0.9, 0.0, 0.85], [0.25, 1.3, 0.0, 3.5]])
+        metrics = compute_metrics(make_cartesian_grid(4, 1))
+        bcs = BoundaryConditionSet(
+            left=BoundaryCondition.zero_gradient(),
+            right=BoundaryCondition.zero_gradient(),
+            bottom=BoundaryCondition.periodic(),
+            top=BoundaryCondition.periodic(),
+        )
+        scheme = ReconstructionScheme(kind="muscl", limiter="superbee")
+        smat = assemble(FlowField(q=cells[:, None, :]), metrics, scheme, "hll", bcs, GAS)
+        assert smat.fallback_iface[:, 0].tolist() == [False, False, True, True, False]
+        assert not smat.fallback_jface.any()
+
     def test_assembly_is_deterministic(self):
         ni, nj = 5, 4
         metrics = compute_metrics(make_cartesian_grid(ni, nj))
