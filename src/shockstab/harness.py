@@ -82,16 +82,16 @@ class GrowthRateFit:
     ln_range: float
 
 
-def local_wave_speed_sums(field: FlowField, metrics: GridMetrics, gas: GasModel) -> np.ndarray:
-    """Per-cell sum of ``L * (|q_n| + a)`` over all four faces.
+def local_wave_speed_sums(prim: np.ndarray, metrics: GridMetrics, gas: GasModel) -> np.ndarray:
+    """Per-cell sum from primitive states of ``L * (|q_n| + a)`` over all four faces.
 
-    Uses the cell's own state on every face; this is the standard local
-    estimate behind CFL-based time steps.
+    ``prim`` is the ``(ni, nj, 4)`` primitive field.  Uses the cell's own
+    state on every face; this is the standard local estimate behind
+    CFL-based time steps.
     """
-    prim = cons_to_prim(field.q, gas)
     a = sound_speed(prim, gas)
     u, v = prim[..., 1], prim[..., 2]
-    total = np.zeros((field.ni, field.nj))
+    total = np.zeros(prim.shape[:2])
     for length, normal in (
         (metrics.iface_len[:-1], metrics.iface_normal[:-1]),
         (metrics.iface_len[1:], metrics.iface_normal[1:]),
@@ -130,13 +130,16 @@ def solve_1d_steady(
     bc = normal_shock_bcs(mach, gas)
     fld = init_normal_shock_rh(ni, 1, mach, epsilon, shock_col=shock_col, gas=gas)
     history = np.empty(steps)
+    prim = cons_to_prim(fld.q, gas)
     for step in range(steps):
         ghosts = fill_ghosts(fld, bc, metrics, gas)
         res = residual(fld, ghosts, metrics, scheme, solver, gas)
         history[step] = np.max(np.abs(res))
-        dt = cfl * metrics.volume / local_wave_speed_sums(fld, metrics, gas)
+        dt = cfl * metrics.volume / local_wave_speed_sums(prim, metrics, gas)
         fld = FlowField(q=fld.q + dt[..., None] * res)
-        if not np.all(is_physical_prim(cons_to_prim(fld.q, gas))):
+        # One conversion per step serves this check and the next time step.
+        prim = cons_to_prim(fld.q, gas)
+        if not np.all(is_physical_prim(prim)):
             raise EvolutionError(f"1-D march left the physical state space at step {step + 1}")
     ghosts = fill_ghosts(fld, bc, metrics, gas)
     res = residual(fld, ghosts, metrics, scheme, solver, gas)
@@ -279,10 +282,10 @@ def evolve_nonlinear(
     diverged = truncated = False
     for _ in range(steps):
         try:
-            fld = FlowField(q=q)
-            if not np.all(is_physical_prim(cons_to_prim(q, gas))):
+            prim = cons_to_prim(q, gas)
+            if not np.all(is_physical_prim(prim)):
                 raise StateError("non-physical state")
-            dt = cfl * float(np.min(metrics.volume / local_wave_speed_sums(fld, metrics, gas)))
+            dt = cfl * float(np.min(metrics.volume / local_wave_speed_sums(prim, metrics, gas)))
             k1 = rhs(q)
             k2 = rhs(q + 0.5 * dt * k1)
             k3 = rhs(q + 0.5 * dt * k2)

@@ -343,9 +343,9 @@ def physical_flux(cons: np.ndarray, normal: np.ndarray, gas: GasModel) -> np.nda
 
 
 class _FaceSide:
-    """Face-frame view of one side's state: scalars rho, qn, qt, p, E, a, H."""
+    """Face-frame view of one side's state: scalars rho, u, v, qn, qt, p, E, a, H."""
 
-    __slots__ = ("rho", "qn", "qt", "p", "E", "a", "H", "cons")
+    __slots__ = ("rho", "u", "v", "qn", "qt", "p", "E", "a", "H", "cons")
 
     def __init__(self, cons: np.ndarray, nx: np.ndarray, ny: np.ndarray, gas: GasModel):
         rho = cons[..., 0]
@@ -354,6 +354,8 @@ class _FaceSide:
         E = cons[..., 3]
         p = (gas.gamma - 1.0) * (E - 0.5 * rho * (u * u + v * v))
         self.rho = rho
+        self.u = u
+        self.v = v
         self.qn = u * nx + v * ny
         self.qt = -u * ny + v * nx
         self.p = p
@@ -606,7 +608,8 @@ def riemann_flux(
 
     ``left``/``right`` are conservative ``(..., 4)`` arrays and ``normal``
     a unit-vector ``(..., 2)`` array; all solvers reduce to the exact flux
-    when ``left == right``.
+    when ``left == right``.  With ``validate``, any side state whose density
+    or pressure is not finite and positive raises :class:`StateError`.
     """
     try:
         fn = _SOLVER_TABLE[solver]
@@ -615,14 +618,16 @@ def riemann_flux(
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     normal = np.asarray(normal, dtype=float)
+    nx, ny = normal[..., 0], normal[..., 1]
+    # A non-physical side yields inf/nan here; validation reports it below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = _FaceSide(left, nx, ny, gas)
+        R = _FaceSide(right, nx, ny, gas)
     if validate:
-        for name, side in (("left", left), ("right", right)):
-            ok = is_physical_prim(cons_to_prim(side, gas))
+        for name, side in (("left", L), ("right", R)):
+            ok = is_physical_prim(np.stack((side.rho, side.u, side.v, side.p), axis=-1))
             if not np.all(ok):
                 raise StateError(
                     f"{int(np.sum(~ok))} non-physical {name} state(s) passed to solver {solver!r}"
                 )
-    nx, ny = normal[..., 0], normal[..., 1]
-    L = _FaceSide(left, nx, ny, gas)
-    R = _FaceSide(right, nx, ny, gas)
     return _unrotate(fn(L, R, gas), nx, ny)

@@ -13,6 +13,10 @@ Reconstruction stencils reach two cells to each side, so the interior field
 is embedded in an extended array with two ghost layers per side.  Corner
 ghosts are never read by the axis-aligned stencils; they are filled with
 copies of adjacent ghosts only to keep the array finite.
+
+Both face families travel as one batch, i-faces first: the residual makes
+one reconstruction call and one flux call per evaluation and splits the
+fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
 """
 
 from __future__ import annotations
@@ -306,17 +310,29 @@ def _jface_stencils(ext: np.ndarray, ni: int, nj: int):
     return sl[:, 0 : nj + 1], sl[:, 1 : nj + 2], sl[:, 2 : nj + 3], sl[:, 3 : nj + 4]
 
 
-def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
-    """Reconstructed states on both face families, i-faces first.
+def _join_faces(iface: np.ndarray, jface: np.ndarray) -> np.ndarray:
+    """One face batch: the i-face rows, then the j-face rows, as ``(faces, k)``."""
+    k = iface.shape[-1]
+    return np.concatenate((iface.reshape(-1, k), jface.reshape(-1, k)))
 
-    Returns one ``(left, right, fallback)`` triple per family, as given by
-    :func:`~shockstab.numerics.reconstruct_pair`.
+
+def _split_faces(batch: np.ndarray, ni: int, nj: int):
+    """Inverse of :func:`_join_faces`: the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face arrays."""
+    n_i = (ni + 1) * nj
+    tail = batch.shape[1:]
+    return batch[:n_i].reshape((ni + 1, nj) + tail), batch[n_i:].reshape((ni, nj + 1) + tail)
+
+
+def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
+    """Reconstructed states on every face, as one batch with the i-faces first.
+
+    Returns the ``(left, right, fallback)`` triple of
+    :func:`~shockstab.numerics.reconstruct_pair` over the ``(faces, 4)``
+    stencils of both families; ``_split_faces`` recovers the family shapes.
     """
     ni, nj = ghosts.ni, ghosts.nj
-    return (
-        reconstruct_pair(*_iface_stencils(ghosts.ext, ni, nj), scheme, gas),
-        reconstruct_pair(*_jface_stencils(ghosts.ext, ni, nj), scheme, gas),
-    )
+    stencils = zip(_iface_stencils(ghosts.ext, ni, nj), _jface_stencils(ghosts.ext, ni, nj))
+    return reconstruct_pair(*(_join_faces(i, j) for i, j in stencils), scheme, gas)
 
 
 def residual(
@@ -331,9 +347,9 @@ def residual(
     ni, nj = field.ni, field.nj
     if (ghosts.ni, ghosts.nj) != (ni, nj):
         raise StateError("ghost frame does not match the field")
-    (il, ir, _), (jl, jr, _) = face_reconstruction(ghosts, scheme, gas)
-    flux_i = riemann_flux(solver, il, ir, metrics.iface_normal, gas)
-    flux_j = riemann_flux(solver, jl, jr, metrics.jface_normal, gas)
+    left, right, _ = face_reconstruction(ghosts, scheme, gas)
+    normal = _join_faces(metrics.iface_normal, metrics.jface_normal)
+    flux_i, flux_j = _split_faces(riemann_flux(solver, left, right, normal, gas), ni, nj)
     lf_i = metrics.iface_len[..., None] * flux_i
     lf_j = metrics.jface_len[..., None] * flux_j
     net = (lf_i[1:] - lf_i[:-1]) + (lf_j[:, 1:] - lf_j[:, :-1])

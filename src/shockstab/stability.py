@@ -39,6 +39,7 @@ from .residual import (
     BoundaryConditionSet,
     _iface_stencils,
     _jface_stencils,
+    _split_faces,
     face_reconstruction,
     fill_ghosts,
     ghost_dependency,
@@ -230,7 +231,9 @@ def assemble(
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
     dep, gjac = ghost_dependency(base, bc, metrics, gas)
-    (il, ir, fallback_i), (jl, jr, fallback_j) = face_reconstruction(ghosts, scheme, gas)
+    (il, jl), (ir, jr), (fallback_i, fallback_j) = (
+        _split_faces(batch, ni, nj) for batch in face_reconstruction(ghosts, scheme, gas)
+    )
 
     base_res = residual(base, ghosts, metrics, scheme, solver, gas)
     base_residual_inf = float(np.max(np.abs(base_res)))

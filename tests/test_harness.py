@@ -63,6 +63,11 @@ class TestSolve1D:
         with pytest.raises(EvolutionError):
             solve_1d_steady(11, 2.0, 0.1, 0, FIRST, "roe")
 
+    def test_non_physical_step_is_named(self):
+        # CFL 5 overshoots the M=20 shock; the end-of-step check stops the march
+        with pytest.raises(EvolutionError, match="at step 5$"):
+            solve_1d_steady(11, 20.0, 0.1, 200, MUSCL, "hllc", cfl=5.0)
+
 
 class TestBaseFlow:
     def test_projection_replicates_rows(self):
@@ -109,10 +114,9 @@ class TestWaveSpeedSums:
     def test_uniform_flow_hand_value(self):
         metrics = compute_metrics(make_cartesian_grid(4, 3))
         prim = np.tile(np.array([1.0, 0.5, -0.25, 1.0]), (4, 3, 1))
-        field = FlowField(q=prim_to_cons(prim, GAS))
         a = np.sqrt(1.4)
         expected = 2.0 * (0.5 + 0.25) + 4.0 * a
-        total = local_wave_speed_sums(field, metrics, GAS)
+        total = local_wave_speed_sums(prim, metrics, GAS)
         assert np.allclose(total, expected, rtol=1e-14)
 
 
@@ -182,6 +186,15 @@ class TestEvolveNonlinear:
         assert not series.diverged
         # noise convects out: the deviation norm ends far below its start
         assert series.log_norm[-1] < series.log_norm[0] - 2.0
+
+    def test_blow_up_marks_series_diverged(self):
+        # an oversized first step leaves the physical state space; the march
+        # reports that as divergence rather than raising
+        base, _ = make_base_flow(7, 3, 20.0, 0.1, MUSCL, "hllc", oned_steps=50)
+        metrics = compute_metrics(make_cartesian_grid(7, 3))
+        series = evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc", GAS,
+                                  steps=50, cfl=3.0, amplitude=1e-2)
+        assert series.diverged
 
     def test_initial_norm_matches_seeded_perturbation(self):
         ni, nj = 6, 3

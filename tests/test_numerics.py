@@ -1,5 +1,7 @@
 """Limiters, reconstruction, kink diagnostics, and Riemann solver properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,15 @@ class TestRiemannFlux:
         bad[0, 3] = 0.0  # zero total energy -> negative pressure
         with pytest.raises(StateError):
             riemann_flux("roe", u, bad, np.array([[1.0, 0.0]]), GAS)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("momentum", [0.0, 0.5])
+    def test_zero_density_names_side_and_count_without_warning(self, side, momentum):
+        good = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 3), GAS)
+        bad = good.copy()
+        bad[1] = [0.0, momentum, 0.0, 1.0]
+        left, right = (bad, good) if side == "left" else (good, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match=f"^1 non-physical {side} state\\(s\\) passed to solver 'hllc'$"):
+                riemann_flux("hllc", left, right, np.array([[1.0, 0.0]] * 3), GAS)

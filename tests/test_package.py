@@ -120,3 +120,29 @@ def test_benchmark_observed_parameters():
     assert "steps" in inspect.signature(harness.solve_1d_steady).parameters
     assert list(inspect.signature(numerics.riemann_flux).parameters)[1] == "left"
     assert list(inspect.signature(stability.write_matrix).parameters)[1] == "path"
+
+
+def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
+    # Both face families go through one batch: splitting them again would
+    # double the per-call overhead, and bypassing face_reconstruction would
+    # leave the benchmark hook on it timing nothing.
+    from shockstab import mesh, numerics, state
+
+    residual = importlib.import_module("shockstab.residual")  # the package exports a function of that name
+    calls = {"reconstruct_pair": 0, "riemann_flux": 0, "face_reconstruction": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(residual, name, counted(name, getattr(residual, name)))
+    gas = state.GasModel()
+    metrics = mesh.compute_metrics(mesh.make_cartesian_grid(5, 3))
+    field = state.init_normal_shock_rh(5, 3, 3.0, 0.1, gas=gas)
+    ghosts = residual.fill_ghosts(field, residual.normal_shock_bcs(3.0, gas), metrics, gas)
+    scheme = numerics.ReconstructionScheme(kind="muscl", limiter="van_albada")
+    residual.residual(field, ghosts, metrics, scheme, "hllc", gas)
+    assert calls == {"reconstruct_pair": 1, "riemann_flux": 1, "face_reconstruction": 1}

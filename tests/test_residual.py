@@ -5,11 +5,12 @@ import pytest
 
 from shockstab import StateError
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
-from shockstab.numerics import ReconstructionScheme, riemann_flux
+from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme, reconstruct_pair, riemann_flux
 from shockstab.residual import (
     BoundaryCondition,
     BoundaryConditionSet,
     GhostField,
+    _split_faces,
     face_reconstruction,
     fill_ghosts,
     ghost_dependency,
@@ -318,7 +319,52 @@ def loop_residual(field, ghosts, metrics, solver):
     return out
 
 
+def per_family_residual(field, ghosts, metrics, scheme, solver):
+    """The residual with each face family reconstructed and fluxed on its own."""
+    ni, nj = field.ni, field.nj
+    sl = ghosts.ext[:, 2 : nj + 2]
+    il, ir, fi = reconstruct_pair(sl[0 : ni + 1], sl[1 : ni + 2], sl[2 : ni + 3], sl[3 : ni + 4], scheme, GAS)
+    sl = ghosts.ext[2 : ni + 2, :]
+    jl, jr, fj = reconstruct_pair(sl[:, 0 : nj + 1], sl[:, 1 : nj + 2], sl[:, 2 : nj + 3], sl[:, 3 : nj + 4],
+                                  scheme, GAS)
+    lf_i = metrics.iface_len[..., None] * riemann_flux(solver, il, ir, metrics.iface_normal, GAS)
+    lf_j = metrics.jface_len[..., None] * riemann_flux(solver, jl, jr, metrics.jface_normal, GAS)
+    net = (lf_i[1:] - lf_i[:-1]) + (lf_j[:, 1:] - lf_j[:, :-1])
+    return -net / metrics.volume[..., None], fi, fj
+
+
+def parity_case(grid_name):
+    """A 6x5 field, its metrics and boundaries for the batched-residual parity test."""
+    field = smooth_field(6, 5, seed=21, scale=0.1)
+    if grid_name == "cartesian":
+        return field, compute_metrics(perturbed_cartesian(6, 5, seed=22, amp=0.12)), zero_gradient_bcs()
+    bcs = BoundaryConditionSet(
+        left=BoundaryCondition.supersonic_inflow(prim_to_cons(np.array([1.0, 2.0, 0.1, 0.9]), GAS)),
+        right=BoundaryCondition.fixed_pressure_outflow(0.95),
+        bottom=BoundaryCondition.slip_wall(),
+        top=BoundaryCondition.zero_gradient(),
+    )
+    return field, compute_metrics(make_annular_grid(6, 5)), bcs
+
+
 class TestResidual:
+    @pytest.mark.parametrize("grid_name", ["cartesian", "annulus"])
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_batched_faces_equal_per_family_reference(self, solver, grid_name):
+        field, metrics, bcs = parity_case(grid_name)
+        ghosts = fill_ghosts(field, bcs, metrics, GAS)
+        for variables in ("conservative", "primitive"):
+            for scheme in (
+                ReconstructionScheme(kind="first_order", variables=variables),
+                ReconstructionScheme(kind="muscl", limiter="van_albada", variables=variables),
+                ReconstructionScheme(kind="round", variables=variables),
+            ):
+                expected, ref_fi, ref_fj = per_family_residual(field, ghosts, metrics, scheme, solver)
+                assert np.array_equal(residual(field, ghosts, metrics, scheme, solver, GAS), expected)
+                fi, fj = _split_faces(face_reconstruction(ghosts, scheme, GAS)[2], 6, 5)
+                assert fi.shape == (7, 5) and fj.shape == (6, 6)
+                assert np.array_equal(fi, ref_fi) and np.array_equal(fj, ref_fj)
+
     @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "ausm_plus"])
     @pytest.mark.parametrize("kind", ["first_order", "muscl", "round"])
     def test_free_stream_on_distorted_grid(self, kind, solver):
@@ -421,7 +467,10 @@ class TestResidual:
         field = smooth_field(5, 3, seed=14)
         ghosts = fill_ghosts(field, zero_gradient_bcs(), metrics, GAS)
         scheme = ReconstructionScheme(kind="muscl", limiter="van_albada")
-        (il, ir, fi), (jl, jr, fj) = face_reconstruction(ghosts, scheme, GAS)
+        left, right, fallback = face_reconstruction(ghosts, scheme, GAS)
+        assert left.shape == (38, 4) and right.shape == (38, 4)
+        assert fallback.shape == (38,) and fallback.dtype == bool
+        (il, jl), (ir, jr), (fi, fj) = (_split_faces(a, 5, 3) for a in (left, right, fallback))
         assert il.shape == (6, 3, 4) and ir.shape == (6, 3, 4)
         assert jl.shape == (5, 4, 4) and jr.shape == (5, 4, 4)
         assert fi.shape == (6, 3) and fi.dtype == bool
