@@ -381,7 +381,10 @@ class Analysis:
 
     ``spectrum`` is sorted by descending real part: the full spectrum for
     ``eig_method = dense``, the leading ``arnoldi_k`` eigenvalues for
-    ``arnoldi``.  The analysis runs on ``base``, which is exactly
+    ``arnoldi``.  ``eig_method_used`` names the solve that ran:
+    ``transverse_fourier`` when the dense solve split ``S`` into transverse
+    wavenumber blocks, ``dense`` when it solved ``S`` whole, or ``arnoldi``.
+    The analysis runs on ``base``, which is exactly
     ``prim_to_cons(base_prim)``; ``oned`` is the 1-D march behind a projected
     base (``None`` otherwise).
     """
@@ -396,6 +399,7 @@ class Analysis:
     oned: harness.OneDResult | None
     stab: stability.StabilityMatrix
     spectrum: np.ndarray
+    eig_method_used: str
 
 
 def analyze(settings: Settings) -> Analysis:
@@ -412,10 +416,13 @@ def analyze(settings: Settings) -> Analysis:
     base, oned, base_prim = _build_base(settings, grid, gas, scheme)
     stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
     if settings.eig_method == "dense":
-        spectrum = stability.eigensolve(stab.matrix, cap=settings.eig_cap)
+        blocks = stability.transverse_blocks(stab.matrix, stab.nj)
+        spectrum = stability.eigensolve(blocks, cap=settings.eig_cap)
+        method = blocks.method
     else:
         spectrum = stability.eigensolve_leading(stab.matrix, k=settings.arnoldi_k, seed=settings.seed)
-    return Analysis(settings, gas, scheme, metrics, bc, base, base_prim, oned, stab, spectrum)
+        method = "arnoldi"
+    return Analysis(settings, gas, scheme, metrics, bc, base, base_prim, oned, stab, spectrum, method)
 
 
 def time_march(analysis: Analysis):
@@ -532,6 +539,7 @@ def run_analysis(analysis: Analysis, dump_matrix: bool = False) -> int:
         ("variables", settings.variables),
         ("gamma", settings.gamma),
         ("eig_method", settings.eig_method),
+        ("eig_method_used", analysis.eig_method_used),
         ("spectrum_size", len(spectrum)),
         ("max_re_lambda", float(pair.eigenvalue.real)),
         ("lambda_max_im", float(pair.eigenvalue.imag)),

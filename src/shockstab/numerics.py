@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateError
-from .state import GasModel, cons_to_prim, is_physical_prim, prim_to_cons
+from .state import GasModel, _physical_columns, _primitive_columns, cons_to_prim, prim_to_cons
 
 __all__ = [
     "FD_STEP",
@@ -246,8 +246,8 @@ def reconstruct_pair(
     else:
         left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
 
-    bad_left = ~is_physical_prim(cons_to_prim(left, gas))
-    bad_right = ~is_physical_prim(cons_to_prim(right, gas))
+    bad_left = ~_physical_columns(*_primitive_columns(left, gas))
+    bad_right = ~_physical_columns(*_primitive_columns(right, gas))
     if np.any(bad_left):
         left = np.where(bad_left[..., None], u1, left)
     if np.any(bad_right):
@@ -625,7 +625,7 @@ def riemann_flux(
         R = _FaceSide(right, nx, ny, gas)
     if validate:
         for name, side in (("left", L), ("right", R)):
-            ok = is_physical_prim(np.stack((side.rho, side.u, side.v, side.p), axis=-1))
+            ok = _physical_columns(side.rho, side.u, side.v, side.p)
             if not np.all(ok):
                 raise StateError(
                     f"{int(np.sum(~ok))} non-physical {name} state(s) passed to solver {solver!r}"

@@ -82,19 +82,21 @@ def prim_to_cons(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     return cons
 
 
-def cons_to_prim(cons: np.ndarray, gas: GasModel) -> np.ndarray:
-    """Convert ``(rho, rho*u, rho*v, E)`` to ``(rho, u, v, p)``."""
-    cons = np.asarray(cons, dtype=float)
+def _primitive_columns(cons: np.ndarray, gas: GasModel):
+    """``rho, u, v, p`` of conservative states as separate arrays."""
     rho = cons[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = cons[..., 1] / rho
         v = cons[..., 2] / rho
     p = (gas.gamma - 1.0) * (cons[..., 3] - 0.5 * rho * (u * u + v * v))
+    return rho, u, v, p
+
+
+def cons_to_prim(cons: np.ndarray, gas: GasModel) -> np.ndarray:
+    """Convert ``(rho, rho*u, rho*v, E)`` to ``(rho, u, v, p)``."""
+    cons = np.asarray(cons, dtype=float)
     prim = np.empty_like(cons)
-    prim[..., 0] = rho
-    prim[..., 1] = u
-    prim[..., 2] = v
-    prim[..., 3] = p
+    prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3] = _primitive_columns(cons, gas)
     return prim
 
 
@@ -104,11 +106,16 @@ def sound_speed(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     return np.sqrt(gas.gamma * prim[..., 3] / prim[..., 0])
 
 
+def _physical_columns(rho, u, v, p) -> np.ndarray:
+    """All four primitive columns finite, density and pressure positive."""
+    ok = np.isfinite(rho) & np.isfinite(u) & np.isfinite(v) & np.isfinite(p)
+    return ok & (rho > 0.0) & (p > 0.0)
+
+
 def is_physical_prim(prim: np.ndarray) -> np.ndarray:
     """Elementwise check that density and pressure are finite and positive."""
     prim = np.asarray(prim, dtype=float)
-    ok = np.all(np.isfinite(prim), axis=-1)
-    return ok & (prim[..., 0] > 0.0) & (prim[..., 3] > 0.0)
+    return _physical_columns(prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3])
 
 
 def normal_shock_states(mach: float, gas: GasModel = GasModel()) -> tuple[np.ndarray, np.ndarray]:

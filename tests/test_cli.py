@@ -260,6 +260,18 @@ class TestMainAnalysis:
         assert code == 1
         assert np.loadtxt(out / "eigenvalues.dat").shape == (8, 2)
 
+    @pytest.mark.parametrize("extra,method", [
+        ("", "transverse_fourier"),
+        ("bc_bottom = slip_wall\nbc_top = slip_wall\n", "dense"),
+        ("eig_method = arnoldi\narnoldi_k = 8\n", "arnoldi"),
+    ])
+    def test_summary_names_the_solve_that_ran(self, tmp_path, extra, method):
+        out = tmp_path / "out"
+        assert cli.main([self.write(tmp_path, unstable_settings(out) + extra)]) == 1
+        summary = _summary(out)
+        assert summary["eig_method_used"] == method
+        assert int(summary["spectrum_size"]) == (8 if method == "arnoldi" else 484)
+
 
 class TestExternalFlow:
     def make_case(self, tmp_path, reconstruction="first_order"):

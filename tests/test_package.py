@@ -146,3 +146,16 @@ def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
     scheme = numerics.ReconstructionScheme(kind="muscl", limiter="van_albada")
     residual.residual(field, ghosts, metrics, scheme, "hllc", gas)
     assert calls == {"reconstruct_pair": 1, "riemann_flux": 1, "face_reconstruction": 1}
+
+
+def test_one_dense_eigenvalue_call_site():
+    # Every full spectrum goes through the one transverse-Fourier solve in
+    # stability.eigensolve; a second dense call would be a second path.
+    src = Path(shockstab.__file__).parent
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("eig", "eigvals")):
+                sites.append((path.stem, ast.unparse(node.func)))
+    assert sites == [("stability", "np.linalg.eigvals")]

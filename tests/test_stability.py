@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from shockstab import EigenSolveError
-from shockstab.mesh import compute_metrics, make_cartesian_grid
+from scipy.optimize import linear_sum_assignment
+
+from shockstab import EigenSolveError, cli
+from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import ReconstructionScheme
 from shockstab.residual import (
     BoundaryCondition,
@@ -15,8 +17,10 @@ from shockstab.residual import (
     residual,
 )
 from shockstab.stability import (
+    DENSE_CAP,
     FD_STEP,
     NEUTRAL_TOL,
+    _sort_spectrum,
     assemble,
     eigensolve,
     eigensolve_leading,
@@ -27,6 +31,7 @@ from shockstab.stability import (
     reconstruction_coefficients,
     spectral_radius_upper,
     stability_verdict,
+    transverse_blocks,
     write_matrix,
 )
 from shockstab.state import FlowField, GasModel, init_normal_shock_rh, normal_shock_states, prim_to_cons
@@ -395,6 +400,159 @@ class TestEigensolve:
         assert stability_verdict(0.0) == "stable"
         assert stability_verdict(0.5 * NEUTRAL_TOL) == "stable"
         assert stability_verdict(1e-9) == "unstable"
+
+
+def block_circulant(blocks, nj):
+    """Sparse matrix holding ``blocks[d]`` in block column ``(j + d) mod nj`` of each block row ``j``."""
+    m = next(iter(blocks.values())).shape[0]
+    j = np.arange(nj)[:, None]
+    r, c = (a.ravel() for a in np.indices((m, m)))
+    rows = np.concatenate([(j * m + r).ravel() for d in blocks])
+    cols = np.concatenate([(((j + d) % nj) * m + c).ravel() for d in blocks])
+    vals = np.concatenate([np.tile(block.ravel(), nj) for block in blocks.values()])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nj * m, nj * m)).tocsr()
+
+
+def random_offset_blocks(m, seed, offsets=(0, 1, -1, 2, -2)):
+    rng = np.random.default_rng(seed)
+    return {d: rng.standard_normal((m, m)) / (1 + abs(d)) for d in offsets}
+
+
+def matched_distance(a, b):
+    """Largest distance from a value of ``a`` to its partner in ``b`` under
+    the minimum-cost one-to-one matching."""
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert len(rows) == len(a)
+    return float(cost[rows, cols].max())
+
+
+def anchor_analysis(grid):
+    """The anchor configuration on ``grid`` with a 500-step 1-D base."""
+    return cli.analyze(cli.parse_settings_text(
+        f"grid = {grid}\nmach = 20\nepsilon = 0.1\nsolver = hllc\nreconstruction = muscl\n"
+        "limiter = van_albada\noned_steps = 500\n"))
+
+
+@pytest.fixture(scope="module")
+def anchor_11():
+    return anchor_analysis("11x11")
+
+
+def normal_shock_matrix(ni=7, nj=4, bcs=None, base=None):
+    metrics = compute_metrics(make_cartesian_grid(ni, nj))
+    base = init_normal_shock_rh(ni, nj, mach=3.0, epsilon=0.3, gas=GAS) if base is None else base
+    bcs = normal_shock_bcs(3.0, GAS) if bcs is None else bcs
+    return assemble(base, metrics, ReconstructionScheme(kind="muscl"), "hllc", bcs, GAS).matrix
+
+
+class TestTransverseSplit:
+    @pytest.mark.parametrize("nj", [1, 2, 5, 6])
+    def test_synthetic_spectrum_equals_dense(self, nj):
+        matrix = block_circulant(random_offset_blocks(4, seed=nj), nj)
+        split = transverse_blocks(matrix, nj)
+        assert split.method == ("dense" if nj == 1 else "transverse_fourier")
+        got = eigensolve(split)
+        expected = np.linalg.eigvals(matrix.toarray())
+        assert got.shape == expected.shape
+        assert matched_distance(got, expected) <= 1e-10
+        assert np.array_equal(got, eigensolve(matrix, nj=nj))
+
+    @pytest.mark.parametrize("rel,splits", [(1e-15, True), (1e-11, False)])
+    def test_block_rows_equal_to_1e13_of_max_entry(self, rel, splits):
+        m, nj = 4, 5
+        matrix = block_circulant(random_offset_blocks(m, seed=8), nj)
+        matrix.data[matrix.indptr[2 * m]] += rel * np.max(np.abs(matrix.data))  # one entry of block row 2
+        assert (transverse_blocks(matrix, nj).nj == nj) is splits
+
+    @pytest.mark.parametrize("grid", ["11x11", "21x21"])
+    def test_anchor_split_matches_plain_solve(self, grid, anchor_11):
+        analysis = anchor_11 if grid == "11x11" else anchor_analysis(grid)
+        nj = analysis.stab.nj
+        assert analysis.eig_method_used == "transverse_fourier"
+        assert transverse_blocks(analysis.stab.matrix, nj).offsets == (0, 1, 2, nj - 2, nj - 1)
+        split, plain = analysis.spectrum, eigensolve(analysis.stab.matrix)
+        assert split.shape == plain.shape
+        # the deep left half-plane holds highly non-normal clusters that
+        # neither route resolves to roundoff
+        band = 1e-6
+        assert matched_distance(plain[plain.real > -0.1], split[split.real > -0.1 - band]) <= 1e-10
+        assert matched_distance(split[split.real > -0.1], plain[plain.real > -0.1 - band]) <= 1e-10
+
+    def test_anchor_arnoldi_matches_split(self, anchor_11):
+        leading = eigensolve_leading(anchor_11.stab.matrix, k=12)
+        split = anchor_11.spectrum
+        assert matched_distance(leading[leading.real > -0.1], split[split.real > -0.1 - 1e-6]) <= 1e-10
+
+    def full_ring_matrix(self):
+        # rotationally symmetric, but the velocity components are Cartesian
+        ni, nj = 4, 8
+        grid = make_annular_grid(ni, nj, 1.0, 2.0, 2.0 * np.pi)
+        xc = 0.25 * (grid.x[:-1, :-1] + grid.x[1:, :-1] + grid.x[:-1, 1:] + grid.x[1:, 1:])
+        yc = 0.25 * (grid.y[:-1, :-1] + grid.y[1:, :-1] + grid.y[:-1, 1:] + grid.y[1:, 1:])
+        theta = np.arctan2(yc, xc)
+        prim = np.stack([np.ones_like(theta), -2.0 * np.sin(theta), 2.0 * np.cos(theta),
+                         np.full_like(theta, 1.0 / GAS.gamma)], axis=-1)
+        bcs = BoundaryConditionSet(
+            left=BoundaryCondition.zero_gradient(), right=BoundaryCondition.zero_gradient(),
+            bottom=BoundaryCondition.periodic(), top=BoundaryCondition.periodic(),
+        )
+        smat = assemble(FlowField(q=prim_to_cons(prim, GAS)), compute_metrics(grid),
+                        ReconstructionScheme(kind="muscl"), "hllc", bcs, GAS)
+        return smat.matrix, nj
+
+    def slip_top_matrix(self):
+        # periodic sides come in pairs, so the bottom becomes zero-gradient
+        bcs = normal_shock_bcs(3.0, GAS)
+        bcs = BoundaryConditionSet(left=bcs.left, right=bcs.right, bottom=BoundaryCondition.zero_gradient(),
+                                   top=BoundaryCondition.slip_wall())
+        return normal_shock_matrix(bcs=bcs), 4
+
+    def perturbed_row_matrix(self):
+        base = init_normal_shock_rh(7, 4, mach=3.0, epsilon=0.3, gas=GAS)
+        q = base.q.copy()
+        q[:, 2, 0] *= 1.0 + 1e-9
+        return normal_shock_matrix(base=FlowField(q=q)), 4
+
+    def dropped_entry_matrix(self):
+        coo = normal_shock_matrix().tocoo()
+        drop = np.flatnonzero(coo.row == 4 * 7 * 2)[0]  # first row of block row 2
+        keep = np.arange(coo.nnz) != drop
+        return sp.coo_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape).tocsr(), 4
+
+    def moved_entry_matrix(self):
+        # every row keeps its entry count and its values in order; one entry
+        # of block row 2 moves from offset +1 to offset +2
+        m, nj = 2, 5
+        coo = block_circulant(random_offset_blocks(m, seed=4, offsets=(0, 1)), nj).tocoo()
+        cols = np.where((coo.row == 2 * m) & (coo.col == 3 * m + 1), 4 * m + 1, coo.col)
+        return sp.coo_matrix((coo.data, (coo.row, cols)), shape=coo.shape).tocsr(), nj
+
+    def test_normal_shock_control_splits(self):
+        assert transverse_blocks(normal_shock_matrix(), 4).method == "transverse_fourier"
+
+    @pytest.mark.parametrize("case", ["full_ring", "slip_top", "perturbed_row", "dropped_entry", "moved_entry"])
+    def test_rejected_matrix_takes_the_plain_solve(self, case):
+        matrix, nj = getattr(self, f"{case}_matrix")()
+        split = transverse_blocks(matrix, nj)
+        assert split.nj == 1 and split.method == "dense"
+        expected = _sort_spectrum(np.linalg.eigvals(matrix.toarray()))
+        assert np.array_equal(eigensolve(matrix, nj=nj), expected)
+
+    def test_cap_applies_to_the_largest_block(self):
+        m = 4
+        nj = DENSE_CAP // m + 1
+        matrix = block_circulant(random_offset_blocks(m, seed=3, offsets=(0, 1, -1)), nj)
+        assert matrix.shape[0] > DENSE_CAP
+        assert transverse_blocks(matrix, nj).order == 2 * m
+        spectrum = eigensolve(matrix, nj=nj)
+        assert spectrum.shape == (matrix.shape[0],) and np.all(np.isfinite(spectrum))
+        with pytest.raises(EigenSolveError):
+            eigensolve(matrix, cap=2 * m - 1, nj=nj)
+        broken = matrix.copy()
+        broken.data[0] += 1.0
+        with pytest.raises(EigenSolveError):
+            eigensolve(broken, nj=nj)
 
 
 class TestMatrixIO:
