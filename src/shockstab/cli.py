@@ -554,6 +554,7 @@ def run_analysis(analysis: Analysis, dump_matrix: bool = False) -> int:
                       ("initialization", settings.initialization)]
     if analysis.oned is not None:
         pairs.append(("oned_residual_inf", analysis.oned.residual_inf))
+        harness.write_residual_history(analysis.oned, outdir / "series_oned.dat")
     _write_summary(outdir / "summary.txt", pairs)
 
     print(f"max Re(lambda) = {pair.eigenvalue.real:.6e} ({verdict}); artifacts in {outdir}")

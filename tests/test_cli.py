@@ -385,6 +385,22 @@ class TestSweepAndValidate:
             assert "--sweep" in capsys.readouterr().err
             assert not (out / "sweep.dat").exists()
 
+    def test_oned_history_written_by_single_runs_only(self, tmp_path):
+        base = ("test_case = normal_shock\ngrid = 5x3\nmach = 3\nepsilon = 0.1\nsolver = hllc\n"
+                "reconstruction = first_order\noned_steps = 40\nsweep_mach = 3\nsweep_solvers = hllc\n")
+        runs = {"single": ("", []), "sweep": ("", ["--sweep"]),
+                "rh": ("initialization = rankine_hugoniot\n", [])}
+        for name, (extra, flags) in runs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(base + extra + f"output_dir = {tmp_path / name}\n", encoding="ascii")
+            assert cli.main([str(cfg), *flags]) in (0, 1)
+        rows = [line.split() for line in (tmp_path / "single" / "series_oned.dat").read_text().splitlines()]
+        assert [int(r[0]) for r in rows] == list(range(40))
+        history = cli.analyze(parse_settings(tmp_path / "single.cfg")).oned.residual_history
+        assert np.array_equal([float(r[1]) for r in rows], history)
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == ["settings_echo.dat", "sweep.dat"]
+        assert not (tmp_path / "rh" / "series_oned.dat").exists()
+
     # Both modes below must analyse the operator of the configured grid and
     # boundaries, not a unit-cell grid with the default shock boundaries.
     SCALED = (

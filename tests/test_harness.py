@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
-from shockstab import EvolutionError, FitError, StateError
+from shockstab import EvolutionError, FitError, StateError, cli
 from shockstab.harness import (
+    _rk4_step_matrix,
     dominance_gap,
     evolve_linear,
     evolve_nonlinear,
@@ -19,6 +21,7 @@ from shockstab.harness import (
 from shockstab.mesh import compute_metrics, make_cartesian_grid
 from shockstab.numerics import ReconstructionScheme
 from shockstab.residual import fill_ghosts, normal_shock_bcs, residual
+from shockstab.stability import spectral_radius_upper
 from shockstab.state import (
     FlowField,
     GasModel,
@@ -161,6 +164,114 @@ class TestEvolveLinear:
         with pytest.raises(EvolutionError):
             evolve_linear(sp.csr_matrix((2, 2)), steps=10)
 
+    @pytest.mark.parametrize("dt", [-0.1, 0.0, np.nan, np.inf])
+    def test_rejects_bad_time_step(self, dt):
+        # a negative step would march backwards and report the most stable
+        # eigenvalue as the growth rate
+        m = sp.csr_matrix(np.diag([-1.0, 0.5]))
+        with pytest.raises(EvolutionError, match="time step must be positive and finite"):
+            evolve_linear(m, steps=100, dt=dt)
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_rejects_step_count_below_one(self, steps):
+        m = sp.csr_matrix(np.diag([-1.0, 0.5]))
+        with pytest.raises(EvolutionError, match=f"need at least one step, got {steps}"):
+            evolve_linear(m, steps=steps)
+
+    def test_rejects_non_finite_perturbation(self):
+        m = sp.csr_matrix(np.diag([-1.0, 0.5]))
+        with pytest.raises(EvolutionError, match="non-finite"):
+            evolve_linear(m, steps=10, delta0=np.array([1.0, np.nan]))
+
+
+@pytest.fixture(scope="module")
+def anchor_5x5():
+    """The anchor configuration on 5x5 with the default 2000-step 1-D base."""
+    return cli.analyze(cli.parse_settings_text(
+        "grid = 5x5\nmach = 20\nepsilon = 0.1\nsolver = hllc\nreconstruction = muscl\n"
+        "limiter = van_albada\n"))
+
+
+def reference_march(step_matrix, delta0, steps):
+    """``evolve_linear``'s loop without the flush; also returns the largest
+    number of subnormal entries the vector held after a renormalization."""
+    nrm = np.linalg.norm(delta0)
+    v = delta0 / nrm
+    logs = [float(np.log(nrm))]
+    shift = 0.0
+    subnormal = 0
+    for _ in range(steps):
+        v = step_matrix @ v
+        growth = np.linalg.norm(v)
+        shift += float(np.log(growth))
+        v = v / growth
+        logs.append(logs[0] + shift)
+        subnormal = max(subnormal, int(np.count_nonzero((v != 0.0) & (np.abs(v) < np.finfo(float).tiny))))
+    return np.array(logs), subnormal
+
+
+class TestStepMatrix:
+    """One step of ``evolve_linear`` is one product with ``P(dt S)``."""
+
+    @pytest.fixture(params=["anchor_5x5", "decoupled"])
+    def case(self, request):
+        """``(S, dt, steps, dense)``.  The 5x5 anchor takes ``evolve_linear``'s
+        default ``dt`` and has a dense ``P``; the decoupled matrix has a CSR one."""
+        if request.param == "decoupled":
+            # a growing rotation beside a block decaying about e-fold per step
+            matrix = sp.block_diag([np.array([[0.1, 1.0], [-1.0, 0.1]]),
+                                    np.array([[-20.0, 5.0], [0.0, -25.0]])], format="csr")
+            return matrix, 0.05, 1000, False
+        matrix = request.getfixturevalue("anchor_5x5").stab.matrix
+        return matrix, 2.7 / spectral_radius_upper(matrix), 12000, True
+
+    @staticmethod
+    def march(matrix, dt, steps):
+        delta0 = np.random.default_rng(3).standard_normal(matrix.shape[0])
+        return evolve_linear(matrix, steps, delta0=delta0, dt=dt), delta0
+
+    def test_step_matrix_is_one_classical_rk4_step(self, case):
+        matrix, dt, _, dense = case
+        p = _rk4_step_matrix(matrix, dt)
+        assert isinstance(p, np.ndarray) == dense
+        v = np.random.default_rng(5).standard_normal(matrix.shape[0])
+        k1 = matrix @ v
+        k2 = matrix @ (v + 0.5 * dt * k1)
+        k3 = matrix @ (v + 0.5 * dt * k2)
+        k4 = matrix @ (v + dt * k3)
+        rk4 = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.allclose(p @ v, rk4, rtol=0.0, atol=1e-13 * np.linalg.norm(v))
+
+    def test_flush_is_invisible(self, case):
+        matrix, dt, steps, _ = case
+        series, delta0 = self.march(matrix, dt, steps)
+        logs, subnormal = reference_march(_rk4_step_matrix(matrix, dt), delta0, steps)
+        assert subnormal > 0  # the unflushed vector really underflows
+        assert np.array_equal(series.log_norm, logs)
+
+    def test_dense_and_csr_storage_agree(self, case):
+        matrix, dt, steps, dense = case
+        series, delta0 = self.march(matrix, dt, steps)
+        p = _rk4_step_matrix(matrix, dt)
+        logs, _ = reference_march(sp.csr_matrix(p) if dense else p.toarray(), delta0, steps)
+        assert np.max(np.abs(series.log_norm - logs)) <= 1e-12
+
+
+def test_linear_march_matches_expm_multiply(anchor_5x5):
+    # exp(tS) v0 from scipy's truncated-Taylor action (Al-Mohy & Higham
+    # 2011) on the march's time span: an integrator-free check of the rate
+    matrix = anchor_5x5.stab.matrix
+    max_real = float(anchor_5x5.spectrum[0].real)
+    series = evolve_linear(matrix, 20000)
+    t = np.linspace(0.0, series.t[-1], 201)
+    exact = expm_multiply(matrix, np.random.default_rng(20230614).standard_normal(matrix.shape[0]),
+                          start=0.0, stop=series.t[-1], num=t.size, endpoint=True)
+    sigma_expm = fit_growth_rate(t, np.log(np.linalg.norm(exact, axis=1))).sigma
+    sigma_march = fit_growth_rate(series.t, series.log_norm).sigma
+    assert max_real > 0.1
+    for a, b in ((sigma_expm, max_real), (sigma_march, max_real), (sigma_march, sigma_expm)):
+        assert abs(a - b) <= 1e-3 * max_real
+
 
 class TestEvolveNonlinear:
     def uniform_equilibrium(self, ni, nj):
@@ -207,6 +318,21 @@ class TestEvolveNonlinear:
         pert = 1e-8 * scale * rng.uniform(-1.0, 1.0, size=base.q.shape)
         # (base + pert) - base loses ~eps/amplitude relative precision
         assert series.log_norm[0] == pytest.approx(np.log(np.linalg.norm(pert)), abs=1e-6)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"steps": 0}, "need at least one step, got 0"),
+        ({"cfl": -0.4}, "cfl must be positive and finite"),
+        ({"cfl": np.inf}, "cfl must be positive and finite"),
+        ({"amplitude": 0.0}, "amplitude must be positive and finite"),
+        ({"amplitude": np.nan}, "amplitude must be positive and finite"),
+    ])
+    def test_rejects_bad_controls(self, kwargs, match):
+        # a negative cfl marches backwards in time; a zero amplitude has no
+        # perturbation to take the log-norm of
+        metrics = compute_metrics(make_cartesian_grid(6, 3))
+        base, bc = self.uniform_equilibrium(6, 3)
+        with pytest.raises(EvolutionError, match=match):
+            evolve_nonlinear(base, bc, metrics, FIRST, "roe", GAS, **{"steps": 10, **kwargs})
 
 
 class TestFitGrowthRate:
