@@ -16,6 +16,7 @@ generators.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import traceback
 from dataclasses import dataclass, fields, replace
@@ -89,21 +90,25 @@ class Settings:
     inflow_p: float | None = None
     exit_pressure: float | None = None
     eig_method: str = "dense"
-    eig_cap: int = stability.DENSE_CAP
     arnoldi_k: int = 12
     seed: int = 20230614
     oned_steps: int = 2000
     oned_cfl: float = 0.5
     validate_linear_steps: int = 20000
     validate_nonlinear_steps: int = 4000
-    validate_cfl: float = 0.4
-    validate_amplitude: float = 1.0e-8
     sweep_mach: str = "2,3,6,20"
     sweep_solvers: str = "roe,hllc"
     output_dir: str = "."
 
 
 KNOWN_KEYS = tuple(f.name for f in fields(Settings))
+
+#: Keys that only copied a library default, with the parameter that holds it now.
+REMOVED_KEYS = {
+    "eig_cap": (stability.eigensolve, "cap"),
+    "validate_cfl": (harness.evolve_nonlinear, "cfl"),
+    "validate_amplitude": (harness.evolve_nonlinear, "amplitude"),
+}
 
 # Field annotations are strings here (``from __future__ import annotations``).
 _INT_KEYS = {f.name for f in fields(Settings) if f.type.removesuffix(" | None") == "int"}
@@ -182,9 +187,8 @@ def _validate(settings: Settings) -> Settings:
         parse_domain_spec(s.domain)
     if not s.gamma > 1.0:
         raise SettingsError(f"gamma must exceed 1, got {s.gamma}")
-    for name in ("oned_cfl", "validate_cfl", "validate_amplitude", "round_lambda1"):
-        _positive(name, getattr(s, name))
-    for name in ("eig_cap", "arnoldi_k", "oned_steps", "validate_linear_steps", "validate_nonlinear_steps"):
+    for name in ("oned_cfl", "round_lambda1", "arnoldi_k", "oned_steps", "validate_linear_steps",
+                 "validate_nonlinear_steps"):
         _positive(name, getattr(s, name))
     if s.seed < 0:
         raise SettingsError(f"key 'seed' must be non-negative, got {s.seed}")
@@ -258,6 +262,13 @@ def parse_settings_text(text: str) -> Settings:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key in REMOVED_KEYS:
+            fn, param = REMOVED_KEYS[key]
+            default = inspect.signature(fn).parameters[param].default
+            raise SettingsError(
+                f"settings key {key!r} on line {lineno} was removed; the run uses the library default "
+                f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}({param}={default!r})"
+            )
         if key not in KNOWN_KEYS:
             raise SettingsError(f"unknown settings key {key!r} on line {lineno}")
         if key in values:
@@ -417,7 +428,7 @@ def analyze(settings: Settings) -> Analysis:
     stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
     if settings.eig_method == "dense":
         blocks = stability.transverse_blocks(stab.matrix, stab.nj)
-        spectrum = stability.eigensolve(blocks, cap=settings.eig_cap)
+        spectrum = stability.eigensolve(blocks)
         method = blocks.method
     else:
         spectrum = stability.eigensolve_leading(stab.matrix, k=settings.arnoldi_k, seed=settings.seed)
@@ -437,8 +448,7 @@ def time_march(analysis: Analysis):
         "linear": harness.evolve_linear(analysis.stab.matrix, s.validate_linear_steps, seed=s.seed),
         "nonlinear": harness.evolve_nonlinear(
             analysis.base, analysis.bc, analysis.metrics, analysis.scheme, s.solver, analysis.gas,
-            steps=s.validate_nonlinear_steps, cfl=s.validate_cfl, amplitude=s.validate_amplitude,
-            seed=s.seed,
+            steps=s.validate_nonlinear_steps, seed=s.seed,
         ),
     }
     marches, errors = {}, []

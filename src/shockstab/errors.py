@@ -22,7 +22,7 @@ class GridError(ShockStabError):
 
 
 class FlowFileError(ShockStabError):
-    """Malformed or inconsistent flow-field files."""
+    """Malformed or inconsistent flow-field or matrix-dump files."""
 
 
 class StateError(ShockStabError):

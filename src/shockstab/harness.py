@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EvolutionError, FitError, StateError
-from .mesh import Grid, GridMetrics, compute_metrics, make_cartesian_grid
+from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme
 from .residual import BoundaryConditionSet, fill_ghosts, normal_shock_bcs, residual
 from .stability import spectral_radius_upper
@@ -55,7 +55,6 @@ class OneDResult:
     q: np.ndarray  # (ni, 4) conservative
     residual_inf: float
     residual_history: np.ndarray
-    grid: Grid
 
 
 @dataclass
@@ -127,8 +126,7 @@ def solve_1d_steady(
     """
     if steps < 1:
         raise EvolutionError(f"need at least one iteration, got {steps}")
-    grid = make_cartesian_grid(ni, 1)
-    metrics = compute_metrics(grid)
+    metrics = compute_metrics(make_cartesian_grid(ni, 1))
     bc = normal_shock_bcs(mach, gas)
     fld = init_normal_shock_rh(ni, 1, mach, epsilon, shock_col=shock_col, gas=gas)
     history = np.empty(steps)
@@ -149,7 +147,6 @@ def solve_1d_steady(
         q=fld.q[:, 0, :].copy(),
         residual_inf=float(np.max(np.abs(res))),
         residual_history=history,
-        grid=grid,
     )
 
 

@@ -210,6 +210,15 @@ def make_annular_grid(
     return Grid(x=rr * np.cos(tt), y=rr * np.sin(tt))
 
 
+def _edge_faces(dx: np.ndarray, dy: np.ndarray, sign: float, family: str):
+    """Length and unit normal ``sign * (dy, -dx) / length`` of the edges ``(dx, dy)``;
+    ``sign`` is exactly +-1, so the product keeps every bit, signed zeros too."""
+    length = np.hypot(dx, dy)
+    if np.any(length <= 0.0):
+        raise GridError(f"grid has a degenerate {family}-face (coincident nodes)")
+    return length, np.stack((sign * dy / length, -sign * dx / length), axis=-1)
+
+
 def compute_metrics(grid: Grid) -> GridMetrics:
     """Compute unit face normals, face lengths, and cell areas.
 
@@ -223,20 +232,9 @@ def compute_metrics(grid: Grid) -> GridMetrics:
     x, y = grid.x, grid.y
 
     # i-faces: edge from node (f, j) to node (f, j+1), normal toward +i.
-    dx = x[:, 1:] - x[:, :-1]
-    dy = y[:, 1:] - y[:, :-1]
-    iface_len = np.hypot(dx, dy)
-    if np.any(iface_len <= 0.0):
-        raise GridError("grid has a degenerate i-face (coincident nodes)")
-    iface_normal = np.stack((dy / iface_len, -dx / iface_len), axis=-1)
-
+    iface_len, iface_normal = _edge_faces(x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1], 1.0, "i")
     # j-faces: edge from node (i, f) to node (i+1, f), normal toward +j.
-    dx = x[1:, :] - x[:-1, :]
-    dy = y[1:, :] - y[:-1, :]
-    jface_len = np.hypot(dx, dy)
-    if np.any(jface_len <= 0.0):
-        raise GridError("grid has a degenerate j-face (coincident nodes)")
-    jface_normal = np.stack((-dy / jface_len, dx / jface_len), axis=-1)
+    jface_len, jface_normal = _edge_faces(x[1:, :] - x[:-1, :], y[1:, :] - y[:-1, :], -1.0, "j")
 
     xa, ya = x[:-1, :-1], y[:-1, :-1]
     xb, yb = x[1:, :-1], y[1:, :-1]

@@ -246,8 +246,9 @@ def reconstruct_pair(
     else:
         left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
 
-    bad_left = ~_physical_columns(*_primitive_columns(left, gas))
-    bad_right = ~_physical_columns(*_primitive_columns(right, gas))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad_left = ~_physical_columns(*_primitive_columns(left, gas))
+        bad_right = ~_physical_columns(*_primitive_columns(right, gas))
     if np.any(bad_left):
         left = np.where(bad_left[..., None], u1, left)
     if np.any(bad_right):
@@ -348,11 +349,8 @@ class _FaceSide:
     __slots__ = ("rho", "u", "v", "qn", "qt", "p", "E", "a", "H", "cons")
 
     def __init__(self, cons: np.ndarray, nx: np.ndarray, ny: np.ndarray, gas: GasModel):
-        rho = cons[..., 0]
-        u = cons[..., 1] / rho
-        v = cons[..., 2] / rho
+        rho, u, v, p = _primitive_columns(cons, gas)
         E = cons[..., 3]
-        p = (gas.gamma - 1.0) * (E - 0.5 * rho * (u * u + v * v))
         self.rho = rho
         self.u = u
         self.v = v
@@ -515,8 +513,8 @@ def _flux_van_leer(L: _FaceSide, R: _FaceSide, gas: GasModel) -> np.ndarray:
     return split(L, +1.0) + split(R, -1.0)
 
 
-def _mach_split_m4(m: np.ndarray, sign: float, beta: float = 0.125) -> np.ndarray:
-    sub = sign * (0.25 * (m + sign) ** 2 + beta * (m * m - 1.0) ** 2)
+def _mach_split_m4(m: np.ndarray, sign: float) -> np.ndarray:
+    sub = sign * (0.25 * (m + sign) ** 2 + 0.125 * (m * m - 1.0) ** 2)  # beta = 1/8
     sup = 0.5 * (m + sign * np.abs(m))
     return np.where(np.abs(m) >= 1.0, sup, sub)
 

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolveError, LinearizationError
+from .errors import EigenSolveError, FlowFileError, LinearizationError
 from .mesh import GridMetrics
 from .numerics import (
     FD_STEP,  # noqa: F401 - still importable as stability.FD_STEP
@@ -516,9 +516,40 @@ def write_matrix(matrix: sp.spmatrix, path) -> None:
 
 
 def read_matrix(path) -> sp.csr_matrix:
-    """Read a matrix written by :func:`write_matrix`."""
-    with open(path, "r", encoding="ascii") as fh:
-        nrows, ncols, nnz = (int(tok) for tok in fh.readline().split())
-        records = np.array(fh.read().split(), dtype=float).reshape(nnz, 3)
+    """Read a matrix written by :func:`write_matrix`.
+
+    A file that cannot be read, a header other than three non-negative
+    integers, a record count other than the header's ``nnz``, a non-numeric
+    field, or an index that is not an integer inside the header's shape
+    raises :class:`FlowFileError` naming ``path``.
+    """
+    where = f"matrix file {str(path)!r}"
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().split()
+            tokens = fh.read().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FlowFileError(f"cannot read {where}: {exc}") from exc
+    try:
+        nrows, ncols, nnz = (int(tok) for tok in header)
+        if min(nrows, ncols, nnz) < 0:
+            raise ValueError
+    except ValueError:
+        raise FlowFileError(f"{where} needs a 'nrows ncols nnz' header of non-negative integers, "
+                            f"got {' '.join(header)!r}") from None
+    if len(tokens) != 3 * nnz:
+        raise FlowFileError(f"{where} has {len(tokens)} fields after its header, expected 3 per record "
+                            f"for {nnz} records")
+    try:
+        records = np.array(tokens, dtype=float).reshape(nnz, 3)
+    except ValueError:
+        raise FlowFileError(f"{where} contains a non-numeric field") from None
+    for column, name, size in ((0, "row", nrows), (1, "column", ncols)):
+        index = records[:, column]
+        bad = ~((index == np.floor(index)) & (index >= 0) & (index < size))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise FlowFileError(f"{where} record {k + 1} has {name} index {tokens[3 * k + column]!r}, "
+                                f"not an integer in [0, {size})")
     rows, cols = records[:, 0].astype(np.int64), records[:, 1].astype(np.int64)
     return sp.coo_matrix((records[:, 2], (rows, cols)), shape=(nrows, ncols)).tocsr()

@@ -66,9 +66,6 @@ class FlowField:
     def nj(self) -> int:
         return self.q.shape[1]
 
-    def copy(self) -> "FlowField":
-        return FlowField(q=self.q.copy())
-
 
 def prim_to_cons(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     """Convert ``(rho, u, v, p)`` to ``(rho, rho*u, rho*v, E)``."""
@@ -83,11 +80,14 @@ def prim_to_cons(prim: np.ndarray, gas: GasModel) -> np.ndarray:
 
 
 def _primitive_columns(cons: np.ndarray, gas: GasModel):
-    """``rho, u, v, p`` of conservative states as separate arrays."""
+    """``rho, u, v, p`` of conservative states as separate arrays.
+
+    Zero density gives inf/nan rather than an error; the caller sets the
+    floating-point error state, once for all the work it does with the result.
+    """
     rho = cons[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cons[..., 1] / rho
-        v = cons[..., 2] / rho
+    u = cons[..., 1] / rho
+    v = cons[..., 2] / rho
     p = (gas.gamma - 1.0) * (cons[..., 3] - 0.5 * rho * (u * u + v * v))
     return rho, u, v, p
 
@@ -96,7 +96,8 @@ def cons_to_prim(cons: np.ndarray, gas: GasModel) -> np.ndarray:
     """Convert ``(rho, rho*u, rho*v, E)`` to ``(rho, u, v, p)``."""
     cons = np.asarray(cons, dtype=float)
     prim = np.empty_like(cons)
-    prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3] = _primitive_columns(cons, gas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3] = _primitive_columns(cons, gas)
     return prim
 
 

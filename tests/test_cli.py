@@ -1,5 +1,9 @@
 """Settings parsing, the analysis pipeline, and both console entry points."""
 
+from dataclasses import fields
+from itertools import takewhile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,6 +172,31 @@ class TestParsing:
         with pytest.raises(SettingsError, match="cannot read settings file"):
             parse_settings(tmp_path / "none.cfg")
 
+    def test_readme_settings_reference_lists_every_key(self):
+        # Rows name one key, join keys with " / " (defaults joined alike), or
+        # abbreviate a family as "prefix_first/second/...".
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Settings reference", 1)[1]
+        rows = takewhile(lambda line: line.startswith("|"), section.strip().splitlines()[2:])
+        defaults = {f.name: f.default for f in fields(Settings)}
+        documented = []
+        for row in rows:
+            key_cell, default_cell, _meaning = (cell.strip() for cell in row[1:].split("|", 2))
+            keys = [key.strip("`") for key in key_cell.split(" / ")]
+            given = default_cell.split(" / ") if len(keys) > 1 else [default_cell]
+            assert len(given) == len(keys), row
+            for key, default in zip(keys, given):
+                first, *rest = key.split("/")
+                prefix = first.rpartition("_")[0] + "_"
+                for name in [first] + [prefix + tail for tail in rest]:
+                    documented.append(name)
+                    want = defaults.get(name)
+                    if default.startswith("`") and default.endswith("`"):
+                        assert want is not None and type(want)(default.strip("`")) == want, (name, default)
+                    else:
+                        assert want is None, (name, default)
+        assert sorted(documented) == sorted(cli.KNOWN_KEYS)
+
 
 class TestMainAnalysis:
     def write(self, tmp_path, text, name="run.cfg"):
@@ -245,6 +274,23 @@ class TestMainAnalysis:
         assert code == 0
         header = (out / "matrix.dat").read_text().splitlines()[0].split()
         assert header[0] == header[1] == str(4 * 11 * 11)
+
+    @pytest.mark.parametrize("key, value, replacement", [
+        ("eig_cap", "500", "stability.eigensolve(cap=12000)"),
+        ("validate_cfl", "0.3", "harness.evolve_nonlinear(cfl=0.4)"),
+        ("validate_amplitude", "1e-6", "harness.evolve_nonlinear(amplitude=1e-08)"),
+    ])
+    def test_removed_key_names_its_replacement(self, tmp_path, capsys, key, value, replacement):
+        out = tmp_path / "out"
+        text = stable_settings(out)
+        lineno = text.count("\n") + 1
+        assert cli.main([self.write(tmp_path, text + f"{key} = {value}\n", "old.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert f"settings key {key!r} on line {lineno} was removed" in err
+        assert err.rstrip().endswith(f"the run uses the library default {replacement}")
+        assert cli.main([self.write(tmp_path, text)]) == 0
+        echoed = [line.split(" = ")[0] for line in (out / "settings_echo.dat").read_text().splitlines()]
+        assert key not in echoed and len(echoed) > 20
 
     def test_settings_echo_reparses(self, tmp_path):
         out = tmp_path / "out"

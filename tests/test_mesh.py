@@ -152,11 +152,28 @@ class TestMetrics:
         assert np.allclose(np.linalg.norm(m.iface_normal, axis=-1), 1.0, atol=1e-14)
         assert np.allclose(np.linalg.norm(m.jface_normal, axis=-1), 1.0, atol=1e-14)
 
+    @pytest.mark.parametrize("grid", [make_cartesian_grid(3, 2), make_annular_grid(3, 4, 1.0, 2.0, np.pi)],
+                             ids=["cartesian", "annular"])
+    def test_unit_normals_bitwise(self, grid):
+        # each unit normal is its edge turned by 90 degrees over its length, zero signs included
+        m = compute_metrics(grid)
+        x, y = grid.x, grid.y
+        di_x, di_y = x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1]
+        dj_x, dj_y = x[1:, :] - x[:-1, :], y[1:, :] - y[:-1, :]
+        for normal, expected in (
+            (m.iface_normal, np.stack((di_y / m.iface_len, -di_x / m.iface_len), axis=-1)),
+            (m.jface_normal, np.stack((-dj_y / m.jface_len, dj_x / m.jface_len), axis=-1)),
+        ):
+            assert np.array_equal(normal, expected)
+            assert np.array_equal(np.signbit(normal), np.signbit(expected))
+
     def test_degenerate_face_rejected(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         y = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 1.0]])  # first i-face has zero length
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="degenerate i-face"):
             compute_metrics(Grid(x=x, y=y))
+        with pytest.raises(GridError, match="degenerate j-face"):
+            compute_metrics(Grid(x=x.T, y=y.T))
 
     def test_negative_area_rejected(self):
         grid = make_cartesian_grid(2, 2)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from scipy.optimize import linear_sum_assignment
 
-from shockstab import EigenSolveError, cli
+from shockstab import EigenSolveError, FlowFileError, ShockStabError, cli
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import ReconstructionScheme
 from shockstab.residual import (
@@ -597,3 +597,27 @@ class TestMatrixIO:
         expected += [f"{r} {c} {v:.17g}" for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order])]
         assert path.read_text(encoding="ascii").splitlines() == expected
         assert np.array_equal(read_matrix(path).toarray(), matrix.toarray())
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 3 2\n0 0 1.0\n0 1\n", "has 5 fields after its header, expected 3 per record for 2 records"),
+        ("2 2 1\n0 1 abc\n", "contains a non-numeric field"),
+        ("2 2\n0 0 1.0\n", "needs a 'nrows ncols nnz' header of non-negative integers, got '2 2'"),
+        ("2 2 one\n0 0 1.0\n", "needs a 'nrows ncols nnz' header of non-negative integers, got '2 2 one'"),
+        ("2 -2 1\n0 0 1.0\n", "needs a 'nrows ncols nnz' header of non-negative integers, got '2 -2 1'"),
+        ("3 3 1\n0 0.5 1.0\n", "record 1 has column index '0.5', not an integer in [0, 3)"),
+        ("3 3 2\n0 0 1.0\n3 1 2.0\n", "record 2 has row index '3', not an integer in [0, 3)"),
+        ("3 3 1\n-1 0 1.0\n", "record 1 has row index '-1', not an integer in [0, 3)"),
+    ], ids=["short", "non_numeric", "header_count", "header_type", "header_negative",
+            "non_integer_index", "index_past_shape", "negative_index"])
+    def test_malformed_dump_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "matrix.dat"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(FlowFileError) as info:
+            read_matrix(path)
+        assert isinstance(info.value, ShockStabError)
+        assert str(info.value) == f"matrix file {str(path)!r} {message}"
+
+    def test_unreadable_dump_names_the_file(self, tmp_path):
+        path = tmp_path / "missing.dat"
+        with pytest.raises(FlowFileError, match="cannot read matrix file .*missing.dat"):
+            read_matrix(path)
