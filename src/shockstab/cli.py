@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, stability
-from .errors import FitError, SettingsError, ShockStabError
+from .errors import EvolutionError, FitError, SettingsError, ShockStabError
 from .mesh import Grid, GridMetrics, compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
 from .numerics import LIMITERS, RECONSTRUCTION_KINDS, RIEMANN_SOLVERS, ReconstructionScheme
 from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet
@@ -347,24 +347,28 @@ def _build_bcs(settings: Settings, gas: GasModel) -> BoundaryConditionSet:
     return BoundaryConditionSet(**{side: build(getattr(settings, f"bc_{side}")) for side in SIDES})
 
 
-def _build_base(settings: Settings, grid: Grid, gas: GasModel, scheme: ReconstructionScheme):
+def _build_base(settings: Settings, grid: Grid, gas: GasModel, scheme: ReconstructionScheme, oned):
     """Base flow plus its canonical primitive representation.
 
     The analysis runs on ``prim_to_cons(prim)`` where ``prim`` is exactly
     what the ``flow_*`` artifacts record, so re-running from those files
     reproduces the operator bit for bit (the conservative-to-primitive
-    round trip is not the floating-point identity).
+    round trip is not the floating-point identity).  A given 1-D profile
+    ``oned`` is projected instead of marching one.
     """
     ni, nj = grid.ni_cells, grid.nj_cells
     if settings.test_case == "external_flow":
         prim = read_prim_files(settings.flow_file_prefix, ni, nj)
         return FlowField(q=prim_to_cons(prim, gas)), None, prim
-    base, oned = harness.make_base_flow(
-        ni, nj, settings.mach, settings.epsilon, scheme, settings.solver,
-        init=settings.initialization, gas=gas,
-        oned_steps=settings.oned_steps, oned_cfl=settings.oned_cfl,
-        shock_col=settings.shock_col,
-    )
+    if oned is not None:
+        base = harness.project_1d_to_2d(oned, nj)
+    else:
+        base, oned = harness.make_base_flow(
+            ni, nj, settings.mach, settings.epsilon, scheme, settings.solver,
+            init=settings.initialization, gas=gas,
+            oned_steps=settings.oned_steps, oned_cfl=settings.oned_cfl,
+            shock_col=settings.shock_col,
+        )
     prim = cons_to_prim(base.q, gas)
     return FlowField(q=prim_to_cons(prim, gas)), oned, prim
 
@@ -413,18 +417,21 @@ class Analysis:
     eig_method_used: str
 
 
-def analyze(settings: Settings) -> Analysis:
+def analyze(settings: Settings, oned: harness.OneDResult | None = None) -> Analysis:
     """Build the base flow, assemble ``S`` and solve for its spectrum.
 
     Every run mode (single analysis, ``--sweep``, ``--validate``) starts
-    here, so each analyses the operator its settings describe.
+    here, so each analyses the operator its settings describe.  ``oned`` is
+    this case's 1-D march made beforehand (``--sweep`` marches the cases
+    that differ only in Mach number as one batch); without it a projected
+    base marches its own.
     """
     gas = GasModel(settings.gamma)
     scheme = _build_scheme(settings)
     grid = _build_grid(settings)
     metrics = compute_metrics(grid)
     bc = _build_bcs(settings, gas)
-    base, oned, base_prim = _build_base(settings, grid, gas, scheme)
+    base, oned, base_prim = _build_base(settings, grid, gas, scheme, oned)
     stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
     if settings.eig_method == "dense":
         blocks = stability.transverse_blocks(stab.matrix, stab.nj)
@@ -467,6 +474,8 @@ def _sweep_values(settings: Settings):
         machs = [float(tok) for tok in settings.sweep_mach.split(",") if tok.strip()]
     except ValueError:
         raise SettingsError(f"sweep_mach must be a comma list of numbers, got {settings.sweep_mach!r}") from None
+    if not all(np.isfinite(machs)):
+        raise SettingsError(f"key 'sweep_mach' entries must be finite, got {settings.sweep_mach!r}")
     solvers = [tok.strip() for tok in settings.sweep_solvers.split(",") if tok.strip()]
     for key, values in (("sweep_mach", machs), ("sweep_solvers", solvers)):
         if not values:
@@ -477,6 +486,15 @@ def _sweep_values(settings: Settings):
         if not mach > 1.0:
             raise SettingsError(f"sweep_mach entries must exceed 1, got {mach}")
     return machs, solvers
+
+
+def _march_batch(cases: list[Settings]) -> list:
+    """1-D marches of normal-shock cases that differ only in Mach number, as one batch."""
+    s = cases[0]
+    return harness.solve_1d_steady(
+        _build_grid(s).ni_cells, [c.mach for c in cases], s.epsilon, s.oned_steps, _build_scheme(s), s.solver,
+        gas=GasModel(s.gamma), cfl=s.oned_cfl, shock_col=s.shock_col,
+    )
 
 
 def run_sweep(settings: Settings, outdir: Path) -> None:
@@ -492,10 +510,19 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
                             f"remove {', '.join(pinned)}")
     machs, solvers = _sweep_values(settings)
     cases = [_validate(replace(settings, mach=mach, solver=solver)) for solver in solvers for mach in machs]
+    profiles = {}
     with open(outdir / "sweep.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda lambda_im gap\n")
         for case in cases:
-            spectrum = analyze(case).spectrum
+            if case.initialization == "oned_projection" and case not in profiles:
+                # The cases that differ from this one only in Mach number
+                # march as one batch; a member's failure waits for its row.
+                batch = [c for c in cases if replace(c, mach=None) == replace(case, mach=None)]
+                profiles.update(zip(batch, _march_batch(batch)))
+            oned = profiles.get(case)
+            if isinstance(oned, EvolutionError):
+                raise oned
+            spectrum = analyze(case, oned).spectrum
             fh.write(
                 f"{case.mach:.17g} {case.solver} {_scheme_label(case)} "
                 f"{spectrum[0].real:.17g} {spectrum[0].imag:.17g} {harness.dominance_gap(spectrum):.17g}\n"

@@ -11,6 +11,7 @@ log-slope is extracted by a saturation-aware least-squares fit.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,35 +87,36 @@ class GrowthRateFit:
 def local_wave_speed_sums(prim: np.ndarray, metrics: GridMetrics, gas: GasModel) -> np.ndarray:
     """Per-cell sum from primitive states of ``L * (|q_n| + a)`` over all four faces.
 
-    ``prim`` is the ``(ni, nj, 4)`` primitive field.  Uses the cell's own
-    state on every face; this is the standard local estimate behind
-    CFL-based time steps.
+    ``prim`` is the ``(ni, nj, 4)`` primitive field, or ``(ni, nj, members,
+    4)`` for a batch.  Uses the cell's own state on every face; this is the
+    standard local estimate behind CFL-based time steps.
     """
     a = sound_speed(prim, gas)
     u, v = prim[..., 1], prim[..., 2]
-    total = np.zeros(prim.shape[:2])
+    total = np.zeros(prim.shape[:-1])
+    per_cell = (...,) + (None,) * (prim.ndim - 3)  # face metrics broadcast over members
     for length, normal in (
         (metrics.iface_len[:-1], metrics.iface_normal[:-1]),
         (metrics.iface_len[1:], metrics.iface_normal[1:]),
         (metrics.jface_len[:, :-1], metrics.jface_normal[:, :-1]),
         (metrics.jface_len[:, 1:], metrics.jface_normal[:, 1:]),
     ):
-        qn = u * normal[..., 0] + v * normal[..., 1]
-        total += length * (np.abs(qn) + a)
+        qn = u * normal[..., 0][per_cell] + v * normal[..., 1][per_cell]
+        total += length[per_cell] * (np.abs(qn) + a)
     return total
 
 
 def solve_1d_steady(
     ni: int,
-    mach: float,
-    epsilon: float,
+    mach: float | Sequence[float],
+    epsilon: float | Sequence[float],
     steps: int,
     scheme: ReconstructionScheme,
     solver: str,
     gas: GasModel = GasModel(),
     cfl: float = 0.5,
-    shock_col: int | None = None,
-) -> OneDResult:
+    shock_col: int | None | Sequence[int | None] = None,
+) -> OneDResult | list[OneDResult | EvolutionError]:
     """March the 1-D normal-shock problem to (near) steadiness.
 
     The 1-D equations are run as a one-cell-high strip of ``ni`` unit
@@ -123,31 +125,75 @@ def solve_1d_steady(
     code is exercised.  Forward Euler with per-cell CFL time steps is
     applied for exactly ``steps`` iterations (no early exit); the final
     residual norm is reported so the caller can judge convergence.
+
+    Batch form: any of ``mach``, ``epsilon`` and ``shock_col`` may be a
+    sequence with one entry per member, and a scalar applies to every
+    member.  The members share ``ni``, ``steps``, ``scheme``, ``solver``,
+    ``gas`` and ``cfl``; they march as one batch field through one
+    ``fill_ghosts``, ``residual`` and ``local_wave_speed_sums`` call per
+    step, each member with its own inflow state and exit pressure.  Each
+    member's residual history, final residual and physical-state check
+    reduce over its own cells only, and the arithmetic is elementwise, so
+    every member's result is bit-identical to its one-member march.  A
+    member that leaves the physical state space drops out and the others go
+    on; an error raised inside the residual itself (which the end-of-step
+    check keeps from arising) ends the whole call.  The batch form returns
+    a list with, per member, its
+    :class:`OneDResult` or the :class:`EvolutionError` that stopped it; the
+    scalar form (a batch of one) returns the result or raises the error.
+
+    ``steps < 1``, a non-finite or non-positive ``cfl``, and sequences of
+    different lengths raise :class:`EvolutionError`; an invalid member
+    (Mach number, ``epsilon`` or ``shock_col``) raises before any step.
     """
     if steps < 1:
         raise EvolutionError(f"need at least one iteration, got {steps}")
+    if not (np.isfinite(cfl) and cfl > 0.0):
+        raise EvolutionError(f"cfl must be positive and finite, got {cfl}")
+    columns = (mach, epsilon, shock_col)
+    sizes = {len(c) for c in columns if np.ndim(c)}
+    if len(sizes) > 1 or 0 in sizes:
+        raise EvolutionError(f"batch columns must list the same positive number of members, got {sorted(sizes)}")
+    count = max(sizes, default=1)
+    members = list(zip(*(c if np.ndim(c) else [c] * count for c in columns)))
     metrics = compute_metrics(make_cartesian_grid(ni, 1))
-    bc = normal_shock_bcs(mach, gas)
-    fld = init_normal_shock_rh(ni, 1, mach, epsilon, shock_col=shock_col, gas=gas)
-    history = np.empty(steps)
+    bcs = [normal_shock_bcs(m, gas) for m, _, _ in members]
+    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q for m, e, c in members], axis=2)
+    fld = FlowField(q=q)
+    bc = BoundaryConditionSet.stack(bcs)
+    cfl_volume = cfl * metrics.volume[..., None]
+    history = np.empty((steps, count))
+    outcome: list = [None] * count
+    live = np.arange(count)
     prim = cons_to_prim(fld.q, gas)
     for step in range(steps):
         ghosts = fill_ghosts(fld, bc, metrics, gas)
         res = residual(fld, ghosts, metrics, scheme, solver, gas)
-        history[step] = np.max(np.abs(res))
-        dt = cfl * metrics.volume / local_wave_speed_sums(prim, metrics, gas)
-        fld = FlowField(q=fld.q + dt[..., None] * res)
+        history[step, live] = np.abs(res).max(axis=(0, 1, 3))
+        dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
+        fld.q += dt[..., None] * res
         # One conversion per step serves this check and the next time step.
         prim = cons_to_prim(fld.q, gas)
-        if not np.all(is_physical_prim(prim)):
-            raise EvolutionError(f"1-D march left the physical state space at step {step + 1}")
-    ghosts = fill_ghosts(fld, bc, metrics, gas)
-    res = residual(fld, ghosts, metrics, scheme, solver, gas)
-    return OneDResult(
-        q=fld.q[:, 0, :].copy(),
-        residual_inf=float(np.max(np.abs(res))),
-        residual_history=history,
-    )
+        physical = is_physical_prim(prim).all(axis=(0, 1))
+        if not physical.all():
+            for k in live[~physical]:
+                outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
+            live = live[physical]
+            if live.size == 0:
+                break
+            fld, prim = FlowField(q=fld.q[:, :, physical]), prim[:, :, physical]
+            bc = BoundaryConditionSet.stack([bcs[k] for k in live])
+    if live.size:
+        ghosts = fill_ghosts(fld, bc, metrics, gas)
+        final = np.abs(residual(fld, ghosts, metrics, scheme, solver, gas)).max(axis=(0, 1, 3))
+        for pos, k in enumerate(live):
+            outcome[k] = OneDResult(q=fld.q[:, 0, pos].copy(), residual_inf=float(final[pos]),
+                                    residual_history=history[:, k].copy())
+    if sizes:  # the batch form
+        return outcome
+    if isinstance(outcome[0], EvolutionError):
+        raise outcome[0]
+    return outcome[0]
 
 
 def project_1d_to_2d(oned: OneDResult | np.ndarray, nj: int) -> FlowField:

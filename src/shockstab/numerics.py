@@ -249,9 +249,9 @@ def reconstruct_pair(
     with np.errstate(divide="ignore", invalid="ignore"):
         bad_left = ~_physical_columns(*_primitive_columns(left, gas))
         bad_right = ~_physical_columns(*_primitive_columns(right, gas))
-    if np.any(bad_left):
+    if bad_left.any():
         left = np.where(bad_left[..., None], u1, left)
-    if np.any(bad_right):
+    if bad_right.any():
         right = np.where(bad_right[..., None], u2, right)
     return left, right, bad_left | bad_right
 
@@ -388,7 +388,7 @@ def _roe_average(L: _FaceSide, R: _FaceSide, gas: GasModel):
     qt = w * L.qt + (1.0 - w) * R.qt
     H = w * L.H + (1.0 - w) * R.H
     a2 = (gas.gamma - 1.0) * (H - 0.5 * (qn * qn + qt * qt))
-    if np.any(a2 <= 0.0):
+    if (a2 <= 0.0).any():
         raise StateError("interface averaging produced a non-positive sound speed")
     return qn, qt, H, np.sqrt(a2), rl * rr
 
@@ -624,7 +624,7 @@ def riemann_flux(
     if validate:
         for name, side in (("left", L), ("right", R)):
             ok = _physical_columns(side.rho, side.u, side.v, side.p)
-            if not np.all(ok):
+            if not ok.all():
                 raise StateError(
                     f"{int(np.sum(~ok))} non-physical {name} state(s) passed to solver {solver!r}"
                 )

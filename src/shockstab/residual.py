@@ -21,6 +21,7 @@ fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,14 @@ class BoundaryCondition:
 
     ``state`` is the frozen conservative inflow state (supersonic_inflow
     only); ``pressure`` the imposed exit pressure (fixed_pressure_outflow
-    only).
+    only).  For a batch of members (see :class:`~shockstab.state.FlowField`)
+    they may hold one value per member: ``state`` of shape ``(members, 4)``
+    and ``pressure`` of shape ``(members,)``.
     """
 
     kind: str
     state: np.ndarray | None = None
-    pressure: float | None = None
+    pressure: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BC_KINDS:
@@ -67,16 +70,17 @@ class BoundaryCondition:
             if self.state is None:
                 raise StateError("supersonic_inflow requires a conservative state")
             state = np.asarray(self.state, dtype=float)
-            if state.shape != (4,):
-                raise StateError(f"inflow state must have shape (4,), got {state.shape}")
-            if not bool(is_physical_prim(cons_to_prim(state, GasModel()))):
+            if state.ndim not in (1, 2) or state.shape[-1] != 4:
+                raise StateError(f"inflow state must have shape (4,) or (members, 4), got {state.shape}")
+            if not np.all(is_physical_prim(cons_to_prim(state, GasModel()))):
                 # gamma only affects the pressure sign through a positive factor
                 raise StateError("inflow state has non-positive density or pressure")
             object.__setattr__(self, "state", state)
         elif self.state is not None:
             raise StateError(f"boundary kind {self.kind!r} takes no state")
         if self.kind == "fixed_pressure_outflow":
-            if self.pressure is None or not (np.isfinite(self.pressure) and self.pressure > 0.0):
+            pressure = np.asarray(np.nan if self.pressure is None else self.pressure, dtype=float)
+            if pressure.ndim > 1 or not np.all(np.isfinite(pressure) & (pressure > 0.0)):
                 raise StateError(f"fixed_pressure_outflow requires a positive pressure, got {self.pressure}")
         elif self.pressure is not None:
             raise StateError(f"boundary kind {self.kind!r} takes no pressure")
@@ -125,6 +129,26 @@ class BoundaryConditionSet:
     def side(self, name: str) -> BoundaryCondition:
         return getattr(self, name)
 
+    @classmethod
+    def stack(cls, sets) -> "BoundaryConditionSet":
+        """One set for a batch of members, from each member's set in order.
+
+        The members must agree on every side's kind; their inflow states and
+        exit pressures are stacked along a leading member axis.
+        """
+        sides = {}
+        for name in SIDES:
+            conds = [bcs.side(name) for bcs in sets]
+            kind = conds[0].kind
+            if any(c.kind != kind for c in conds):
+                raise StateError(f"batch members disagree on the {name} boundary kind")
+            sides[name] = BoundaryCondition(
+                kind,
+                state=np.stack([c.state for c in conds]) if kind == "supersonic_inflow" else None,
+                pressure=np.array([c.pressure for c in conds]) if kind == "fixed_pressure_outflow" else None,
+            )
+        return cls(**sides)
+
 
 def normal_shock_bcs(mach: float, gas: GasModel = GasModel()) -> BoundaryConditionSet:
     """Default boundaries for the normal-shock problem.
@@ -145,8 +169,9 @@ def normal_shock_bcs(mach: float, gas: GasModel = GasModel()) -> BoundaryConditi
 class GhostField:
     """Interior field embedded in a two-layer ghost frame.
 
-    ``ext`` has shape ``(ni + 4, nj + 4, 4)``; interior cell ``(i, j)`` sits
-    at ``ext[i + 2, j + 2]``.
+    ``ext`` has shape ``(ni + 4, nj + 4, 4)`` (``(ni + 4, nj + 4, members,
+    4)`` for a batch field); interior cell ``(i, j)`` sits at
+    ``ext[i + 2, j + 2]``.
     """
 
     ext: np.ndarray
@@ -174,7 +199,6 @@ def _mirror_momentum(cells: np.ndarray, normal: np.ndarray) -> np.ndarray:
 
 def _exit_pressure_state(cells: np.ndarray, pressure: float, gas: GasModel) -> np.ndarray:
     prim = cons_to_prim(cells, gas)
-    prim = prim.copy()
     prim[..., 3] = pressure
     return prim_to_cons(prim, gas)
 
@@ -214,9 +238,13 @@ def _source_cells(side: str, bc: BoundaryCondition, view: np.ndarray) -> np.ndar
 
 
 def _ghost_map(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel) -> np.ndarray:
-    """Ghost states of a side from its source cells."""
+    """Ghost states of a side from its source cells.
+
+    ``cells`` is ``(layers, n, 4)``, or ``(layers, n, members, 4)`` for a
+    batch field; ``normal`` is the ``(n, 2)`` wall normal.
+    """
     if bc.kind == "slip_wall":
-        return _mirror_momentum(cells, normal)
+        return _mirror_momentum(cells, normal.reshape(normal.shape[:1] + (1,) * (cells.ndim - 3) + (2,)))
     if bc.kind == "fixed_pressure_outflow":
         return _exit_pressure_state(cells, bc.pressure, gas)
     return cells
@@ -239,12 +267,14 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     Slip walls mirror layer ``k`` from interior cell ``k`` about the local
     boundary-face normal; zero-gradient and fixed-pressure sides replicate
     the adjacent interior cell (the latter with its pressure replaced);
-    periodic sides wrap.
+    periodic sides wrap.  A batch field fills every member's frame, each
+    from its own inflow state and exit pressure where ``bc`` holds one per
+    member.
     """
     ni, nj = field.ni, field.nj
     if metrics.ni != ni or metrics.nj != nj:
         raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {ni} x {nj}")
-    ext = np.empty((ni + 4, nj + 4, 4))
+    ext = np.empty((ni + 4, nj + 4) + field.q.shape[2:])
     ext[2:-2, 2:-2] = field.q
     for side, view, normal in _side_views(ext, metrics):
         side_bc = bc.side(side)
@@ -311,7 +341,11 @@ def _jface_stencils(ext: np.ndarray, ni: int, nj: int):
 
 
 def _join_faces(iface: np.ndarray, jface: np.ndarray) -> np.ndarray:
-    """One face batch: the i-face rows, then the j-face rows, as ``(faces, k)``."""
+    """One face batch: the i-face rows, then the j-face rows, as ``(faces, k)``.
+
+    The member axis of a batch field is folded into the face axis (faces
+    outer, members inner), so the kernels see one flat face batch.
+    """
     k = iface.shape[-1]
     return np.concatenate((iface.reshape(-1, k), jface.reshape(-1, k)))
 
@@ -343,14 +377,21 @@ def residual(
     solver: str,
     gas: GasModel,
 ) -> np.ndarray:
-    """Net volume-scaled flux balance ``dU/dt`` for every interior cell."""
+    """Net volume-scaled flux balance ``dU/dt`` for every interior cell.
+
+    A batch field gets every member's balance in the same calls, shaped like
+    its ``q``.
+    """
     ni, nj = field.ni, field.nj
     if (ghosts.ni, ghosts.nj) != (ni, nj):
         raise StateError("ghost frame does not match the field")
+    members = field.q.shape[2:-1]
     left, right, _ = face_reconstruction(ghosts, scheme, gas)
-    normal = _join_faces(metrics.iface_normal, metrics.jface_normal)
-    flux_i, flux_j = _split_faces(riemann_flux(solver, left, right, normal, gas), ni, nj)
-    lf_i = metrics.iface_len[..., None] * flux_i
-    lf_j = metrics.jface_len[..., None] * flux_j
+    normal = _join_faces(metrics.iface_normal, metrics.jface_normal).repeat(math.prod(members), axis=0)
+    flux = riemann_flux(solver, left, right, normal, gas)
+    flux_i, flux_j = _split_faces(flux.reshape((-1,) + members + (4,)), ni, nj)
+    per_cell = (...,) + (None,) * (len(members) + 1)
+    lf_i = metrics.iface_len[per_cell] * flux_i
+    lf_j = metrics.jface_len[per_cell] * flux_j
     net = (lf_i[1:] - lf_i[:-1]) + (lf_j[:, 1:] - lf_j[:, :-1])
-    return -net / metrics.volume[..., None]
+    return -net / metrics.volume[per_cell]

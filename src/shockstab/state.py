@@ -48,14 +48,18 @@ class GasModel:
 
 @dataclass
 class FlowField:
-    """Cell-centered conservative states on an ``ni x nj`` grid."""
+    """Cell-centered conservative states on an ``ni x nj`` grid.
 
-    q: np.ndarray  # (ni, nj, 4)
+    ``q`` is ``(ni, nj, 4)``, or ``(ni, nj, members, 4)`` for a batch of
+    fields on the same grid that are marched together.
+    """
+
+    q: np.ndarray  # (ni, nj, 4) or (ni, nj, members, 4)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
-        if q.ndim != 3 or q.shape[2] != 4:
-            raise StateError(f"flow field must have shape (ni, nj, 4), got {q.shape}")
+        if q.ndim not in (3, 4) or q.shape[-1] != 4:
+            raise StateError(f"flow field must have shape (ni, nj, 4) or (ni, nj, members, 4), got {q.shape}")
         self.q = q
 
     @property

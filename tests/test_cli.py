@@ -1,13 +1,13 @@
 """Settings parsing, the analysis pipeline, and both console entry points."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shockstab import SettingsError, cli
+from shockstab import SettingsError, cli, harness
 from shockstab.cli import (
     Settings,
     parse_domain_spec,
@@ -400,6 +400,62 @@ class TestSweepAndValidate:
         cfg.write_text(text, encoding="ascii")
         assert cli.main([str(cfg), "--sweep"]) == 2
         assert "sweep_mach" in capsys.readouterr().err
+
+    def test_sweep_rejects_non_finite_mach(self, tmp_path, capsys):
+        # "3,inf" used to write Mach 3's row and then fail on the shock states
+        for entries in ("3,inf", "nan,3"):
+            out = tmp_path / "out"
+            cfg = tmp_path / "inf.cfg"
+            cfg.write_text(MINIMAL + f"sweep_mach = {entries}\noutput_dir = {out}\n", encoding="ascii")
+            assert cli.main([str(cfg), "--sweep"]) == 2
+            assert "'sweep_mach' entries must be finite" in capsys.readouterr().err
+            assert not (out / "sweep.dat").exists()
+
+    # At CFL 4 the M=20 march leaves the physical state space at step 16
+    # while the M=6 march succeeds; both march as one batch.
+    FAILING_MEMBER = (MINIMAL + "solver = hllc\nreconstruction = muscl\nlimiter = van_albada\n"
+                      "oned_steps = 200\noned_cfl = 4\nsweep_solvers = hllc\n")
+
+    @pytest.mark.parametrize("order, rows", [
+        ("6,20", ["6 hllc muscl/van_albada 0.034411088521031002"]),
+        ("20,6", []),
+    ])
+    def test_sweep_member_failure_waits_for_its_row(self, tmp_path, capsys, order, rows):
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.FAILING_MEMBER + f"sweep_mach = {order}\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--sweep"]) == 2
+        assert "1-D march left the physical state space at step 16" in capsys.readouterr().err
+        lines = (out / "sweep.dat").read_text().splitlines()
+        assert lines[0].startswith("# mach solver scheme")
+        assert [" ".join(line.split()[:4]) for line in lines[1:]] == rows
+
+    def test_sweep_marches_each_solver_once(self, tmp_path, monkeypatch):
+        # Cases that differ only in Mach number share one batched 1-D march,
+        # and every row equals the case analysed on its own.
+        marches = []
+        solve = harness.solve_1d_steady
+
+        def counted(*args, **kwargs):
+            marches.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_1d_steady", counted)
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("test_case = normal_shock\ngrid = 5x3\nmach = 3\nepsilon = 0.1\nshock_col = 3\n"
+                       "reconstruction = muscl\noned_steps = 40\nsweep_mach = 20,3,6\n"
+                       f"sweep_solvers = hllc,roe\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--sweep"]) == 0
+        assert marches == [[20.0, 3.0, 6.0], [20.0, 3.0, 6.0]]
+        rows = [line.split() for line in (out / "sweep.dat").read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [(m, s) for s in ("hllc", "roe") for m in ("20", "3", "6")]
+        marches.clear()
+        settings = parse_settings(cfg)
+        for row in rows:
+            alone = cli.analyze(replace(settings, mach=float(row[0]), solver=row[1])).spectrum
+            assert row[3:5] == [f"{alone[0].real:.17g}", f"{alone[0].imag:.17g}"]
+        assert marches == [20.0, 3.0, 6.0, 20.0, 3.0, 6.0]
 
     def test_sweep_rejects_empty_axis(self, tmp_path, capsys):
         for axis in ("sweep_mach = ,\n", "sweep_solvers = ,\n"):

@@ -7,6 +7,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from shockstab import EvolutionError, FitError, StateError, cli
 from shockstab.harness import (
+    OneDResult,
     _rk4_step_matrix,
     dominance_gap,
     evolve_linear,
@@ -19,7 +20,7 @@ from shockstab.harness import (
     write_series,
 )
 from shockstab.mesh import compute_metrics, make_cartesian_grid
-from shockstab.numerics import ReconstructionScheme
+from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme
 from shockstab.residual import fill_ghosts, normal_shock_bcs, residual
 from shockstab.stability import spectral_radius_upper
 from shockstab.state import (
@@ -70,6 +71,71 @@ class TestSolve1D:
         # CFL 5 overshoots the M=20 shock; the end-of-step check stops the march
         with pytest.raises(EvolutionError, match="at step 5$"):
             solve_1d_steady(11, 20.0, 0.1, 200, MUSCL, "hllc", cfl=5.0)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, float("nan"), float("inf")])
+    def test_bad_cfl_rejected(self, cfl):
+        # cfl = 0 used to return the unmarched profile; negative and NaN
+        # values were reported as a non-physical step
+        with pytest.raises(EvolutionError, match=f"^cfl must be positive and finite, got {cfl}$"):
+            solve_1d_steady(11, 2.0, 0.1, 10, FIRST, "roe", cfl=cfl)
+
+
+class TestBatchMarch:
+    SCHEMES = (
+        FIRST,
+        MUSCL,
+        ReconstructionScheme(kind="muscl", limiter="superbee"),
+        ReconstructionScheme(kind="round"),
+        ReconstructionScheme(kind="muscl", limiter="van_albada", variables="primitive"),
+    )
+    MACH, EPSILON, SHOCK_COL = [3.0, 20.0, 6.0], [0.1, 0.5, 0.9], [None, 4, 6]
+
+    @staticmethod
+    def outcome(*args, **kwargs):
+        try:
+            return solve_1d_steady(*args, **kwargs)
+        except EvolutionError as exc:
+            return exc
+
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_members_equal_their_one_member_marches(self, solver):
+        for scheme in self.SCHEMES:
+            batch = solve_1d_steady(11, self.MACH, self.EPSILON, 50, scheme, solver, shock_col=self.SHOCK_COL)
+            assert len(batch) == 3
+            for got, mach, eps, col in zip(batch, self.MACH, self.EPSILON, self.SHOCK_COL):
+                alone = self.outcome(11, mach, eps, 50, scheme, solver, shock_col=col)
+                assert type(got) is type(alone)
+                if isinstance(alone, EvolutionError):
+                    assert str(got) == str(alone)
+                    continue
+                assert np.array_equal(got.q, alone.q)
+                assert np.array_equal(got.residual_history, alone.residual_history)
+                assert got.residual_inf == alone.residual_inf
+            assert any(isinstance(got, OneDResult) for got in batch)
+
+    def test_failing_member_stops_only_itself(self):
+        # At CFL 4 the M=20 member leaves the physical state space at step
+        # 16; the M=6 member marches on as if alone.
+        first, second = solve_1d_steady(11, [20.0, 6.0], 0.1, 50, MUSCL, "hllc", cfl=4.0)
+        assert isinstance(first, EvolutionError)
+        assert str(first) == "1-D march left the physical state space at step 16"
+        alone = solve_1d_steady(11, 6.0, 0.1, 50, MUSCL, "hllc", cfl=4.0)
+        assert np.array_equal(second.q, alone.q)
+        assert np.array_equal(second.residual_history, alone.residual_history)
+        assert second.residual_inf == alone.residual_inf
+        assert all(isinstance(r, EvolutionError) for r in solve_1d_steady(11, [20.0], 0.1, 50, MUSCL, "hllc",
+                                                                           cfl=4.0))
+
+    def test_scalars_apply_to_every_member(self):
+        batch = solve_1d_steady(9, [2.0, 3.0], 0.1, 20, FIRST, "roe", shock_col=3)
+        for got, mach in zip(batch, [2.0, 3.0]):
+            assert np.array_equal(got.q, solve_1d_steady(9, mach, 0.1, 20, FIRST, "roe", shock_col=3).q)
+
+    @pytest.mark.parametrize("epsilon", [[0.1, 0.2, 0.3], []])
+    def test_member_counts_must_agree(self, epsilon):
+        mach = [2.0, 3.0] if epsilon else []
+        with pytest.raises(EvolutionError, match="same positive number of members"):
+            solve_1d_steady(9, mach, epsilon, 10, FIRST, "roe")
 
 
 class TestBaseFlow:

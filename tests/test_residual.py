@@ -93,6 +93,27 @@ class TestBoundaryCondition:
         with pytest.raises(StateError):
             BoundaryCondition(kind="slip_wall", pressure=1.0)
 
+    def test_member_values(self):
+        # One inflow state / exit pressure per member; each must be physical.
+        states = prim_to_cons(np.array([[1.0, 2.0, 0.0, 0.5], [1.0, 3.0, 0.0, 0.2]]), GAS)
+        assert BoundaryCondition.supersonic_inflow(states).state.shape == (2, 4)
+        with pytest.raises(StateError):
+            BoundaryCondition.supersonic_inflow(np.ones((2, 2, 4)))
+        with pytest.raises(StateError):
+            BoundaryCondition.supersonic_inflow(np.array([[1.0, 2.0, 0.0, 3.0], [1.0, 0.0, 0.0, -1.0]]))
+        with pytest.raises(StateError):
+            BoundaryCondition(kind="fixed_pressure_outflow", pressure=np.array([1.0, -0.5]))
+        with pytest.raises(StateError):
+            BoundaryCondition(kind="fixed_pressure_outflow", pressure=np.array([1.0, np.nan]))
+
+    def test_stack_needs_matching_kinds(self):
+        stacked = BoundaryConditionSet.stack([normal_shock_bcs(2.0, GAS), normal_shock_bcs(3.0, GAS)])
+        assert stacked.left.state.shape == (2, 4)
+        assert np.array_equal(stacked.right.pressure,
+                              [normal_shock_bcs(m, GAS).right.pressure for m in (2.0, 3.0)])
+        with pytest.raises(StateError, match="left"):
+            BoundaryConditionSet.stack([normal_shock_bcs(2.0, GAS), zero_gradient_bcs()])
+
     def test_periodic_must_pair(self):
         with pytest.raises(StateError):
             BoundaryConditionSet(
@@ -364,6 +385,36 @@ class TestResidual:
                 fi, fj = _split_faces(face_reconstruction(ghosts, scheme, GAS)[2], 6, 5)
                 assert fi.shape == (7, 5) and fj.shape == (6, 6)
                 assert np.array_equal(fi, ref_fi) and np.array_equal(fj, ref_fj)
+
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_member_batch_equals_each_member(self, solver):
+        # A batch field (members on axis 2) whose boundaries hold one inflow
+        # state and one exit pressure per member gets every member's own
+        # ghosts and residual, bit for bit, slip-wall normals included.
+        metrics = compute_metrics(make_annular_grid(6, 5))
+        fields = [smooth_field(6, 5, seed=seed, scale=0.1) for seed in (31, 32, 33)]
+        bcs = [
+            BoundaryConditionSet(
+                left=BoundaryCondition.supersonic_inflow(prim_to_cons(np.array([1.0, u, 0.1, 0.9]), GAS)),
+                right=BoundaryCondition.fixed_pressure_outflow(p),
+                bottom=BoundaryCondition.slip_wall(),
+                top=BoundaryCondition.zero_gradient(),
+            )
+            for u, p in ((2.0, 0.95), (1.8, 1.0), (2.2, 0.9))
+        ]
+        batch = FlowField(q=np.stack([f.q for f in fields], axis=2))
+        ghosts = fill_ghosts(batch, BoundaryConditionSet.stack(bcs), metrics, GAS)
+        for scheme in (
+            ReconstructionScheme(kind="first_order"),
+            ReconstructionScheme(kind="muscl", limiter="van_albada"),
+            ReconstructionScheme(kind="round", variables="primitive"),
+        ):
+            res = residual(batch, ghosts, metrics, scheme, solver, GAS)
+            assert res.shape == (6, 5, 3, 4)
+            for k, (field, bc) in enumerate(zip(fields, bcs)):
+                own = fill_ghosts(field, bc, metrics, GAS)
+                assert np.array_equal(ghosts.ext[:, :, k], own.ext)
+                assert np.array_equal(res[:, :, k], residual(field, own, metrics, scheme, solver, GAS))
 
     @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "ausm_plus"])
     @pytest.mark.parametrize("kind", ["first_order", "muscl", "round"])
