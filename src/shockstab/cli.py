@@ -423,8 +423,8 @@ def analyze(settings: Settings, oned: harness.OneDResult | None = None) -> Analy
     Every run mode (single analysis, ``--sweep``, ``--validate``) starts
     here, so each analyses the operator its settings describe.  ``oned`` is
     this case's 1-D march made beforehand (``--sweep`` marches the cases
-    that differ only in Mach number as one batch); without it a projected
-    base marches its own.
+    that differ only in Mach number and solver as one batch); without it a
+    projected base marches its own.
     """
     gas = GasModel(settings.gamma)
     scheme = _build_scheme(settings)
@@ -480,6 +480,9 @@ def _sweep_values(settings: Settings):
     for key, values in (("sweep_mach", machs), ("sweep_solvers", solvers)):
         if not values:
             raise SettingsError(f"{key} lists no entries")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise SettingsError(f"key {key!r} lists the entry {value!r} more than once")
     for solver in solvers:
         _check_choice("sweep_solvers", solver, RIEMANN_SOLVERS)
     for mach in machs:
@@ -489,16 +492,30 @@ def _sweep_values(settings: Settings):
 
 
 def _march_batch(cases: list[Settings]) -> list:
-    """1-D marches of normal-shock cases that differ only in Mach number, as one batch."""
+    """1-D marches of normal-shock cases that differ only in Mach number and solver, as one batch.
+
+    Each case is one member with its own Mach number and solver; the
+    members share every step's ghost fill, reconstruction and face-frame
+    split (see :func:`harness.solve_1d_steady`).  Returns, per case, its
+    profile or the :class:`EvolutionError` that stopped it.
+    """
     s = cases[0]
     return harness.solve_1d_steady(
-        _build_grid(s).ni_cells, [c.mach for c in cases], s.epsilon, s.oned_steps, _build_scheme(s), s.solver,
-        gas=GasModel(s.gamma), cfl=s.oned_cfl, shock_col=s.shock_col,
+        _build_grid(s).ni_cells, [c.mach for c in cases], s.epsilon, s.oned_steps, _build_scheme(s),
+        [c.solver for c in cases], gas=GasModel(s.gamma), cfl=s.oned_cfl, shock_col=s.shock_col,
     )
 
 
 def run_sweep(settings: Settings, outdir: Path) -> None:
-    """Eigenvalue table over the configured Mach numbers and solvers."""
+    """Eigenvalue table over the configured Mach numbers and solvers.
+
+    Rows run solver-major in the configured order.  All cases with a
+    projected base march as one batch (:func:`_march_batch`), made when the
+    first of them is reached, so each solver's members are adjacent; every
+    case then runs the one :func:`analyze` pipeline on its own profile.  A
+    member whose march failed raises its error when its row is reached,
+    after the rows before it are written.
+    """
     if settings.test_case != "normal_shock":
         raise SettingsError("--sweep supports the normal_shock case only")
     # Boundary states follow each entry's Mach number; explicit ones would pin
@@ -516,8 +533,10 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
         for case in cases:
             if case.initialization == "oned_projection" and case not in profiles:
                 # The cases that differ from this one only in Mach number
-                # march as one batch; a member's failure waits for its row.
-                batch = [c for c in cases if replace(c, mach=None) == replace(case, mach=None)]
+                # and solver march as one batch; a member's failure waits
+                # for its row.
+                key = replace(case, mach=None, solver=None)
+                batch = [c for c in cases if replace(c, mach=None, solver=None) == key]
                 profiles.update(zip(batch, _march_batch(batch)))
             oned = profiles.get(case)
             if isinstance(oned, EvolutionError):

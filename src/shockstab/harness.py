@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .errors import EvolutionError, FitError, StateError
 from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
-from .numerics import ReconstructionScheme
+from .numerics import ReconstructionScheme, _solver_kernel
 from .residual import BoundaryConditionSet, fill_ghosts, normal_shock_bcs, residual
 from .stability import spectral_radius_upper
 from .state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, is_physical_prim, sound_speed
@@ -112,7 +112,7 @@ def solve_1d_steady(
     epsilon: float | Sequence[float],
     steps: int,
     scheme: ReconstructionScheme,
-    solver: str,
+    solver: str | Sequence[str],
     gas: GasModel = GasModel(),
     cfl: float = 0.5,
     shock_col: int | None | Sequence[int | None] = None,
@@ -126,39 +126,49 @@ def solve_1d_steady(
     applied for exactly ``steps`` iterations (no early exit); the final
     residual norm is reported so the caller can judge convergence.
 
-    Batch form: any of ``mach``, ``epsilon`` and ``shock_col`` may be a
-    sequence with one entry per member, and a scalar applies to every
-    member.  The members share ``ni``, ``steps``, ``scheme``, ``solver``,
-    ``gas`` and ``cfl``; they march as one batch field through one
-    ``fill_ghosts``, ``residual`` and ``local_wave_speed_sums`` call per
-    step, each member with its own inflow state and exit pressure.  Each
-    member's residual history, final residual and physical-state check
-    reduce over its own cells only, and the arithmetic is elementwise, so
-    every member's result is bit-identical to its one-member march.  A
-    member that leaves the physical state space drops out and the others go
-    on; an error raised inside the residual itself (which the end-of-step
-    check keeps from arising) ends the whole call.  The batch form returns
-    a list with, per member, its
-    :class:`OneDResult` or the :class:`EvolutionError` that stopped it; the
-    scalar form (a batch of one) returns the result or raises the error.
+    Batch form: any of ``mach``, ``epsilon``, ``solver`` and ``shock_col``
+    may be a sequence with one entry per member, and a scalar applies to
+    every member.  The members share ``ni``, ``steps``, ``scheme``, ``gas``
+    and ``cfl``; they march as one batch field, each member with its own
+    inflow state, exit pressure and solver.  Every step makes one
+    ``fill_ghosts``, one face reconstruction, one face-frame split of both
+    sides with one physical-state validation, one back-rotation, one
+    ``local_wave_speed_sums`` and one ``cons_to_prim`` for all members; only
+    each solver's wave model runs per solver, on the contiguous face rows
+    of its members (adjacent members with the same solver share a run, so
+    list a solver's members together).  Each member's residual history,
+    final residual and physical-state check reduce over its own cells
+    only, and the arithmetic is elementwise, so every member's result is
+    bit-identical to its one-member march.  A member that leaves the
+    physical state space drops out, with its solver entry, and the others
+    go on; an error raised inside the residual itself (which the
+    end-of-step check keeps from arising) ends the whole call.  The batch
+    form returns a list with, per member, its :class:`OneDResult` or the
+    :class:`EvolutionError` that stopped it; the scalar form (a batch of
+    one) returns the result or raises the error.
 
     ``steps < 1``, a non-finite or non-positive ``cfl``, and sequences of
     different lengths raise :class:`EvolutionError`; an invalid member
-    (Mach number, ``epsilon`` or ``shock_col``) raises before any step.
+    (Mach number, ``epsilon``, ``shock_col`` or an unknown solver, which
+    raises :class:`StateError`) raises before any step.
     """
     if steps < 1:
         raise EvolutionError(f"need at least one iteration, got {steps}")
     if not (np.isfinite(cfl) and cfl > 0.0):
         raise EvolutionError(f"cfl must be positive and finite, got {cfl}")
-    columns = (mach, epsilon, shock_col)
+    columns = (mach, epsilon, shock_col, solver)
     sizes = {len(c) for c in columns if np.ndim(c)}
     if len(sizes) > 1 or 0 in sizes:
         raise EvolutionError(f"batch columns must list the same positive number of members, got {sorted(sizes)}")
     count = max(sizes, default=1)
     members = list(zip(*(c if np.ndim(c) else [c] * count for c in columns)))
+    solvers = [name for *_, name in members]
+    for name in dict.fromkeys(solvers):
+        _solver_kernel(name)
+    live_solvers = solvers
     metrics = compute_metrics(make_cartesian_grid(ni, 1))
-    bcs = [normal_shock_bcs(m, gas) for m, _, _ in members]
-    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q for m, e, c in members], axis=2)
+    bcs = [normal_shock_bcs(m, gas) for m, *_ in members]
+    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q for m, e, c, _ in members], axis=2)
     fld = FlowField(q=q)
     bc = BoundaryConditionSet.stack(bcs)
     cfl_volume = cfl * metrics.volume[..., None]
@@ -168,7 +178,7 @@ def solve_1d_steady(
     prim = cons_to_prim(fld.q, gas)
     for step in range(steps):
         ghosts = fill_ghosts(fld, bc, metrics, gas)
-        res = residual(fld, ghosts, metrics, scheme, solver, gas)
+        res = residual(fld, ghosts, metrics, scheme, live_solvers, gas)
         history[step, live] = np.abs(res).max(axis=(0, 1, 3))
         dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
         fld.q += dt[..., None] * res
@@ -183,9 +193,10 @@ def solve_1d_steady(
                 break
             fld, prim = FlowField(q=fld.q[:, :, physical]), prim[:, :, physical]
             bc = BoundaryConditionSet.stack([bcs[k] for k in live])
+            live_solvers = [solvers[k] for k in live]
     if live.size:
         ghosts = fill_ghosts(fld, bc, metrics, gas)
-        final = np.abs(residual(fld, ghosts, metrics, scheme, solver, gas)).max(axis=(0, 1, 3))
+        final = np.abs(residual(fld, ghosts, metrics, scheme, live_solvers, gas)).max(axis=(0, 1, 3))
         for pos, k in enumerate(live):
             outcome[k] = OneDResult(q=fld.q[:, 0, pos].copy(), residual_inf=float(final[pos]),
                                     residual_history=history[:, k].copy())

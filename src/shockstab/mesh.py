@@ -11,6 +11,7 @@ that must be zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,13 @@ class GridMetrics:
     @property
     def ni(self) -> int:
         return self.volume.shape[0]
+
+    @cached_property
+    def face_normal(self) -> np.ndarray:
+        """Normals of both families as one read-only ``(faces, 2)`` batch, i-faces first."""
+        normal = np.concatenate((self.iface_normal.reshape(-1, 2), self.jface_normal.reshape(-1, 2)))
+        normal.flags.writeable = False
+        return normal
 
     @property
     def nj(self) -> int:

@@ -18,7 +18,9 @@ streams exactly stationary.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -363,6 +365,15 @@ class _FaceSide:
         # Face-frame conservative state (rho, rho qn, rho qt, E).
         self.cons = np.stack((rho, rho * self.qn, rho * self.qt, E), axis=-1)
 
+    def rows(self, rows: slice) -> "_FaceSide":
+        """The same side over a run of face rows, as views (itself for ``slice(None)``)."""
+        if rows == slice(None):
+            return self
+        part = object.__new__(_FaceSide)
+        for name in self.__slots__:
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
     def flux(self) -> np.ndarray:
         """Face-frame flux (mass, normal momentum, tangential momentum, energy)."""
         m = self.rho * self.qn
@@ -594,8 +605,40 @@ _SOLVER_TABLE = {
 }
 
 
+def _solver_kernel(name: str):
+    """Wave model of a named solver; an unknown name raises :class:`StateError`."""
+    try:
+        return _SOLVER_TABLE[name]
+    except KeyError:
+        raise StateError(f"unknown solver {name!r}; choose one of {RIEMANN_SOLVERS}") from None
+
+
+def _solver_runs(solver: str | Sequence[str], rows: int):
+    """``(name, kernel, rows)`` of each run of equal solver names over a face batch.
+
+    A single name is one run over the whole batch (``slice(None)``).  A
+    sequence holds one name per member, and the members own equal,
+    consecutive shares of the ``rows`` face rows (members outer); adjacent
+    members with the same name form one run.
+    """
+    if isinstance(solver, str):
+        return [(solver, _solver_kernel(solver), slice(None))]
+    names = list(solver)
+    if not names or rows % len(names):
+        raise StateError(f"{rows} face rows do not split evenly among {len(names)} solver members")
+    if names.count(names[0]) == len(names):
+        return _solver_runs(names[0], rows)
+    runs = []
+    share, start = rows // len(names), 0
+    for name, group in groupby(names):
+        stop = start + share * len(list(group))
+        runs.append((name, _solver_kernel(name), slice(start, stop)))
+        start = stop
+    return runs
+
+
 def riemann_flux(
-    solver: str,
+    solver: str | Sequence[str],
     left: np.ndarray,
     right: np.ndarray,
     normal: np.ndarray,
@@ -608,14 +651,18 @@ def riemann_flux(
     a unit-vector ``(..., 2)`` array; all solvers reduce to the exact flux
     when ``left == right``.  With ``validate``, any side state whose density
     or pressure is not finite and positive raises :class:`StateError`.
+
+    ``solver`` is one name for the whole batch, or one name per member of a
+    ``(rows, 4)`` batch whose members each own an equal, consecutive run of
+    rows (see :func:`_solver_runs`).  Both sides are split into the face
+    frame and validated once for all rows; each solver's wave model then
+    runs on its own row range(s), as views, and the fluxes are rotated back
+    once.  Every row's flux is bit-identical to that of a one-solver call.
     """
-    try:
-        fn = _SOLVER_TABLE[solver]
-    except KeyError:
-        raise StateError(f"unknown solver {solver!r}; choose one of {RIEMANN_SOLVERS}") from None
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
     normal = np.asarray(normal, dtype=float)
+    runs = _solver_runs(solver, len(left) if left.ndim > 1 else 1)
     nx, ny = normal[..., 0], normal[..., 1]
     # A non-physical side yields inf/nan here; validation reports it below.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -624,8 +671,11 @@ def riemann_flux(
     if validate:
         for name, side in (("left", L), ("right", R)):
             ok = _physical_columns(side.rho, side.u, side.v, side.p)
-            if not ok.all():
-                raise StateError(
-                    f"{int(np.sum(~ok))} non-physical {name} state(s) passed to solver {solver!r}"
-                )
-    return _unrotate(fn(L, R, gas), nx, ny)
+            if ok.all():
+                continue
+            for run, _, rows in runs:
+                bad = int(np.sum(~ok[rows]))
+                if bad:
+                    raise StateError(f"{bad} non-physical {name} state(s) passed to solver {run!r}")
+    parts = [kernel(L.rows(rows), R.rows(rows), gas) for _, kernel, rows in runs]
+    return _unrotate(parts[0] if len(parts) == 1 else np.concatenate(parts), nx, ny)

@@ -16,13 +16,17 @@ copies of adjacent ghosts only to keep the array finite.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
-fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
+fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.  The
+members of a batch field fold members outer, so each member's faces are
+one contiguous run of that batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -341,20 +345,46 @@ def _jface_stencils(ext: np.ndarray, ni: int, nj: int):
 
 
 def _join_faces(iface: np.ndarray, jface: np.ndarray) -> np.ndarray:
-    """One face batch: the i-face rows, then the j-face rows, as ``(faces, k)``.
+    """One face batch from the ``(ni+1, nj, members, ...)`` i-face and ``(ni, nj+1, members, ...)`` j-face arrays.
 
-    The member axis of a batch field is folded into the face axis (faces
-    outer, members inner), so the kernels see one flat face batch.
+    The member axis is folded members outer: each member's i-face rows,
+    then its j-face rows (each row-major), form one contiguous run of the
+    batch, so the kernels see one flat batch of 1-D columns and a member's
+    faces are a slice of it.
     """
-    k = iface.shape[-1]
-    return np.concatenate((iface.reshape(-1, k), jface.reshape(-1, k)))
+    members, tail = iface.shape[2], iface.shape[3:]
+    runs = [np.moveaxis(family, 2, 0).reshape((members, -1) + tail) for family in (iface, jface)]
+    return np.concatenate(runs, axis=1).reshape((-1,) + tail)
 
 
-def _split_faces(batch: np.ndarray, ni: int, nj: int):
-    """Inverse of :func:`_join_faces`: the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face arrays."""
+def _split_faces(batch: np.ndarray, ni: int, nj: int, members: tuple[int, ...] = ()):
+    """Inverse of :func:`_join_faces`: the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face arrays.
+
+    ``members`` is the member-axis shape of a batch field (``()`` for a
+    plain field), which comes back as axis 2 of both arrays; all are views.
+    """
     n_i = (ni + 1) * nj
     tail = batch.shape[1:]
-    return batch[:n_i].reshape((ni + 1, nj) + tail), batch[n_i:].reshape((ni, nj + 1) + tail)
+    runs = batch.reshape((-1, n_i + ni * (nj + 1)) + tail)
+    members_third = (1, 2, 0) + tuple(range(3, 3 + len(tail)))
+    return tuple(
+        family.reshape((-1,) + shape + tail).transpose(members_third).reshape(shape + members + tail)
+        for family, shape in ((runs[:, :n_i], (ni + 1, nj)), (runs[:, n_i:], (ni, nj + 1)))
+    )
+
+
+@lru_cache(maxsize=32)
+def _stencil_rows(ni: int, nj: int, members: int) -> np.ndarray:
+    """Read-only ``(4, members * faces)`` rows of the four-cell stencil of every face.
+
+    The rows index a members-outer frame, ``(members, ni+4, nj+4)`` cells
+    flattened, and run over the faces in :func:`_join_faces` order.
+    """
+    frame = np.arange(members * (ni + 4) * (nj + 4)).reshape(members, ni + 4, nj + 4).transpose(1, 2, 0)
+    stencils = zip(_iface_stencils(frame, ni, nj), _jface_stencils(frame, ni, nj))
+    rows = np.stack([_join_faces(i, j) for i, j in stencils])
+    rows.flags.writeable = False
+    return rows
 
 
 def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
@@ -362,11 +392,14 @@ def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: G
 
     Returns the ``(left, right, fallback)`` triple of
     :func:`~shockstab.numerics.reconstruct_pair` over the ``(faces, 4)``
-    stencils of both families; ``_split_faces`` recovers the family shapes.
+    stencils of both families, members outer for a batch field (see
+    :func:`_join_faces`); ``_split_faces`` recovers the family shapes.  The
+    stencils are gathered from the frame in one indexing step.
     """
     ni, nj = ghosts.ni, ghosts.nj
-    stencils = zip(_iface_stencils(ghosts.ext, ni, nj), _jface_stencils(ghosts.ext, ni, nj))
-    return reconstruct_pair(*(_join_faces(i, j) for i, j in stencils), scheme, gas)
+    frame = ghosts.ext.reshape((ni + 4, nj + 4, -1, 4))  # a plain frame is a batch of one
+    cells = frame.transpose(2, 0, 1, 3).reshape(-1, 4)
+    return reconstruct_pair(*cells[_stencil_rows(ni, nj, frame.shape[2])], scheme, gas)
 
 
 def residual(
@@ -374,22 +407,26 @@ def residual(
     ghosts: GhostField,
     metrics: GridMetrics,
     scheme: ReconstructionScheme,
-    solver: str,
+    solver: str | Sequence[str],
     gas: GasModel,
 ) -> np.ndarray:
     """Net volume-scaled flux balance ``dU/dt`` for every interior cell.
 
     A batch field gets every member's balance in the same calls, shaped like
-    its ``q``.
+    its ``q``: one reconstruction over the members-outer face batch (see
+    :func:`_join_faces`) and one :func:`~shockstab.numerics.riemann_flux`
+    call, where ``solver`` is one name for every member or one name per
+    member.
     """
     ni, nj = field.ni, field.nj
     if (ghosts.ni, ghosts.nj) != (ni, nj):
         raise StateError("ghost frame does not match the field")
     members = field.q.shape[2:-1]
     left, right, _ = face_reconstruction(ghosts, scheme, gas)
-    normal = _join_faces(metrics.iface_normal, metrics.jface_normal).repeat(math.prod(members), axis=0)
+    count = math.prod(members)
+    normal = metrics.face_normal if count == 1 else np.concatenate([metrics.face_normal] * count)
     flux = riemann_flux(solver, left, right, normal, gas)
-    flux_i, flux_j = _split_faces(flux.reshape((-1,) + members + (4,)), ni, nj)
+    flux_i, flux_j = _split_faces(flux, ni, nj, members)
     per_cell = (...,) + (None,) * (len(members) + 1)
     lf_i = metrics.iface_len[per_cell] * flux_i
     lf_j = metrics.jface_len[per_cell] * flux_j

@@ -431,13 +431,14 @@ class TestSweepAndValidate:
         assert [" ".join(line.split()[:4]) for line in lines[1:]] == rows
 
     def test_sweep_marches_each_solver_once(self, tmp_path, monkeypatch):
-        # Cases that differ only in Mach number share one batched 1-D march,
-        # and every row equals the case analysed on its own.
+        # Every case of the sweep is one member of a single batched 1-D
+        # march, in row order, and every row equals the case analysed on
+        # its own.
         marches = []
         solve = harness.solve_1d_steady
 
         def counted(*args, **kwargs):
-            marches.append(args[1])
+            marches.append((args[1], args[5]))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(harness, "solve_1d_steady", counted)
@@ -447,7 +448,7 @@ class TestSweepAndValidate:
                        "reconstruction = muscl\noned_steps = 40\nsweep_mach = 20,3,6\n"
                        f"sweep_solvers = hllc,roe\noutput_dir = {out}\n", encoding="ascii")
         assert cli.main([str(cfg), "--sweep"]) == 0
-        assert marches == [[20.0, 3.0, 6.0], [20.0, 3.0, 6.0]]
+        assert marches == [([20.0, 3.0, 6.0] * 2, ["hllc"] * 3 + ["roe"] * 3)]
         rows = [line.split() for line in (out / "sweep.dat").read_text().splitlines()[1:]]
         assert [(r[0], r[1]) for r in rows] == [(m, s) for s in ("hllc", "roe") for m in ("20", "3", "6")]
         marches.clear()
@@ -455,7 +456,40 @@ class TestSweepAndValidate:
         for row in rows:
             alone = cli.analyze(replace(settings, mach=float(row[0]), solver=row[1])).spectrum
             assert row[3:5] == [f"{alone[0].real:.17g}", f"{alone[0].imag:.17g}"]
-        assert marches == [20.0, 3.0, 6.0, 20.0, 3.0, 6.0]
+        assert marches == [(m, s) for s in ("hllc", "roe") for m in (20.0, 3.0, 6.0)]
+
+    def test_sweep_mixed_solver_failure_waits_for_its_row(self, tmp_path, capsys):
+        # SLAU with MUSCL/superbee leaves the physical state space at step 151
+        # at M=20 on 11 cells; in the one mixed march the HLLC members and
+        # SLAU at M=3 still get their rows, and the sweep stops at its row.
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("test_case = normal_shock\ngrid = 11x3\nmach = 20\nepsilon = 0.1\n"
+                       "reconstruction = muscl\nlimiter = superbee\noned_steps = 200\n"
+                       f"sweep_mach = 3,20\nsweep_solvers = hllc,slau\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--sweep"]) == 2
+        assert "1-D march left the physical state space at step 151" in capsys.readouterr().err
+        rows = [line.split() for line in (out / "sweep.dat").read_text().splitlines()[1:]]
+        assert [(r[0], r[1]) for r in rows] == [("3", "hllc"), ("20", "hllc"), ("3", "slau")]
+        settings = parse_settings(cfg)
+        for row in rows:
+            alone = cli.analyze(replace(settings, mach=float(row[0]), solver=row[1])).spectrum
+            assert row[3:5] == [f"{alone[0].real:.17g}", f"{alone[0].imag:.17g}"]
+
+    @pytest.mark.parametrize("axis, entry", [
+        ("sweep_mach = 3,3\n", "3.0"),
+        ("sweep_mach = 2,3,3.0\n", "3.0"),
+        ("sweep_solvers = hllc,roe,hllc\n", "'hllc'"),
+    ])
+    def test_sweep_rejects_repeated_entry(self, tmp_path, capsys, axis, entry):
+        # A repeated entry used to write identical rows, each analysed anew.
+        out = tmp_path / "out"
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(MINIMAL + axis + f"output_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--sweep"]) == 2
+        key = axis.split()[0]
+        assert f"key {key!r} lists the entry {entry} more than once" in capsys.readouterr().err
+        assert not (out / "sweep.dat").exists()
 
     def test_sweep_rejects_empty_axis(self, tmp_path, capsys):
         for axis in ("sweep_mach = ,\n", "sweep_solvers = ,\n"):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from shockstab import EvolutionError, FitError, StateError, cli
+from shockstab import EvolutionError, FitError, StateError, cli, harness
 from shockstab.harness import (
     OneDResult,
     _rk4_step_matrix,
@@ -97,12 +97,13 @@ class TestBatchMarch:
         except EvolutionError as exc:
             return exc
 
-    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
-    def test_members_equal_their_one_member_marches(self, solver):
+    def assert_members_march_alone(self, machs, epsilons, cols, solvers):
+        """Each member of the batch equals its one-member march bit for bit, or fails alike."""
         for scheme in self.SCHEMES:
-            batch = solve_1d_steady(11, self.MACH, self.EPSILON, 50, scheme, solver, shock_col=self.SHOCK_COL)
-            assert len(batch) == 3
-            for got, mach, eps, col in zip(batch, self.MACH, self.EPSILON, self.SHOCK_COL):
+            batch = solve_1d_steady(11, machs, epsilons, 50, scheme, solvers, shock_col=cols)
+            assert len(batch) == len(machs)
+            names = [solvers] * len(machs) if isinstance(solvers, str) else solvers
+            for got, mach, eps, col, solver in zip(batch, machs, epsilons, cols, names):
                 alone = self.outcome(11, mach, eps, 50, scheme, solver, shock_col=col)
                 assert type(got) is type(alone)
                 if isinstance(alone, EvolutionError):
@@ -112,6 +113,43 @@ class TestBatchMarch:
                 assert np.array_equal(got.residual_history, alone.residual_history)
                 assert got.residual_inf == alone.residual_inf
             assert any(isinstance(got, OneDResult) for got in batch)
+
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_members_equal_their_one_member_marches(self, solver):
+        self.assert_members_march_alone(self.MACH, self.EPSILON, self.SHOCK_COL, solver)
+
+    def test_mixed_solver_members_equal_their_one_member_marches(self):
+        # Every solver in one batch, with interleaved runs (hll, roe, hll).
+        solvers = ["hll", "roe", "hll", "hllc", "hlle", "hllem", "van_leer_fvs", "ausm_plus", "slau", "roe"]
+        cycle = range(len(solvers))
+        self.assert_members_march_alone([self.MACH[k % 3] for k in cycle], [self.EPSILON[(k + 1) % 3] for k in cycle],
+                                        [self.SHOCK_COL[(k + 2) % 3] for k in cycle], solvers)
+
+    def test_failing_solver_member_stops_only_itself(self):
+        # SLAU with MUSCL/superbee leaves the physical state space at step
+        # 151 at M=20 on 11 cells; the solver column shrinks with it and
+        # the other members, SLAU at M=3 among them, march on as if alone.
+        superbee = ReconstructionScheme(kind="muscl", limiter="superbee")
+        machs, solvers = [3.0, 20.0, 20.0, 3.0, 6.0], ["hll", "hllc", "slau", "slau", "roe"]
+        batch = solve_1d_steady(11, machs, 0.1, 200, superbee, solvers)
+        assert isinstance(batch[2], EvolutionError)
+        assert str(batch[2]) == "1-D march left the physical state space at step 151"
+        with pytest.raises(EvolutionError, match="at step 151$"):
+            solve_1d_steady(11, 20.0, 0.1, 200, superbee, "slau")
+        for k in (0, 1, 3, 4):
+            alone = solve_1d_steady(11, machs[k], 0.1, 200, superbee, solvers[k])
+            assert np.array_equal(batch[k].q, alone.q)
+            assert np.array_equal(batch[k].residual_history, alone.residual_history)
+            assert batch[k].residual_inf == alone.residual_inf
+
+    @pytest.mark.parametrize("solver", ["godunov", ["roe", "godunov"]])
+    def test_unknown_solver_rejected_before_any_step(self, solver, monkeypatch):
+        steps = []
+        monkeypatch.setattr(harness, "fill_ghosts", lambda *args: steps.append(args))
+        mach = [2.0, 3.0] if isinstance(solver, list) else 2.0
+        with pytest.raises(StateError, match="^unknown solver 'godunov'; choose one of "):
+            solve_1d_steady(11, mach, 0.1, 10, FIRST, solver)
+        assert steps == []
 
     def test_failing_member_stops_only_itself(self):
         # At CFL 4 the M=20 member leaves the physical state space at step

@@ -394,6 +394,32 @@ class TestRiemannFlux:
         with pytest.raises(StateError):
             riemann_flux("godunov", u, u, np.array([1.0, 0.0]), GAS)
 
+    def test_member_runs_equal_one_solver_calls(self):
+        # One name per member, members outer: each member's rows get exactly
+        # the flux of a one-solver call, interleaved runs included.
+        names = ["hll", "roe", "hll", *RIEMANN_SOLVERS, "slau"]
+        rng = np.random.default_rng(12)
+        rows = 7 * len(names)
+        left, right, n = random_cons(rng, rows), random_cons(rng, rows), random_normals(rng, rows)
+        flux = riemann_flux(names, left, right, n, GAS)
+        for k, name in enumerate(names):
+            own = slice(7 * k, 7 * (k + 1))
+            assert np.array_equal(flux[own], riemann_flux(name, left[own], right[own], n[own], GAS))
+
+    def test_member_names_must_split_rows_evenly(self):
+        u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 10), GAS)
+        with pytest.raises(StateError, match="10 face rows do not split evenly among 3 solver members"):
+            riemann_flux(["roe", "hll", "hllc"], u, u, np.array([[1.0, 0.0]] * 10), GAS)
+        with pytest.raises(StateError, match="unknown solver 'godunov'"):
+            riemann_flux(["roe", "godunov"], u, u, np.array([[1.0, 0.0]] * 10), GAS)
+
+    def test_non_physical_state_names_its_members_solver(self):
+        good = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 6), GAS)
+        bad = good.copy()
+        bad[4:, 0] = 0.0
+        with pytest.raises(StateError, match="^2 non-physical right state\\(s\\) passed to solver 'slau'$"):
+            riemann_flux(["hll", "roe", "slau"], good, bad, np.array([[1.0, 0.0]] * 6), GAS)
+
     def test_rejects_unphysical_state(self):
         u = prim_to_cons(np.array([[1.0, 0.0, 0.0, 1.0]]), GAS)
         bad = u.copy()

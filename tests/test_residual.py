@@ -416,6 +416,25 @@ class TestResidual:
                 assert np.array_equal(ghosts.ext[:, :, k], own.ext)
                 assert np.array_equal(res[:, :, k], residual(field, own, metrics, scheme, solver, GAS))
 
+    def test_mixed_solver_batch_equals_each_member(self):
+        # One solver name per member (interleaved runs included): every
+        # member's residual equals its own one-solver residual, bit for bit.
+        solvers = ["hll", "roe", "hll", *RIEMANN_SOLVERS]
+        metrics = compute_metrics(make_annular_grid(6, 5))
+        fields = [smooth_field(6, 5, seed=40 + k, scale=0.1) for k in range(len(solvers))]
+        bc = parity_case("annulus")[2]
+        batch = FlowField(q=np.stack([f.q for f in fields], axis=2))
+        ghosts = fill_ghosts(batch, BoundaryConditionSet.stack([bc] * len(solvers)), metrics, GAS)
+        for scheme in (
+            ReconstructionScheme(kind="first_order"),
+            ReconstructionScheme(kind="muscl", limiter="van_albada"),
+            ReconstructionScheme(kind="round", variables="primitive"),
+        ):
+            res = residual(batch, ghosts, metrics, scheme, solvers, GAS)
+            for k, (field, solver) in enumerate(zip(fields, solvers)):
+                own = fill_ghosts(field, bc, metrics, GAS)
+                assert np.array_equal(res[:, :, k], residual(field, own, metrics, scheme, solver, GAS))
+
     @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "ausm_plus"])
     @pytest.mark.parametrize("kind", ["first_order", "muscl", "round"])
     def test_free_stream_on_distorted_grid(self, kind, solver):
