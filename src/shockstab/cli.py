@@ -282,7 +282,7 @@ def parse_settings_text(text: str) -> Settings:
 def parse_settings(path) -> Settings:
     try:
         text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SettingsError(f"cannot read settings file {path!r}: {exc}") from exc
     return parse_settings_text(text)
 
@@ -422,9 +422,8 @@ def analyze(settings: Settings, oned: harness.OneDResult | None = None) -> Analy
 
     Every run mode (single analysis, ``--sweep``, ``--validate``) starts
     here, so each analyses the operator its settings describe.  ``oned`` is
-    this case's 1-D march made beforehand (``--sweep`` marches the cases
-    that differ only in Mach number and solver as one batch); without it a
-    projected base marches its own.
+    this case's 1-D march made beforehand (``--sweep`` marches all its
+    cases as one batch); without it a projected base marches its own.
     """
     gas = GasModel(settings.gamma)
     scheme = _build_scheme(settings)
@@ -509,12 +508,13 @@ def _march_batch(cases: list[Settings]) -> list:
 def run_sweep(settings: Settings, outdir: Path) -> None:
     """Eigenvalue table over the configured Mach numbers and solvers.
 
-    Rows run solver-major in the configured order.  All cases with a
-    projected base march as one batch (:func:`_march_batch`), made when the
-    first of them is reached, so each solver's members are adjacent; every
-    case then runs the one :func:`analyze` pipeline on its own profile.  A
-    member whose march failed raises its error when its row is reached,
-    after the rows before it are written.
+    Rows run solver-major in the configured order.  The cases differ only
+    in Mach number and solver, so with a projected base they all march as
+    one batch (:func:`_march_batch`), after the header is written, with
+    each solver's members adjacent; every case then runs the one
+    :func:`analyze` pipeline on its own profile.  A member whose march
+    failed raises its error when its row is reached, after the rows before
+    it are written.
     """
     if settings.test_case != "normal_shock":
         raise SettingsError("--sweep supports the normal_shock case only")
@@ -527,18 +527,10 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
                             f"remove {', '.join(pinned)}")
     machs, solvers = _sweep_values(settings)
     cases = [_validate(replace(settings, mach=mach, solver=solver)) for solver in solvers for mach in machs]
-    profiles = {}
     with open(outdir / "sweep.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda lambda_im gap\n")
-        for case in cases:
-            if case.initialization == "oned_projection" and case not in profiles:
-                # The cases that differ from this one only in Mach number
-                # and solver march as one batch; a member's failure waits
-                # for its row.
-                key = replace(case, mach=None, solver=None)
-                batch = [c for c in cases if replace(c, mach=None, solver=None) == key]
-                profiles.update(zip(batch, _march_batch(batch)))
-            oned = profiles.get(case)
+        profiles = _march_batch(cases) if settings.initialization == "oned_projection" else [None] * len(cases)
+        for case, oned in zip(cases, profiles):
             if isinstance(oned, EvolutionError):
                 raise oned
             spectrum = analyze(case, oned).spectrum

@@ -121,18 +121,19 @@ def read_grid(path) -> Grid:
 
     The first record holds the node counts ``ni_nodes nj_nodes``; the
     remaining ``ni_nodes * nj_nodes`` records hold ``x y z`` for each node
-    with the ``i`` index varying fastest.  ``z`` must vanish (|z| <= 1e-12).
+    with the ``i`` index varying fastest.  ``z`` must vanish (|z| <= 1e-12);
+    a non-finite ``z`` is rejected.
 
     Raises
     ------
     GridError
-        On malformed headers, wrong record counts, non-numeric fields, or
-        out-of-plane nodes.
+        On unreadable or non-ASCII files, malformed headers, wrong record
+        counts, non-numeric fields, or out-of-plane or non-finite ``z``.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GridError(f"cannot read grid file {path!r}: {exc}") from exc
     if len(tokens) < 2:
         raise GridError(f"grid file {path!r} is missing the node-count header")
@@ -154,7 +155,7 @@ def read_grid(path) -> Grid:
         raise GridError(f"grid file {path!r} contains a non-numeric coordinate") from exc
     coords = values.reshape(nj_nodes, ni_nodes, 3)  # record order is i-fastest
     z = coords[:, :, 2]
-    if np.max(np.abs(z)) > _Z_TOL:
+    if not np.all(np.abs(z) <= _Z_TOL):  # a NaN z is not planar either
         raise GridError(f"grid file {path!r} is not planar: max |z| = {np.max(np.abs(z)):g}")
     x = coords[:, :, 0].T.copy()
     y = coords[:, :, 1].T.copy()

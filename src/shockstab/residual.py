@@ -18,7 +18,9 @@ Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
 fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.  The
 members of a batch field fold members outer, so each member's faces are
-one contiguous run of that batch.
+one contiguous run of that batch.  :func:`shockstab.stability.assemble`
+linearizes the same batch: it gathers its stencils through the same row
+table and scatters into each cell the faces :func:`_cell_faces` lists.
 """
 
 from __future__ import annotations
@@ -332,18 +334,6 @@ def ghost_dependency(
     return dep, jac
 
 
-def _iface_stencils(ext: np.ndarray, ni: int, nj: int):
-    """Four-cell stencils of all (ni+1, nj) i-faces, outermost-left first."""
-    sl = ext[:, 2 : nj + 2]
-    return sl[0 : ni + 1], sl[1 : ni + 2], sl[2 : ni + 3], sl[3 : ni + 4]
-
-
-def _jface_stencils(ext: np.ndarray, ni: int, nj: int):
-    """Four-cell stencils of all (ni, nj+1) j-faces, outermost-bottom first."""
-    sl = ext[2 : ni + 2, :]
-    return sl[:, 0 : nj + 1], sl[:, 1 : nj + 2], sl[:, 2 : nj + 3], sl[:, 3 : nj + 4]
-
-
 def _join_faces(iface: np.ndarray, jface: np.ndarray) -> np.ndarray:
     """One face batch from the ``(ni+1, nj, members, ...)`` i-face and ``(ni, nj+1, members, ...)`` j-face arrays.
 
@@ -378,13 +368,30 @@ def _stencil_rows(ni: int, nj: int, members: int) -> np.ndarray:
     """Read-only ``(4, members * faces)`` rows of the four-cell stencil of every face.
 
     The rows index a members-outer frame, ``(members, ni+4, nj+4)`` cells
-    flattened, and run over the faces in :func:`_join_faces` order.
+    flattened, and run over the faces in :func:`_join_faces` order.  Stencil
+    cell ``k`` of i-face ``(f, j)`` is frame cell ``(f + k, j + 2)``, and of
+    j-face ``(i, f)`` frame cell ``(i + 2, f + k)``.
     """
     frame = np.arange(members * (ni + 4) * (nj + 4)).reshape(members, ni + 4, nj + 4).transpose(1, 2, 0)
-    stencils = zip(_iface_stencils(frame, ni, nj), _jface_stencils(frame, ni, nj))
-    rows = np.stack([_join_faces(i, j) for i, j in stencils])
+    iface, jface = frame[:, 2 : nj + 2], frame[2 : ni + 2, :]
+    rows = np.stack([_join_faces(iface[k : k + ni + 1], jface[:, k : k + nj + 1]) for k in range(4)])
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=32)
+def _cell_faces(ni: int, nj: int) -> np.ndarray:
+    """Read-only ``(ni * nj, 4)`` face-batch indices of the four faces of every cell.
+
+    Cells run in the flat ``j*ni + i`` order; each row holds the i-face after
+    the cell, the i-face before it, the j-face after it and the j-face before
+    it, as indices into the one-member face batch of :func:`_join_faces`.
+    """
+    iface, jface = _split_faces(np.arange((ni + 1) * nj + ni * (nj + 1)), ni, nj)
+    faces = np.stack((iface[1:], iface[:-1], jface[:, 1:], jface[:, :-1]), axis=-1).transpose(1, 0, 2)
+    faces = faces.reshape(ni * nj, 4)
+    faces.flags.writeable = False
+    return faces
 
 
 def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):

@@ -47,9 +47,10 @@ from .numerics import (
 )
 from .residual import (
     BoundaryConditionSet,
-    _iface_stencils,
-    _jface_stencils,
+    _cell_faces,
+    _join_faces,
     _split_faces,
+    _stencil_rows,
     face_reconstruction,
     fill_ghosts,
     ghost_dependency,
@@ -206,28 +207,6 @@ class StabilityMatrix:
         return cells
 
 
-def _scatter_family(entries, contrib, dep_sten, length, volume, cell_block, sign):
-    """Append COO entries of one face family into one adjacent-cell row.
-
-    ``contrib``: ``(..., 4, 4, 4)`` per-face blocks (stencil cell, flux
-    component, state component); ``dep_sten``: ``(..., 4)`` flat interior
-    indices per stencil cell (-1 = no dependency); ``cell_block``: ``(...,)``
-    flat index of the receiving cell.
-    """
-    fac = sign * (length / volume)
-    blocks = fac[..., None, None, None] * contrib
-    rows = 4 * cell_block[..., None, None, None] + np.arange(4)[None, :, None]
-    cols = 4 * dep_sten[..., :, None, None] + np.arange(4)[None, None, :]
-    mask = np.broadcast_to(dep_sten[..., :, None, None] >= 0, blocks.shape)
-    entries.append(
-        (
-            np.broadcast_to(rows, blocks.shape)[mask],
-            np.broadcast_to(cols, blocks.shape)[mask],
-            blocks[mask],
-        )
-    )
-
-
 def assemble(
     base: FlowField,
     metrics: GridMetrics,
@@ -238,58 +217,58 @@ def assemble(
 ) -> StabilityMatrix:
     """Assemble the global linearized operator about ``base``.
 
-    Per face: difference the flux against both reconstructed side states,
-    difference the reconstruction against its four stencil cells, chain the
-    two, map stencil cells through the ghost dependencies, and scatter the
-    resulting 4x4 blocks with ``-L/vol`` into the left adjacent cell row and
-    ``+L/vol`` into the right one.
+    Every face is linearized in one pass over the face batch that
+    :func:`~shockstab.residual.residual` evaluates (i-faces first): difference
+    the flux against both reconstructed side states, difference the
+    reconstruction against its four stencil cells, chain the two and map the
+    stencil cells through the ghost dependencies.  Each cell row then takes
+    the 4x4 blocks of its four faces (:func:`~shockstab.residual._cell_faces`):
+    a face feeds the cell before it with ``-L/vol`` and the cell after it
+    with ``+L/vol``.
     """
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
     dep, gjac = ghost_dependency(base, bc, metrics, gas)
-    (il, jl), (ir, jr), (fallback_i, fallback_j) = (
-        _split_faces(batch, ni, nj) for batch in face_reconstruction(ghosts, scheme, gas)
-    )
+    left, right, fallback = face_reconstruction(ghosts, scheme, gas)
 
     base_res = residual(base, ghosts, metrics, scheme, solver, gas)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    block = jj * ni + ii
-    families = (
-        (_iface_stencils, il, ir, metrics.iface_normal, metrics.iface_len),
-        (_jface_stencils, jl, jr, metrics.jface_normal, metrics.jface_len),
-    )
-    entries: list = []
-    kinks = []
-    for axis, (stencils_of, left_state, right_state, normal, length) in enumerate(families):
-        stencils = stencils_of(ghosts.ext, ni, nj)
-        dep_sten = np.stack(stencils_of(dep, ni, nj), axis=2)
-        g_sten = np.stack(stencils_of(gjac, ni, nj), axis=2)
-        jl_flux, jr_flux = flux_jacobians(solver, left_state, right_state, normal, gas)
-        al, ar = reconstruction_coefficients(*stencils, scheme, gas)
-        # Chain rule per stencil cell, then through the ghost map.
-        contrib = np.einsum("...rk,...ckm->...crm", jl_flux, al)
-        contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
-        contrib = np.einsum("...crk,...ckm->...crm", contrib, g_sten)
-        # Faces 1..n feed the cell before them with -L/vol; faces 0..n-1 the cell after them with +L/vol.
-        for faces, sign in ((slice(1, None), -1.0), (slice(None, -1), +1.0)):
-            pick = (slice(None),) * axis + (faces,)
-            _scatter_family(entries, contrib[pick], dep_sten[pick], length[pick], metrics.volume, block, sign)
-        kinks.append(reconstruction_kink_flags(*stencils, scheme, gas))
+    rows = _stencil_rows(ni, nj, 1)
+    stencils = ghosts.ext.reshape(-1, 4)[rows]
+    dep_sten = dep.reshape(-1)[rows].T  # (faces, stencil cell)
+    g_sten = np.moveaxis(gjac.reshape(-1, 4, 4)[rows], 0, 1)
+    jl_flux, jr_flux = flux_jacobians(solver, left, right, metrics.face_normal, gas)
+    al, ar = reconstruction_coefficients(*stencils, scheme, gas)
+    # Chain rule per stencil cell, then through the ghost map.
+    contrib = np.einsum("...rk,...ckm->...crm", jl_flux, al)
+    contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
+    contrib = np.einsum("...crk,...ckm->...crm", contrib, g_sten)
 
-    rows = np.concatenate([e[0] for e in entries])
-    cols = np.concatenate([e[1] for e in entries])
-    vals = np.concatenate([e[2] for e in entries])
+    # tocsr sums a row's duplicate entries in input order, so the face order
+    # of _cell_faces fixes the bits of S.
+    faces = _cell_faces(ni, nj)
+    length = _join_faces(metrics.iface_len[:, :, None], metrics.jface_len[:, :, None])
+    fac = np.array([-1.0, 1.0, -1.0, 1.0]) * (length[faces] / metrics.volume.T.reshape(-1, 1))
+    blocks = fac[..., None, None, None] * contrib[faces]  # (cell, face, stencil cell, flux, state)
+    sten_cells = dep_sten[faces][..., None, None]
+    cell_rows = 4 * np.arange(ni * nj)[:, None, None, None, None] + np.arange(4)[:, None]
+    cols = 4 * sten_cells + np.arange(4)
+    mask = np.broadcast_to(sten_cells >= 0, blocks.shape)
     n = 4 * ni * nj
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix = sp.coo_matrix(
+        (blocks[mask], (np.broadcast_to(cell_rows, blocks.shape)[mask], np.broadcast_to(cols, blocks.shape)[mask])),
+        shape=(n, n),
+    ).tocsr()
+    kink_i, kink_j = _split_faces(reconstruction_kink_flags(*stencils, scheme, gas), ni, nj)
+    fallback_i, fallback_j = _split_faces(fallback, ni, nj)
     return StabilityMatrix(
         matrix=matrix,
         ni=ni,
         nj=nj,
         base_residual_inf=base_residual_inf,
-        kink_iface=kinks[0],
-        kink_jface=kinks[1],
+        kink_iface=kink_i,
+        kink_jface=kink_j,
         fallback_iface=fallback_i,
         fallback_jface=fallback_j,
     )

@@ -193,7 +193,7 @@ def _read_scalar_file(path, count: int) -> np.ndarray:
     try:
         with open(path, "r", encoding="ascii") as fh:
             tokens = fh.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FlowFileError(f"cannot read flow file {path!r}: {exc}") from exc
     if len(tokens) != count:
         raise FlowFileError(f"flow file {path!r} has {len(tokens)} records, expected {count}")

@@ -172,6 +172,16 @@ class TestParsing:
         with pytest.raises(SettingsError, match="cannot read settings file"):
             parse_settings(tmp_path / "none.cfg")
 
+    def test_non_ascii_settings_file_is_a_settings_error(self, tmp_path, capsys):
+        # A non-ASCII byte used to escape as a UnicodeDecodeError traceback.
+        cfg = tmp_path / "accent.cfg"
+        cfg.write_text(MINIMAL + "# r\u00e9sum\u00e9 of the case\n", encoding="utf-8")
+        with pytest.raises(SettingsError, match="cannot read settings file .*accent.cfg"):
+            parse_settings(cfg)
+        assert cli.main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read settings file {str(cfg)!r}") and "Traceback" not in err
+
     def test_readme_settings_reference_lists_every_key(self):
         # Rows name one key, join keys with " / " (defaults joined alike), or
         # abbreviate a family as "prefix_first/second/...".

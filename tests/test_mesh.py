@@ -224,6 +224,19 @@ class TestGridFiles:
         with pytest.raises(GridError):
             read_grid(path)
 
+    def test_nan_z_rejected(self, tmp_path):
+        # NaN fails every comparison, so a max |z| test alone let it through.
+        path = tmp_path / "grid.dat"
+        path.write_text("2 2\n0 0 0\n1 0 0\n0 1 nan\n1 1 0\n")
+        with pytest.raises(GridError, match="is not planar"):
+            read_grid(path)
+
+    def test_non_ascii_file_rejected(self, tmp_path):
+        path = tmp_path / "grid.dat"
+        path.write_bytes(b"2 2\n0 0 0\n1 0 0\n0 1 0\n1 1 0 \xe9\n")
+        with pytest.raises(GridError, match="cannot read grid file .*grid.dat"):
+            read_grid(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "grid.dat"
         path.write_text("two 2\n")

@@ -148,6 +148,32 @@ def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
     assert calls == {"reconstruct_pair": 1, "riemann_flux": 1, "face_reconstruction": 1}
 
 
+def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
+    # assemble reads the residual's one face batch: a second flux or
+    # reconstruction linearization would mean the face families were split
+    # apart again.
+    from shockstab import mesh, numerics, stability, state
+    from shockstab.residual import normal_shock_bcs
+
+    calls = {"flux_jacobians": 0, "reconstruction_coefficients": 0, "reconstruction_kink_flags": 0,
+             "face_reconstruction": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+    gas = state.GasModel()
+    metrics = mesh.compute_metrics(mesh.make_cartesian_grid(5, 3))
+    field = state.init_normal_shock_rh(5, 3, 3.0, 0.1, gas=gas)
+    scheme = numerics.ReconstructionScheme(kind="muscl", limiter="van_albada")
+    stability.assemble(field, metrics, scheme, "hllc", normal_shock_bcs(3.0, gas), gas)
+    assert calls == dict.fromkeys(calls, 1)
+
+
 def test_one_dense_eigenvalue_call_site():
     # Every full spectrum goes through the one transverse-Fourier solve in
     # stability.eigensolve; a second dense call would be a second path.

@@ -190,6 +190,14 @@ class TestFlowFiles:
         with pytest.raises(FlowFileError):
             read_flow_files(str(tmp_path / "absent_"), 2, 2, GAS)
 
+    def test_non_ascii_file_rejected(self, tmp_path):
+        prefix = str(tmp_path / "f_")
+        write_flow_files(FlowField(q=prim_to_cons(np.ones((2, 2, 4)), GAS)), prefix, GAS)
+        with open(f"{prefix}u.dat", "ab") as fh:
+            fh.write("\u00e9\n".encode("utf-8"))
+        with pytest.raises(FlowFileError, match="cannot read flow file .*f_u.dat"):
+            read_flow_files(prefix, 2, 2, GAS)
+
     def test_count_mismatch(self, tmp_path):
         prefix = str(tmp_path / "f_")
         for path in flow_file_paths(prefix):
