@@ -93,17 +93,11 @@ def local_wave_speed_sums(prim: np.ndarray, metrics: GridMetrics, gas: GasModel)
     """
     a = sound_speed(prim, gas)
     u, v = prim[..., 1], prim[..., 2]
-    total = np.zeros(prim.shape[:-1])
     per_cell = (...,) + (None,) * (prim.ndim - 3)  # face metrics broadcast over members
-    for length, normal in (
-        (metrics.iface_len[:-1], metrics.iface_normal[:-1]),
-        (metrics.iface_len[1:], metrics.iface_normal[1:]),
-        (metrics.jface_len[:, :-1], metrics.jface_normal[:, :-1]),
-        (metrics.jface_len[:, 1:], metrics.jface_normal[:, 1:]),
-    ):
-        qn = u * normal[..., 0][per_cell] + v * normal[..., 1][per_cell]
-        total += length[per_cell] * (np.abs(qn) + a)
-    return total
+    length, nx, ny = (m[per_cell] for m in metrics.cell_faces)
+    terms = length * (np.abs(u * nx + v * ny) + a)
+    # Summed face by face in GridMetrics.cell_faces order.
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def solve_1d_steady(

@@ -115,6 +115,21 @@ class GridMetrics:
     def nj(self) -> int:
         return self.volume.shape[1]
 
+    @cached_property
+    def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Length, ``nx`` and ``ny`` of every cell's four faces, as read-only ``(4, ni, nj)`` arrays.
+
+        The faces run i-face before, i-face after, j-face before, j-face after.
+        """
+        length = np.stack((self.iface_len[:-1], self.iface_len[1:], self.jface_len[:, :-1], self.jface_len[:, 1:]))
+        normal = np.stack(
+            (self.iface_normal[:-1], self.iface_normal[1:], self.jface_normal[:, :-1], self.jface_normal[:, 1:])
+        )
+        out = (length, normal[..., 0].copy(), normal[..., 1].copy())
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 def read_grid(path) -> Grid:
     """Read a plain-text structured grid.

@@ -20,7 +20,9 @@ fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.  The
 members of a batch field fold members outer, so each member's faces are
 one contiguous run of that batch.  :func:`shockstab.stability.assemble`
 linearizes the same batch: it gathers its stencils through the same row
-table and scatters into each cell the faces :func:`_cell_faces` lists.
+table, scatters into each cell the faces :func:`_cell_faces` lists, and
+forms its base residual from its own reconstruction through the same
+flux-to-cell balance, :func:`_flux_balance`.
 """
 
 from __future__ import annotations
@@ -432,8 +434,16 @@ def residual(
     left, right, _ = face_reconstruction(ghosts, scheme, gas)
     count = math.prod(members)
     normal = metrics.face_normal if count == 1 else np.concatenate([metrics.face_normal] * count)
-    flux = riemann_flux(solver, left, right, normal, gas)
-    flux_i, flux_j = _split_faces(flux, ni, nj, members)
+    return _flux_balance(riemann_flux(solver, left, right, normal, gas), metrics, members)
+
+
+def _flux_balance(flux: np.ndarray, metrics: GridMetrics, members: tuple[int, ...] = ()) -> np.ndarray:
+    """``dU/dt`` of every interior cell from the fluxes of a face batch (see :func:`_join_faces`).
+
+    ``members`` is the member-axis shape of a batch field (``()`` for a
+    plain field); the result is shaped like that field's ``q``.
+    """
+    flux_i, flux_j = _split_faces(flux, metrics.ni, metrics.nj, members)
     per_cell = (...,) + (None,) * (len(members) + 1)
     lf_i = metrics.iface_len[per_cell] * flux_i
     lf_j = metrics.jface_len[per_cell] * flux_j

@@ -48,13 +48,13 @@ from .numerics import (
 from .residual import (
     BoundaryConditionSet,
     _cell_faces,
+    _flux_balance,
     _join_faces,
     _split_faces,
     _stencil_rows,
     face_reconstruction,
     fill_ghosts,
     ghost_dependency,
-    residual,
 )
 from .state import FlowField, GasModel
 
@@ -224,14 +224,16 @@ def assemble(
     stencil cells through the ghost dependencies.  Each cell row then takes
     the 4x4 blocks of its four faces (:func:`~shockstab.residual._cell_faces`):
     a face feeds the cell before it with ``-L/vol`` and the cell after it
-    with ``+L/vol``.
+    with ``+L/vol``.  ``base_residual_inf`` comes from one flux call on the
+    same reconstructed sides, balanced by the residual's own
+    :func:`~shockstab.residual._flux_balance`, so the base is reconstructed
+    once.
     """
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
     dep, gjac = ghost_dependency(base, bc, metrics, gas)
     left, right, fallback = face_reconstruction(ghosts, scheme, gas)
-
-    base_res = residual(base, ghosts, metrics, scheme, solver, gas)
+    base_res = _flux_balance(riemann_flux(solver, left, right, metrics.face_normal, gas), metrics)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
     rows = _stencil_rows(ni, nj, 1)

@@ -159,7 +159,7 @@ class TestReconstructPair:
         # before the positivity fallback)
         scheme = ReconstructionScheme(kind="muscl", limiter=limiter)
         u0, u1, u2, u3 = linear_ramp_stencil([0.1, 0.05, -0.02, 0.2], [2.0, 0.3, 0.1, 5.0])
-        left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
+        left, right = _reconstruct_values(np.stack((u0, u1, u2, u3)), scheme)
         mid = 0.5 * (u1 + u2)
         assert np.allclose(left, mid, rtol=1e-14)
         assert np.allclose(right, mid, rtol=1e-14)
@@ -190,8 +190,8 @@ class TestReconstructPair:
         scheme = ReconstructionScheme(kind=kind, limiter=limiter or "van_albada")
         rng = np.random.default_rng(4)
         stack = [random_cons(rng, 30) for _ in range(4)]
-        left, right = _reconstruct_values(*stack, scheme)
-        m_left, m_right = _reconstruct_values(*stack[::-1], scheme)
+        left, right = _reconstruct_values(np.stack(stack), scheme)
+        m_left, m_right = _reconstruct_values(np.stack(stack[::-1]), scheme)
         assert np.array_equal(m_left, right)
         assert np.array_equal(m_right, left)
 
@@ -202,7 +202,7 @@ class TestReconstructPair:
         rng = np.random.default_rng(5)
         base = np.sort(rng.uniform(0.5, 4.0, (50, 4, 4)), axis=1)  # increasing stencils
         u0, u1, u2, u3 = base[:, 0], base[:, 1], base[:, 2], base[:, 3]
-        left, right = _reconstruct_values(u0, u1, u2, u3, scheme)
+        left, right = _reconstruct_values(np.stack((u0, u1, u2, u3)), scheme)
         assert np.all(left >= u1 - 1e-12)
         assert np.all(left <= u2 + 1e-12)
         assert np.all(right >= u1 - 1e-12)
@@ -216,7 +216,7 @@ class TestReconstructPair:
         u2 = np.array([[0.5, 0.9, 0.0, 0.85]])
         u3 = np.array([[0.25, 1.3, 0.0, 3.5]])
         scheme = ReconstructionScheme(kind="muscl", limiter="superbee")
-        left_raw, _ = _reconstruct_values(u0, u1, u2, u3, scheme)
+        left_raw, _ = _reconstruct_values(np.stack((u0, u1, u2, u3)), scheme)
         assert cons_to_prim(left_raw, GAS)[0, 3] < 0.0
         left, _, fallback = reconstruct_pair(u0, u1, u2, u3, scheme, GAS)
         assert np.array_equal(left, u1)

@@ -151,7 +151,8 @@ def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
 def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
     # assemble reads the residual's one face batch: a second flux or
     # reconstruction linearization would mean the face families were split
-    # apart again.
+    # apart again.  The base residual comes from the same reconstruction,
+    # so the residual module reconstructs nothing of its own.
     from shockstab import mesh, numerics, stability, state
     from shockstab.residual import normal_shock_bcs
 
@@ -166,6 +167,8 @@ def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+    monkeypatch.setattr(importlib.import_module("shockstab.residual"), "face_reconstruction",
+                        stability.face_reconstruction)
     gas = state.GasModel()
     metrics = mesh.compute_metrics(mesh.make_cartesian_grid(5, 3))
     field = state.init_normal_shock_rh(5, 3, 3.0, 0.1, gas=gas)

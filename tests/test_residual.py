@@ -1,5 +1,7 @@
 """Boundary ghosts, their linearization, and the finite-volume residual."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -553,3 +555,190 @@ class TestResidual:
         bad = GhostField(ext=np.zeros((8, 8, 4)), ni=4, nj=4)
         with pytest.raises(StateError):
             residual(field, bad, metrics, ReconstructionScheme(kind="first_order"), "roe", GAS)
+
+
+# ---------------------------------------------------------------------------
+# Pinned kernel bits
+# ---------------------------------------------------------------------------
+
+PINNED_SCHEMES = {
+    "first_order": ReconstructionScheme(kind="first_order"),
+    "muscl_van_albada": ReconstructionScheme(kind="muscl", limiter="van_albada"),
+    "muscl_superbee_prim": ReconstructionScheme(kind="muscl", limiter="superbee", variables="primitive"),
+    "round": ReconstructionScheme(kind="round"),
+}
+
+PINNED_BATCH_SOLVERS = ("hllc", "ausm_plus", "hllc")
+
+#: The solvers each setup runs, by the label its digest keys use.
+PINNED_SOLVERS = {
+    "shock": {name: name for name in RIEMANN_SOLVERS},
+    "annulus": {"hllc": "hllc"},
+    "batch": {"mixed": list(PINNED_BATCH_SOLVERS)},
+}
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def pinned_setups():
+    """``{name: (field, ghosts, metrics)}`` of the fields whose residual bits are pinned.
+
+    ``shock``: a jittered M=20 shock on a perturbed 7x4 grid, cold enough
+    upstream that MUSCL and ROUND fall back to first order on some faces;
+    ``annulus``: a jittered 6x5 annulus with inflow, exit-pressure,
+    slip-wall and zero-gradient sides; ``batch``: three shock members
+    (M = 3, 6, 20, jittered) under their own inflow states and exit
+    pressures.
+    """
+    rng = np.random.default_rng(5)
+    prim = cons_to_prim(init_normal_shock_rh(7, 4, 20.0, 0.3, gas=GAS).q, GAS)
+    shock = FlowField(q=prim_to_cons(prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    shock_metrics = compute_metrics(perturbed_cartesian(7, 4, seed=6, amp=0.1))
+
+    ring = make_annular_grid(6, 5)
+    x, y = ring.x.copy(), ring.y.copy()
+    x[1:-1, 1:-1] += 0.02 * rng.uniform(-1.0, 1.0, x[1:-1, 1:-1].shape)
+    y[1:-1, 1:-1] += 0.02 * rng.uniform(-1.0, 1.0, y[1:-1, 1:-1].shape)
+    ring_metrics = compute_metrics(Grid(x=x, y=y))
+    ring_field = smooth_field(6, 5, seed=7, scale=0.1)
+
+    machs = (3.0, 6.0, 20.0)
+    prim = np.stack([cons_to_prim(init_normal_shock_rh(6, 3, mach, 0.4, gas=GAS).q, GAS) for mach in machs], axis=2)
+    batch = FlowField(q=prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    batch_metrics = compute_metrics(perturbed_cartesian(6, 3, seed=8, amp=0.1))
+    batch_bcs = BoundaryConditionSet.stack([normal_shock_bcs(mach, GAS) for mach in machs])
+    return {
+        "shock": (shock, fill_ghosts(shock, normal_shock_bcs(20.0, GAS), shock_metrics, GAS), shock_metrics),
+        "annulus": (ring_field, fill_ghosts(ring_field, parity_case("annulus")[2], ring_metrics, GAS),
+                    ring_metrics),
+        "batch": (batch, fill_ghosts(batch, batch_bcs, batch_metrics, GAS), batch_metrics),
+    }
+
+
+def pinned_digests():
+    """SHA-256 of every pinned residual and of each setup's fallback mask per scheme."""
+    residuals, fallbacks = {}, {}
+    for setup, (field, ghosts, metrics) in pinned_setups().items():
+        for scheme_name, scheme in PINNED_SCHEMES.items():
+            fallbacks[f"{setup}/{scheme_name}"] = sha256(face_reconstruction(ghosts, scheme, GAS)[2])
+            for label, solver in PINNED_SOLVERS[setup].items():
+                res = residual(field, ghosts, metrics, scheme, solver, GAS)
+                residuals[f"{setup}/{label}/{scheme_name}"] = sha256(res)
+    return residuals, fallbacks
+
+
+# Recorded from the code before the face kernels took a side axis; the
+# stacked kernels must reproduce every bit.
+PINNED_RESIDUAL_DIGESTS = {
+    "shock/roe/first_order": "0151db8bd364086865da9bd0e61c0b6fec8c9acbaaf1d23fa35e6523b4e4b2fe",
+    "shock/hll/first_order": "c78c20786a6f56d73517fd614f568e68a56182002e09848284c4c39d40e78009",
+    "shock/hllc/first_order": "91c807cebdd4f4376dfd1f3f63a72396dbf4d01cb98c4e6c8f627519278189e4",
+    "shock/hlle/first_order": "397530fa5f70e16679d32545e701530e83f878bc5a2ee2a55f905444d8d3ace9",
+    "shock/hllem/first_order": "6c083299cee3dccbdeccb917d786ee40be84fa148e2dd407f9cce1160c64e59d",
+    "shock/van_leer_fvs/first_order": "9c85aa180a43f75f2499b73ccd2f9f6ac2ebb39f083c5b031766475aaafd43c0",
+    "shock/ausm_plus/first_order": "46e789f11d7d51e75ea0c5e76fa59432656a7b24aa62b538f80006da2f4c1de5",
+    "shock/slau/first_order": "e43777dbe8222e81c5a8205a3a4a0ba37ffe80aad56419ce6e585a7c46375b74",
+    "shock/roe/muscl_van_albada": "f1484efae8d3414212bd4e4f44a826cf2aeb40865e9c0dfa7be5da1a487a29c5",
+    "shock/hll/muscl_van_albada": "9e69d50e26ed48d28f21fa0067884d4c7e9e0b948bc7382d072ec0449cf7385d",
+    "shock/hllc/muscl_van_albada": "3bc5687a5595eed1034dfd0fd6731b8a07adb1670efb618b8707fc2c1b0d008d",
+    "shock/hlle/muscl_van_albada": "9ca6389310e77959096b1f38b12efa582da873a2cb674e02f91c6ac2a8ea47dc",
+    "shock/hllem/muscl_van_albada": "87f0b7f3a4d1c799c876d54dee7bd467ef0dc7e35f7f53ff42dbbb008915d028",
+    "shock/van_leer_fvs/muscl_van_albada": "caae3892180a8236f68945e57e7907223a0e7ded460812f5fa634112eaecd752",
+    "shock/ausm_plus/muscl_van_albada": "5500172ab5d53326a60f58bcc3b4a8bfc368d5c627f1b40e763239f2fea5503c",
+    "shock/slau/muscl_van_albada": "8642400cb1885857a70476aae60c46a0ae205e3974c95426e4b37bace4c77321",
+    "shock/roe/muscl_superbee_prim": "c4748cb7ab9bf9dae05e7d59c441460cf32e0dca7255ead9341293cebc27789a",
+    "shock/hll/muscl_superbee_prim": "7000b800f24d55bee3c28be9dd9633f389ec478181c4d5c9b07e025305607698",
+    "shock/hllc/muscl_superbee_prim": "970b037aef8b4c98e91ee1b16f36f95e9ba511fe30f3e286e4624e0066957bab",
+    "shock/hlle/muscl_superbee_prim": "e43d31ed7d5b918bce36e9f82e9a576595b381e835c35d76b5369bfc70b97dd8",
+    "shock/hllem/muscl_superbee_prim": "2300e9058bc53c0492ea39b9f01a81fda212b2b929a33b8ec4dc0852cff37d3d",
+    "shock/van_leer_fvs/muscl_superbee_prim": "0147cbda0817a2af138f1ce259174f94036e3b1f4c4770b869d49072593902d3",
+    "shock/ausm_plus/muscl_superbee_prim": "ed99edc56dbdce76813d93c486f396c99db67538f2e33f78d1e6c5b7ae4f1e07",
+    "shock/slau/muscl_superbee_prim": "cd66902a4f8516760f84fe482c4661a6a9ff9bfb07518e01eb695d1661bc91de",
+    "shock/roe/round": "b9e396ce1f723ba01ea47eef01f4e01a0686bf94c2784c8275a0324f145acd2e",
+    "shock/hll/round": "749bd912cb3747f2e6ebe171b626a24b66f2791c006190d29c6e5d7e785e1d52",
+    "shock/hllc/round": "7a0ed324e72bdcac42b01b553329ad4289fa92bf37016530f0caa682ab2606b2",
+    "shock/hlle/round": "7f896d4a7b8ba3ddd836357cce137e262ae7097507d1cf5c79b51173f565d237",
+    "shock/hllem/round": "37cc002a95d77c7ae8bbf87e580de0249d2463848a1599f1578c7a8b36bae657",
+    "shock/van_leer_fvs/round": "c15202581202c5580ac5f2ec49496965f3e02fba421f468b1c3b26c60fe84714",
+    "shock/ausm_plus/round": "845342f4ae550fa275f0d5973d8f39c0ab474a5736a220fd18212cf52a8f2338",
+    "shock/slau/round": "d3e81c3fa6d8ae140efa86881866a96b08f6c48eeed19a61e808a60d5d878ac3",
+    "annulus/hllc/first_order": "e0dc71302f99d417494d69758d231ffb635ee610cf5758196b99d068a756ab8f",
+    "annulus/hllc/muscl_van_albada": "ede2c821f346905f3bd78e9de3945ac0839822a3b865caa296a009c1b9828396",
+    "annulus/hllc/muscl_superbee_prim": "0b1335c669b61523ccc85051af36e49a3ac0849699b382d743962a12308c1b08",
+    "annulus/hllc/round": "d7957b438d40c771eebd774f16b81d8756bc5d09672bde24dc3441ddf5a750f5",
+    "batch/mixed/first_order": "316e95bf3b580a8919e91cc42a47feb40e78053165d6d146fe9046176c9de014",
+    "batch/mixed/muscl_van_albada": "d2d725b66cfc071c49a8e73d9f7306f663ebcee693c935b5ea26e0bf34713909",
+    "batch/mixed/muscl_superbee_prim": "17c35c1d713ba0a84deee46fc02e9da92431c47987a0cbdab6252dbb42349e56",
+    "batch/mixed/round": "c3a52820e076e4fff8315072762c67a57f5a1b03d8a04dac29a899344330a6a7",
+}
+
+PINNED_FALLBACK_DIGESTS = {
+    "shock/first_order": "1be2b3990b410ca4fb38d1f79019c4018cd8820b69618646c81d22dfcbddc802",
+    "shock/muscl_van_albada": "d1edaff44f89ee213002362eba304846413a158625d9d50964d78492d713a866",
+    "shock/muscl_superbee_prim": "1be2b3990b410ca4fb38d1f79019c4018cd8820b69618646c81d22dfcbddc802",
+    "shock/round": "28d6e7f28145517fda710e044215df3d21bca33b238161c992f605acddc6cf6f",
+    "annulus/first_order": "0805dcdc42ca47abdc3d8fe11f8e0c7a108602022f71ab349648cfdd30a75aa6",
+    "annulus/muscl_van_albada": "0805dcdc42ca47abdc3d8fe11f8e0c7a108602022f71ab349648cfdd30a75aa6",
+    "annulus/muscl_superbee_prim": "0805dcdc42ca47abdc3d8fe11f8e0c7a108602022f71ab349648cfdd30a75aa6",
+    "annulus/round": "0805dcdc42ca47abdc3d8fe11f8e0c7a108602022f71ab349648cfdd30a75aa6",
+    "batch/first_order": "41a9a42d8072d429502781344a47e9c041ccfcd5455d014064c9227ae54e0187",
+    "batch/muscl_van_albada": "9856bbf49bae9253cb79f4b2f745cbbfe5a1d33160dbf8420d6a0116ead45b25",
+    "batch/muscl_superbee_prim": "41a9a42d8072d429502781344a47e9c041ccfcd5455d014064c9227ae54e0187",
+    "batch/round": "d8f3f0cb65c11aa4824e8c3e421380f84970a3a2859d42121348a71b6b11aa26",
+}
+PINNED_ONE_SIDED_FALLBACK_DIGEST = "abcda423bf2ce156a8765f67a14226a642f2edcf23b1c4227afae0c2aa07db8a"
+
+
+class TestPinnedBits:
+    def test_residual_and_fallback_digests(self):
+        residuals, fallbacks = pinned_digests()
+        assert residuals == PINNED_RESIDUAL_DIGESTS
+        assert fallbacks == PINNED_FALLBACK_DIGESTS
+
+    @staticmethod
+    def mixed_batch_sides():
+        # Three members of four faces each; the solver runs are hllc (rows
+        # 0-3), ausm_plus (4-7) and hllc again (8-11).
+        prim = np.tile(np.array([1.0, 2.0, 0.1, 0.9]), (12, 1))
+        prim[:, 1] += 0.01 * np.arange(12)
+        left = prim_to_cons(prim, GAS)
+        return left, left[::-1].copy(), np.tile(np.array([1.0, 0.0]), (12, 1))
+
+    def test_bad_right_state_names_side_count_and_run(self):
+        left, right, normal = self.mixed_batch_sides()
+        right[[5, 6], 3] = -1.0
+        with pytest.raises(StateError, match=r"^2 non-physical right state\(s\) passed to solver 'ausm_plus'$"):
+            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+
+    def test_bad_left_state_names_side_count_and_run(self):
+        left, right, normal = self.mixed_batch_sides()
+        left[9, 0] = 0.0
+        with pytest.raises(StateError, match=r"^1 non-physical left state\(s\) passed to solver 'hllc'$"):
+            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+
+    def test_left_side_reported_before_right(self):
+        # Both sides bad: the left side is checked first, whatever the runs.
+        left, right, normal = self.mixed_batch_sides()
+        right[[0, 1, 2], 0] = -1.0
+        left[[10, 11], 3] = np.nan
+        with pytest.raises(StateError, match=r"^2 non-physical left state\(s\) passed to solver 'hllc'$"):
+            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+
+    def test_positivity_fallback_replaces_one_side(self):
+        # A cold stream where the MUSCL right state of stencil ``a`` has
+        # negative pressure while its left state is physical; ``b`` differs
+        # only in the cell that the left state never reads and keeps both
+        # sides.  The reversed stencils swap the roles of the sides.
+        a = prim_to_cons(np.array([[1.0, 1.0, 0.0, 1e-3], [1.1, 1.0, 0.0, 1e-3],
+                                   [1.0, 1.1, 0.0, 1e-3], [1.0, 1.2, 0.0, 1e-3]]), GAS)
+        b = np.concatenate((a[:3], a[2:3]))
+        stencils = np.stack((a, b, a[::-1], b[::-1]), axis=1)  # (stencil cell, face, 4)
+        scheme = ReconstructionScheme(kind="muscl", limiter="van_albada")
+        left, right, fallback = reconstruct_pair(*stencils, scheme, GAS)
+        assert fallback.tolist() == [True, False, True, False]
+        assert np.array_equal(right[0], a[2]) and np.array_equal(left[2], a[2])
+        assert np.array_equal(left[0], left[1]) and np.array_equal(right[2], right[3])
+        assert np.array_equal(left[0], right[2]) and not np.array_equal(left[0], a[1])
+        assert sha256(np.stack((left, right))) == PINNED_ONE_SIDED_FALLBACK_DIGEST
