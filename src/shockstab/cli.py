@@ -163,6 +163,8 @@ def parse_domain_spec(spec: str) -> tuple[float, float, float, float]:
         x0, x1, y0, y1 = (float(p) for p in parts)
     except ValueError:
         raise SettingsError(f"domain must be numeric 'x0,x1,y0,y1', got {spec!r}") from None
+    if not np.all(np.isfinite((x0, x1, y0, y1))):
+        raise SettingsError(f"domain extents must be finite, got {spec!r}")
     if not (x1 > x0 and y1 > y0):
         raise SettingsError(f"domain extents must increase, got {spec!r}")
     return x0, x1, y0, y1

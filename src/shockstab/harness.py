@@ -11,6 +11,7 @@ log-slope is extracted by a saturation-aware least-squares fit.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -116,7 +117,9 @@ def solve_1d_steady(
     The 1-D equations are run as a one-cell-high strip of ``ni`` unit
     squares of the 2-D residual with periodic top/bottom boundaries, whose
     transverse fluxes cancel exactly, so precisely the same scheme/solver
-    code is exercised.  Forward Euler with per-cell CFL time steps is
+    code is exercised.  :func:`~shockstab.residual.fill_ghosts` marks the
+    frame a strip, so the residual reconstructs and fluxes its i-faces
+    only and adds the cancelled j-faces' exact ``+0.0``.  Forward Euler with per-cell CFL time steps is
     applied for exactly ``steps`` iterations (no early exit); the final
     residual norm is reported so the caller can judge convergence.
 
@@ -125,9 +128,11 @@ def solve_1d_steady(
     every member.  The members share ``ni``, ``steps``, ``scheme``, ``gas``
     and ``cfl``; they march as one batch field, each member with its own
     inflow state, exit pressure and solver.  Every step makes one
-    ``fill_ghosts``, one face reconstruction, one face-frame split of both
-    sides with one physical-state validation, one back-rotation, one
-    ``local_wave_speed_sums`` and one ``cons_to_prim`` for all members; only
+    ``fill_ghosts`` (one gather), one reconstruction of the i-faces, one
+    face-frame split of both sides, one back-rotation, one
+    ``local_wave_speed_sums`` and one ``cons_to_prim`` for all members, and
+    the flux re-tests the face states only where the reconstruction fell
+    back on some face; only
     each solver's wave model runs per solver, on the contiguous face rows
     of its members (adjacent members with the same solver share a run, so
     list a solver's members together).  Each member's residual history,
@@ -287,7 +292,7 @@ def evolve_linear(
         dt = _RK4_REAL_AXIS_LIMIT / rho
     if not (np.isfinite(dt) and dt > 0.0):
         raise EvolutionError(f"time step must be positive and finite, got {dt}")
-    nrm = np.linalg.norm(v)
+    nrm = _norm(v)
     if nrm == 0.0:
         raise EvolutionError("initial perturbation is zero")
     step_matrix = _rk4_step_matrix(matrix, dt)
@@ -299,8 +304,8 @@ def evolve_linear(
     diverged = truncated = False
     for _ in range(steps):
         v = step_matrix @ v
-        growth = np.linalg.norm(v)
-        if not np.isfinite(growth) or growth == 0.0:
+        growth = _norm(v)
+        if not math.isfinite(growth) or growth == 0.0:
             diverged = True
             break
         shift += float(np.log(growth))
@@ -312,6 +317,12 @@ def evolve_linear(
             break
     return EvolutionSeries(t=np.arange(len(logs)) * dt, log_norm=np.array(logs), diverged=diverged,
                            truncated=truncated)
+
+
+def _norm(a: np.ndarray) -> float:
+    """2-norm of a real array: the one dot product ``np.linalg.norm`` computes, without its dispatch."""
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _rk4_step_matrix(matrix, dt: float):
@@ -365,7 +376,7 @@ def evolve_nonlinear(
 
     t = 0.0
     ts = [0.0]
-    logs = [float(np.log(np.linalg.norm(q - q_ref)))]
+    logs = [float(np.log(_norm(q - q_ref)))]
     diverged = truncated = False
     for _ in range(steps):
         try:
@@ -381,8 +392,8 @@ def evolve_nonlinear(
         except StateError:
             diverged = True
             break
-        dev = float(np.linalg.norm(q - q_ref))
-        if not np.isfinite(dev) or dev == 0.0:
+        dev = _norm(q - q_ref)
+        if not math.isfinite(dev) or dev == 0.0:
             diverged = True
             break
         t += dt

@@ -116,6 +116,15 @@ class GridMetrics:
         return self.volume.shape[1]
 
     @cached_property
+    def jface_rows_equal(self) -> bool:
+        """Whether every j-face row holds bitwise the lengths and normals of the first."""
+        return all(
+            face[:, k].tobytes() == face[:, 0].tobytes()
+            for face in (self.jface_len, self.jface_normal)
+            for k in range(1, self.nj + 1)
+        )
+
+    @cached_property
     def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Length, ``nx`` and ``ny`` of every cell's four faces, as read-only ``(4, ni, nj)`` arrays.
 
@@ -204,6 +213,8 @@ def make_cartesian_grid(
     if extent is None:
         extent = (0.0, float(ni_cells), 0.0, float(nj_cells))
     x0, x1, y0, y1 = map(float, extent)
+    if not np.all(np.isfinite((x0, x1, y0, y1))):
+        raise GridError(f"extent must be finite, got {extent}")
     if not (x1 > x0 and y1 > y0):
         raise GridError(f"degenerate extent {extent}")
     xv = np.linspace(x0, x1, ni_cells + 1)
@@ -224,8 +235,8 @@ def make_annular_grid(
     Useful as a genuinely non-Cartesian test geometry: all faces are tilted
     and cell volumes vary, so metric terms are fully exercised.
     """
-    if not (0.0 < r_inner < r_outer):
-        raise GridError(f"need 0 < r_inner < r_outer, got {r_inner}, {r_outer}")
+    if not (0.0 < r_inner < r_outer < np.inf):
+        raise GridError(f"need 0 < r_inner < r_outer < inf, got {r_inner}, {r_outer}")
     if not (0.0 < angle <= 2.0 * np.pi):
         raise GridError(f"sector angle must lie in (0, 2*pi], got {angle}")
     r = np.linspace(r_inner, r_outer, ni_cells + 1)

@@ -408,9 +408,13 @@ def eigensolve_leading(matrix: sp.spmatrix, k: int = 12, seed: int = 20230614) -
         raise EigenSolveError(f"need 0 < k < n-1 for the iterative path, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
+    # Canonical CSR sums each row in ascending column order, as a CSC matvec
+    # does, so the iteration sees the same products without a conversion.
+    csr = matrix.tocsr().astype(float)
+    csr.sum_duplicates()
     try:
         values = spla.eigs(
-            matrix.tocsc().astype(float),
+            csr,
             k=k,
             which="LR",
             v0=v0,

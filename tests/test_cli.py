@@ -1,5 +1,6 @@
 """Settings parsing, the analysis pipeline, and both console entry points."""
 
+import warnings
 from dataclasses import fields, replace
 from itertools import takewhile
 from pathlib import Path
@@ -661,3 +662,32 @@ class TestGridgen:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.gridgen_main([])
+
+
+class TestNonFiniteExtents:
+    """An infinite extent is refused by name, before any grid is built or warning raised."""
+
+    def test_domain_spec(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ("0,inf,0,1", "-inf,1,0,1", "0,1,0,inf", "0,1,nan,1"):
+                with pytest.raises(SettingsError, match="domain"):
+                    parse_domain_spec(bad)
+
+    def test_settings_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("test_case = normal_shock\ngrid = 4x3\ndomain = 0,inf,0,1\nmach = 2\nepsilon = 0.1\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([str(cfg)]) == 2
+        assert "domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["annular", "3", "2", "--outer", "inf"],
+                                      ["cartesian", "3", "2", "--extent", "0", "inf", "0", "1"]])
+    def test_gridgen_exits_two(self, tmp_path, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.gridgen_main(args + ["-o", str(tmp_path / "g.grd")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "g.grd").exists()

@@ -523,3 +523,42 @@ class TestWriteSeries:
         assert data.shape == (21, 2)
         assert np.allclose(data[:, 0], series.t, rtol=1e-16)
         assert np.allclose(data[:, 1], np.exp(series.log_norm), rtol=1e-16)
+
+
+class TestNormByDotProduct:
+    """The marches take their norms as one dot product, bit for bit ``np.linalg.norm``."""
+
+    def test_norm_equals_numpy_norm(self):
+        rng = np.random.default_rng(12)
+        arrays = (rng.standard_normal(37), rng.standard_normal((5, 4, 4)), rng.standard_normal((6, 8))[:, ::3],
+                  np.array([3e-200, -4e-200]), np.array([1e200, 1e200]), np.zeros(3))
+        with np.errstate(over="ignore"):  # the 1e200 pair overflows to inf on both routes
+            for a in arrays:
+                assert harness._norm(a) == float(np.linalg.norm(a))
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_linear_series_unchanged(self, monkeypatch, dense):
+        rng = np.random.default_rng(13)
+        matrix = sp.random(40, 40, density=0.6 if dense else 0.05, random_state=14, format="csr")
+        matrix = matrix - 0.5 * sp.identity(40, format="csr")
+        delta0 = rng.standard_normal(40)
+        assert isinstance(_rk4_step_matrix(matrix, 0.01), np.ndarray) == dense
+        series = evolve_linear(matrix, 3000, delta0=delta0, dt=0.01)
+        monkeypatch.setattr(harness, "_norm", lambda a: float(np.linalg.norm(a)))
+        reference = evolve_linear(matrix, 3000, delta0=delta0, dt=0.01)
+        assert series.log_norm.tobytes() == reference.log_norm.tobytes()
+        assert (series.diverged, series.truncated) == (reference.diverged, reference.truncated)
+
+    def test_nonlinear_series_unchanged(self, monkeypatch):
+        from shockstab.state import init_normal_shock_rh
+
+        ni, nj = 7, 3
+        metrics = compute_metrics(make_cartesian_grid(ni, nj))
+        base = init_normal_shock_rh(ni, nj, 3.0, 0.3, gas=GAS)
+        bc = normal_shock_bcs(3.0, GAS)
+        args = (base, bc, metrics, FIRST, "hllc", GAS)
+        series = evolve_nonlinear(*args, steps=60)
+        monkeypatch.setattr(harness, "_norm", lambda a: float(np.linalg.norm(a)))
+        reference = evolve_nonlinear(*args, steps=60)
+        assert series.log_norm.tobytes() == reference.log_norm.tobytes()
+        assert series.t.tobytes() == reference.t.tobytes()

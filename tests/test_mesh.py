@@ -1,5 +1,7 @@
 """Grid construction, metrics identities, and grid-file round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,22 @@ class TestGridFiles:
         assert grid.x[2, 1] == 2.0
         assert grid.y[2, 1] == 1.0
         assert grid.x[1, 0] == 1.0
+
+
+class TestNonFiniteExtents:
+    """An infinite or NaN extent is a GridError before any coordinate is computed."""
+
+    @pytest.mark.parametrize("extent", [(0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0),
+                                        (0.0, 1.0, 0.0, np.inf), (0.0, 1.0, np.nan, 1.0)])
+    def test_cartesian(self, extent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError):
+                make_cartesian_grid(3, 2, extent=extent)
+
+    @pytest.mark.parametrize("radii", [(1.0, np.inf), (1.0, np.nan), (np.nan, 2.0)])
+    def test_annular(self, radii):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="r_outer"):
+                make_annular_grid(3, 2, *radii)

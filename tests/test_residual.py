@@ -742,3 +742,432 @@ class TestPinnedBits:
         assert np.array_equal(left[0], left[1]) and np.array_equal(right[2], right[3])
         assert np.array_equal(left[0], right[2]) and not np.array_equal(left[0], a[1])
         assert sha256(np.stack((left, right))) == PINNED_ONE_SIDED_FALLBACK_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The one-gather ghost fill
+# ---------------------------------------------------------------------------
+
+
+def side_walk_ghosts(field, bc, metrics):
+    """Reference ghost frame, filled one side at a time from each side's source cells."""
+    ni, nj = field.ni, field.nj
+    ext = np.empty((ni + 4, nj + 4) + field.q.shape[2:])
+    ext[2:-2, 2:-2] = field.q
+    sides = (
+        ("left", ext[:, 2:-2], metrics.iface_normal[0]),
+        ("right", ext[::-1, 2:-2], metrics.iface_normal[ni]),
+        ("bottom", ext[2:-2].swapaxes(0, 1), metrics.jface_normal[:, 0]),
+        ("top", ext[2:-2, ::-1].swapaxes(0, 1), metrics.jface_normal[:, nj]),
+    )
+    for name, view, normal in sides:
+        side, cells = bc.side(name), view[2:-2]  # the interior counted from the boundary
+        if side.kind == "supersonic_inflow":
+            view[:2] = side.state
+        elif side.kind == "periodic":
+            view[:2] = cells[-2:]
+        elif side.kind == "zero_gradient":
+            view[:2] = cells[:1]
+        elif side.kind == "fixed_pressure_outflow":
+            prim = cons_to_prim(cells[:1], GAS)
+            prim[..., 3] = side.pressure
+            view[:2] = prim_to_cons(prim, GAS)
+        else:  # slip_wall: layer k mirrors cell k about the wall normal
+            src = cells[1::-1]
+            n = normal.reshape(normal.shape[:1] + (1,) * (src.ndim - 3) + (2,))
+            mn = src[..., 1] * n[..., 0] + src[..., 2] * n[..., 1]
+            view[:2] = src
+            view[:2, ..., 1] = src[..., 1] - 2.0 * mn * n[..., 0]
+            view[:2, ..., 2] = src[..., 2] - 2.0 * mn * n[..., 1]
+    for rows in (slice(0, 2), slice(-2, None)):
+        ext[rows, :2] = ext[rows, 2:3]
+        ext[rows, -2:] = ext[rows, -3:-2]
+    return ext
+
+
+def side_kind_sets(members=1):
+    """Every boundary set a side pair allows: each non-periodic kind on each side, or both periodic.
+
+    Inflow states and exit pressures differ from side to side and, for
+    ``members > 1``, from member to member.
+    """
+    rng = np.random.default_rng(3)
+
+    def make(kind):
+        if kind == "supersonic_inflow":
+            prim = np.array([1.0, 2.0, 0.1, 0.9]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (members, 4)))
+            cons = prim_to_cons(prim, GAS)
+            return BoundaryCondition(kind, state=cons[0] if members == 1 else cons)
+        if kind == "fixed_pressure_outflow":
+            pressure = 0.9 + 0.1 * rng.uniform(-1.0, 1.0, members)
+            return BoundaryCondition(kind, pressure=float(pressure[0]) if members == 1 else pressure)
+        return BoundaryCondition(kind)
+
+    open_kinds = ("supersonic_inflow", "zero_gradient", "fixed_pressure_outflow", "slip_wall")
+    pairs = [(a, b) for a in open_kinds for b in open_kinds] + [("periodic", "periodic")]
+    for left, right in pairs:
+        for bottom, top in pairs:
+            yield BoundaryConditionSet(left=make(left), right=make(right), bottom=make(bottom), top=make(top))
+
+
+def ghost_fill_cases():
+    """``(field, metrics)`` pairs: a plain field on a perturbed grid, a three-member batch on an annulus, a strip."""
+    ring = make_annular_grid(5, 4)
+    batch = FlowField(q=np.stack([smooth_field(5, 4, seed=50 + k, scale=0.1).q for k in range(3)], axis=2))
+    return (
+        (smooth_field(4, 3, seed=52), compute_metrics(perturbed_cartesian(4, 3, seed=53, amp=0.1)), 1),
+        (batch, compute_metrics(ring), 3),
+        (smooth_field(6, 2, seed=54), compute_metrics(make_cartesian_grid(6, 2)), 1),
+    )
+
+
+def ghost_dependency_digest():
+    """One SHA-256 over ``ghost_dependency`` of every side-kind set on the plain-field case."""
+    field, metrics, _ = ghost_fill_cases()[0]
+    h = hashlib.sha256()
+    for bcs in side_kind_sets():
+        for array in ghost_dependency(field, bcs, metrics, GAS):
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the side-by-side ghost walk that the one-gather fill replaced.
+PINNED_GHOST_DEPENDENCY_DIGEST = "554ad97d7b6b865d4653a8e5d71082fe85b7e5d78d2d77a50d178de0f561272f"
+
+
+class TestGhostGather:
+    def test_fill_equals_side_walk_for_every_side_kind(self):
+        count = 0
+        for field, metrics, members in ghost_fill_cases():
+            for bcs in side_kind_sets(members):
+                ext = fill_ghosts(field, bcs, metrics, GAS).ext
+                assert ext.tobytes() == side_walk_ghosts(field, bcs, metrics).tobytes()
+                count += 1
+        assert count == 3 * 17 * 17
+
+    def test_slip_walls_on_all_four_sides(self):
+        field, metrics, _ = ghost_fill_cases()[0]
+        wall = BoundaryCondition.slip_wall()
+        bcs = BoundaryConditionSet(left=wall, right=wall, bottom=wall, top=wall)
+        ext = fill_ghosts(field, bcs, metrics, GAS).ext
+        assert ext.tobytes() == side_walk_ghosts(field, bcs, metrics).tobytes()
+        # the wall ghosts carry mirrored momentum, not copies of their source cells
+        assert not np.array_equal(ext[1, 2:-2], field.q[0]) and not np.array_equal(ext[2:-2, -1], field.q[:, -2])
+
+    def test_ghost_dependency_is_unchanged(self):
+        assert ghost_dependency_digest() == PINNED_GHOST_DEPENDENCY_DIGEST
+
+    def test_fill_is_not_aliased_to_the_field(self):
+        field, metrics, _ = ghost_fill_cases()[2]
+        bcs = normal_shock_bcs(3.0, GAS)
+        before = field.q.copy()
+        ghosts = fill_ghosts(field, bcs, metrics, GAS)
+        ghosts.ext[...] = 0.0
+        assert np.array_equal(field.q, before)
+        assert np.array_equal(fill_ghosts(field, bcs, metrics, GAS).ext, side_walk_ghosts(field, bcs, metrics))
+
+
+# ---------------------------------------------------------------------------
+# The 1-D march's one-row strip
+# ---------------------------------------------------------------------------
+
+
+def dyadic_strip(ni, seed):
+    """A one-row strip of tilted cells whose two j-face rows are bitwise equal.
+
+    Every node coordinate is a multiple of 1/64 and the top row is the
+    bottom row shifted by (0.25, 0.75), so the j-face differences are exact;
+    the cells still vary in size and every i-face is tilted.
+    """
+    rng = np.random.default_rng(seed)
+    x0 = np.cumsum(rng.integers(40, 90, ni + 1)) / 64.0
+    y0 = rng.integers(-8, 9, ni + 1) / 64.0
+    return Grid(x=np.stack((x0, x0 + 0.25), axis=1), y=np.stack((y0, y0 + 0.75), axis=1))
+
+
+STRIP_BATCH_SOLVERS = ("hllc", "ausm_plus", "hllc")
+
+
+def strip_setups():
+    """``{name: (field, bcs, metrics, solvers)}`` of one-row strips, periodic in ``j``.
+
+    ``shock``: a jittered M=20 shock on a tilted 9-cell strip, cold enough
+    upstream that MUSCL and ROUND fall back to first order on some faces;
+    ``batch``: three jittered shock members (M = 3, 6, 20) on a unit-square
+    strip, under their own inflow states and exit pressures and a mixed
+    solver list.
+    """
+    rng = np.random.default_rng(17)
+    prim = cons_to_prim(init_normal_shock_rh(9, 1, 20.0, 0.3, gas=GAS).q, GAS)
+    shock = FlowField(q=prim_to_cons(prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    machs = (3.0, 6.0, 20.0)
+    prim = np.stack([cons_to_prim(init_normal_shock_rh(8, 1, m, 0.4, gas=GAS).q, GAS) for m in machs], axis=2)
+    batch = FlowField(q=prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    return {
+        "shock": (shock, normal_shock_bcs(20.0, GAS), compute_metrics(dyadic_strip(9, 18)),
+                  {name: name for name in RIEMANN_SOLVERS}),
+        "batch": (batch, BoundaryConditionSet.stack([normal_shock_bcs(m, GAS) for m in machs]),
+                  compute_metrics(make_cartesian_grid(8, 1)), {"mixed": list(STRIP_BATCH_SOLVERS)}),
+    }
+
+
+def one_row_annulus():
+    """A one-row annular sector, periodic in ``j``: its two j-face rows have different normals."""
+    bcs = BoundaryConditionSet(
+        left=BoundaryCondition.supersonic_inflow(prim_to_cons(np.array([1.0, 2.0, 0.1, 0.9]), GAS)),
+        right=BoundaryCondition.fixed_pressure_outflow(0.95),
+        bottom=BoundaryCondition.periodic(),
+        top=BoundaryCondition.periodic(),
+    )
+    return smooth_field(6, 1, seed=19, scale=0.1), bcs, compute_metrics(make_annular_grid(6, 1))
+
+
+def strip_march_outcomes(scheme):
+    """Each member's march outcome: all eight solvers at M=20 as one batch, 40 steps on 9 cells."""
+    from shockstab.harness import solve_1d_steady
+
+    return solve_1d_steady(9, 20.0, 0.37, 40, scheme, list(RIEMANN_SOLVERS), gas=GAS)
+
+
+def strip_digests():
+    """SHA-256 of every strip, annulus and march result per scheme."""
+    out = {}
+    for setup, (field, bcs, metrics, solvers) in strip_setups().items():
+        ghosts = fill_ghosts(field, bcs, metrics, GAS)
+        for scheme_name, scheme in PINNED_SCHEMES.items():
+            for label, solver in solvers.items():
+                out[f"{setup}/{label}/{scheme_name}"] = sha256(residual(field, ghosts, metrics, scheme, solver, GAS))
+    field, bcs, metrics = one_row_annulus()
+    ghosts = fill_ghosts(field, bcs, metrics, GAS)
+    for scheme_name, scheme in PINNED_SCHEMES.items():
+        out[f"annulus/hllc/{scheme_name}"] = sha256(residual(field, ghosts, metrics, scheme, "hllc", GAS))
+        for solver, outcome in zip(RIEMANN_SOLVERS, strip_march_outcomes(scheme)):
+            if isinstance(outcome, Exception):
+                out[f"march/{solver}/{scheme_name}"] = str(outcome)
+            else:
+                out[f"march/{solver}/{scheme_name}"] = sha256(
+                    np.concatenate((outcome.q.ravel(), outcome.residual_history, [outcome.residual_inf])))
+    return out
+
+
+# Recorded from the code that fluxed both face families of the strip.
+PINNED_STRIP_DIGESTS = {
+    "annulus/hllc/first_order": "0cc71492fdfec5a10b1fd0c7641bafa6b382c6ced2793d477d6ae3c728f14813",
+    "annulus/hllc/muscl_superbee_prim": "5d02df4b60e0bc42110f006d89091f6346d1cfae10418b878ace28dc907d2a3d",
+    "annulus/hllc/muscl_van_albada": "223f1573e53220841d6a454cd6b634bc33231bcb04ab6daaac339104085bd03a",
+    "annulus/hllc/round": "6736aeabe05cabd7d06939588d8139d2ea36032ff2d6b72a4b5471348e314f59",
+    "batch/mixed/first_order": "435535d8e93b05f46f53f4f5017832ebf269d8277cb4d369df38c74608aa30a0",
+    "batch/mixed/muscl_superbee_prim": "8d018f68a128bb12fcef74b629cefbe6198be78f71968c3a1c428e3cff27f012",
+    "batch/mixed/muscl_van_albada": "3b09b659f8f146e90bf7e52b9a22270a00ba53c3ca3e7b5a476016fd50f6266b",
+    "batch/mixed/round": "69836ef8c06c3879d175ac00b86ec168b1c3b749728666c7a9bf5ce39f0e9d21",
+    "march/ausm_plus/first_order": "12bf8b8645ee8d4e2c2af398551f9b878515ee522c93bc4950717f0eef5166ff",
+    "march/ausm_plus/muscl_superbee_prim": "c82e4b96d417f62986db8e84017ee1803d3e6a159dd3694c38bf32424382cdef",
+    "march/ausm_plus/muscl_van_albada": "a461da6b469a9f2d906e34cbf3c2395c9ac93686ea6fd6dbc3626ad2ab0db692",
+    "march/ausm_plus/round": "575a4e825a393e0701ad5f217c643b9b0141a3a039565abf96762a84eaaf881d",
+    "march/hll/first_order": "8c9e4977f87c4f2549e5084595f73e7cd0f1017f8d68bdff31edce1f224caaf7",
+    "march/hll/muscl_superbee_prim": "fefe5744793f235a29929332e12887bea66bf67f2405582481341fcbdb12db9a",
+    "march/hll/muscl_van_albada": "03679786ef20cbcd45d03dd30d0741581326b708241f167601b6befc5b068643",
+    "march/hll/round": "129def3d1fc58fcad2402d4a3b5863f8c6538a6325a0cdaf6fd764f0e0586713",
+    "march/hllc/first_order": "130688e20224e88483fca62588f89ae1bced72800855c711edf1e3fa557bdbd5",
+    "march/hllc/muscl_superbee_prim": "2efe16a40176522a0e23e0043f88f5fb043933731e8322e02025e691cc961e33",
+    "march/hllc/muscl_van_albada": "d2102cb7e4d749e2b4772aa55d8f6b9e077d8e2e10350b659442a3b9e1998f97",
+    "march/hllc/round": "542deee72c5f967557543172e5b8b415af2e1043113f61c8e24684f2635f0ea9",
+    "march/hlle/first_order": "ac35d3647631b1465198491ba7b975ea287f5ac65743ef17326d6de3ac37f3ed",
+    "march/hlle/muscl_superbee_prim": "b38f59486f7e4777c463f84451e254bca2226acb44f79af33ff8f4beb42f17e9",
+    "march/hlle/muscl_van_albada": "b001c6dd6e4ed80aa243147ebdf93d4b2f7011d696179ceda843efd0eca39846",
+    "march/hlle/round": "53bf96e1660b67d7f78696356507b999ad4a98f548ce842b5a9f4ed4e28afe25",
+    "march/hllem/first_order": "4c4b22e407f7efaf3b33185b86cc11e4bb72ff42fb254a96124109c4e42f8a46",
+    "march/hllem/muscl_superbee_prim": "197d1d6da47d16be783f9631b0c54461ae6190782dfd4949de1c69512297aaba",
+    "march/hllem/muscl_van_albada": "42f0cf4c189b9bc7ecbeb4125a507eec69060006e308cc5c3a67652bc888cb84",
+    "march/hllem/round": "6569e93ed3b1e1fbd70805b0ba4ee3b3686db9257b118b4e0b652adb505e17d6",
+    "march/roe/first_order": "6e94e26ecdcead5df921782093bd294bfdaf9232c3cce6279affea3ac8d5d3d5",
+    "march/roe/muscl_superbee_prim": "8ea4669ed30beb70860db43fdb3eda8239e05a5d4f3046a6711ca8a09018bef3",
+    "march/roe/muscl_van_albada": "1b939b9b4a86f522ecd5fd9a3e450ee21ba9153c1d37a5448eee739616ca72da",
+    "march/roe/round": "8667251dfaaabde4c02d503fa3c5d4adaae35844b37c9a3882896d418ee359c9",
+    "march/slau/first_order": "bc84f377de1f3934642eadd4b659348353112b7fe879d87bb6f2ddb260beda34",
+    "march/slau/muscl_superbee_prim": "30949d974f4ffabfb06c53fea6d747d136b863645bc0d27d806ca29d1eda2099",
+    "march/slau/muscl_van_albada": "1-D march left the physical state space at step 3",
+    "march/slau/round": "1-D march left the physical state space at step 2",
+    "march/van_leer_fvs/first_order": "8bed7b00f34414256e8ca7e521b1ee25bef0e94c798e763ecbcdddfb04690f18",
+    "march/van_leer_fvs/muscl_superbee_prim": "42e12a9e7b2a2aadc6fa64e44c525c71dcd39e497104182b024838c943801f21",
+    "march/van_leer_fvs/muscl_van_albada": "e31ed31c94e83b0868bc3f486c73096f6674ce8d6d2f49eb91b10e757c83b862",
+    "march/van_leer_fvs/round": "58349694472d8bea5dacb9d74e3f74dd3d56978f2dc98ff68b9f187f7991f3c5",
+    "shock/ausm_plus/first_order": "00e2dd7a39ce97a76bce11a23b11f09289aaae2c27ac581f405ba1052dc5c7f0",
+    "shock/ausm_plus/muscl_superbee_prim": "081b79a34411bbb7ca73cf84f828ed05305fffcfebe5ba67601e30eaf9e278ef",
+    "shock/ausm_plus/muscl_van_albada": "7b425600bff9c459e2a629984d6132bda2b3bb5bce96c9ff260e7181339bdfb2",
+    "shock/ausm_plus/round": "89d4f8e4346923886f67adddd2f718487818c95a5b791a61698c7a195bfb87fe",
+    "shock/hll/first_order": "246474e51add3400af61a9bd7e617683f423c5190acb82af9d79778f052451d0",
+    "shock/hll/muscl_superbee_prim": "5471f3750a9a47cad8e91f488ba76b3dee19819e879aee699f31458ea715d775",
+    "shock/hll/muscl_van_albada": "aedd7040d1bde8f0589738511d06459987f5df1a7fb3fd9dd2842efc375385dd",
+    "shock/hll/round": "45d8df52d901611712f4f9f08e8fa77659d0555d75522ec256e3fbb4fc3442e1",
+    "shock/hllc/first_order": "8bb050ecefcb5537598f57d5aaef506bb56fff4d3daa3fd1870864c58264d0e5",
+    "shock/hllc/muscl_superbee_prim": "f27d5bc48b6b176bdc81f7aa6bc73ebcd2c45a08df009280758d39d944e1a46b",
+    "shock/hllc/muscl_van_albada": "b822e8b70f77336dbfc32b10b9e3081f0791f8274ed15a9f1ad16a6a0cebaf4b",
+    "shock/hllc/round": "75b1d1881253b9b5516aedb087847e0346303873361459df5baca318a1eda091",
+    "shock/hlle/first_order": "852a3a595e46b195741691e6aa1994f41731c3acbe9ca089741bbb9fa8a42377",
+    "shock/hlle/muscl_superbee_prim": "bd1c534a24e5e03b8012ef4ab8f5c276e490c6647e3e0e3b338b1930eec87f65",
+    "shock/hlle/muscl_van_albada": "aef85d0fa540b35d3b309e563a349770e1ba09d95c9dfe94b5372eb6a8551dcf",
+    "shock/hlle/round": "52d3fc17e2091c2ff7216dcd38764719538664d2fb676ab2db177a7850724593",
+    "shock/hllem/first_order": "0d23c0a60b340ae1389f22800230f66ae719ec3fbf4de5c4f5b2bbd4183aaeda",
+    "shock/hllem/muscl_superbee_prim": "19a4f90437037aa12c3d5a1edd8d5a2beec19562d9713b246b7dd08a58bd2068",
+    "shock/hllem/muscl_van_albada": "6c6fa84d921de73678f6e52244a65fccc5248cd296694ff47d4351a47e8ee331",
+    "shock/hllem/round": "185880357c6e0a9252f9beacd5aa53134137b2ecb56c979edd2e22916d963ac4",
+    "shock/roe/first_order": "f85a00180088627dea8410e187d92ae303a5a7674d7f963fab5e87a175ac49b6",
+    "shock/roe/muscl_superbee_prim": "16edd056f48be31d45ad184b61b0f0a3dd80b7f81a994aedcae202c88bd4325e",
+    "shock/roe/muscl_van_albada": "2ace4ceaa71a25928ec3fa2f6a3afbada35750424308a6de768ba0f172e09c78",
+    "shock/roe/round": "8b15049c3a8733a3eeb7987c21f86158aeabbc7cf41d711812d9b6aa16195602",
+    "shock/slau/first_order": "b2dd4031fd40c9fae3e47e29f42b82dff43113e3affcf303883ed07ad097b023",
+    "shock/slau/muscl_superbee_prim": "cf4804437864fe3f02fc84ccb71f028cc9e4ea35cba86be0a8074f633658597d",
+    "shock/slau/muscl_van_albada": "b3ba869ff9b4b52297b996e151f7b21983becc7c2fcbfbec231a772d930f06f1",
+    "shock/slau/round": "9459e4646c0c83cf5f9c7ffdf7eee56ddbe06ca4cf4d4f5b309c619e0c8267ec",
+    "shock/van_leer_fvs/first_order": "bf702e0ce1e6eac427f6b9c294ab9d5bfbc0cc9bcf098f4b9d8a8e115043ef52",
+    "shock/van_leer_fvs/muscl_superbee_prim": "7b8700fa7f9a315c610b386011cbeb1825a7e5844ec04e9c2bb2f74959581fe3",
+    "shock/van_leer_fvs/muscl_van_albada": "1a1c524e1a1c63cb87b26c44788f169d49b08c09a1bbf2921eeb67ff5216fa19",
+    "shock/van_leer_fvs/round": "59f2c01e40dc09f443a1a0ff9d9c51c32f8f872abda8fcd885818d6acf2239a5",
+}
+
+
+def counting(monkeypatch, name):
+    """Record each call of the residual module's ``name`` as its (args, kwargs)."""
+    import importlib
+
+    module = importlib.import_module("shockstab.residual")  # the package exports a function of that name
+    calls, fn = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def two_family_frame(ghosts):
+    """The same frame built by hand, which takes the path that fluxes both face families."""
+    return GhostField(ext=ghosts.ext, ni=ghosts.ni, nj=ghosts.nj)
+
+
+class TestStripBranch:
+    def test_strip_digests(self):
+        assert strip_digests() == PINNED_STRIP_DIGESTS
+
+    def test_strip_fluxes_only_its_i_faces(self, monkeypatch):
+        for field, bcs, metrics, _ in strip_setups().values():
+            ghosts = fill_ghosts(field, bcs, metrics, GAS)
+            assert ghosts.strip and not two_family_frame(ghosts).strip
+            members = int(np.prod(field.q.shape[2:-1]))
+            pairs = counting(monkeypatch, "reconstruct_pair")
+            fluxes = counting(monkeypatch, "riemann_flux")
+            whole = counting(monkeypatch, "face_reconstruction")
+            residual(field, ghosts, metrics, PINNED_SCHEMES["muscl_van_albada"], "hllc", GAS)
+            assert not whole and len(pairs) == len(fluxes) == 1
+            assert pairs[0][0][0].shape == (members * (field.ni + 1), 4)
+            assert fluxes[0][0][1].shape == (members * (field.ni + 1), 4)
+            monkeypatch.undo()
+
+    def test_strip_equals_the_two_family_path(self):
+        for field, bcs, metrics, solvers in strip_setups().values():
+            ghosts = fill_ghosts(field, bcs, metrics, GAS)
+            for scheme in PINNED_SCHEMES.values():
+                for solver in solvers.values():
+                    res = residual(field, ghosts, metrics, scheme, solver, GAS)
+                    ref = residual(field, two_family_frame(ghosts), metrics, scheme, solver, GAS)
+                    assert res.tobytes() == ref.tobytes()  # signed zeros included
+
+    def test_one_row_annulus_keeps_both_families(self, monkeypatch):
+        field, bcs, metrics = one_row_annulus()
+        assert not np.array_equal(metrics.jface_normal[:, 0], metrics.jface_normal[:, 1])
+        ghosts = fill_ghosts(field, bcs, metrics, GAS)
+        assert not ghosts.strip
+        pairs = counting(monkeypatch, "reconstruct_pair")
+        residual(field, ghosts, metrics, PINNED_SCHEMES["round"], "hllc", GAS)
+        assert pairs[0][0][0].shape == ((6 + 1) * 1 + 6 * 2, 4)
+
+    def test_no_strip_without_periodic_sides_or_with_two_rows(self):
+        field, _, metrics, _ = strip_setups()["shock"]
+        walls = BoundaryConditionSet(
+            left=BoundaryCondition.zero_gradient(), right=BoundaryCondition.zero_gradient(),
+            bottom=BoundaryCondition.zero_gradient(), top=BoundaryCondition.zero_gradient(),
+        )
+        assert not fill_ghosts(field, walls, metrics, GAS).strip
+        two_rows = smooth_field(5, 2, seed=20)
+        assert not fill_ghosts(two_rows, periodic_bcs(), compute_metrics(make_cartesian_grid(5, 2)), GAS).strip
+
+    @pytest.mark.parametrize("scheme_name", ["first_order", "muscl_van_albada", "round"])
+    def test_non_physical_cell_raises_the_two_family_error(self, scheme_name):
+        # The j-faces the strip skips carry the cell states themselves, so a
+        # non-physical cell must still fail exactly as it did with them.
+        field, bcs, metrics, _ = strip_setups()["shock"]
+        q = field.q.copy()
+        q[6, 0, 3] = 0.5 * q[6, 0, 1] ** 2 / q[6, 0, 0] * 0.999  # negative pressure
+        bad = FlowField(q=q)
+        ghosts = fill_ghosts(bad, bcs, metrics, GAS)
+        scheme = PINNED_SCHEMES[scheme_name]
+        with pytest.raises(StateError) as expected:
+            residual(bad, two_family_frame(ghosts), metrics, scheme, "hllc", GAS)
+        with pytest.raises(StateError) as got:
+            residual(bad, ghosts, metrics, scheme, "hllc", GAS)
+        assert str(got.value) == str(expected.value)
+
+
+def test_cell_test_is_the_flux_test():
+    # The strip's cell test and the flux's physical-state test agree on every
+    # state, one bad component at a time, non-finite values and overflow included.
+    from shockstab.residual import _physical_cells
+    from shockstab.state import _physical_columns, _primitive_columns
+
+    good = prim_to_cons(np.array([1.3, 2.0, -0.4, 0.8]), GAS)
+    states = [good]
+    for c in range(4):
+        for value in (np.inf, -np.inf, np.nan, 0.0, -1.0, 1e-300, 1e300, -1e300):
+            state = good.copy()
+            state[c] = value
+            states.append(state)
+    states.append(np.array([1e300, 1e300, 0.0, 1e300]))
+    states.append(np.array([1e-300, 1.0, 0.0, 1.0]))
+    with np.errstate(all="ignore"):
+        for state in states:
+            expected = bool(_physical_columns(*_primitive_columns(state, GAS)))
+            field = np.stack([good, state, good])[:, None]
+            assert _physical_cells(field, GAS) is expected, state
+
+
+class TestFaceStateValidation:
+    """``riemann_flux`` re-tests the face states only where the reconstruction left some untested."""
+
+    @staticmethod
+    def validate_flags(monkeypatch, field, ghosts, metrics, scheme):
+        fluxes = counting(monkeypatch, "riemann_flux")
+        residual(field, ghosts, metrics, scheme, "hllc", GAS)
+        return [kwargs.get("validate", True) for _, kwargs in fluxes]
+
+    def cases(self):
+        """``(name, field, ghosts, metrics)``: a strip and a 2-D field, each smooth and as a cold jittered shock."""
+        shock, bcs, metrics, _ = strip_setups()["shock"]
+        smooth = smooth_field(9, 1, seed=21, scale=0.1)
+        strip_bcs = BoundaryConditionSet(
+            left=BoundaryCondition.zero_gradient(), right=BoundaryCondition.zero_gradient(),
+            bottom=BoundaryCondition.periodic(), top=BoundaryCondition.periodic(),
+        )
+        setups = pinned_setups()
+        return (
+            ("strip/smooth", smooth, fill_ghosts(smooth, strip_bcs, metrics, GAS), metrics),
+            ("strip/shock", shock, fill_ghosts(shock, bcs, metrics, GAS), metrics),
+            ("2d/smooth",) + setups["annulus"],
+            ("2d/shock",) + setups["shock"],
+        )
+
+    def test_validation_runs_exactly_where_a_face_state_is_untested(self, monkeypatch):
+        seen = {}
+        for name, field, ghosts, metrics in self.cases():
+            assert ghosts.strip == name.startswith("strip")
+            for scheme_name, scheme in PINNED_SCHEMES.items():
+                fallback = face_reconstruction(ghosts, scheme, GAS)[2].any()
+                flags = self.validate_flags(monkeypatch, field, ghosts, metrics, scheme)
+                assert flags == [not scheme.is_second_order or bool(fallback)]
+                seen[f"{name}/{scheme_name}"] = flags[0]
+                monkeypatch.undo()
+        # both outcomes occur for the second-order schemes on both paths
+        assert seen["strip/smooth/muscl_van_albada"] is False and seen["strip/shock/muscl_van_albada"] is True
+        assert seen["2d/smooth/round"] is False and seen["2d/shock/round"] is True
+        assert seen["strip/smooth/first_order"] is True and seen["2d/smooth/first_order"] is True

@@ -621,3 +621,32 @@ class TestMatrixIO:
         path = tmp_path / "missing.dat"
         with pytest.raises(FlowFileError, match="cannot read matrix file .*missing.dat"):
             read_matrix(path)
+
+
+class TestArnoldiMatrixFormat:
+    """ARPACK gets canonical CSR: the same products, in the same order, as the CSC it used to get."""
+
+    @staticmethod
+    def csc_route(matrix, k, seed=20230614):
+        import scipy.sparse.linalg as spla
+
+        v0 = np.random.default_rng(seed).standard_normal(matrix.shape[0])
+        values = spla.eigs(matrix.tocsc().astype(float), k=k, which="LR", v0=v0, return_eigenvectors=False)
+        return _sort_spectrum(values)
+
+    def test_csr_route_equals_csc_route(self, anchor_11):
+        matrices = (normal_shock_matrix(), normal_shock_matrix(6, 5, bcs=mixed_bcs()), anchor_11.stab.matrix)
+        for matrix, k in zip(matrices, (6, 8, 12)):
+            assert eigensolve_leading(matrix, k=k).tobytes() == self.csc_route(matrix, k).tobytes()
+
+    def test_caller_matrix_is_left_as_given(self):
+        # reversed column order within each row: not canonical
+        matrix = normal_shock_matrix()
+        indices, data = matrix.indices.copy(), matrix.data.copy()
+        for row in range(matrix.shape[0]):
+            span = slice(matrix.indptr[row], matrix.indptr[row + 1])
+            indices[span], data[span] = indices[span][::-1], data[span][::-1]
+        shuffled = sp.csr_matrix((data, indices, matrix.indptr.copy()), shape=matrix.shape)
+        before = (shuffled.indices.copy(), shuffled.data.copy())
+        assert eigensolve_leading(shuffled, k=6).tobytes() == eigensolve_leading(matrix, k=6).tobytes()
+        assert np.array_equal(shuffled.indices, before[0]) and np.array_equal(shuffled.data, before[1])
