@@ -496,8 +496,8 @@ def _march_batch(cases: list[Settings]) -> list:
     """1-D marches of normal-shock cases that differ only in Mach number and solver, as one batch.
 
     Each case is one member with its own Mach number and solver; the
-    members share every step's ghost fill, reconstruction and face-frame
-    split (see :func:`harness.solve_1d_steady`).  Returns, per case, its
+    members share every step's reconstruction and face-frame split (see
+    :func:`harness.solve_1d_steady`).  Returns, per case, its
     profile or the :class:`EvolutionError` that stopped it.
     """
     s = cases[0]

@@ -1,5 +1,9 @@
 """Base-flow generation and time-marching cross-checks of the matrix analysis.
 
+The base flow is a 1-D normal-shock profile, marched to steadiness by
+:func:`solve_1d_steady` through the residual module's own i-face residual
+for a one-row strip, and projected across the rows of the 2-D grid.
+
 The eigenvalue analysis predicts that a small perturbation evolves like
 ``exp(S t)``, so its largest real part must match the exponential growth (or
 decay) rate observed when the same perturbation is actually marched in time.
@@ -21,7 +25,7 @@ import scipy.sparse as sp
 from .errors import EvolutionError, FitError, StateError
 from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme, _solver_kernel
-from .residual import BoundaryConditionSet, fill_ghosts, normal_shock_bcs, residual
+from .residual import BoundaryConditionSet, _march_residual, fill_ghosts, normal_shock_bcs, residual
 from .stability import spectral_radius_upper
 from .state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, is_physical_prim, sound_speed
 
@@ -88,14 +92,15 @@ class GrowthRateFit:
 def local_wave_speed_sums(prim: np.ndarray, metrics: GridMetrics, gas: GasModel) -> np.ndarray:
     """Per-cell sum from primitive states of ``L * (|q_n| + a)`` over all four faces.
 
-    ``prim`` is the ``(ni, nj, 4)`` primitive field, or ``(ni, nj, members,
-    4)`` for a batch.  Uses the cell's own state on every face; this is the
-    standard local estimate behind CFL-based time steps.
+    ``prim`` is the ``(ni, nj, 4)`` primitive field, or any primitive
+    states that broadcast against the ``(ni, nj)`` cells: the 1-D march
+    passes its ``(ni, members, 4)`` members against its ``ni x 1`` strip.
+    Uses the cell's own state on every face; this is the standard local
+    estimate behind CFL-based time steps.
     """
     a = sound_speed(prim, gas)
     u, v = prim[..., 1], prim[..., 2]
-    per_cell = (...,) + (None,) * (prim.ndim - 3)  # face metrics broadcast over members
-    length, nx, ny = (m[per_cell] for m in metrics.cell_faces)
+    length, nx, ny = metrics.cell_faces
     terms = length * (np.abs(u * nx + v * ny) + a)
     # Summed face by face in GridMetrics.cell_faces order.
     return terms[0] + terms[1] + terms[2] + terms[3]
@@ -114,37 +119,33 @@ def solve_1d_steady(
 ) -> OneDResult | list[OneDResult | EvolutionError]:
     """March the 1-D normal-shock problem to (near) steadiness.
 
-    The 1-D equations are run as a one-cell-high strip of ``ni`` unit
-    squares of the 2-D residual with periodic top/bottom boundaries, whose
-    transverse fluxes cancel exactly, so precisely the same scheme/solver
-    code is exercised.  :func:`~shockstab.residual.fill_ghosts` marks the
-    frame a strip, so the residual reconstructs and fluxes its i-faces
-    only and adds the cancelled j-faces' exact ``+0.0``.  Forward Euler with per-cell CFL time steps is
-    applied for exactly ``steps`` iterations (no early exit); the final
-    residual norm is reported so the caller can judge convergence.
+    The 1-D equations are run on a one-cell-high strip of ``ni`` unit
+    squares, periodic in ``j``, through the same reconstruction and flux
+    code as the 2-D residual.  The strip's j-faces cancel exactly, so
+    :func:`~shockstab.residual._march_residual` fluxes its i-faces alone,
+    bitwise as :func:`~shockstab.residual.residual` would on each member's
+    own frame.  Forward Euler with per-cell CFL time steps is applied for
+    exactly ``steps`` iterations (no early exit); the final residual norm is
+    reported so the caller can judge convergence.
 
     Batch form: any of ``mach``, ``epsilon``, ``solver`` and ``shock_col``
     may be a sequence with one entry per member, and a scalar applies to
     every member.  The members share ``ni``, ``steps``, ``scheme``, ``gas``
-    and ``cfl``; they march as one batch field, each member with its own
-    inflow state, exit pressure and solver.  Every step makes one
-    ``fill_ghosts`` (one gather), one reconstruction of the i-faces, one
-    face-frame split of both sides, one back-rotation, one
-    ``local_wave_speed_sums`` and one ``cons_to_prim`` for all members, and
-    the flux re-tests the face states only where the reconstruction fell
-    back on some face; only
-    each solver's wave model runs per solver, on the contiguous face rows
-    of its members (adjacent members with the same solver share a run, so
-    list a solver's members together).  Each member's residual history,
-    final residual and physical-state check reduce over its own cells
-    only, and the arithmetic is elementwise, so every member's result is
-    bit-identical to its one-member march.  A member that leaves the
-    physical state space drops out, with its solver entry, and the others
-    go on; an error raised inside the residual itself (which the
-    end-of-step check keeps from arising) ends the whole call.  The batch
-    form returns a list with, per member, its :class:`OneDResult` or the
-    :class:`EvolutionError` that stopped it; the scalar form (a batch of
-    one) returns the result or raises the error.
+    and ``cfl``; they march as one ``(ni, members, 4)`` state, each member
+    with its own inflow state, exit pressure and solver.  Every step makes
+    one reconstruction and one flux call for all members; only each
+    solver's wave model runs per solver, on the contiguous face rows of its
+    members (adjacent members with the same solver share a run, so list a
+    solver's members together).  Each member's residual history, final
+    residual and physical-state check reduce over its own cells only, and
+    the arithmetic is elementwise, so every member's result is bit-identical
+    to its one-member march.  A member that leaves the physical state space
+    drops out, with its solver entry, and the others go on; an error raised
+    inside the residual itself (which the end-of-step check keeps from
+    arising) ends the whole call.  The batch form returns a list with, per
+    member, its :class:`OneDResult` or the :class:`EvolutionError` that
+    stopped it; the scalar form (a batch of one) returns the result or
+    raises the error.
 
     ``steps < 1``, a non-finite or non-positive ``cfl``, and sequences of
     different lengths raise :class:`EvolutionError`; an invalid member
@@ -167,37 +168,34 @@ def solve_1d_steady(
     live_solvers = solvers
     metrics = compute_metrics(make_cartesian_grid(ni, 1))
     bcs = [normal_shock_bcs(m, gas) for m, *_ in members]
-    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q for m, e, c, _ in members], axis=2)
-    fld = FlowField(q=q)
-    bc = BoundaryConditionSet.stack(bcs)
-    cfl_volume = cfl * metrics.volume[..., None]
+    inflow = np.stack([bc.left.state for bc in bcs])
+    p_exit = np.array([bc.right.pressure for bc in bcs])
+    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q[:, 0] for m, e, c, _ in members], axis=1)
+    cfl_volume = cfl * metrics.volume
     history = np.empty((steps, count))
     outcome: list = [None] * count
     live = np.arange(count)
-    prim = cons_to_prim(fld.q, gas)
+    prim = cons_to_prim(q, gas)
     for step in range(steps):
-        ghosts = fill_ghosts(fld, bc, metrics, gas)
-        res = residual(fld, ghosts, metrics, scheme, live_solvers, gas)
-        history[step, live] = np.abs(res).max(axis=(0, 1, 3))
+        res = _march_residual(q, inflow, p_exit, metrics, scheme, live_solvers, gas)
+        history[step, live] = np.abs(res).max(axis=(0, 2))
         dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
-        fld.q += dt[..., None] * res
+        q += dt[..., None] * res
         # One conversion per step serves this check and the next time step.
-        prim = cons_to_prim(fld.q, gas)
-        physical = is_physical_prim(prim).all(axis=(0, 1))
+        prim = cons_to_prim(q, gas)
+        physical = is_physical_prim(prim).all(axis=0)
         if not physical.all():
             for k in live[~physical]:
                 outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
             live = live[physical]
             if live.size == 0:
                 break
-            fld, prim = FlowField(q=fld.q[:, :, physical]), prim[:, :, physical]
-            bc = BoundaryConditionSet.stack([bcs[k] for k in live])
+            q, prim, inflow, p_exit = q[:, physical], prim[:, physical], inflow[physical], p_exit[physical]
             live_solvers = [solvers[k] for k in live]
     if live.size:
-        ghosts = fill_ghosts(fld, bc, metrics, gas)
-        final = np.abs(residual(fld, ghosts, metrics, scheme, live_solvers, gas)).max(axis=(0, 1, 3))
+        final = np.abs(_march_residual(q, inflow, p_exit, metrics, scheme, live_solvers, gas)).max(axis=(0, 2))
         for pos, k in enumerate(live):
-            outcome[k] = OneDResult(q=fld.q[:, 0, pos].copy(), residual_inf=float(final[pos]),
+            outcome[k] = OneDResult(q=q[:, pos].copy(), residual_inf=float(final[pos]),
                                     residual_history=history[:, k].copy())
     if sizes:  # the batch form
         return outcome

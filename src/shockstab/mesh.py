@@ -116,15 +116,6 @@ class GridMetrics:
         return self.volume.shape[1]
 
     @cached_property
-    def jface_rows_equal(self) -> bool:
-        """Whether every j-face row holds bitwise the lengths and normals of the first."""
-        return all(
-            face[:, k].tobytes() == face[:, 0].tobytes()
-            for face in (self.jface_len, self.jface_normal)
-            for k in range(1, self.nj + 1)
-        )
-
-    @cached_property
     def cell_faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Length, ``nx`` and ``ny`` of every cell's four faces, as read-only ``(4, ni, nj)`` arrays.
 
@@ -251,6 +242,8 @@ def _edge_faces(dx: np.ndarray, dy: np.ndarray, sign: float, family: str):
     length = np.hypot(dx, dy)
     if np.any(length <= 0.0):
         raise GridError(f"grid has a degenerate {family}-face (coincident nodes)")
+    if not np.all(np.isfinite(length)):
+        raise GridError(f"grid has a {family}-face of non-finite length (node coordinates overflow)")
     return length, np.stack((sign * dy / length, -sign * dx / length), axis=-1)
 
 
@@ -258,29 +251,34 @@ def compute_metrics(grid: Grid) -> GridMetrics:
     """Compute unit face normals, face lengths, and cell areas.
 
     Cell areas come from the shoelace formula over the four corner nodes,
-    assuming counterclockwise orientation; non-positive areas and
-    zero-length faces raise :class:`GridError`.  Because each face length
-    times its normal is an exact 90-degree rotation of the corresponding
-    edge vector, the outward-scaled normals of every cell sum to zero to
-    rounding accuracy, which keeps uniform flow exactly stationary.
+    assuming counterclockwise orientation; non-positive or non-finite areas
+    and zero-length or non-finite faces raise :class:`GridError`.  Because
+    each face length times its normal is an exact 90-degree rotation of the
+    corresponding edge vector, the outward-scaled normals of every cell sum
+    to zero to rounding accuracy, which keeps uniform flow exactly
+    stationary.
     """
     x, y = grid.x, grid.y
+    # Coordinates that overflow give non-finite lengths or areas, rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # i-faces: edge from node (f, j) to node (f, j+1), normal toward +i.
+        iface_len, iface_normal = _edge_faces(x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1], 1.0, "i")
+        # j-faces: edge from node (i, f) to node (i+1, f), normal toward +j.
+        jface_len, jface_normal = _edge_faces(x[1:, :] - x[:-1, :], y[1:, :] - y[:-1, :], -1.0, "j")
 
-    # i-faces: edge from node (f, j) to node (f, j+1), normal toward +i.
-    iface_len, iface_normal = _edge_faces(x[:, 1:] - x[:, :-1], y[:, 1:] - y[:, :-1], 1.0, "i")
-    # j-faces: edge from node (i, f) to node (i+1, f), normal toward +j.
-    jface_len, jface_normal = _edge_faces(x[1:, :] - x[:-1, :], y[1:, :] - y[:-1, :], -1.0, "j")
-
-    xa, ya = x[:-1, :-1], y[:-1, :-1]
-    xb, yb = x[1:, :-1], y[1:, :-1]
-    xc, yc = x[1:, 1:], y[1:, 1:]
-    xd, yd = x[:-1, 1:], y[:-1, 1:]
-    volume = 0.5 * (
-        (xa * yb - xb * ya)
-        + (xb * yc - xc * yb)
-        + (xc * yd - xd * yc)
-        + (xd * ya - xa * yd)
-    )
+        xa, ya = x[:-1, :-1], y[:-1, :-1]
+        xb, yb = x[1:, :-1], y[1:, :-1]
+        xc, yc = x[1:, 1:], y[1:, 1:]
+        xd, yd = x[:-1, 1:], y[:-1, 1:]
+        volume = 0.5 * (
+            (xa * yb - xb * ya)
+            + (xb * yc - xc * yb)
+            + (xc * yd - xd * yc)
+            + (xd * ya - xa * yd)
+        )
+    if not np.all(np.isfinite(volume)):
+        bad = int(np.sum(~np.isfinite(volume)))
+        raise GridError(f"{bad} cell(s) have non-finite area; node coordinates overflow")
     if np.any(volume <= 0.0):
         bad = int(np.sum(volume <= 0.0))
         raise GridError(

@@ -373,7 +373,7 @@ def physical_flux(cons: np.ndarray, normal: np.ndarray, gas: GasModel) -> np.nda
 class _FaceSide:
     """Face-frame view of face states: scalars rho, u, v, qn, qt, p, E, a, H.
 
-    :func:`riemann_flux` builds one for both sides at once, from the
+    :func:`riemann_flux` splits both sides at once (:meth:`split`), from the
     ``(2, ..., 4)`` stack of the left and right states, so every attribute
     carries the side axis first and the normal broadcasts over it; the
     frame split, the validation and :meth:`flux` then run once for both
@@ -383,26 +383,24 @@ class _FaceSide:
 
     __slots__ = ("rho", "u", "v", "qn", "qt", "p", "E", "a", "H", "cons")
 
-    def __init__(self, cons: np.ndarray, nx: np.ndarray, ny: np.ndarray, gas: GasModel):
+    def __init__(self, rho, u, v, qn, qt, p, E, a, H, cons):
+        self.rho, self.u, self.v, self.qn, self.qt = rho, u, v, qn, qt
+        self.p, self.E, self.a, self.H, self.cons = p, E, a, H, cons
+
+    @classmethod
+    def split(cls, cons: np.ndarray, nx: np.ndarray, ny: np.ndarray, gas: GasModel) -> "_FaceSide":
+        """The face-frame view of conservative ``(..., 4)`` states about the normal ``(nx, ny)``."""
         rho, u, v, p = _primitive_columns(cons, gas)
         E = cons[..., 3]
-        self.rho = rho
-        self.u = u
-        self.v = v
-        self.qn = u * nx + v * ny
-        self.qt = -u * ny + v * nx
-        self.p = p
-        self.E = E
-        self.a = np.sqrt(gas.gamma * p / rho)
-        self.H = (E + p) / rho
+        qn = u * nx + v * ny
+        qt = -u * ny + v * nx
         # Face-frame conservative state (rho, rho qn, rho qt, E).
-        self.cons = _columns(rho, rho * self.qn, rho * self.qt, E)
+        frame_cons = _columns(rho, rho * qn, rho * qt, E)
+        return cls(rho, u, v, qn, qt, p, E, np.sqrt(gas.gamma * p / rho), (E + p) / rho, frame_cons)
 
     def _view(self, index) -> "_FaceSide":
-        part = object.__new__(_FaceSide)
-        for name in self.__slots__:
-            setattr(part, name, getattr(self, name)[index])
-        return part
+        return _FaceSide(self.rho[index], self.u[index], self.v[index], self.qn[index], self.qt[index],
+                         self.p[index], self.E[index], self.a[index], self.H[index], self.cons[index])
 
     def rows(self, rows: slice) -> "_FaceSide":
         """Both sides over a run of face rows, as views (itself for ``slice(None)``)."""
@@ -697,8 +695,8 @@ def riemann_flux(
     or pressure is not finite and positive raises :class:`StateError`.
 
     ``solver`` is one name for the whole batch, or one name per member of a
-    ``(rows, 4)`` batch whose members each own an equal, consecutive run of
-    rows (see :func:`_solver_runs`).  The two sides are stacked on a leading
+    ``(rows, ..., 4)`` batch whose members each own an equal, consecutive
+    run of rows along its first axis (see :func:`_solver_runs`).  The two sides are stacked on a leading
     side axis and split into the face frame (:class:`_FaceSide`), validated
     (left first) and, for the solvers that need them, given their physical
     fluxes once for all rows and both sides; each solver's wave model then
@@ -712,7 +710,7 @@ def riemann_flux(
     nx, ny = normal[..., 0], normal[..., 1]
     # A non-physical side yields inf/nan here; validation reports it below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = _FaceSide(np.array((left, right)), nx, ny, gas)
+        S = _FaceSide.split(np.array((left, right)), nx, ny, gas)
     if validate:
         ok = _physical_columns(S.rho, S.u, S.v, S.p)
         if not ok.all():

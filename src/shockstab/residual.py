@@ -16,20 +16,21 @@ copies of adjacent ghosts only to keep the array finite.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
-fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.  The
-members of a batch field fold members outer, so each member's faces are
-one contiguous run of that batch.  :func:`shockstab.stability.assemble`
-linearizes the same batch: it gathers its stencils through the same row
-table, scatters into each cell the faces :func:`_cell_faces` lists, and
-forms its base residual from its own reconstruction through the same
-flux-to-cell balance, :func:`_flux_balance`.  A one-row strip periodic in
-``j`` (the 1-D march's frame) sends its i-faces alone: its j-faces carry
-the cell states on both sides and their fluxes cancel exactly.
+fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
+:func:`shockstab.stability.assemble` linearizes the same batch: it gathers
+its stencils through the same row table, scatters into each cell the faces
+:func:`_cell_faces` lists, and forms its base residual from its own
+reconstruction through the same flux-to-cell balance, :func:`_flux_balance`.
+
+The 1-D base march has a residual of its own, :func:`_march_residual`: a
+batch of members on a one-row strip periodic in ``j``, whose j-faces carry
+the cell states on both sides and cancel exactly, so it fluxes the i-faces
+alone.  Both residuals share :func:`_face_fluxes`, which decides where the
+flux must re-test the face states.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +43,6 @@ from .numerics import ReconstructionScheme, _central_difference, reconstruct_pai
 from .state import (
     FlowField,
     GasModel,
-    _primitive_columns,
     cons_to_prim,
     is_physical_prim,
     normal_shock_states,
@@ -72,14 +72,12 @@ class BoundaryCondition:
 
     ``state`` is the frozen conservative inflow state (supersonic_inflow
     only); ``pressure`` the imposed exit pressure (fixed_pressure_outflow
-    only).  For a batch of members (see :class:`~shockstab.state.FlowField`)
-    they may hold one value per member: ``state`` of shape ``(members, 4)``
-    and ``pressure`` of shape ``(members,)``.
+    only).
     """
 
     kind: str
     state: np.ndarray | None = None
-    pressure: float | np.ndarray | None = None
+    pressure: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in BC_KINDS:
@@ -88,9 +86,9 @@ class BoundaryCondition:
             if self.state is None:
                 raise StateError("supersonic_inflow requires a conservative state")
             state = np.asarray(self.state, dtype=float)
-            if state.ndim not in (1, 2) or state.shape[-1] != 4:
-                raise StateError(f"inflow state must have shape (4,) or (members, 4), got {state.shape}")
-            if not np.all(is_physical_prim(cons_to_prim(state, GasModel()))):
+            if state.shape != (4,):
+                raise StateError(f"inflow state must have shape (4,), got {state.shape}")
+            if not is_physical_prim(cons_to_prim(state, GasModel())):
                 # gamma only affects the pressure sign through a positive factor
                 raise StateError("inflow state has non-positive density or pressure")
             object.__setattr__(self, "state", state)
@@ -98,7 +96,7 @@ class BoundaryCondition:
             raise StateError(f"boundary kind {self.kind!r} takes no state")
         if self.kind == "fixed_pressure_outflow":
             pressure = np.asarray(np.nan if self.pressure is None else self.pressure, dtype=float)
-            if pressure.ndim > 1 or not np.all(np.isfinite(pressure) & (pressure > 0.0)):
+            if pressure.ndim or not (np.isfinite(pressure) and pressure > 0.0):
                 raise StateError(f"fixed_pressure_outflow requires a positive pressure, got {self.pressure}")
         elif self.pressure is not None:
             raise StateError(f"boundary kind {self.kind!r} takes no pressure")
@@ -147,26 +145,6 @@ class BoundaryConditionSet:
     def side(self, name: str) -> BoundaryCondition:
         return getattr(self, name)
 
-    @classmethod
-    def stack(cls, sets) -> "BoundaryConditionSet":
-        """One set for a batch of members, from each member's set in order.
-
-        The members must agree on every side's kind; their inflow states and
-        exit pressures are stacked along a leading member axis.
-        """
-        sides = {}
-        for name in SIDES:
-            conds = [bcs.side(name) for bcs in sets]
-            kind = conds[0].kind
-            if any(c.kind != kind for c in conds):
-                raise StateError(f"batch members disagree on the {name} boundary kind")
-            sides[name] = BoundaryCondition(
-                kind,
-                state=np.stack([c.state for c in conds]) if kind == "supersonic_inflow" else None,
-                pressure=np.array([c.pressure for c in conds]) if kind == "fixed_pressure_outflow" else None,
-            )
-        return cls(**sides)
-
 
 def normal_shock_bcs(mach: float, gas: GasModel = GasModel()) -> BoundaryConditionSet:
     """Default boundaries for the normal-shock problem.
@@ -187,19 +165,13 @@ def normal_shock_bcs(mach: float, gas: GasModel = GasModel()) -> BoundaryConditi
 class GhostField:
     """Interior field embedded in a two-layer ghost frame.
 
-    ``ext`` has shape ``(ni + 4, nj + 4, 4)`` (``(ni + 4, nj + 4, members,
-    4)`` for a batch field); interior cell ``(i, j)`` sits at
-    ``ext[i + 2, j + 2]``.  ``strip`` marks a one-row frame whose bottom and
-    top sides are periodic and whose two j-face rows have bitwise-equal
-    lengths and normals (see :func:`fill_ghosts`); :func:`residual` then
-    fluxes its i-faces only.  A frame built by hand takes the two-family
-    path.
+    ``ext`` has shape ``(ni + 4, nj + 4, 4)``; interior cell ``(i, j)``
+    sits at ``ext[i + 2, j + 2]``.
     """
 
     ext: np.ndarray
     ni: int
     nj: int
-    strip: bool = False
 
     @property
     def interior(self) -> np.ndarray:
@@ -324,25 +296,21 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     Slip walls mirror layer ``k`` from interior cell ``k`` about the local
     boundary-face normal; zero-gradient and fixed-pressure sides replicate
     the adjacent interior cell (the latter with its pressure replaced);
-    periodic sides wrap.  A batch field fills every member's frame, each
-    from its own inflow state and exit pressure where ``bc`` holds one per
-    member.
+    periodic sides wrap.
 
     The frame is one gather of the interior through a map, cached per grid
     size and side kinds, of the cell that feeds each ghost; inflow sides
     then write their state, slip walls mirror and exit-pressure sides
     replace the pressure, in place.  The corner blocks, which the
     axis-aligned stencils never read, repeat the nearest left/right ghost
-    to keep every entry finite.  The frame is marked a ``strip`` when it is
-    one row high, periodic at the bottom and top, and its two j-face rows
-    have bitwise-equal lengths and normals.
+    to keep every entry finite.
     """
     ni, nj = field.ni, field.nj
     if metrics.ni != ni or metrics.nj != nj:
         raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {ni} x {nj}")
     sides = [bc.side(side) for side in SIDES]
     _, gather = _ghost_sources(ni, nj, tuple(side.kind for side in sides))
-    ext = field.q.reshape((ni * nj,) + field.q.shape[2:]).take(gather, axis=0)
+    ext = field.q.reshape(ni * nj, 4).take(gather, axis=0)
     for side, side_bc in zip(SIDES, sides):
         layers = _ghost_layers(ext, side)
         if side_bc.kind == "supersonic_inflow":
@@ -353,9 +321,8 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
             normal = _wall_normal(metrics, side)
             if side in ("left", "right"):
                 normal = np.pad(normal, ((2, 2), (0, 0)), mode="edge")
-            layers[:] = _mirror_momentum(layers, normal.reshape(normal.shape[:1] + (1,) * (layers.ndim - 3) + (2,)))
-    strip = nj == 1 and sides[2].kind == "periodic" and metrics.jface_rows_equal
-    return GhostField(ext=ext, ni=ni, nj=nj, strip=strip)
+            layers[:] = _mirror_momentum(layers, normal)
+    return GhostField(ext=ext, ni=ni, nj=nj)
 
 
 def ghost_dependency(
@@ -388,54 +355,33 @@ def ghost_dependency(
 
 
 def _join_faces(*families: np.ndarray) -> np.ndarray:
-    """One face batch from the ``(ni+1, nj, members, ...)`` i-face and ``(ni, nj+1, members, ...)`` j-face arrays.
+    """One face batch from the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face arrays.
 
-    The member axis is folded members outer: each member's i-face rows,
-    then its j-face rows (each row-major), form one contiguous run of the
-    batch, so the kernels see one flat batch of 1-D columns and a member's
-    faces are a slice of it.  Given the i-face array alone, the batch holds
-    the i-faces only, in the same order.
+    The i-face rows come first, then the j-face rows, each row-major, so the
+    kernels see one flat batch of 1-D columns.
     """
-    members, tail = families[0].shape[2], families[0].shape[3:]
-    runs = [np.moveaxis(family, 2, 0).reshape((members, -1) + tail) for family in families]
-    return np.concatenate(runs, axis=1).reshape((-1,) + tail)
+    return np.concatenate([family.reshape((-1,) + family.shape[2:]) for family in families])
 
 
-def _split_faces(batch: np.ndarray, ni: int, nj: int, members: tuple[int, ...] = (), jfaces: bool = True):
-    """Inverse of :func:`_join_faces`: the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face arrays.
-
-    ``members`` is the member-axis shape of a batch field (``()`` for a
-    plain field), which comes back as axis 2 of both arrays; all are views.
-    With ``jfaces=False`` the batch holds the i-faces only, and the result
-    is the i-face array alone, as a one-tuple.
-    """
-    shapes = ((ni + 1, nj), (ni, nj + 1)) if jfaces else ((ni + 1, nj),)
-    sizes = [math.prod(shape) for shape in shapes]
+def _split_faces(batch: np.ndarray, ni: int, nj: int):
+    """Inverse of :func:`_join_faces`: the ``(ni+1, nj, ...)`` i-face and ``(ni, nj+1, ...)`` j-face views."""
     tail = batch.shape[1:]
-    runs = batch.reshape((-1, sum(sizes)) + tail)
-    members_third = (1, 2, 0) + tuple(range(3, 3 + len(tail)))
-    starts = (0, sizes[0])
-    return tuple(
-        runs[:, start : start + size].reshape((-1,) + shape + tail).transpose(members_third).reshape(
-            shape + members + tail)
-        for start, size, shape in zip(starts, sizes, shapes)
-    )
+    count = (ni + 1) * nj
+    return batch[:count].reshape((ni + 1, nj) + tail), batch[count:].reshape((ni, nj + 1) + tail)
 
 
 @lru_cache(maxsize=32)
-def _stencil_rows(ni: int, nj: int, members: int, jfaces: bool = True) -> np.ndarray:
-    """Read-only ``(4, members * faces)`` rows of the four-cell stencil of every face.
+def _stencil_rows(ni: int, nj: int) -> np.ndarray:
+    """Read-only ``(4, faces)`` rows of the four-cell stencil of every face.
 
-    The rows index a members-outer frame, ``(members, ni+4, nj+4)`` cells
-    flattened, and run over the faces in :func:`_join_faces` order (the
-    i-faces only with ``jfaces=False``).  Stencil cell ``k`` of i-face
+    The rows index the ``(ni+4, nj+4)`` frame cells flattened and run over
+    the faces in :func:`_join_faces` order.  Stencil cell ``k`` of i-face
     ``(f, j)`` is frame cell ``(f + k, j + 2)``, and of j-face ``(i, f)``
     frame cell ``(i + 2, f + k)``.
     """
-    frame = np.arange(members * (ni + 4) * (nj + 4)).reshape(members, ni + 4, nj + 4).transpose(1, 2, 0)
+    frame = np.arange((ni + 4) * (nj + 4)).reshape(ni + 4, nj + 4)
     iface, jface = frame[:, 2 : nj + 2], frame[2 : ni + 2, :]
-    families = [(iface[k : k + ni + 1], jface[:, k : k + nj + 1]) for k in range(4)]
-    rows = np.stack([_join_faces(*family[: 2 if jfaces else 1]) for family in families])
+    rows = np.stack([_join_faces(iface[k : k + ni + 1], jface[:, k : k + nj + 1]) for k in range(4)])
     rows.flags.writeable = False
     return rows
 
@@ -446,7 +392,7 @@ def _cell_faces(ni: int, nj: int) -> np.ndarray:
 
     Cells run in the flat ``j*ni + i`` order; each row holds the i-face after
     the cell, the i-face before it, the j-face after it and the j-face before
-    it, as indices into the one-member face batch of :func:`_join_faces`.
+    it, as indices into the face batch of :func:`_join_faces`.
     """
     iface, jface = _split_faces(np.arange((ni + 1) * nj + ni * (nj + 1)), ni, nj)
     faces = np.stack((iface[1:], iface[:-1], jface[:, 1:], jface[:, :-1]), axis=-1).transpose(1, 0, 2)
@@ -455,36 +401,30 @@ def _cell_faces(ni: int, nj: int) -> np.ndarray:
     return faces
 
 
-def _frame_stencils(ghosts: GhostField, jfaces: bool = True) -> np.ndarray:
-    """The ``(4, faces, 4)`` stencils of a frame's face batch, gathered in one indexing step."""
-    ni, nj = ghosts.ni, ghosts.nj
-    frame = ghosts.ext.reshape((ni + 4, nj + 4, -1, 4))  # a plain frame is a batch of one
-    cells = frame.transpose(2, 0, 1, 3).reshape(-1, 4)
-    return cells.take(_stencil_rows(ni, nj, frame.shape[2], jfaces), axis=0)
-
-
 def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
     """Reconstructed states on every face, as one batch with the i-faces first.
 
     Returns the ``(left, right, fallback)`` triple of
     :func:`~shockstab.numerics.reconstruct_pair` over the ``(faces, 4)``
-    stencils of both families, members outer for a batch field (see
-    :func:`_join_faces`); ``_split_faces`` recovers the family shapes.  The
-    stencils are gathered from the frame in one indexing step.
+    stencils of both families (see :func:`_join_faces`); ``_split_faces``
+    recovers the family shapes.  The stencils are gathered from the frame in
+    one indexing step.
     """
-    return reconstruct_pair(*_frame_stencils(ghosts), scheme, gas)
+    stencils = ghosts.ext.reshape(-1, 4).take(_stencil_rows(ghosts.ni, ghosts.nj), axis=0)
+    return reconstruct_pair(*stencils, scheme, gas)
 
 
-def _physical_cells(q: np.ndarray, gas: GasModel) -> bool:
-    """Whether every cell state passes the flux's physical-state test.
+def _face_fluxes(reconstruction, normal: np.ndarray, scheme: ReconstructionScheme, solver, gas: GasModel):
+    """Fluxes of a reconstructed face batch, given as the ``(left, right, fallback)`` triple.
 
-    With the pressure formed as the flux forms it, that test reduces to
-    ``rho > 0`` and ``0 < p < inf``: a non-finite density or velocity makes
-    the pressure NaN or ``-inf``.
+    The flux re-tests the face states only where the reconstruction left
+    some untested: a first-order scheme, or a face that fell back to its
+    cell values.  A second-order reconstruction with no fallback face has
+    already passed every face state with the flux's own test.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho, _, _, p = _primitive_columns(q, gas)
-    return bool(rho.min() > 0.0 and p.min() > 0.0 and p.max() < np.inf)
+    left, right, fallback = reconstruction
+    tested = scheme.is_second_order and not fallback.any()
+    return riemann_flux(solver, left, right, normal, gas, validate=not tested)
 
 
 def residual(
@@ -492,66 +432,68 @@ def residual(
     ghosts: GhostField,
     metrics: GridMetrics,
     scheme: ReconstructionScheme,
-    solver: str | Sequence[str],
+    solver: str,
     gas: GasModel,
 ) -> np.ndarray:
     """Net volume-scaled flux balance ``dU/dt`` for every interior cell.
 
-    A batch field gets every member's balance in the same calls, shaped like
-    its ``q``: one reconstruction over the members-outer face batch (see
-    :func:`_join_faces`) and one :func:`~shockstab.numerics.riemann_flux`
-    call, where ``solver`` is one name for every member or one name per
-    member.
-
-    The flux re-tests the face states only where the reconstruction left
-    some untested: a first-order scheme, or a face that fell back to its
-    cell values.  A second-order reconstruction with no fallback face has
-    already passed every face state with the flux's own test.
-
-    On a ``strip`` frame (see :func:`fill_ghosts`) whose cells are all
-    physical, only the i-faces are reconstructed and fluxed.  Both j-faces
-    of a cell there see four copies of the cell under the same geometry, so
-    their fluxes are bitwise equal and their difference is exactly ``+0.0``;
-    the balance adds that ``+0.0``, which turns a ``-0.0`` i-face difference
-    into ``+0.0`` as before.  A non-physical cell takes the two-family path,
-    which raises the error it always raised.
+    One reconstruction over the face batch of both families (see
+    :func:`face_reconstruction`) and one
+    :func:`~shockstab.numerics.riemann_flux` call, through
+    :func:`_face_fluxes`.
     """
-    ni, nj = field.ni, field.nj
-    if (ghosts.ni, ghosts.nj) != (ni, nj):
+    if (ghosts.ni, ghosts.nj) != (field.ni, field.nj):
         raise StateError("ghost frame does not match the field")
-    members = field.q.shape[2:-1]
-    jfaces = not (ghosts.strip and _physical_cells(field.q, gas))
-    if jfaces:
-        left, right, fallback = face_reconstruction(ghosts, scheme, gas)
-        normal = metrics.face_normal
-    else:
-        left, right, fallback = reconstruct_pair(*_frame_stencils(ghosts, jfaces=False), scheme, gas)
-        normal = metrics.iface_normal.reshape(-1, 2)
-    count = math.prod(members)
-    if count > 1:
-        normal = np.concatenate([normal] * count)
-    tested = scheme.is_second_order and not fallback.any()
-    flux = riemann_flux(solver, left, right, normal, gas, validate=not tested)
-    return _flux_balance(flux, metrics, members, jfaces)
+    flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, scheme, solver, gas)
+    return _flux_balance(flux, metrics)
 
 
-def _flux_balance(
-    flux: np.ndarray, metrics: GridMetrics, members: tuple[int, ...] = (), jfaces: bool = True
-) -> np.ndarray:
-    """``dU/dt`` of every interior cell from the fluxes of a face batch (see :func:`_join_faces`).
-
-    ``members`` is the member-axis shape of a batch field (``()`` for a
-    plain field); the result is shaped like that field's ``q``.  With
-    ``jfaces=False`` the batch holds the i-faces of a strip only, whose
-    j-faces cancel to exactly ``+0.0`` (see :func:`residual`).
-    """
-    families = _split_faces(flux, metrics.ni, metrics.nj, members, jfaces)
-    per_cell = (...,) + (None,) * (len(members) + 1)
-    lf_i = metrics.iface_len[per_cell] * families[0]
+def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
+    """``(ni, nj, 4)`` ``dU/dt`` of every interior cell from the fluxes of a face batch (see :func:`_join_faces`)."""
+    flux_i, flux_j = _split_faces(flux, metrics.ni, metrics.nj)
+    lf_i = metrics.iface_len[..., None] * flux_i
+    lf_j = metrics.jface_len[..., None] * flux_j
     net = lf_i[1:] - lf_i[:-1]
-    if jfaces:
-        lf_j = metrics.jface_len[per_cell] * families[1]
-        net += lf_j[:, 1:] - lf_j[:, :-1]
-    else:
-        net += 0.0
-    return -net / metrics.volume[per_cell]
+    net += lf_j[:, 1:] - lf_j[:, :-1]
+    return -net / metrics.volume[..., None]
+
+
+def _march_residual(
+    q: np.ndarray,
+    inflow: np.ndarray,
+    p_exit: np.ndarray,
+    metrics: GridMetrics,
+    scheme: ReconstructionScheme,
+    solver: str | Sequence[str],
+    gas: GasModel,
+) -> np.ndarray:
+    """``dU/dt`` of the 1-D march's members on a one-row strip, from its i-faces alone.
+
+    ``q`` is ``(ni, members, 4)``, member ``k``'s cells being ``q[:, k]``;
+    ``metrics`` is the ``ni x 1`` strip, periodic in ``j`` with two j-face
+    rows of equal lengths and normals.  ``inflow`` ``(members, 4)`` and
+    ``p_exit`` ``(members,)`` hold each member's inflow state and exit
+    pressure, and ``solver`` is one name, or one name per member.  Each
+    member's frame takes two inflow ghosts on the left and two copies of
+    its last cell at the exit pressure on the right (the ghosts of
+    :func:`fill_ghosts`).  The face batch is ``(members, ni + 1)``, members
+    outer: each member's i-faces are one row of it, so
+    :func:`~shockstab.numerics.riemann_flux` runs each solver on its own
+    members' rows, and the i-face normals broadcast over the members.
+
+    Both j-faces of a strip cell see four copies of the cell under the same
+    geometry, so their fluxes are bitwise equal and their difference is
+    exactly ``+0.0``; the balance adds that ``+0.0``, which turns a ``-0.0``
+    i-face difference into ``+0.0``.  For cells that pass the flux's
+    physical-state test, as the march keeps them, every member's result is
+    bitwise that of :func:`residual` on its own frame.
+    """
+    ni, members = q.shape[:2]
+    frame = np.empty((members, ni + 4, 4))
+    frame[:, :2] = inflow[:, None]
+    frame[:, 2:-2] = q.swapaxes(0, 1)
+    frame[:, -2:] = _exit_pressure_state(q[-1], p_exit, gas)[:, None]
+    stencils = [frame[:, k : k + ni + 1] for k in range(4)]
+    flux = _face_fluxes(reconstruct_pair(*stencils, scheme, gas), metrics.iface_normal[:, 0], scheme, solver, gas)
+    lf = metrics.iface_len[:, 0, None] * flux
+    return (-(lf[:, 1:] - lf[:, :-1] + 0.0) / metrics.volume[:, 0, None]).swapaxes(0, 1)

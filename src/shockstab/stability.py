@@ -236,7 +236,7 @@ def assemble(
     base_res = _flux_balance(riemann_flux(solver, left, right, metrics.face_normal, gas), metrics)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
-    rows = _stencil_rows(ni, nj, 1)
+    rows = _stencil_rows(ni, nj)
     stencils = ghosts.ext.reshape(-1, 4)[rows]
     dep_sten = dep.reshape(-1)[rows].T  # (faces, stencil cell)
     g_sten = np.moveaxis(gjac.reshape(-1, 4, 4)[rows], 0, 1)
@@ -250,7 +250,7 @@ def assemble(
     # tocsr sums a row's duplicate entries in input order, so the face order
     # of _cell_faces fixes the bits of S.
     faces = _cell_faces(ni, nj)
-    length = _join_faces(metrics.iface_len[:, :, None], metrics.jface_len[:, :, None])
+    length = _join_faces(metrics.iface_len, metrics.jface_len)
     fac = np.array([-1.0, 1.0, -1.0, 1.0]) * (length[faces] / metrics.volume.T.reshape(-1, 1))
     blocks = fac[..., None, None, None] * contrib[faces]  # (cell, face, stencil cell, flux, state)
     sten_cells = dep_sten[faces][..., None, None]

@@ -48,18 +48,14 @@ class GasModel:
 
 @dataclass
 class FlowField:
-    """Cell-centered conservative states on an ``ni x nj`` grid.
+    """Cell-centered conservative states ``q`` of shape ``(ni, nj, 4)`` on an ``ni x nj`` grid."""
 
-    ``q`` is ``(ni, nj, 4)``, or ``(ni, nj, members, 4)`` for a batch of
-    fields on the same grid that are marched together.
-    """
-
-    q: np.ndarray  # (ni, nj, 4) or (ni, nj, members, 4)
+    q: np.ndarray
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
-        if q.ndim not in (3, 4) or q.shape[-1] != 4:
-            raise StateError(f"flow field must have shape (ni, nj, 4) or (ni, nj, members, 4), got {q.shape}")
+        if q.ndim != 3 or q.shape[-1] != 4:
+            raise StateError(f"flow field must have shape (ni, nj, 4), got {q.shape}")
         self.q = q
 
     @property

@@ -145,7 +145,7 @@ class TestBatchMarch:
     @pytest.mark.parametrize("solver", ["godunov", ["roe", "godunov"]])
     def test_unknown_solver_rejected_before_any_step(self, solver, monkeypatch):
         steps = []
-        monkeypatch.setattr(harness, "fill_ghosts", lambda *args: steps.append(args))
+        monkeypatch.setattr(harness, "_march_residual", lambda *args: steps.append(args))
         mach = [2.0, 3.0] if isinstance(solver, list) else 2.0
         with pytest.raises(StateError, match="^unknown solver 'godunov'; choose one of "):
             solve_1d_steady(11, mach, 0.1, 10, FIRST, solver)

@@ -276,3 +276,38 @@ class TestNonFiniteExtents:
             warnings.simplefilter("error")
             with pytest.raises(GridError, match="r_outer"):
                 make_annular_grid(3, 2, *radii)
+
+
+class TestOverflowingCoordinates:
+    """Finite coordinates whose areas or face lengths overflow are a GridError, not NaN or inf metrics."""
+
+    @staticmethod
+    def scaled(scale):
+        grid = make_cartesian_grid(2, 2)
+        return Grid(x=grid.x * scale + scale, y=grid.y * scale + scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e155])  # NaN areas, infinite areas
+    def test_non_finite_area_rejected(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match=r"^4 cell\(s\) have non-finite area"):
+                compute_metrics(self.scaled(scale))
+
+    def test_non_finite_face_rejected(self):
+        x = np.array([[-1e308, -1e308], [1e308, 1e308]])
+        y = np.array([[0.0, 1.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridError, match="j-face of non-finite length"):
+                compute_metrics(Grid(x=x, y=y))
+
+    def test_grid_file_run_exits_2(self, tmp_path, capsys):
+        from shockstab import cli
+
+        write_grid(self.scaled(1e200), tmp_path / "huge.grd")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"test_case = normal_shock\ngrid_file = {tmp_path / 'huge.grd'}\nmach = 3\nepsilon = 0.1\n"
+                       f"output_dir = {tmp_path / 'out'}\n", encoding="ascii")
+        assert cli.main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite area" in err and "Traceback" not in err

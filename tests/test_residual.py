@@ -12,6 +12,7 @@ from shockstab.residual import (
     BoundaryCondition,
     BoundaryConditionSet,
     GhostField,
+    _march_residual,
     _split_faces,
     face_reconstruction,
     fill_ghosts,
@@ -96,25 +97,15 @@ class TestBoundaryCondition:
             BoundaryCondition(kind="slip_wall", pressure=1.0)
 
     def test_member_values(self):
-        # One inflow state / exit pressure per member; each must be physical.
+        # A side holds one inflow state and one exit pressure: values per
+        # member, even physical ones, are rejected.
         states = prim_to_cons(np.array([[1.0, 2.0, 0.0, 0.5], [1.0, 3.0, 0.0, 0.2]]), GAS)
-        assert BoundaryCondition.supersonic_inflow(states).state.shape == (2, 4)
-        with pytest.raises(StateError):
-            BoundaryCondition.supersonic_inflow(np.ones((2, 2, 4)))
-        with pytest.raises(StateError):
-            BoundaryCondition.supersonic_inflow(np.array([[1.0, 2.0, 0.0, 3.0], [1.0, 0.0, 0.0, -1.0]]))
-        with pytest.raises(StateError):
-            BoundaryCondition(kind="fixed_pressure_outflow", pressure=np.array([1.0, -0.5]))
-        with pytest.raises(StateError):
-            BoundaryCondition(kind="fixed_pressure_outflow", pressure=np.array([1.0, np.nan]))
-
-    def test_stack_needs_matching_kinds(self):
-        stacked = BoundaryConditionSet.stack([normal_shock_bcs(2.0, GAS), normal_shock_bcs(3.0, GAS)])
-        assert stacked.left.state.shape == (2, 4)
-        assert np.array_equal(stacked.right.pressure,
-                              [normal_shock_bcs(m, GAS).right.pressure for m in (2.0, 3.0)])
-        with pytest.raises(StateError, match="left"):
-            BoundaryConditionSet.stack([normal_shock_bcs(2.0, GAS), zero_gradient_bcs()])
+        for state in (states, np.ones((2, 2, 4))):
+            with pytest.raises(StateError, match="inflow state must have shape"):
+                BoundaryCondition.supersonic_inflow(state)
+        for pressure in (np.array([1.0, 0.5]), np.array([1.0, -0.5]), np.array([1.0, np.nan])):
+            with pytest.raises(StateError):
+                BoundaryCondition(kind="fixed_pressure_outflow", pressure=pressure)
 
     def test_periodic_must_pair(self):
         with pytest.raises(StateError):
@@ -390,52 +381,38 @@ class TestResidual:
 
     @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
     def test_member_batch_equals_each_member(self, solver):
-        # A batch field (members on axis 2) whose boundaries hold one inflow
-        # state and one exit pressure per member gets every member's own
-        # ghosts and residual, bit for bit, slip-wall normals included.
-        metrics = compute_metrics(make_annular_grid(6, 5))
-        fields = [smooth_field(6, 5, seed=seed, scale=0.1) for seed in (31, 32, 33)]
-        bcs = [
-            BoundaryConditionSet(
-                left=BoundaryCondition.supersonic_inflow(prim_to_cons(np.array([1.0, u, 0.1, 0.9]), GAS)),
-                right=BoundaryCondition.fixed_pressure_outflow(p),
-                bottom=BoundaryCondition.slip_wall(),
-                top=BoundaryCondition.zero_gradient(),
-            )
-            for u, p in ((2.0, 0.95), (1.8, 1.0), (2.2, 0.9))
-        ]
-        batch = FlowField(q=np.stack([f.q for f in fields], axis=2))
-        ghosts = fill_ghosts(batch, BoundaryConditionSet.stack(bcs), metrics, GAS)
+        # The 1-D march's residual of three members, each under its own
+        # inflow state and exit pressure, gives every member the residual of
+        # its own one-row frame, bit for bit, signed zeros included.
+        metrics = compute_metrics(dyadic_strip(6, 30))
+        q = np.stack([smooth_field(6, 1, seed=seed, scale=0.1).q[:, 0] for seed in (31, 32, 33)], axis=1)
+        bcs = [strip_bcs(prim_to_cons(np.array([1.0, u, 0.1, 0.9]), GAS), p)
+               for u, p in ((2.0, 0.95), (1.8, 1.0), (2.2, 0.9))]
         for scheme in (
             ReconstructionScheme(kind="first_order"),
             ReconstructionScheme(kind="muscl", limiter="van_albada"),
             ReconstructionScheme(kind="round", variables="primitive"),
         ):
-            res = residual(batch, ghosts, metrics, scheme, solver, GAS)
-            assert res.shape == (6, 5, 3, 4)
-            for k, (field, bc) in enumerate(zip(fields, bcs)):
-                own = fill_ghosts(field, bc, metrics, GAS)
-                assert np.array_equal(ghosts.ext[:, :, k], own.ext)
-                assert np.array_equal(res[:, :, k], residual(field, own, metrics, scheme, solver, GAS))
+            res = march_residual(q, bcs, metrics, scheme, solver)
+            assert res.shape == (6, 3, 4)
+            for k, bc in enumerate(bcs):
+                assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
 
     def test_mixed_solver_batch_equals_each_member(self):
         # One solver name per member (interleaved runs included): every
-        # member's residual equals its own one-solver residual, bit for bit.
+        # member's march residual equals its own one-solver residual.
         solvers = ["hll", "roe", "hll", *RIEMANN_SOLVERS]
-        metrics = compute_metrics(make_annular_grid(6, 5))
-        fields = [smooth_field(6, 5, seed=40 + k, scale=0.1) for k in range(len(solvers))]
-        bc = parity_case("annulus")[2]
-        batch = FlowField(q=np.stack([f.q for f in fields], axis=2))
-        ghosts = fill_ghosts(batch, BoundaryConditionSet.stack([bc] * len(solvers)), metrics, GAS)
+        metrics = compute_metrics(dyadic_strip(6, 34))
+        q = np.stack([smooth_field(6, 1, seed=40 + k, scale=0.1).q[:, 0] for k in range(len(solvers))], axis=1)
+        bc = strip_bcs(prim_to_cons(np.array([1.0, 2.0, 0.1, 0.9]), GAS), 0.95)
         for scheme in (
             ReconstructionScheme(kind="first_order"),
             ReconstructionScheme(kind="muscl", limiter="van_albada"),
             ReconstructionScheme(kind="round", variables="primitive"),
         ):
-            res = residual(batch, ghosts, metrics, scheme, solvers, GAS)
-            for k, (field, solver) in enumerate(zip(fields, solvers)):
-                own = fill_ghosts(field, bc, metrics, GAS)
-                assert np.array_equal(res[:, :, k], residual(field, own, metrics, scheme, solver, GAS))
+            res = march_residual(q, [bc] * len(solvers), metrics, scheme, solvers)
+            for k, solver in enumerate(solvers):
+                assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
 
     @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "ausm_plus"])
     @pytest.mark.parametrize("kind", ["first_order", "muscl", "round"])
@@ -583,14 +560,14 @@ def sha256(array):
 
 
 def pinned_setups():
-    """``{name: (field, ghosts, metrics)}`` of the fields whose residual bits are pinned.
+    """``{name: (fields, frames, metrics)}``: the member fields whose residual bits are pinned, with their ghost frames.
 
     ``shock``: a jittered M=20 shock on a perturbed 7x4 grid, cold enough
     upstream that MUSCL and ROUND fall back to first order on some faces;
     ``annulus``: a jittered 6x5 annulus with inflow, exit-pressure,
     slip-wall and zero-gradient sides; ``batch``: three shock members
-    (M = 3, 6, 20, jittered) under their own inflow states and exit
-    pressures.
+    (M = 3, 6, 20, jittered), each under its own inflow state and exit
+    pressure.
     """
     rng = np.random.default_rng(5)
     prim = cons_to_prim(init_normal_shock_rh(7, 4, 20.0, 0.3, gas=GAS).q, GAS)
@@ -606,26 +583,35 @@ def pinned_setups():
 
     machs = (3.0, 6.0, 20.0)
     prim = np.stack([cons_to_prim(init_normal_shock_rh(6, 3, mach, 0.4, gas=GAS).q, GAS) for mach in machs], axis=2)
-    batch = FlowField(q=prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    batch_q = prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS)
+    batch = [FlowField(q=batch_q[:, :, k]) for k in range(len(machs))]
     batch_metrics = compute_metrics(perturbed_cartesian(6, 3, seed=8, amp=0.1))
-    batch_bcs = BoundaryConditionSet.stack([normal_shock_bcs(mach, GAS) for mach in machs])
     return {
-        "shock": (shock, fill_ghosts(shock, normal_shock_bcs(20.0, GAS), shock_metrics, GAS), shock_metrics),
-        "annulus": (ring_field, fill_ghosts(ring_field, parity_case("annulus")[2], ring_metrics, GAS),
+        "shock": ([shock], [fill_ghosts(shock, normal_shock_bcs(20.0, GAS), shock_metrics, GAS)], shock_metrics),
+        "annulus": ([ring_field], [fill_ghosts(ring_field, parity_case("annulus")[2], ring_metrics, GAS)],
                     ring_metrics),
-        "batch": (batch, fill_ghosts(batch, batch_bcs, batch_metrics, GAS), batch_metrics),
+        "batch": (batch, [fill_ghosts(field, normal_shock_bcs(mach, GAS), batch_metrics, GAS)
+                          for field, mach in zip(batch, machs)], batch_metrics),
     }
 
 
 def pinned_digests():
-    """SHA-256 of every pinned residual and of each setup's fallback mask per scheme."""
+    """SHA-256 of every pinned residual and of each setup's fallback mask per scheme.
+
+    A setup's residuals are stacked on axis 2 and its fallback masks joined,
+    member after member: the layout of the batch fields these digests were
+    recorded from.
+    """
     residuals, fallbacks = {}, {}
-    for setup, (field, ghosts, metrics) in pinned_setups().items():
+    for setup, (fields, frames, metrics) in pinned_setups().items():
         for scheme_name, scheme in PINNED_SCHEMES.items():
-            fallbacks[f"{setup}/{scheme_name}"] = sha256(face_reconstruction(ghosts, scheme, GAS)[2])
+            masks = [face_reconstruction(ghosts, scheme, GAS)[2] for ghosts in frames]
+            fallbacks[f"{setup}/{scheme_name}"] = sha256(np.concatenate(masks))
             for label, solver in PINNED_SOLVERS[setup].items():
-                res = residual(field, ghosts, metrics, scheme, solver, GAS)
-                residuals[f"{setup}/{label}/{scheme_name}"] = sha256(res)
+                names = solver if isinstance(solver, list) else [solver] * len(fields)
+                res = [residual(field, ghosts, metrics, scheme, name, GAS)
+                       for field, ghosts, name in zip(fields, frames, names)]
+                residuals[f"{setup}/{label}/{scheme_name}"] = sha256(np.stack(res, axis=2))
     return residuals, fallbacks
 
 
@@ -752,7 +738,7 @@ class TestPinnedBits:
 def side_walk_ghosts(field, bc, metrics):
     """Reference ghost frame, filled one side at a time from each side's source cells."""
     ni, nj = field.ni, field.nj
-    ext = np.empty((ni + 4, nj + 4) + field.q.shape[2:])
+    ext = np.empty((ni + 4, nj + 4, 4))
     ext[2:-2, 2:-2] = field.q
     sides = (
         ("left", ext[:, 2:-2], metrics.iface_normal[0]),
@@ -774,33 +760,29 @@ def side_walk_ghosts(field, bc, metrics):
             view[:2] = prim_to_cons(prim, GAS)
         else:  # slip_wall: layer k mirrors cell k about the wall normal
             src = cells[1::-1]
-            n = normal.reshape(normal.shape[:1] + (1,) * (src.ndim - 3) + (2,))
-            mn = src[..., 1] * n[..., 0] + src[..., 2] * n[..., 1]
+            mn = src[..., 1] * normal[..., 0] + src[..., 2] * normal[..., 1]
             view[:2] = src
-            view[:2, ..., 1] = src[..., 1] - 2.0 * mn * n[..., 0]
-            view[:2, ..., 2] = src[..., 2] - 2.0 * mn * n[..., 1]
+            view[:2, ..., 1] = src[..., 1] - 2.0 * mn * normal[..., 0]
+            view[:2, ..., 2] = src[..., 2] - 2.0 * mn * normal[..., 1]
     for rows in (slice(0, 2), slice(-2, None)):
         ext[rows, :2] = ext[rows, 2:3]
         ext[rows, -2:] = ext[rows, -3:-2]
     return ext
 
 
-def side_kind_sets(members=1):
+def side_kind_sets():
     """Every boundary set a side pair allows: each non-periodic kind on each side, or both periodic.
 
-    Inflow states and exit pressures differ from side to side and, for
-    ``members > 1``, from member to member.
+    Inflow states and exit pressures differ from side to side.
     """
     rng = np.random.default_rng(3)
 
     def make(kind):
         if kind == "supersonic_inflow":
-            prim = np.array([1.0, 2.0, 0.1, 0.9]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, (members, 4)))
-            cons = prim_to_cons(prim, GAS)
-            return BoundaryCondition(kind, state=cons[0] if members == 1 else cons)
+            prim = np.array([1.0, 2.0, 0.1, 0.9]) * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, 4))
+            return BoundaryCondition(kind, state=prim_to_cons(prim, GAS))
         if kind == "fixed_pressure_outflow":
-            pressure = 0.9 + 0.1 * rng.uniform(-1.0, 1.0, members)
-            return BoundaryCondition(kind, pressure=float(pressure[0]) if members == 1 else pressure)
+            return BoundaryCondition(kind, pressure=0.9 + 0.1 * rng.uniform(-1.0, 1.0))
         return BoundaryCondition(kind)
 
     open_kinds = ("supersonic_inflow", "zero_gradient", "fixed_pressure_outflow", "slip_wall")
@@ -811,19 +793,17 @@ def side_kind_sets(members=1):
 
 
 def ghost_fill_cases():
-    """``(field, metrics)`` pairs: a plain field on a perturbed grid, a three-member batch on an annulus, a strip."""
-    ring = make_annular_grid(5, 4)
-    batch = FlowField(q=np.stack([smooth_field(5, 4, seed=50 + k, scale=0.1).q for k in range(3)], axis=2))
+    """``(field, metrics)`` pairs: a field on a perturbed grid, one on an annulus, a two-row strip."""
     return (
-        (smooth_field(4, 3, seed=52), compute_metrics(perturbed_cartesian(4, 3, seed=53, amp=0.1)), 1),
-        (batch, compute_metrics(ring), 3),
-        (smooth_field(6, 2, seed=54), compute_metrics(make_cartesian_grid(6, 2)), 1),
+        (smooth_field(4, 3, seed=52), compute_metrics(perturbed_cartesian(4, 3, seed=53, amp=0.1))),
+        (smooth_field(5, 4, seed=50, scale=0.1), compute_metrics(make_annular_grid(5, 4))),
+        (smooth_field(6, 2, seed=54), compute_metrics(make_cartesian_grid(6, 2))),
     )
 
 
 def ghost_dependency_digest():
     """One SHA-256 over ``ghost_dependency`` of every side-kind set on the plain-field case."""
-    field, metrics, _ = ghost_fill_cases()[0]
+    field, metrics = ghost_fill_cases()[0]
     h = hashlib.sha256()
     for bcs in side_kind_sets():
         for array in ghost_dependency(field, bcs, metrics, GAS):
@@ -838,15 +818,15 @@ PINNED_GHOST_DEPENDENCY_DIGEST = "554ad97d7b6b865d4653a8e5d71082fe85b7e5d78d2d77
 class TestGhostGather:
     def test_fill_equals_side_walk_for_every_side_kind(self):
         count = 0
-        for field, metrics, members in ghost_fill_cases():
-            for bcs in side_kind_sets(members):
+        for field, metrics in ghost_fill_cases():
+            for bcs in side_kind_sets():
                 ext = fill_ghosts(field, bcs, metrics, GAS).ext
                 assert ext.tobytes() == side_walk_ghosts(field, bcs, metrics).tobytes()
                 count += 1
         assert count == 3 * 17 * 17
 
     def test_slip_walls_on_all_four_sides(self):
-        field, metrics, _ = ghost_fill_cases()[0]
+        field, metrics = ghost_fill_cases()[0]
         wall = BoundaryCondition.slip_wall()
         bcs = BoundaryConditionSet(left=wall, right=wall, bottom=wall, top=wall)
         ext = fill_ghosts(field, bcs, metrics, GAS).ext
@@ -858,7 +838,7 @@ class TestGhostGather:
         assert ghost_dependency_digest() == PINNED_GHOST_DEPENDENCY_DIGEST
 
     def test_fill_is_not_aliased_to_the_field(self):
-        field, metrics, _ = ghost_fill_cases()[2]
+        field, metrics = ghost_fill_cases()[2]
         bcs = normal_shock_bcs(3.0, GAS)
         before = field.q.copy()
         ghosts = fill_ghosts(field, bcs, metrics, GAS)
@@ -888,25 +868,49 @@ def dyadic_strip(ni, seed):
 STRIP_BATCH_SOLVERS = ("hllc", "ausm_plus", "hllc")
 
 
-def strip_setups():
-    """``{name: (field, bcs, metrics, solvers)}`` of one-row strips, periodic in ``j``.
+def strip_bcs(inflow, p_exit):
+    """Inflow on the left, exit pressure on the right, periodic in ``j``: the boundaries of the 1-D march."""
+    return BoundaryConditionSet(
+        left=BoundaryCondition.supersonic_inflow(inflow),
+        right=BoundaryCondition.fixed_pressure_outflow(p_exit),
+        bottom=BoundaryCondition.periodic(),
+        top=BoundaryCondition.periodic(),
+    )
 
-    ``shock``: a jittered M=20 shock on a tilted 9-cell strip, cold enough
-    upstream that MUSCL and ROUND fall back to first order on some faces;
-    ``batch``: three jittered shock members (M = 3, 6, 20) on a unit-square
-    strip, under their own inflow states and exit pressures and a mixed
-    solver list.
+
+def march_residual(q, bcs, metrics, scheme, solver):
+    """The 1-D march's residual of the ``(ni, members, 4)`` state ``q``, member ``k`` under ``bcs[k]``."""
+    inflow = np.stack([bc.left.state for bc in bcs])
+    p_exit = np.array([bc.right.pressure for bc in bcs])
+    return _march_residual(q, inflow, p_exit, metrics, scheme, solver, GAS)
+
+
+def own_residual(cells, bcs, metrics, scheme, solver):
+    """``residual`` of one member's ``(ni, 4)`` cells on its own one-row frame, as ``(ni, 4)``."""
+    field = FlowField(q=cells[:, None])
+    return residual(field, fill_ghosts(field, bcs, metrics, GAS), metrics, scheme, solver, GAS)[:, 0]
+
+
+def strip_setups():
+    """``{name: (q, bcs, metrics, solvers)}`` of one-row strips, periodic in ``j``.
+
+    ``q`` is ``(ni, members, 4)``, as the 1-D march holds its members, and
+    ``bcs`` one boundary set per member.  ``shock``: a jittered M=20 shock
+    on a tilted 9-cell strip, cold enough upstream that MUSCL and ROUND
+    fall back to first order on some faces; ``batch``: three jittered shock
+    members (M = 3, 6, 20) on a unit-square strip, under their own inflow
+    states and exit pressures and a mixed solver list.
     """
     rng = np.random.default_rng(17)
     prim = cons_to_prim(init_normal_shock_rh(9, 1, 20.0, 0.3, gas=GAS).q, GAS)
-    shock = FlowField(q=prim_to_cons(prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    shock = prim_to_cons(prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape)), GAS)
     machs = (3.0, 6.0, 20.0)
     prim = np.stack([cons_to_prim(init_normal_shock_rh(8, 1, m, 0.4, gas=GAS).q, GAS) for m in machs], axis=2)
-    batch = FlowField(q=prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    batch = prim_to_cons(prim * (1.0 + 0.03 * rng.uniform(-1.0, 1.0, prim.shape)), GAS)[:, 0]
     return {
-        "shock": (shock, normal_shock_bcs(20.0, GAS), compute_metrics(dyadic_strip(9, 18)),
+        "shock": (shock, [normal_shock_bcs(20.0, GAS)], compute_metrics(dyadic_strip(9, 18)),
                   {name: name for name in RIEMANN_SOLVERS}),
-        "batch": (batch, BoundaryConditionSet.stack([normal_shock_bcs(m, GAS) for m in machs]),
+        "batch": (batch, [normal_shock_bcs(m, GAS) for m in machs],
                   compute_metrics(make_cartesian_grid(8, 1)), {"mixed": list(STRIP_BATCH_SOLVERS)}),
     }
 
@@ -930,13 +934,20 @@ def strip_march_outcomes(scheme):
 
 
 def strip_digests():
-    """SHA-256 of every strip, annulus and march result per scheme."""
+    """SHA-256 of every strip, annulus and march result per scheme.
+
+    The ``shock`` strip goes through :func:`residual`, the three-member
+    ``batch`` through the 1-D march's own residual.
+    """
     out = {}
-    for setup, (field, bcs, metrics, solvers) in strip_setups().items():
-        ghosts = fill_ghosts(field, bcs, metrics, GAS)
+    for setup, (q, bcs, metrics, solvers) in strip_setups().items():
         for scheme_name, scheme in PINNED_SCHEMES.items():
             for label, solver in solvers.items():
-                out[f"{setup}/{label}/{scheme_name}"] = sha256(residual(field, ghosts, metrics, scheme, solver, GAS))
+                if setup == "batch":
+                    res = march_residual(q, bcs, metrics, scheme, solver)
+                else:
+                    res = own_residual(q[:, 0], bcs[0], metrics, scheme, solver)
+                out[f"{setup}/{label}/{scheme_name}"] = sha256(res)
     field, bcs, metrics = one_row_annulus()
     ghosts = fill_ghosts(field, bcs, metrics, GAS)
     for scheme_name, scheme in PINNED_SCHEMES.items():
@@ -1042,128 +1053,98 @@ def counting(monkeypatch, name):
     return calls
 
 
-def two_family_frame(ghosts):
-    """The same frame built by hand, which takes the path that fluxes both face families."""
-    return GhostField(ext=ghosts.ext, ni=ghosts.ni, nj=ghosts.nj)
-
-
 class TestStripBranch:
     def test_strip_digests(self):
         assert strip_digests() == PINNED_STRIP_DIGESTS
 
     def test_strip_fluxes_only_its_i_faces(self, monkeypatch):
-        for field, bcs, metrics, _ in strip_setups().values():
-            ghosts = fill_ghosts(field, bcs, metrics, GAS)
-            assert ghosts.strip and not two_family_frame(ghosts).strip
-            members = int(np.prod(field.q.shape[2:-1]))
-            pairs = counting(monkeypatch, "reconstruct_pair")
-            fluxes = counting(monkeypatch, "riemann_flux")
-            whole = counting(monkeypatch, "face_reconstruction")
-            residual(field, ghosts, metrics, PINNED_SCHEMES["muscl_van_albada"], "hllc", GAS)
-            assert not whole and len(pairs) == len(fluxes) == 1
-            assert pairs[0][0][0].shape == (members * (field.ni + 1), 4)
-            assert fluxes[0][0][1].shape == (members * (field.ni + 1), 4)
-            monkeypatch.undo()
+        # The march builds no 2-D ghost frame and calls no 2-D residual; each
+        # step, and the final residual, makes one reconstruction and one flux
+        # call over the members' i-faces alone, one row of faces per member.
+        from shockstab import harness
+
+        for name in ("fill_ghosts", "residual"):
+            monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail(f"the march called {name}"))
+        pairs = counting(monkeypatch, "reconstruct_pair")
+        fluxes = counting(monkeypatch, "riemann_flux")
+        ni, steps, solvers = 9, 5, ["hll", "hllc", "hllc"]
+        harness.solve_1d_steady(ni, [3.0, 6.0, 20.0], 0.4, steps, PINNED_SCHEMES["muscl_van_albada"], solvers)
+        assert len(pairs) == len(fluxes) == steps + 1
+        for (pair_args, _), (flux_args, _) in zip(pairs, fluxes):
+            assert pair_args[0].shape == flux_args[1].shape == (len(solvers), ni + 1, 4)
 
     def test_strip_equals_the_two_family_path(self):
-        for field, bcs, metrics, solvers in strip_setups().values():
-            ghosts = fill_ghosts(field, bcs, metrics, GAS)
+        # The march's i-face residual equals residual() on each member's own
+        # one-row frame, byte for byte (signed zeros included): the tilted
+        # strip under every solver and scheme, and the mixed-solver batch.
+        for q, bcs, metrics, solvers in strip_setups().values():
             for scheme in PINNED_SCHEMES.values():
                 for solver in solvers.values():
-                    res = residual(field, ghosts, metrics, scheme, solver, GAS)
-                    ref = residual(field, two_family_frame(ghosts), metrics, scheme, solver, GAS)
-                    assert res.tobytes() == ref.tobytes()  # signed zeros included
+                    res = march_residual(q, bcs, metrics, scheme, solver)
+                    names = solver if isinstance(solver, list) else [solver] * len(bcs)
+                    for k, (bc, name) in enumerate(zip(bcs, names)):
+                        assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, name).tobytes()
+
+    def test_signed_zeros_of_a_converging_strip(self):
+        # With v = 0 on the march's unit-square strip, the y-momentum flux of
+        # an i-face is +0.0 where the mass flux runs forward and -0.0 where it
+        # runs back, so the cells of a converging flow see a -0.0 i-face
+        # difference; the cancelled j-faces' +0.0 must still turn it into the
+        # residual's -0.0.
+        prim = np.zeros((6, 1, 4))
+        prim[..., 0], prim[..., 3] = 1.0, 1.0
+        prim[:, 0, 1] = [0.5, 0.4, 0.3, -0.3, -0.4, -0.5]
+        q = prim_to_cons(prim, GAS)
+        bc = strip_bcs(q[0, 0], 1.0)
+        metrics = compute_metrics(make_cartesian_grid(6, 1))
+        for scheme in PINNED_SCHEMES.values():
+            for solver in RIEMANN_SOLVERS:
+                ref = own_residual(q[:, 0], bc, metrics, scheme, solver)
+                assert np.signbit(ref[:, 2]).all() and not ref[:, 2].any()
+                assert march_residual(q, [bc], metrics, scheme, solver)[:, 0].tobytes() == ref.tobytes()
 
     def test_one_row_annulus_keeps_both_families(self, monkeypatch):
         field, bcs, metrics = one_row_annulus()
         assert not np.array_equal(metrics.jface_normal[:, 0], metrics.jface_normal[:, 1])
         ghosts = fill_ghosts(field, bcs, metrics, GAS)
-        assert not ghosts.strip
         pairs = counting(monkeypatch, "reconstruct_pair")
         residual(field, ghosts, metrics, PINNED_SCHEMES["round"], "hllc", GAS)
         assert pairs[0][0][0].shape == ((6 + 1) * 1 + 6 * 2, 4)
-
-    def test_no_strip_without_periodic_sides_or_with_two_rows(self):
-        field, _, metrics, _ = strip_setups()["shock"]
-        walls = BoundaryConditionSet(
-            left=BoundaryCondition.zero_gradient(), right=BoundaryCondition.zero_gradient(),
-            bottom=BoundaryCondition.zero_gradient(), top=BoundaryCondition.zero_gradient(),
-        )
-        assert not fill_ghosts(field, walls, metrics, GAS).strip
-        two_rows = smooth_field(5, 2, seed=20)
-        assert not fill_ghosts(two_rows, periodic_bcs(), compute_metrics(make_cartesian_grid(5, 2)), GAS).strip
-
-    @pytest.mark.parametrize("scheme_name", ["first_order", "muscl_van_albada", "round"])
-    def test_non_physical_cell_raises_the_two_family_error(self, scheme_name):
-        # The j-faces the strip skips carry the cell states themselves, so a
-        # non-physical cell must still fail exactly as it did with them.
-        field, bcs, metrics, _ = strip_setups()["shock"]
-        q = field.q.copy()
-        q[6, 0, 3] = 0.5 * q[6, 0, 1] ** 2 / q[6, 0, 0] * 0.999  # negative pressure
-        bad = FlowField(q=q)
-        ghosts = fill_ghosts(bad, bcs, metrics, GAS)
-        scheme = PINNED_SCHEMES[scheme_name]
-        with pytest.raises(StateError) as expected:
-            residual(bad, two_family_frame(ghosts), metrics, scheme, "hllc", GAS)
-        with pytest.raises(StateError) as got:
-            residual(bad, ghosts, metrics, scheme, "hllc", GAS)
-        assert str(got.value) == str(expected.value)
-
-
-def test_cell_test_is_the_flux_test():
-    # The strip's cell test and the flux's physical-state test agree on every
-    # state, one bad component at a time, non-finite values and overflow included.
-    from shockstab.residual import _physical_cells
-    from shockstab.state import _physical_columns, _primitive_columns
-
-    good = prim_to_cons(np.array([1.3, 2.0, -0.4, 0.8]), GAS)
-    states = [good]
-    for c in range(4):
-        for value in (np.inf, -np.inf, np.nan, 0.0, -1.0, 1e-300, 1e300, -1e300):
-            state = good.copy()
-            state[c] = value
-            states.append(state)
-    states.append(np.array([1e300, 1e300, 0.0, 1e300]))
-    states.append(np.array([1e-300, 1.0, 0.0, 1.0]))
-    with np.errstate(all="ignore"):
-        for state in states:
-            expected = bool(_physical_columns(*_primitive_columns(state, GAS)))
-            field = np.stack([good, state, good])[:, None]
-            assert _physical_cells(field, GAS) is expected, state
 
 
 class TestFaceStateValidation:
     """``riemann_flux`` re-tests the face states only where the reconstruction left some untested."""
 
     @staticmethod
-    def validate_flags(monkeypatch, field, ghosts, metrics, scheme):
-        fluxes = counting(monkeypatch, "riemann_flux")
-        residual(field, ghosts, metrics, scheme, "hllc", GAS)
-        return [kwargs.get("validate", True) for _, kwargs in fluxes]
+    def cases():
+        """``(name, ghosts, evaluate)``: the march's strip and a 2-D field, each smooth and as a cold jittered shock.
 
-    def cases(self):
-        """``(name, field, ghosts, metrics)``: a strip and a 2-D field, each smooth and as a cold jittered shock."""
+        ``evaluate(scheme)`` runs the path's residual: the march's own on the
+        strips, :func:`residual` on the 2-D fields.  A strip frame's j-face
+        stencils hold four copies of a cell and never fall back, so its
+        fallback mask flags the march's i-faces alone.
+        """
         shock, bcs, metrics, _ = strip_setups()["shock"]
-        smooth = smooth_field(9, 1, seed=21, scale=0.1)
-        strip_bcs = BoundaryConditionSet(
-            left=BoundaryCondition.zero_gradient(), right=BoundaryCondition.zero_gradient(),
-            bottom=BoundaryCondition.periodic(), top=BoundaryCondition.periodic(),
-        )
+        smooth = smooth_field(9, 1, seed=21, scale=0.1).q
+        out = []
+        for name, q, bc in (("strip/smooth", smooth, strip_bcs(smooth[0, 0], 0.9)), ("strip/shock", shock, bcs[0])):
+            out.append((name, fill_ghosts(FlowField(q=q), bc, metrics, GAS),
+                        lambda scheme, q=q, bc=bc: march_residual(q, [bc], metrics, scheme, "hllc")))
         setups = pinned_setups()
-        return (
-            ("strip/smooth", smooth, fill_ghosts(smooth, strip_bcs, metrics, GAS), metrics),
-            ("strip/shock", shock, fill_ghosts(shock, bcs, metrics, GAS), metrics),
-            ("2d/smooth",) + setups["annulus"],
-            ("2d/shock",) + setups["shock"],
-        )
+        for name, setup in (("2d/smooth", "annulus"), ("2d/shock", "shock")):
+            (field,), (ghosts,), grid_metrics = setups[setup]
+            out.append((name, ghosts, lambda scheme, field=field, ghosts=ghosts, grid_metrics=grid_metrics:
+                        residual(field, ghosts, grid_metrics, scheme, "hllc", GAS)))
+        return out
 
     def test_validation_runs_exactly_where_a_face_state_is_untested(self, monkeypatch):
         seen = {}
-        for name, field, ghosts, metrics in self.cases():
-            assert ghosts.strip == name.startswith("strip")
+        for name, ghosts, evaluate in self.cases():
             for scheme_name, scheme in PINNED_SCHEMES.items():
                 fallback = face_reconstruction(ghosts, scheme, GAS)[2].any()
-                flags = self.validate_flags(monkeypatch, field, ghosts, metrics, scheme)
+                fluxes = counting(monkeypatch, "riemann_flux")
+                evaluate(scheme)
+                flags = [kwargs.get("validate", True) for _, kwargs in fluxes]
                 assert flags == [not scheme.is_second_order or bool(fallback)]
                 seen[f"{name}/{scheme_name}"] = flags[0]
                 monkeypatch.undo()
