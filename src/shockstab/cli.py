@@ -32,6 +32,7 @@ from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet
 from .state import (
     FlowField,
     GasModel,
+    _flow_file_cons,
     normal_shock_states,
     perturbation_to_primitive,
     cons_to_prim,
@@ -361,7 +362,7 @@ def _build_base(settings: Settings, grid: Grid, gas: GasModel, scheme: Reconstru
     ni, nj = grid.ni_cells, grid.nj_cells
     if settings.test_case == "external_flow":
         prim = read_prim_files(settings.flow_file_prefix, ni, nj)
-        return FlowField(q=prim_to_cons(prim, gas)), None, prim
+        return FlowField(q=_flow_file_cons(prim, settings.flow_file_prefix, gas)), None, prim
     if oned is not None:
         base = harness.project_1d_to_2d(oned, nj)
     else:

@@ -27,7 +27,7 @@ from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme, _solver_kernel
 from .residual import BoundaryConditionSet, _march_residual, fill_ghosts, normal_shock_bcs, residual
 from .stability import spectral_radius_upper
-from .state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, is_physical_prim, sound_speed
+from .state import FlowField, GasModel, _physical_state, cons_to_prim, init_normal_shock_rh, sound_speed
 
 __all__ = [
     "OneDResult",
@@ -177,13 +177,14 @@ def solve_1d_steady(
     live = np.arange(count)
     prim = cons_to_prim(q, gas)
     for step in range(steps):
-        res = _march_residual(q, inflow, p_exit, metrics, scheme, live_solvers, gas)
+        res = _march_residual(q, prim, inflow, p_exit, metrics, scheme, live_solvers, gas)
         history[step, live] = np.abs(res).max(axis=(0, 2))
         dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
         q += dt[..., None] * res
-        # One conversion per step serves this check and the next time step.
+        # One conversion per step serves this check, the next time step and
+        # the next exit ghost.
         prim = cons_to_prim(q, gas)
-        physical = is_physical_prim(prim).all(axis=0)
+        physical = _physical_state(prim[..., 0], prim[..., 3]).all(axis=0)
         if not physical.all():
             for k in live[~physical]:
                 outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
@@ -193,7 +194,8 @@ def solve_1d_steady(
             q, prim, inflow, p_exit = q[:, physical], prim[:, physical], inflow[physical], p_exit[physical]
             live_solvers = [solvers[k] for k in live]
     if live.size:
-        final = np.abs(_march_residual(q, inflow, p_exit, metrics, scheme, live_solvers, gas)).max(axis=(0, 2))
+        final = _march_residual(q, prim, inflow, p_exit, metrics, scheme, live_solvers, gas)
+        final = np.abs(final).max(axis=(0, 2))
         for pos, k in enumerate(live):
             outcome[k] = OneDResult(q=q[:, pos].copy(), residual_inf=float(final[pos]),
                                     residual_history=history[:, k].copy())
@@ -379,7 +381,7 @@ def evolve_nonlinear(
     for _ in range(steps):
         try:
             prim = cons_to_prim(q, gas)
-            if not np.all(is_physical_prim(prim)):
+            if not np.all(_physical_state(prim[..., 0], prim[..., 3])):
                 raise StateError("non-physical state")
             dt = cfl * float(np.min(metrics.volume / local_wave_speed_sums(prim, metrics, gas)))
             k1 = rhs(q)

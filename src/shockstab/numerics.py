@@ -19,9 +19,20 @@ The face kernels carry a leading *side axis*: the four stencil cells travel
 as one ``(4, ..., 4)`` array and the left and right face states as one
 ``(2, ..., 4)`` array (left first), so both sides are limited, checked for
 positivity, split into the face frame, validated and given their physical
-fluxes in one pass each.  The public functions still take and return the
-sides separately.  The arithmetic is elementwise and unchanged, so every
-face state and flux is bit-identical to a side-by-side evaluation.
+fluxes in one pass each; AUSM+ and SLAU evaluate their split Mach and
+pressure polynomials for both sides at once too, with the side's sign
+``+1``/``-1`` as a ``(2, 1, ...)`` array.  The public functions still take
+and return the sides separately, but the stacked sides and their
+primitive columns travel with them from :func:`reconstruct_pair` to
+:func:`riemann_flux` (its ``pair`` argument), so a face batch is split into
+primitives once (twice where a face fell back to its cell value).  The
+arithmetic is elementwise and unchanged, so every face state and flux is
+bit-identical to a side-by-side evaluation.
+
+Finite-difference linearizations (:func:`_central_difference`) hand the
+eight ``x +- e_c`` probes of a batch to the map on a leading axis in one
+call; the kernels are elementwise over leading axes, so each probe gets the
+bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import StateError
-from .state import GasModel, _physical_columns, _primitive_columns, cons_to_prim, prim_to_cons
+from .state import GasModel, _physical_state, _primitive_columns, cons_to_prim, prim_to_cons
 
 __all__ = [
     "FD_STEP",
@@ -97,14 +108,23 @@ def _central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Jacobian ``J[..., r, c] = d fn_r / d x_c`` of a map of ``(..., 4)`` states.
 
     Each column is ``(fn(x + e_c) - fn(x - e_c)) / (2 * FD_STEP)`` with
-    ``e_c`` the step :data:`FD_STEP` in component ``c``.
+    ``e_c`` the step :data:`FD_STEP` in component ``c``.  The eight probes
+    ``x + e_0 .. x + e_3, x - e_0 .. x - e_3`` are stacked on a leading axis
+    and handed to ``fn`` in one call.  ``fn`` must map each probe on its own
+    and return its values with the probe axis leading; whatever it holds
+    fixed must broadcast against the probes.
     """
-    columns = []
-    for c in range(4):
-        e = np.zeros(4)
-        e[c] = FD_STEP
-        columns.append((fn(x + e) - fn(x - e)) / (2.0 * FD_STEP))
-    return np.stack(columns, axis=-1)
+    steps = FD_STEP * np.eye(4).reshape((4,) + (1,) * (np.ndim(x) - 1) + (4,))
+    probes = np.empty((8,) + np.shape(x))
+    np.add(x, steps, out=probes[:4])
+    np.subtract(x, steps, out=probes[4:])
+    values = fn(probes)
+    return np.moveaxis((values[:4] - values[4:]) / (2.0 * FD_STEP), 0, -1).copy()
+
+
+def _side_signs(ndim: int) -> np.ndarray:
+    """``(+1, -1)`` on a leading side axis (left, right) of an ``ndim``-dimensional array."""
+    return np.array([1.0, -1.0]).reshape((2,) + (1,) * (ndim - 1))
 
 
 def limiter_value(name: str, r: np.ndarray) -> np.ndarray:
@@ -218,8 +238,7 @@ def _stencil_sides(kind: str, stencil: np.ndarray):
     center, upwind = stencil[1:3], stencil[::3]  # (u1, u2), (u0, u3)
     if kind == "muscl":
         slopes = stencil[1:] - stencil[:-1]  # u1 - u0, u2 - u1, u3 - u2
-        sign = np.array([1.0, -1.0]).reshape((2,) + (1,) * (stencil.ndim - 1))
-        return center, upwind, slopes[1], slopes[::2], sign
+        return center, upwind, slopes[1], slopes[::2], _side_signs(stencil.ndim)
     # (u1 - u0, u2 - u3) over (u2 - u0, u1 - u3)
     return center, upwind, center - upwind, stencil[2:0:-1] - upwind, None
 
@@ -242,6 +261,25 @@ def _reconstruct_values(stencil: np.ndarray, scheme: ReconstructionScheme) -> np
     return np.where(safe, val, center)
 
 
+class _FacePair(tuple):
+    """The ``(left, right, fallback)`` triple of :func:`reconstruct_pair`, with the stacked sides.
+
+    ``stack`` is the ``(2, ..., 4)`` array whose halves are ``left`` and
+    ``right``, and ``primitives`` the ``rho, u, v, p`` columns of ``stack``
+    (with the side axis), as :func:`~shockstab.state._primitive_columns`
+    gives them, or ``None`` where the reconstruction formed none (first
+    order) or a fallback face made them stale: only a flux needs them then,
+    and it forms them itself.  Passed to :func:`riemann_flux` as ``pair``,
+    they spare the flux a second stacking and, when present, a second
+    primitive split.
+    """
+
+    def __new__(cls, stack: np.ndarray, primitives, fallback: np.ndarray) -> "_FacePair":
+        pair = super().__new__(cls, (stack[0], stack[1], fallback))
+        pair.stack, pair.primitives = stack, primitives
+        return pair
+
+
 def reconstruct_pair(
     u0: np.ndarray,
     u1: np.ndarray,
@@ -253,23 +291,27 @@ def reconstruct_pair(
     """Left/right face states from the four-cell stencil ``u0..u3``.
 
     The face sits between cells ``u1`` and ``u2``.  Inputs are conservative
-    ``(..., 4)`` arrays; with ``scheme.variables == 'primitive'`` the stencil
-    is converted, reconstructed componentwise, and converted back.
+    ``(..., 4)`` arrays of one shape; with ``scheme.variables ==
+    'primitive'`` the stencil is converted, reconstructed componentwise, and
+    converted back.
 
-    Face states with non-positive density or pressure revert to the
-    first-order value of their side.  Returns ``(left, right, fallback)``
-    where ``fallback`` (bool over faces) marks the faces where either side
-    reverted.
+    Face states of a second-order scheme with non-positive density or
+    pressure revert to the first-order value of their side.  Returns
+    ``(left, right, fallback)`` where ``fallback`` (bool over faces) marks
+    the faces where either side reverted.
 
-    A second-order scheme works on the side axis: the stencil is stacked
-    once (and converted to primitives in one call), both sides are limited,
-    checked for positivity and given their fallback in one pass each, and
-    ``left``/``right`` come back as the two halves of one ``(2, ..., 4)``
-    array.
+    The work runs on the side axis: the stencil is stacked once (and
+    converted to primitives in one call), both sides are limited, split
+    into primitives, checked for positivity and given their fallback in one
+    pass each, and ``left``/``right`` come back as the two halves of one
+    ``(2, ..., 4)`` array.  The triple is a :class:`_FacePair` that also
+    carries that array and, unless a face fell back, its primitive columns,
+    for :func:`riemann_flux`'s ``pair``.  A first-order scheme stacks its
+    cell values ``u1``/``u2`` alike and splits nothing.
     """
     if scheme.kind == "first_order":
-        u1, u2 = (np.asarray(a, dtype=float) for a in (u1, u2))
-        return u1.copy(), u2.copy(), np.zeros(u1.shape[:-1], dtype=bool)
+        faces = np.array((u1, u2), dtype=float)
+        return _FacePair(faces, None, np.zeros(faces.shape[1:-1], dtype=bool))
 
     stencil = np.array((u0, u1, u2, u3), dtype=float)
     if scheme.variables == "primitive":
@@ -278,10 +320,12 @@ def reconstruct_pair(
         faces = _reconstruct_values(stencil, scheme)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        bad = ~_physical_columns(*_primitive_columns(faces, gas))
+        primitives = _primitive_columns(faces, gas)
+        bad = ~_physical_state(primitives[0], primitives[3])
     if bad.any():
         faces = np.where(bad[..., None], stencil[1:3], faces)
-    return faces[0], faces[1], bad[0] | bad[1]
+        primitives = None
+    return _FacePair(faces, primitives, bad[0] | bad[1])
 
 
 #: A stencil variation below this fraction of the component's largest
@@ -388,9 +432,13 @@ class _FaceSide:
         self.p, self.E, self.a, self.H, self.cons = p, E, a, H, cons
 
     @classmethod
-    def split(cls, cons: np.ndarray, nx: np.ndarray, ny: np.ndarray, gas: GasModel) -> "_FaceSide":
-        """The face-frame view of conservative ``(..., 4)`` states about the normal ``(nx, ny)``."""
-        rho, u, v, p = _primitive_columns(cons, gas)
+    def split(cls, cons: np.ndarray, primitives, nx: np.ndarray, ny: np.ndarray, gas: GasModel) -> "_FaceSide":
+        """The face-frame view of conservative ``(..., 4)`` states about the normal ``(nx, ny)``.
+
+        ``primitives`` are the ``rho, u, v, p`` columns of ``cons``, as
+        :func:`~shockstab.state._primitive_columns` gives them.
+        """
+        rho, u, v, p = primitives
         E = cons[..., 3]
         qn = u * nx + v * ny
         qt = -u * ny + v * nx
@@ -564,42 +612,52 @@ def _flux_van_leer(S: _FaceSide, gas: GasModel) -> np.ndarray:
     return split(L, +1.0) + split(R, -1.0)
 
 
-def _mach_split_m4(m: np.ndarray, sign: float) -> np.ndarray:
+def _mach_split_m4(m: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Split Mach polynomials ``M+`` (``sign = +1``) and ``M-`` (``sign = -1``), both sides at once.
+
+    ``m`` carries the side axis and ``sign`` is :func:`_side_signs`; the
+    sign enters only as a factor ``+-1``, so each side gets the bits of its
+    one-sided polynomial.
+    """
     sub = sign * (0.25 * (m + sign) ** 2 + 0.125 * (m * m - 1.0) ** 2)  # beta = 1/8
     sup = 0.5 * (m + sign * np.abs(m))
     return np.where(np.abs(m) >= 1.0, sup, sub)
 
 
-def _pressure_split_p5(m: np.ndarray, sign: float, alpha: float = 0.1875) -> np.ndarray:
+def _pressure_split_p5(m: np.ndarray, sign: np.ndarray, alpha: float = 0.1875) -> np.ndarray:
+    """Split pressure polynomials ``P+``/``P-`` of both sides, as :func:`_mach_split_m4`."""
     sub = 0.25 * (m + sign) ** 2 * (2.0 - sign * m) + sign * alpha * m * (m * m - 1.0) ** 2
     sup = 0.5 * (1.0 + sign * np.sign(m))
     return np.where(np.abs(m) >= 1.0, sup, sub)
 
 
-def _flux_ausm_plus(S: _FaceSide, gas: GasModel) -> np.ndarray:
-    L, R = S.sides()
-    g = gas.gamma
-    # Interface speed of sound from the critical speed on each side.
-    a_crit2_l = 2.0 * (g - 1.0) / (g + 1.0) * L.H
-    a_crit2_r = 2.0 * (g - 1.0) / (g + 1.0) * R.H
-    a_crit_l = np.sqrt(a_crit2_l)
-    a_crit_r = np.sqrt(a_crit2_r)
-    a_hat_l = a_crit2_l / np.maximum(a_crit_l, np.abs(L.qn))
-    a_hat_r = a_crit2_r / np.maximum(a_crit_r, np.abs(R.qn))
-    a_half = np.minimum(a_hat_l, a_hat_r)
+def _upwind_convection(S: _FaceSide, mdot: np.ndarray, p_half: np.ndarray) -> np.ndarray:
+    """Face-frame flux of the AUSM family from the interface mass flux and pressure.
 
-    ml = L.qn / a_half
-    mr = R.qn / a_half
-    m_half = _mach_split_m4(ml, +1.0) + _mach_split_m4(mr, -1.0)
-    p_half = _pressure_split_p5(ml, +1.0) * L.p + _pressure_split_p5(mr, -1.0) * R.p
-
-    mdot = a_half * (np.maximum(m_half, 0.0) * L.rho + np.minimum(m_half, 0.0) * R.rho)
-    one = np.ones_like(mdot)
-    psi_l = _columns(one, L.qn, L.qt, L.H)
-    psi_r = _columns(one, R.qn, R.qt, R.H)
-    conv = 0.5 * (mdot + np.abs(mdot))[..., None] * psi_l + 0.5 * (mdot - np.abs(mdot))[..., None] * psi_r
+    ``mdot`` carries ``(1, qn, qt, H)`` of its upwind side; ``p_half`` adds
+    to the normal momentum.
+    """
+    psi = _columns(np.ones_like(S.qn), S.qn, S.qt, S.H)
+    conv = 0.5 * (mdot + np.abs(mdot))[..., None] * psi[0] + 0.5 * (mdot - np.abs(mdot))[..., None] * psi[1]
     zero = np.zeros_like(mdot)
     return conv + _columns(zero, p_half, zero, zero)
+
+
+def _flux_ausm_plus(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    g = gas.gamma
+    # Interface speed of sound from the critical speed on each side.
+    a_crit2 = 2.0 * (g - 1.0) / (g + 1.0) * S.H
+    a_hat = a_crit2 / np.maximum(np.sqrt(a_crit2), np.abs(S.qn))
+    a_half = np.minimum(a_hat[0], a_hat[1])
+
+    m = S.qn / a_half
+    sign = _side_signs(m.ndim)
+    m_split = _mach_split_m4(m, sign)
+    p_split = _pressure_split_p5(m, sign) * S.p
+    m_half = m_split[0] + m_split[1]
+
+    mdot = a_half * (np.maximum(m_half, 0.0) * S.rho[0] + np.minimum(m_half, 0.0) * S.rho[1])
+    return _upwind_convection(S, mdot, p_split[0] + p_split[1])
 
 
 def _flux_slau(S: _FaceSide, gas: GasModel) -> np.ndarray:
@@ -609,30 +667,25 @@ def _flux_slau(S: _FaceSide, gas: GasModel) -> np.ndarray:
     m_hat = np.minimum(1.0, np.sqrt(speed2) / a_bar)
     chi = (1.0 - m_hat) ** 2
 
-    ml = L.qn / a_bar
-    mr = R.qn / a_bar
-    g_fac = -np.maximum(np.minimum(ml, 0.0), -1.0) * np.minimum(np.maximum(mr, 0.0), 1.0)
-    vn_bar = (L.rho * np.abs(L.qn) + R.rho * np.abs(R.qn)) / (L.rho + R.rho)
-    vn_plus = (1.0 - g_fac) * vn_bar + g_fac * np.abs(L.qn)
-    vn_minus = (1.0 - g_fac) * vn_bar + g_fac * np.abs(R.qn)
+    m = S.qn / a_bar
+    abs_qn = np.abs(S.qn)
+    g_fac = -np.maximum(np.minimum(m[0], 0.0), -1.0) * np.minimum(np.maximum(m[1], 0.0), 1.0)
+    rho_qn = S.rho * abs_qn
+    vn_bar = (rho_qn[0] + rho_qn[1]) / (L.rho + R.rho)
+    vn_plus = (1.0 - g_fac) * vn_bar + g_fac * abs_qn[0]
+    vn_minus = (1.0 - g_fac) * vn_bar + g_fac * abs_qn[1]
     mdot = 0.5 * (
         L.rho * (L.qn + vn_plus) + R.rho * (R.qn - vn_minus) - (chi / a_bar) * (R.p - L.p)
     )
 
-    beta_p = _pressure_split_p5(ml, +1.0, alpha=0.0)
-    beta_m = _pressure_split_p5(mr, -1.0, alpha=0.0)
+    beta = _pressure_split_p5(m, _side_signs(m.ndim), alpha=0.0)
+    beta_p, beta_m = beta[0], beta[1]
     p_half = (
         0.5 * (L.p + R.p)
         + 0.5 * (beta_p - beta_m) * (L.p - R.p)
         + (1.0 - chi) * (beta_p + beta_m - 1.0) * 0.5 * (L.p + R.p)
     )
-
-    one = np.ones_like(mdot)
-    psi_l = _columns(one, L.qn, L.qt, L.H)
-    psi_r = _columns(one, R.qn, R.qt, R.H)
-    conv = 0.5 * (mdot + np.abs(mdot))[..., None] * psi_l + 0.5 * (mdot - np.abs(mdot))[..., None] * psi_r
-    zero = np.zeros_like(mdot)
-    return conv + _columns(zero, p_half, zero, zero)
+    return _upwind_convection(S, mdot, p_half)
 
 
 _SOLVER_TABLE = {
@@ -686,6 +739,8 @@ def riemann_flux(
     normal: np.ndarray,
     gas: GasModel,
     validate: bool = True,
+    *,
+    pair: _FacePair | None = None,
 ) -> np.ndarray:
     """Numerical flux of the requested solver for ``(left, right)`` states.
 
@@ -702,17 +757,25 @@ def riemann_flux(
     fluxes once for all rows and both sides; each solver's wave model then
     runs on its own row range(s), as views, and the fluxes are rotated back
     once.  Every row's flux is bit-identical to that of a one-solver call.
+
+    ``pair`` is the :func:`reconstruct_pair` result that ``left`` and
+    ``right`` come from, if there is one: the flux then takes its stacked
+    sides, and their primitive columns where the pair has them, instead of
+    stacking and splitting the sides again.  The fluxes are the same bits
+    either way.
     """
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    runs = _solver_runs(solver, len(left) if left.ndim > 1 else 1)
     nx, ny = normal[..., 0], normal[..., 1]
     # A non-physical side yields inf/nan here; validation reports it below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        S = _FaceSide.split(np.array((left, right)), nx, ny, gas)
+        stack = np.array((left, right), dtype=float) if pair is None else pair.stack
+        primitives = getattr(pair, "primitives", None)
+        if primitives is None:
+            primitives = _primitive_columns(stack, gas)
+        S = _FaceSide.split(stack, primitives, nx, ny, gas)
+    runs = _solver_runs(solver, stack.shape[1] if stack.ndim > 2 else 1)
     if validate:
-        ok = _physical_columns(S.rho, S.u, S.v, S.p)
+        ok = _physical_state(S.rho, S.p)
         if not ok.all():
             for name, side_ok in zip(("left", "right"), ok):
                 for run, _, rows in runs:

@@ -417,14 +417,16 @@ def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: G
 def _face_fluxes(reconstruction, normal: np.ndarray, scheme: ReconstructionScheme, solver, gas: GasModel):
     """Fluxes of a reconstructed face batch, given as the ``(left, right, fallback)`` triple.
 
-    The flux re-tests the face states only where the reconstruction left
-    some untested: a first-order scheme, or a face that fell back to its
-    cell values.  A second-order reconstruction with no fallback face has
-    already passed every face state with the flux's own test.
+    The triple goes to the flux as its ``pair`` too, so the face states are
+    split into primitives once, in the reconstruction.  The flux re-tests
+    the face states only where the reconstruction left some untested: a
+    first-order scheme, or a face that fell back to its cell values.  A
+    second-order reconstruction with no fallback face has already passed
+    every face state with the flux's own test.
     """
     left, right, fallback = reconstruction
     tested = scheme.is_second_order and not fallback.any()
-    return riemann_flux(solver, left, right, normal, gas, validate=not tested)
+    return riemann_flux(solver, left, right, normal, gas, validate=not tested, pair=reconstruction)
 
 
 def residual(
@@ -460,6 +462,7 @@ def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
 
 def _march_residual(
     q: np.ndarray,
+    prim: np.ndarray,
     inflow: np.ndarray,
     p_exit: np.ndarray,
     metrics: GridMetrics,
@@ -469,15 +472,18 @@ def _march_residual(
 ) -> np.ndarray:
     """``dU/dt`` of the 1-D march's members on a one-row strip, from its i-faces alone.
 
-    ``q`` is ``(ni, members, 4)``, member ``k``'s cells being ``q[:, k]``;
-    ``metrics`` is the ``ni x 1`` strip, periodic in ``j`` with two j-face
-    rows of equal lengths and normals.  ``inflow`` ``(members, 4)`` and
+    ``q`` is ``(ni, members, 4)``, member ``k``'s cells being ``q[:, k]``,
+    and ``prim`` is ``cons_to_prim(q)``; ``metrics`` is the ``ni x 1``
+    strip, periodic in ``j`` with two j-face rows of equal lengths and
+    normals.  ``inflow`` ``(members, 4)`` and
     ``p_exit`` ``(members,)`` hold each member's inflow state and exit
     pressure, and ``solver`` is one name, or one name per member.  Each
     member's frame takes two inflow ghosts on the left and two copies of
     its last cell at the exit pressure on the right (the ghosts of
-    :func:`fill_ghosts`).  The face batch is ``(members, ni + 1)``, members
-    outer: each member's i-faces are one row of it, so
+    :func:`fill_ghosts`), converted back from the last cell's primitives
+    with the pressure replaced, which is the arithmetic of
+    :func:`_exit_pressure_state`.  The face batch is ``(members, ni + 1)``,
+    members outer: each member's i-faces are one row of it, so
     :func:`~shockstab.numerics.riemann_flux` runs each solver on its own
     members' rows, and the i-face normals broadcast over the members.
 
@@ -492,7 +498,9 @@ def _march_residual(
     frame = np.empty((members, ni + 4, 4))
     frame[:, :2] = inflow[:, None]
     frame[:, 2:-2] = q.swapaxes(0, 1)
-    frame[:, -2:] = _exit_pressure_state(q[-1], p_exit, gas)[:, None]
+    exit_prim = prim[-1].copy()
+    exit_prim[:, 3] = p_exit
+    frame[:, -2:] = prim_to_cons(exit_prim, gas)[:, None]
     stencils = [frame[:, k : k + ni + 1] for k in range(4)]
     flux = _face_fluxes(reconstruct_pair(*stencils, scheme, gas), metrics.iface_normal[:, 0], scheme, solver, gas)
     lf = metrics.iface_len[:, 0, None] * flux

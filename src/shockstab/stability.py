@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolveError, FlowFileError, LinearizationError
+from .errors import EigenSolveError, FlowFileError, LinearizationError, StateError
 from .mesh import GridMetrics
 from .numerics import (
     FD_STEP,  # noqa: F401 - still importable as stability.FD_STEP
@@ -48,6 +48,7 @@ from .numerics import (
 from .residual import (
     BoundaryConditionSet,
     _cell_faces,
+    _face_fluxes,
     _flux_balance,
     _join_faces,
     _split_faces,
@@ -118,11 +119,19 @@ def flux_jacobians(
     Returns ``(JL, JR)``, each ``(..., 4, 4)`` with ``J[..., r, c] =
     dF_r/dU_c``.  Raises :class:`LinearizationError` if any differenced
     column is non-finite (e.g. a perturbation left the physical state space).
+    ``solver`` is one name (a per-member list raises :class:`StateError`):
+    each side's probes go through the flux stacked on a leading axis (see
+    :func:`~shockstab.numerics._central_difference`), with the other side
+    broadcast.
     """
+    if not isinstance(solver, str):
+        raise StateError(f"flux_jacobians takes one solver name, got {solver!r}")
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
-    jl = _central_difference(lambda u: riemann_flux(solver, u, right, normal, gas, validate=False), left)
-    jr = _central_difference(lambda u: riemann_flux(solver, left, u, normal, gas, validate=False), right)
+    jl = _central_difference(
+        lambda u: riemann_flux(solver, u, np.broadcast_to(right, u.shape), normal, gas, validate=False), left)
+    jr = _central_difference(
+        lambda u: riemann_flux(solver, np.broadcast_to(left, u.shape), u, normal, gas, validate=False), right)
     if not (np.all(np.isfinite(jl)) and np.all(np.isfinite(jr))):
         raise LinearizationError(
             f"flux differencing for solver {solver!r} produced non-finite entries; "
@@ -152,7 +161,8 @@ def reconstruction_coefficients(
     Returns ``(AL, AR)`` of shape ``(..., 4, 4, 4)`` where ``AL[..., c, r, m]``
     is ``dUleft_r/dU(cell c)_m`` and cells are numbered along the stencil.
     First-order coefficients are exact (0, I, 0 pattern); the nonlinear
-    schemes are differenced centrally.
+    schemes are differenced centrally, the probes of each stencil cell
+    stacked on a leading axis and the other cells broadcast.
     """
     s0, s1, s2, s3 = (np.asarray(a, dtype=float) for a in (s0, s1, s2, s3))
     if scheme.kind == "first_order":
@@ -160,10 +170,15 @@ def reconstruction_coefficients(
     cells = (s0, s1, s2, s3)
     al = np.empty(s0.shape[:-1] + (4, 4, 4))
     ar = np.empty_like(al)
+
+    def face_states(c: int, u: np.ndarray) -> np.ndarray:
+        """Both face states with cell ``c`` replaced by the probes ``u``, the side axis next to last."""
+        stencil = [u if k == c else np.broadcast_to(cell, u.shape) for k, cell in enumerate(cells)]
+        return np.moveaxis(reconstruct_pair(*stencil, scheme, gas).stack, 0, -2)
+
     for c in range(4):
-        al[..., c, :, :], ar[..., c, :, :] = _central_difference(
-            lambda u: np.stack(reconstruct_pair(*cells[:c], u, *cells[c + 1:], scheme, gas)[:2]), cells[c]
-        )
+        jac = _central_difference(lambda u: face_states(c, u), cells[c])  # (..., side, 4, 4)
+        al[..., c, :, :], ar[..., c, :, :] = jac[..., 0, :, :], jac[..., 1, :, :]
     if not (np.all(np.isfinite(al)) and np.all(np.isfinite(ar))):
         raise LinearizationError("reconstruction differencing produced non-finite entries")
     return al, ar
@@ -225,15 +240,17 @@ def assemble(
     the 4x4 blocks of its four faces (:func:`~shockstab.residual._cell_faces`):
     a face feeds the cell before it with ``-L/vol`` and the cell after it
     with ``+L/vol``.  ``base_residual_inf`` comes from one flux call on the
-    same reconstructed sides, balanced by the residual's own
+    same reconstructed sides, through the residual's own
+    :func:`~shockstab.residual._face_fluxes` and
     :func:`~shockstab.residual._flux_balance`, so the base is reconstructed
-    once.
+    and split into primitives once.
     """
     ni, nj = base.ni, base.nj
     ghosts = fill_ghosts(base, bc, metrics, gas)
     dep, gjac = ghost_dependency(base, bc, metrics, gas)
-    left, right, fallback = face_reconstruction(ghosts, scheme, gas)
-    base_res = _flux_balance(riemann_flux(solver, left, right, metrics.face_normal, gas), metrics)
+    reconstruction = face_reconstruction(ghosts, scheme, gas)
+    left, right, fallback = reconstruction
+    base_res = _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, scheme, solver, gas), metrics)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
     rows = _stencil_rows(ni, nj)

@@ -107,16 +107,26 @@ def sound_speed(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     return np.sqrt(gas.gamma * prim[..., 3] / prim[..., 0])
 
 
-def _physical_columns(rho, u, v, p) -> np.ndarray:
-    """All four primitive columns finite, density and pressure positive."""
-    ok = np.isfinite(rho) & np.isfinite(u) & np.isfinite(v) & np.isfinite(p)
-    return ok & (rho > 0.0) & (p > 0.0)
+def _physical_state(rho, p) -> np.ndarray:
+    """The physical-state test of columns that come out of :func:`_primitive_columns`.
+
+    There ``rho > 0``, ``0 < p < inf`` holds exactly when all four columns
+    are finite and density and pressure positive: an infinite density or a
+    non-finite velocity makes the kinetic energy infinite or NaN, which
+    leaves ``p`` NaN or ``-inf``.
+    """
+    return (rho > 0.0) & (p > 0.0) & (p < np.inf)
 
 
 def is_physical_prim(prim: np.ndarray) -> np.ndarray:
-    """Elementwise check that density and pressure are finite and positive."""
+    """Elementwise check that density and pressure are finite and positive.
+
+    Primitives from anywhere (a file, say) get the test in full: all four
+    columns finite, density and pressure positive.
+    """
     prim = np.asarray(prim, dtype=float)
-    return _physical_columns(prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3])
+    rho = prim[..., 0]
+    return _physical_state(rho, prim[..., 3]) & (rho < np.inf) & np.isfinite(prim[..., 1]) & np.isfinite(prim[..., 2])
 
 
 def normal_shock_states(mach: float, gas: GasModel = GasModel()) -> tuple[np.ndarray, np.ndarray]:
@@ -215,9 +225,29 @@ def read_prim_files(prefix: str, ni: int, nj: int) -> np.ndarray:
     return prim
 
 
+def _flow_file_cons(prim: np.ndarray, prefix: str, gas: GasModel) -> np.ndarray:
+    """``prim_to_cons`` of the primitives read from the flow files at ``prefix``.
+
+    A cell whose conservative state does not convert back to a physical
+    one, because its energy overflows or swamps its pressure, raises
+    :class:`FlowFileError` naming the files and the number of such cells.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cons = prim_to_cons(prim, gas)
+        rho, _, _, p = _primitive_columns(cons, gas)
+        bad = int(np.sum(~_physical_state(rho, p)))
+    if bad:
+        raise FlowFileError(f"flow files {prefix!r}* contain {bad} cell(s) whose conservative state "
+                            "overflows or loses its pressure")
+    return cons
+
+
 def read_flow_files(prefix: str, ni: int, nj: int, gas: GasModel = GasModel()) -> FlowField:
-    """Read a primitive-variable field from four one-column files."""
-    return FlowField(q=prim_to_cons(read_prim_files(prefix, ni, nj), gas))
+    """Read a primitive-variable field from four one-column files.
+
+    A cell whose conservative state overflows raises :class:`FlowFileError`.
+    """
+    return FlowField(q=_flow_file_cons(read_prim_files(prefix, ni, nj), prefix, gas))
 
 
 def write_prim_files(prim: np.ndarray, prefix: str) -> None:

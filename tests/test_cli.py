@@ -364,6 +364,22 @@ class TestExternalFlow:
         cfg, out = self.make_case(tmp_path)
         assert cli.main([str(cfg), "--validate"]) == 2
 
+    def test_overflowing_energy_is_a_flow_file_error(self, tmp_path, capsys):
+        # u = 1e200 is finite, but its kinetic energy overflows the
+        # conservative state; the run names the files, not a flux.
+        cfg, out = self.make_case(tmp_path)
+        u_file = tmp_path / "base_u.dat"
+        values = u_file.read_text(encoding="ascii").split()
+        values[13] = "1e200"
+        u_file.write_text("\n".join(values) + "\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([str(cfg)]) == 2
+        err = capsys.readouterr().err
+        prefix = str(tmp_path / "base_")
+        assert err == (f"error: flow files {prefix!r}* contain 1 cell(s) whose conservative state "
+                       "overflows or loses its pressure\n")
+
 
 class TestSweepAndValidate:
     def test_sweep_table(self, tmp_path):

@@ -12,7 +12,13 @@ from shockstab.numerics import (
     RIEMANN_SOLVERS,
     ReconstructionScheme,
     RoundParams,
+    _FaceSide,
+    _flux_ausm_plus,
+    _flux_slau,
+    _mach_split_m4,
+    _pressure_split_p5,
     _reconstruct_values,
+    _side_signs,
     limiter_value,
     physical_flux,
     reconstruct_pair,
@@ -20,7 +26,7 @@ from shockstab.numerics import (
     riemann_flux,
     round_face_value,
 )
-from shockstab.state import GasModel, cons_to_prim, normal_shock_states, prim_to_cons
+from shockstab.state import GasModel, _primitive_columns, cons_to_prim, normal_shock_states, prim_to_cons
 
 GAS = GasModel()
 
@@ -241,6 +247,29 @@ class TestReconstructPair:
         assert np.array_equal(right, stack[2])
         assert fallback.shape == (10,) and not fallback.any()
 
+    @pytest.mark.parametrize("kind", RECONSTRUCTION_KINDS)
+    def test_pair_carries_its_stack_and_primitives_to_the_flux(self, kind):
+        # The positivity-fallback stencil of test_positivity_fallback beside
+        # random ones: the primitives travel unless the scheme is first order
+        # or a face fell back, and the flux given the pair has the bits of
+        # the flux that splits the sides itself.
+        rng = np.random.default_rng(13)
+        stencil = [np.concatenate((u, random_cons(rng, 6))) for u in (
+            [[2.0, 0.1, 0.0, 0.3]], [[1.0, 0.5, 0.0, 0.375]], [[0.5, 0.9, 0.0, 0.85]], [[0.25, 1.3, 0.0, 3.5]])]
+        scheme = ReconstructionScheme(kind=kind, limiter="superbee")
+        pair = reconstruct_pair(*stencil, scheme, GAS)
+        left, right, fallback = pair
+        assert fallback[0] == (kind == "muscl")
+        assert pair.stack.tobytes() == np.stack((left, right)).tobytes()
+        if kind == "first_order" or fallback.any():
+            assert pair.primitives is None
+        else:
+            assert np.stack(pair.primitives).tobytes() == np.stack(_primitive_columns(pair.stack, GAS)).tobytes()
+        normal = random_normals(rng, 7)
+        for solver in RIEMANN_SOLVERS:
+            own = riemann_flux(solver, left, right, normal, GAS)
+            assert riemann_flux(solver, left, right, normal, GAS, pair=pair).tobytes() == own.tobytes()
+
     def test_scheme_validation(self):
         with pytest.raises(StateError):
             ReconstructionScheme(kind="weno")
@@ -438,3 +467,106 @@ class TestRiemannFlux:
             warnings.simplefilter("error")
             with pytest.raises(StateError, match=f"^1 non-physical {side} state\\(s\\) passed to solver 'hllc'$"):
                 riemann_flux("hllc", left, right, np.array([[1.0, 0.0]] * 3), GAS)
+
+
+# ---------------------------------------------------------------------------
+# AUSM+ and SLAU on the side axis
+# ---------------------------------------------------------------------------
+
+# The one-side-at-a-time formulas the side-axis kernels replaced, kept as the
+# reference they must reproduce bit for bit.
+
+
+def one_sided_m4(m, sign):
+    sub = sign * (0.25 * (m + sign) ** 2 + 0.125 * (m * m - 1.0) ** 2)
+    sup = 0.5 * (m + sign * np.abs(m))
+    return np.where(np.abs(m) >= 1.0, sup, sub)
+
+
+def one_sided_p5(m, sign, alpha=0.1875):
+    sub = 0.25 * (m + sign) ** 2 * (2.0 - sign * m) + sign * alpha * m * (m * m - 1.0) ** 2
+    sup = 0.5 * (1.0 + sign * np.sign(m))
+    return np.where(np.abs(m) >= 1.0, sup, sub)
+
+
+def one_sided_convection(L, R, mdot, p_half):
+    one = np.ones_like(mdot)
+    psi_l = np.stack((one, L.qn, L.qt, L.H), axis=-1)
+    psi_r = np.stack((one, R.qn, R.qt, R.H), axis=-1)
+    conv = 0.5 * (mdot + np.abs(mdot))[..., None] * psi_l + 0.5 * (mdot - np.abs(mdot))[..., None] * psi_r
+    zero = np.zeros_like(mdot)
+    return conv + np.stack((zero, p_half, zero, zero), axis=-1)
+
+
+def one_sided_ausm_plus(S, gas):
+    L, R = S.sides()
+    g = gas.gamma
+    a_crit2_l = 2.0 * (g - 1.0) / (g + 1.0) * L.H
+    a_crit2_r = 2.0 * (g - 1.0) / (g + 1.0) * R.H
+    a_hat_l = a_crit2_l / np.maximum(np.sqrt(a_crit2_l), np.abs(L.qn))
+    a_hat_r = a_crit2_r / np.maximum(np.sqrt(a_crit2_r), np.abs(R.qn))
+    a_half = np.minimum(a_hat_l, a_hat_r)
+    ml, mr = L.qn / a_half, R.qn / a_half
+    m_half = one_sided_m4(ml, +1.0) + one_sided_m4(mr, -1.0)
+    p_half = one_sided_p5(ml, +1.0) * L.p + one_sided_p5(mr, -1.0) * R.p
+    mdot = a_half * (np.maximum(m_half, 0.0) * L.rho + np.minimum(m_half, 0.0) * R.rho)
+    return one_sided_convection(L, R, mdot, p_half)
+
+
+def one_sided_slau(S, gas):
+    L, R = S.sides()
+    a_bar = 0.5 * (L.a + R.a)
+    speed2 = 0.5 * (L.qn * L.qn + L.qt * L.qt + R.qn * R.qn + R.qt * R.qt)
+    chi = (1.0 - np.minimum(1.0, np.sqrt(speed2) / a_bar)) ** 2
+    ml, mr = L.qn / a_bar, R.qn / a_bar
+    g_fac = -np.maximum(np.minimum(ml, 0.0), -1.0) * np.minimum(np.maximum(mr, 0.0), 1.0)
+    vn_bar = (L.rho * np.abs(L.qn) + R.rho * np.abs(R.qn)) / (L.rho + R.rho)
+    vn_plus = (1.0 - g_fac) * vn_bar + g_fac * np.abs(L.qn)
+    vn_minus = (1.0 - g_fac) * vn_bar + g_fac * np.abs(R.qn)
+    mdot = 0.5 * (L.rho * (L.qn + vn_plus) + R.rho * (R.qn - vn_minus) - (chi / a_bar) * (R.p - L.p))
+    beta_p = one_sided_p5(ml, +1.0, alpha=0.0)
+    beta_m = one_sided_p5(mr, -1.0, alpha=0.0)
+    p_half = (0.5 * (L.p + R.p) + 0.5 * (beta_p - beta_m) * (L.p - R.p)
+              + (1.0 - chi) * (beta_p + beta_m - 1.0) * 0.5 * (L.p + R.p))
+    return one_sided_convection(L, R, mdot, p_half)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: Mach numbers below, at and above |M| = 1 (exactly +-1 included), and +-0.
+SPLIT_MACHS = np.array([-3.0, -1.0 - 2.0 ** -52, -1.0, -1.0 + 2.0 ** -53, -0.7, -1e-300, -0.0, 0.0, 1e-300, 0.3,
+                        1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52, 2.5])
+
+
+class TestSideAxisSplits:
+    @pytest.mark.parametrize("alpha", [0.1875, 0.0])
+    def test_split_polynomials_match_one_sided_formulas(self, alpha):
+        # Both sides see every Mach number, so each sign meets |M| < 1,
+        # |M| = 1 exactly, |M| > 1 and both signed zeros.
+        m = np.stack((SPLIT_MACHS, SPLIT_MACHS[::-1]))
+        sign = _side_signs(m.ndim)
+        assert same_bits(_mach_split_m4(m, sign), np.stack((one_sided_m4(m[0], 1.0), one_sided_m4(m[1], -1.0))))
+        assert same_bits(_pressure_split_p5(m, sign, alpha),
+                         np.stack((one_sided_p5(m[0], 1.0, alpha), one_sided_p5(m[1], -1.0, alpha))))
+
+    @pytest.mark.parametrize("kernel,reference", [(_flux_ausm_plus, one_sided_ausm_plus), (_flux_slau, one_sided_slau)])
+    def test_flux_matches_one_sided_formulas(self, kernel, reference):
+        # Sub- and supersonic faces of either direction, and faces whose
+        # normal speed is +0.0 or -0.0 on one or both sides.
+        rng = np.random.default_rng(60)
+        n = 64
+        prim_l, prim_r = (np.stack([rng.uniform(0.3, 2.0, n), rng.uniform(-4.0, 4.0, n), rng.uniform(-1.0, 1.0, n),
+                                    rng.uniform(0.05, 2.0, n)], axis=-1) for _ in range(2))
+        prim_l[:8, 1:3] = 0.0
+        prim_r[4:12, 1:3] = 0.0
+        prim_l[:4, 1] = -0.0
+        normal = random_normals(rng, n)
+        normal[:12] = [1.0, -0.0]
+        stack = np.array((prim_to_cons(prim_l, GAS), prim_to_cons(prim_r, GAS)))
+        S = _FaceSide.split(stack, _primitive_columns(stack, GAS), normal[..., 0], normal[..., 1], GAS)
+        assert ((S.qn == 0.0) & np.signbit(S.qn)).any() and ((S.qn == 0.0) & ~np.signbit(S.qn)).any()
+        assert (np.abs(S.qn / S.a) >= 1.0).any() and (np.abs(S.qn / S.a) < 1.0).any()
+        assert same_bits(kernel(S, GAS), reference(S, GAS))

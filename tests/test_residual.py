@@ -12,6 +12,7 @@ from shockstab.residual import (
     BoundaryCondition,
     BoundaryConditionSet,
     GhostField,
+    _exit_pressure_state,
     _march_residual,
     _split_faces,
     face_reconstruction,
@@ -412,6 +413,33 @@ class TestResidual:
         ):
             res = march_residual(q, [bc] * len(solvers), metrics, scheme, solvers)
             for k, solver in enumerate(solvers):
+                assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
+
+    def test_exit_ghost_from_primitives_is_the_exit_pressure_route(self):
+        # The march forms its exit ghosts from the primitives of its last
+        # cells; fill_ghosts forms them through _exit_pressure_state.  Over an
+        # 11-member mixed batch whose last cells carry v = 0, v = -0.0 and
+        # u = -0.0 momenta, both routes give every member the same bits.
+        solvers = ["hll", "roe", "hll", *RIEMANN_SOLVERS]
+        metrics = compute_metrics(dyadic_strip(6, 35))
+        q = np.stack([smooth_field(6, 1, seed=50 + k, scale=0.1).q[:, 0] for k in range(len(solvers))], axis=1)
+        q[:, ::3, 2] = 0.0
+        q[:, 1::3, 2] = -0.0
+        q[-1, 2, 1] = -0.0
+        bcs = [strip_bcs(prim_to_cons(np.array([1.0, 2.0 + 0.05 * k, 0.1, 0.9]), GAS), 0.9 + 0.02 * k)
+               for k in range(len(solvers))]
+        prim = cons_to_prim(q, GAS)
+        p_exit = np.array([bc.right.pressure for bc in bcs])
+        ghosts = [fill_ghosts(FlowField(q=q[:, k, None]), bc, metrics, GAS).ext[-1, 2] for k, bc in enumerate(bcs)]
+        assert np.stack(ghosts).tobytes() == _exit_pressure_state(q[-1], p_exit, GAS).tobytes()
+        for scheme in (
+            ReconstructionScheme(kind="first_order"),
+            ReconstructionScheme(kind="muscl", limiter="van_albada"),
+            ReconstructionScheme(kind="round", variables="primitive"),
+        ):
+            res = _march_residual(q, prim, np.stack([bc.left.state for bc in bcs]), p_exit, metrics, scheme,
+                                  solvers, GAS)
+            for k, (solver, bc) in enumerate(zip(solvers, bcs)):
                 assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
 
     @pytest.mark.parametrize("solver", ["roe", "hll", "hllc", "ausm_plus"])
@@ -882,7 +910,7 @@ def march_residual(q, bcs, metrics, scheme, solver):
     """The 1-D march's residual of the ``(ni, members, 4)`` state ``q``, member ``k`` under ``bcs[k]``."""
     inflow = np.stack([bc.left.state for bc in bcs])
     p_exit = np.array([bc.right.pressure for bc in bcs])
-    return _march_residual(q, inflow, p_exit, metrics, scheme, solver, GAS)
+    return _march_residual(q, cons_to_prim(q, GAS), inflow, p_exit, metrics, scheme, solver, GAS)
 
 
 def own_residual(cells, bcs, metrics, scheme, solver):

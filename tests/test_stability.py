@@ -1,14 +1,16 @@
 """Linearization chain, matrix assembly, and eigenvalue analysis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from scipy.optimize import linear_sum_assignment
 
-from shockstab import EigenSolveError, FlowFileError, ShockStabError, cli
-from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
-from shockstab.numerics import ReconstructionScheme
+from shockstab import EigenSolveError, FlowFileError, ShockStabError, StateError, cli
+from shockstab.mesh import Grid, compute_metrics, make_annular_grid, make_cartesian_grid
+from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme
 from shockstab.residual import (
     BoundaryCondition,
     BoundaryConditionSet,
@@ -34,7 +36,7 @@ from shockstab.stability import (
     transverse_blocks,
     write_matrix,
 )
-from shockstab.state import FlowField, GasModel, init_normal_shock_rh, normal_shock_states, prim_to_cons
+from shockstab.state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, normal_shock_states, prim_to_cons
 
 GAS = GasModel()
 
@@ -139,6 +141,13 @@ class TestFluxJacobians:
         jl, jr = flux_jacobians("hllc", cons, cons, normal, GAS)
         assert jl.shape == (3, 2, 4, 4)
         assert jr.shape == (3, 2, 4, 4)
+
+    def test_one_solver_name_only(self):
+        # The probes stack on the leading axes, where a per-member solver
+        # list would read its members' face rows.
+        cons = prim_to_cons(np.tile([1.0, 0.5, 0.0, 1.0], (4, 1)), GAS)
+        with pytest.raises(StateError, match="^flux_jacobians takes one solver name, got \\['roe', 'hll'\\]$"):
+            flux_jacobians(["roe", "hll"], cons, cons, np.tile([1.0, 0.0], (4, 1)), GAS)
 
 
 class TestReconstructionCoefficients:
@@ -650,3 +659,137 @@ class TestArnoldiMatrixFormat:
         before = (shuffled.indices.copy(), shuffled.data.copy())
         assert eigensolve_leading(shuffled, k=6).tobytes() == eigensolve_leading(matrix, k=6).tobytes()
         assert np.array_equal(shuffled.indices, before[0]) and np.array_equal(shuffled.data, before[1])
+
+
+# ---------------------------------------------------------------------------
+# Pinned bits of the assembled operator
+# ---------------------------------------------------------------------------
+
+PINNED_SCHEMES = {
+    "first_order": ReconstructionScheme(kind="first_order"),
+    "muscl_van_albada": ReconstructionScheme(kind="muscl", limiter="van_albada"),
+    "muscl_superbee_prim": ReconstructionScheme(kind="muscl", limiter="superbee", variables="primitive"),
+    "round": ReconstructionScheme(kind="round"),
+}
+
+
+def jittered(grid, rng, amp):
+    """``grid`` with its interior nodes moved by up to ``amp`` in each direction."""
+    x, y = grid.x.copy(), grid.y.copy()
+    x[1:-1, 1:-1] += amp * rng.uniform(-1.0, 1.0, x[1:-1, 1:-1].shape)
+    y[1:-1, 1:-1] += amp * rng.uniform(-1.0, 1.0, y[1:-1, 1:-1].shape)
+    return Grid(x=x, y=y)
+
+
+def pinned_matrix_setups():
+    """``{name: (base, metrics, bcs)}`` of the operators whose bits are pinned.
+
+    ``shock``: a jittered M=20 shock on a jittered 7x4 grid, cold enough
+    upstream that MUSCL and ROUND fall back to first order on some faces;
+    ``annulus``: a smooth field on a jittered 6x5 annulus with inflow,
+    exit-pressure, slip-wall and zero-gradient sides, so the differenced
+    exit-pressure ghost map and the exact wall reflection both enter ``S``.
+    """
+    rng = np.random.default_rng(41)
+    prim = cons_to_prim(init_normal_shock_rh(7, 4, 20.0, 0.3, gas=GAS).q, GAS)
+    shock = FlowField(q=prim_to_cons(prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape)), GAS))
+    shock_metrics = compute_metrics(jittered(make_cartesian_grid(7, 4), rng, 0.1))
+    ring_metrics = compute_metrics(jittered(make_annular_grid(6, 5), rng, 0.02))
+    return {
+        "shock": (shock, shock_metrics, normal_shock_bcs(20.0, GAS)),
+        "annulus": (smooth_field(6, 5, seed=42, scale=0.1), ring_metrics, mixed_bcs()),
+    }
+
+
+def matrix_digest(smat):
+    """SHA-256 over the CSR arrays of ``S``, its kink and fallback flags and its base residual."""
+    h = hashlib.sha256()
+    for part in (smat.matrix.data, smat.matrix.indices, smat.matrix.indptr, smat.kink_iface, smat.kink_jface,
+                 smat.fallback_iface, smat.fallback_jface, np.array([smat.base_residual_inf])):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def pinned_matrix_digests():
+    out = {}
+    for setup, (base, metrics, bcs) in pinned_matrix_setups().items():
+        for scheme_name, scheme in PINNED_SCHEMES.items():
+            for solver in RIEMANN_SOLVERS:
+                smat = assemble(base, metrics, scheme, solver, bcs, GAS)
+                out[f"{setup}/{solver}/{scheme_name}"] = matrix_digest(smat)
+    return out
+
+
+# Recorded from the code that differenced each probe of a face batch with
+# its own flux, reconstruction and ghost-map call.
+PINNED_MATRIX_DIGESTS = {
+    "shock/roe/first_order": "852a168d1a52c096bf67dbddbe2b8b4eab2fa44912774658dd67be48162c6010",
+    "shock/hll/first_order": "2de415dfd773dbf49942c6906ebfd941631262d68959f37baffbd90719468968",
+    "shock/hllc/first_order": "5745d3ede954ab5dc41696e770a5f55ed22d5468fa07c60b7e08791853c2aa49",
+    "shock/hlle/first_order": "b110fbb191ee38f371926836fd0fdcd6b5017b2a386d7d5768f859f9632f7aed",
+    "shock/hllem/first_order": "6ee86935d77fea44d2adc54a6b3d13a69126a74adb97d8a1bb576885c324feb3",
+    "shock/van_leer_fvs/first_order": "b75f032613c37c4630a3ad9c9aa6c39c031f6bf6d63b99345478e5cecbad0af8",
+    "shock/ausm_plus/first_order": "18891a65c8d7d1e5620a0921d96cd052b6c316c63ccbbe546496ef2010cf9781",
+    "shock/slau/first_order": "1c164a3f9ea6c4499090ff97b16bd4d397bdf5d6215e2156cee1514976daf09c",
+    "shock/roe/muscl_van_albada": "cd3aa2d74c1c285ea705dc4b9e85b98931419c8d4c3de81283fab6da13275546",
+    "shock/hll/muscl_van_albada": "80b8402d5ab1549a02a60f0f160b894fd15e3b0b7a617f6737c2f1785cd16b46",
+    "shock/hllc/muscl_van_albada": "bffc97995480ef6c559f919cefe68335f457806a33736ee8590774aefcd51a2b",
+    "shock/hlle/muscl_van_albada": "0ef2bc229bb3958027dd5e8a46943f987847639ee6c79079b5ccb681b8c15b05",
+    "shock/hllem/muscl_van_albada": "33a7dfed73cf802d9c57161140a5899942474b13f56562e403cf76459b791f66",
+    "shock/van_leer_fvs/muscl_van_albada": "7644a83519d675edf86d6a6510e9b55ca9092c8297ee1a1e889d183823387e59",
+    "shock/ausm_plus/muscl_van_albada": "620e99abdb4936d9cb83973253d6f913941f01ab74f1c41b409effdc51404cca",
+    "shock/slau/muscl_van_albada": "4fb17a1185550961f39f69ddb5c60ec339f633ab110acdeb65d324f3b937add6",
+    "shock/roe/muscl_superbee_prim": "8093836102d945209b5691220cb5b45d4f5560cac136e00b2183b38b32008643",
+    "shock/hll/muscl_superbee_prim": "33ad5c3d91a80e2bd3658f5eac7f07a0c7af0e58c886ae5a09a55e815092be66",
+    "shock/hllc/muscl_superbee_prim": "3d63c3be6c332854d97899b6ac28afc18828e355cf7fa26b67a76d98eb66e1dd",
+    "shock/hlle/muscl_superbee_prim": "ca4f8d848d76b0eb0ab13ffb1caa447e390834852a3f26bea9c561084ea0a0c8",
+    "shock/hllem/muscl_superbee_prim": "e702dadfe0d7d6b70467cc34aaad057f74d23b6459eb54cd0d8d1efaf13c65f7",
+    "shock/van_leer_fvs/muscl_superbee_prim": "efe4a68b6f79340d6bd7a2c4c2bdc7cba00373ed320e25d2ceff4b0821b0eabd",
+    "shock/ausm_plus/muscl_superbee_prim": "bfbf2d1ed0da960d94243eac0b616bd8cd8aef515a43add32452ad601a90354e",
+    "shock/slau/muscl_superbee_prim": "b23870894fbc06e863d8e83118fd09eea8cfdc5d206dba3907483a166cdd091e",
+    "shock/roe/round": "1a51d05819dd96c635b21a88040be0c61eddf20dbaed9a94b5f890f39b881b52",
+    "shock/hll/round": "377e0b7a0e86b2b5b768ba8eb94ae52b70a8d1eeb35992df4a11b960a1bcbdf5",
+    "shock/hllc/round": "a7b26d02f57e347f882ee80fb7e4e63700a2979bd34ec1fbd4a67b688ef6fc9f",
+    "shock/hlle/round": "876cad865531b3ada0ec7867c9d3bc5f94944449dab5036cc7be5c308a2b9a92",
+    "shock/hllem/round": "219cde0a4050a1dd4f68f886ecd005277b0177960ca385926b2cbb18e15e736a",
+    "shock/van_leer_fvs/round": "426df1e0158ddd67b2c653c58e062f9befc4cbe76dc437a339e239cc6ac462e3",
+    "shock/ausm_plus/round": "0d85bfbe8ff40396e3732547b6d7ac5a4d9029bcd86023e189906d25f37aba86",
+    "shock/slau/round": "8dff41c2240284b2f244643e8c13d02c63750a2277b0efd160496a73c32c61d1",
+    "annulus/roe/first_order": "a0911cca7b8ca71502fe95b5275fe6d215141cf2ea6043200dd9ba752998f8a0",
+    "annulus/hll/first_order": "436814734f2544d697d1f83d24174b59a66623a19ace7b7074f8b7606f5facf1",
+    "annulus/hllc/first_order": "104dc6ada13f74449fec9046f28eb5f4415dde201c4e6eee56fab237734dbf16",
+    "annulus/hlle/first_order": "e846cb79d7c9d3d75ff03d012bb1ef64e8d5bccddf57a59c21905c5c985d98b5",
+    "annulus/hllem/first_order": "f19cde4c0528d909df6e8c71ef3887ce29f59cfa27ffce2bb88e11303ab390d5",
+    "annulus/van_leer_fvs/first_order": "13cc32f27ba8a2946e4a4bc8cd2b5827a72c939615c72d2c63b0ed45c24efa67",
+    "annulus/ausm_plus/first_order": "7c9a51633aa087d4e562758f3b38b13a521236f4c3be08673df0a1be96245c2a",
+    "annulus/slau/first_order": "5f6bcfa21ffa1649bb7b3792a890650d902317392d346055d44fec760d0ebbde",
+    "annulus/roe/muscl_van_albada": "65b725a99de1001d71abb8b61c6e58596518eafc249c4f8433d86f9d3fc5cc04",
+    "annulus/hll/muscl_van_albada": "06149a29da095ebcc3ff87c1a50dcb9a449ff646ffa965eaef80247b0d15dbc1",
+    "annulus/hllc/muscl_van_albada": "4fbb2de201215d28b2647e63cb52b986059e28849ddc02ed0d48f80c869b9739",
+    "annulus/hlle/muscl_van_albada": "dbd8a083d629c5b1015c5eb3feb59980ff6ceb9af54791a5632877165ab21546",
+    "annulus/hllem/muscl_van_albada": "05c5b779157fffc65bff75b04032c4aa91224784a2838db6213ae3e65077d1c7",
+    "annulus/van_leer_fvs/muscl_van_albada": "a133c49537c227172a8a0b23546b83467dd3348d2998f7f3c07e9da4581caa67",
+    "annulus/ausm_plus/muscl_van_albada": "f7ecbf18429e95ec1c4759bfd12f08d1dd364c7d6ad851eae1caed983814f67f",
+    "annulus/slau/muscl_van_albada": "213cea571d2bdfc231e331bd09180429c7e0d615956aaa872df687d68e788002",
+    "annulus/roe/muscl_superbee_prim": "f856ff45ba1cde0c81f09f82b71c23de210446f43f782f9848b4a7173ba9f52f",
+    "annulus/hll/muscl_superbee_prim": "e4840e9aae8ad4f2cda63922fc8db8ba9e6e01cc4213b7ec9b7aa7623fa44ae1",
+    "annulus/hllc/muscl_superbee_prim": "08b70a164a8dc7c31c703b6a6ca830f4527dca1042ac25fbdfa27234ac8f09a0",
+    "annulus/hlle/muscl_superbee_prim": "be2b3ab7ff202c9326c482fc8d72a4e466b58aba9e61a75ee557e105eb6beea1",
+    "annulus/hllem/muscl_superbee_prim": "68fb60dcff06e81c15c8d647919a09b82a9417f01f6c11b40bb0c68d6d914ce0",
+    "annulus/van_leer_fvs/muscl_superbee_prim": "9bc5b682d9a1699ec197286c8360e5ed25fe50677cbe90f35e593308f5b8dfd7",
+    "annulus/ausm_plus/muscl_superbee_prim": "b06e92190c1423504614f34d8afdda6b734930ae9bf03d26feeb8ec8f6e85c49",
+    "annulus/slau/muscl_superbee_prim": "0bd03782ede5f163409e1cd32a2d221b1ade5d76eb0785f6d8bccfb2cdcc0ddd",
+    "annulus/roe/round": "4970cd97662108ea3685f2a1203cbbfd9585753573794089a75bda699e22511f",
+    "annulus/hll/round": "63bb7965e557ced375ebfb4dbe8465e38573317301bfd799004df2277063b5da",
+    "annulus/hllc/round": "84d859adbd8075f7626cd5600ab7b2bcf9ea21a584f466133afca747b9cf0a11",
+    "annulus/hlle/round": "1335a6d95e368e4fb93b0e8a74f93c542ff1d8629f74f4dc4f16612a9bf9824c",
+    "annulus/hllem/round": "fdacaf16f98d4d6ead45bbecca14403b9dab96e3b4e1951b4a644ee37de21556",
+    "annulus/van_leer_fvs/round": "e7219b03b04e8041079c1fee8712b9c38070595952116e7093e139a31517c30d",
+    "annulus/ausm_plus/round": "7f372c05cf21b1f0f0ad682fc9fb5856e4bc0f72d24d290b7ec5a861d8ca7832",
+    "annulus/slau/round": "b9fd4e9af800a55a4a96e71529fa205a96ab8dfae01d01f43077b6b0c0f37f6f",
+}
+
+
+class TestPinnedMatrixBits:
+    def test_assembled_operator_digests(self):
+        assert pinned_matrix_digests() == PINNED_MATRIX_DIGESTS

@@ -1,12 +1,18 @@
 """State conversions, shock jump relations, flow-file I/O, and linearization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockstab import FlowFileError, StateError
 from shockstab.state import (
     FlowField,
     GasModel,
+    _physical_state,
+    _primitive_columns,
     cons_to_prim,
     flow_file_paths,
     init_normal_shock_rh,
@@ -75,6 +81,29 @@ class TestConversions:
             ]
         )
         assert list(is_physical_prim(prim)) == [True, False, False, False]
+
+    def test_is_physical_rejects_every_non_finite_column(self):
+        prim = np.tile([1.0, 0.5, -0.5, 1.0], (4, 1))
+        prim[np.arange(4), np.arange(4)] = np.inf
+        assert not is_physical_prim(prim).any()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1.0, -1.0, 0.4, 1e154, 1e200, -1e200,
+                         1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)) for _ in range(4)]),
+        min_size=1, max_size=16))
+    def test_short_test_of_converted_states(self, rows):
+        # For columns out of _primitive_columns, rho > 0 and 0 < p < inf is
+        # the whole four-column test: a non-finite u or v, or an infinite
+        # rho, leaves p NaN or -inf.
+        cons = np.array(rows, dtype=float)
+        with np.errstate(all="ignore"):
+            rho, u, v, p = _primitive_columns(cons, GAS)
+            full = np.isfinite(rho) & np.isfinite(u) & np.isfinite(v) & np.isfinite(p) & (rho > 0.0) & (p > 0.0)
+            short = _physical_state(rho, p)
+            assert np.array_equal(short, full)
+            assert np.array_equal(short, is_physical_prim(cons_to_prim(cons, GAS)))
 
 
 class TestNormalShock:
@@ -222,6 +251,19 @@ class TestFlowFiles:
             fh.write("1.0\n-1.0\n1.0\n1.0\n")
         with pytest.raises(FlowFileError):
             read_flow_files(prefix, 2, 2, GAS)
+
+    def test_overflowing_conservative_state(self, tmp_path):
+        # Each primitive is finite and positive, but rho*u^2 overflows the
+        # energy of two cells.
+        prefix = str(tmp_path / "f_")
+        write_flow_files(FlowField(q=prim_to_cons(np.ones((2, 2, 4)), GAS)), prefix, GAS)
+        with open(f"{prefix}u.dat", "w") as fh:
+            fh.write("1.0\n1e200\n1.0\n-1e160\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FlowFileError, match=r"^flow files '.*f_'\* contain 2 cell\(s\) whose conservative "
+                                                    r"state overflows or loses its pressure$"):
+                read_flow_files(prefix, 2, 2, GAS)
 
 
 class TestPerturbationToPrimitive:
