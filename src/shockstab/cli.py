@@ -32,6 +32,7 @@ from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet
 from .state import (
     FlowField,
     GasModel,
+    _checked_cons,
     _flow_file_cons,
     normal_shock_states,
     perturbation_to_primitive,
@@ -328,11 +329,15 @@ def _build_scheme(settings: Settings) -> ReconstructionScheme:
 
 def _build_bcs(settings: Settings, gas: GasModel) -> BoundaryConditionSet:
     if settings.inflow_rho is not None:
-        inflow_prim = np.array([settings.inflow_rho, settings.inflow_u, settings.inflow_v, settings.inflow_p])
+        prim = np.array([settings.inflow_rho, settings.inflow_u, settings.inflow_v, settings.inflow_p])
+        inflow, bad = _checked_cons(prim, gas)
+        if bad:
+            raise SettingsError("inflow_rho, inflow_u, inflow_v, inflow_p give an inflow state whose conservative "
+                                "form overflows or loses its pressure")
     elif settings.test_case == "normal_shock":
-        inflow_prim = normal_shock_states(settings.mach, gas)[0]
+        inflow = prim_to_cons(normal_shock_states(settings.mach, gas)[0], gas)
     else:
-        inflow_prim = None
+        inflow = None
     if settings.exit_pressure is not None:
         exit_pressure = settings.exit_pressure
     elif settings.test_case == "normal_shock":
@@ -342,7 +347,7 @@ def _build_bcs(settings: Settings, gas: GasModel) -> BoundaryConditionSet:
 
     def build(kind: str) -> BoundaryCondition:
         if kind == "supersonic_inflow":
-            return BoundaryCondition.supersonic_inflow(prim_to_cons(inflow_prim, gas))
+            return BoundaryCondition.supersonic_inflow(inflow)
         if kind == "fixed_pressure_outflow":
             return BoundaryCondition.fixed_pressure_outflow(exit_pressure)
         return BoundaryCondition(kind=kind)
@@ -404,7 +409,9 @@ class Analysis:
     wavenumber blocks, ``dense`` when it solved ``S`` whole, or ``arnoldi``.
     The analysis runs on ``base``, which is exactly
     ``prim_to_cons(base_prim)``; ``oned`` is the 1-D march behind a projected
-    base (``None`` otherwise).
+    base (``None`` otherwise).  ``stab`` is the assembled ``S``, or ``None``
+    when an analysis without the matrix read the split blocks from a strip
+    (see :func:`analyze`).
     """
 
     settings: Settings
@@ -415,18 +422,64 @@ class Analysis:
     base: FlowField
     base_prim: np.ndarray
     oned: harness.OneDResult | None
-    stab: stability.StabilityMatrix
+    stab: stability.StabilityMatrix | None
     spectrum: np.ndarray
     eig_method_used: str
 
 
-def analyze(settings: Settings, oned: harness.OneDResult | None = None) -> Analysis:
+def _rows_repeat(a: np.ndarray) -> bool:
+    """Whether every ``j`` row (axis 1) of ``a`` holds the bits of row 0."""
+    bits = a.view(np.int64)
+    return bool(np.all(bits == bits[:, :1]))
+
+
+def _strip_blocks(base: FlowField, metrics: GridMetrics, scheme: ReconstructionScheme, solver: str,
+                  bc: BoundaryConditionSet, gas: GasModel):
+    """Transverse blocks of ``S`` read from an ``ni x STRIP_ROWS`` strip, or ``None`` to assemble ``S``.
+
+    The strip stands for ``S`` where every row of ``S``'s inputs is the same
+    bits: periodic bottom and top, more than
+    :data:`~shockstab.stability.STRIP_ROWS` rows, a base with identical rows
+    in ``j`` and metrics whose rows are bitwise equal across ``j``.  The
+    strip's geometry and base are the first rows of the case's own, so each
+    strip face computes the bits of its rows' faces in ``S``, and the blocks
+    are those that :func:`~shockstab.stability.transverse_blocks` reads from
+    ``S`` (see :func:`~shockstab.stability.widen_strip_blocks`).
+    """
+    rows = stability.STRIP_ROWS
+    if not (base.nj > rows and bc.bottom.kind == bc.top.kind == "periodic"):
+        return None
+    parts = (metrics.volume, metrics.iface_len, metrics.iface_normal, metrics.jface_len, metrics.jface_normal)
+    if not (_rows_repeat(base.q) and all(_rows_repeat(a) for a in parts)):
+        return None
+    strip_metrics = GridMetrics(
+        volume=metrics.volume[:, :rows], iface_len=metrics.iface_len[:, :rows],
+        iface_normal=metrics.iface_normal[:, :rows], jface_len=metrics.jface_len[:, :rows + 1],
+        jface_normal=metrics.jface_normal[:, :rows + 1],
+    )
+    try:
+        strip = stability.assemble(FlowField(q=base.q[:, :rows]), strip_metrics, scheme, solver, bc, gas)
+    except ShockStabError:
+        return None  # the full assembly raises the error, with the face counts of S
+    split = stability.transverse_blocks(strip.matrix, rows)
+    return stability.widen_strip_blocks(split, base.nj) if split.nj == rows else None
+
+
+def analyze(settings: Settings, oned: harness.OneDResult | None = None, *, matrix: bool = True) -> Analysis:
     """Build the base flow, assemble ``S`` and solve for its spectrum.
 
     Every run mode (single analysis, ``--sweep``, ``--validate``) starts
     here, so each analyses the operator its settings describe.  ``oned`` is
     this case's 1-D march made beforehand (``--sweep`` marches all its
     cases as one batch); without it a projected base marches its own.
+
+    ``matrix=False`` asks for the spectrum only (``--sweep``): where a dense
+    solve would split ``S`` by transverse wavenumber and every row of its
+    inputs is the same bits, the blocks come from an ``ni x 5`` strip
+    instead (:func:`_strip_blocks`), with the spectrum's bits unchanged,
+    and ``stab`` is ``None``.  Every other case assembles the full ``S``;
+    the runs that read it (the eigenvector, ``--validate`` and
+    ``--dump-matrix``) keep the default.
     """
     gas = GasModel(settings.gamma)
     scheme = _build_scheme(settings)
@@ -434,9 +487,14 @@ def analyze(settings: Settings, oned: harness.OneDResult | None = None) -> Analy
     metrics = compute_metrics(grid)
     bc = _build_bcs(settings, gas)
     base, oned, base_prim = _build_base(settings, grid, gas, scheme, oned)
-    stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
+    stab, blocks = None, None
+    if not matrix and settings.eig_method == "dense":
+        blocks = _strip_blocks(base, metrics, scheme, settings.solver, bc, gas)
+    if blocks is None:
+        stab = stability.assemble(base, metrics, scheme, settings.solver, bc, gas)
     if settings.eig_method == "dense":
-        blocks = stability.transverse_blocks(stab.matrix, stab.nj)
+        if blocks is None:
+            blocks = stability.transverse_blocks(stab.matrix, stab.nj)
         spectrum = stability.eigensolve(blocks)
         method = blocks.method
     else:
@@ -536,7 +594,7 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
         for case, oned in zip(cases, profiles):
             if isinstance(oned, EvolutionError):
                 raise oned
-            spectrum = analyze(case, oned).spectrum
+            spectrum = analyze(case, oned, matrix=False).spectrum
             fh.write(
                 f"{case.mach:.17g} {case.solver} {_scheme_label(case)} "
                 f"{spectrum[0].real:.17g} {spectrum[0].imag:.17g} {harness.dominance_gap(spectrum):.17g}\n"

@@ -451,8 +451,8 @@ class _FaceSide:
                          self.p[index], self.E[index], self.a[index], self.H[index], self.cons[index])
 
     def rows(self, rows: slice) -> "_FaceSide":
-        """Both sides over a run of face rows, as views (itself for ``slice(None)``)."""
-        return self if rows == slice(None) else self._view((slice(None), rows))
+        """Both sides over a run of face rows, as views."""
+        return self._view((slice(None), rows))
 
     def sides(self) -> tuple["_FaceSide", "_FaceSide"]:
         """The left and the right side alone, as views."""
@@ -510,13 +510,12 @@ def _wave_decomposition(L: _FaceSide, R: _FaceSide, qn, qt, H, a, rho_avg):
     return (alpha1, alpha2, alpha3, alpha4), (k1, k2, k3, k4)
 
 
-def _flux_roe(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_roe(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     alphas, ks = _wave_decomposition(L, R, qn, qt, H, a, rho_avg)
     lams = (np.abs(qn - a), np.abs(qn), np.abs(qn), np.abs(qn + a))
     diss = sum((lam * al)[..., None] * k for lam, al, k in zip(lams, alphas, ks))
-    f = S.flux()
     return 0.5 * (f[0] + f[1]) - 0.5 * diss
 
 
@@ -538,15 +537,14 @@ def _two_wave_flux(S: _FaceSide, f, sl, sr):
     return mid, span
 
 
-def _flux_hll(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_hll(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     sl, sr = _davis_speeds(S)
-    f = S.flux()
     mid, _ = _two_wave_flux(S, f, sl, sr)
     out = np.where(sl[..., None] >= 0.0, f[0], mid)
     return np.where(sr[..., None] <= 0.0, f[1], out)
 
 
-def _flux_hllc(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_hllc(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     sl, sr = _davis_speeds(S)
     s_side = np.array((sl, sr))
     m = S.rho * (s_side - S.qn)  # ml, mr
@@ -559,7 +557,6 @@ def _flux_hllc(S: _FaceSide, gas: GasModel) -> np.ndarray:
     factor = m / np.where(s_side - s_star == 0.0, 1.0, s_side - s_star)
     energy = S.E / S.rho + (s_star - S.qn) * (s_star + S.p / m)
     star = _columns(factor, factor * s_star, factor * S.qt, factor * energy)
-    f = S.flux()
     f_star = f + s_side[..., None] * (star - S.cons)
     out = np.where(s_star[..., None] >= 0.0, f_star[0], f_star[1])
     out = np.where(sl[..., None] >= 0.0, f[0], out)
@@ -572,18 +569,18 @@ def _einfeldt_speeds(L: _FaceSide, R: _FaceSide, qn, a):
     return bl, br
 
 
-def _flux_hlle(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_hlle(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
-    return _two_wave_flux(S, S.flux(), bl, br)[0]
+    return _two_wave_flux(S, f, bl, br)[0]
 
 
-def _flux_hllem(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_hllem(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
-    hll, span = _two_wave_flux(S, S.flux(), bl, br)
+    hll, span = _two_wave_flux(S, f, bl, br)
     alphas, ks = _wave_decomposition(L, R, qn, qt, H, a, rho_avg)
     # Anti-diffusion restores the entropy and shear waves that the two-wave
     # average smears; the amount is throttled by delta near sonic faces.
@@ -592,24 +589,23 @@ def _flux_hllem(S: _FaceSide, gas: GasModel) -> np.ndarray:
     return hll - (bl * br / span * delta)[..., None] * linear
 
 
-def _flux_van_leer(S: _FaceSide, gas: GasModel) -> np.ndarray:
+def _flux_van_leer(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     L, R = S.sides()
     g = gas.gamma
 
-    def split(S: _FaceSide, sign: float) -> np.ndarray:
+    def split(S: _FaceSide, sign: float, full: np.ndarray) -> np.ndarray:
         m = S.qn / S.a
         f_mass = sign * 0.25 * S.rho * S.a * (m + sign) ** 2
         vel = ((g - 1.0) * S.qn + sign * 2.0 * S.a) / g
         enrg = vel * vel * (g * g / (2.0 * (g * g - 1.0))) + 0.5 * S.qt * S.qt
         split_flux = _columns(f_mass, f_mass * vel, f_mass * S.qt, f_mass * enrg)
-        full = S.flux()
         if sign > 0:
             split_flux = np.where(m[..., None] >= 1.0, full, split_flux)
             return np.where(m[..., None] <= -1.0, 0.0, split_flux)
         split_flux = np.where(m[..., None] <= -1.0, full, split_flux)
         return np.where(m[..., None] >= 1.0, 0.0, split_flux)
 
-    return split(L, +1.0) + split(R, -1.0)
+    return split(L, +1.0, f[0]) + split(R, -1.0, f[1])
 
 
 def _mach_split_m4(m: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -700,6 +696,10 @@ _SOLVER_TABLE = {
 }
 
 
+#: Solvers whose wave models take both sides' physical fluxes (as their third argument).
+_TAKES_FLUX = frozenset(("roe", "hll", "hllc", "hlle", "hllem", "van_leer_fvs"))
+
+
 def _solver_kernel(name: str):
     """Wave model of a named solver; an unknown name raises :class:`StateError`."""
     try:
@@ -732,6 +732,22 @@ def _solver_runs(solver: str | Sequence[str], rows: int):
     return runs
 
 
+def _run_fluxes(S: _FaceSide, runs) -> list:
+    """Both sides' physical fluxes for the runs of a mixed batch (:func:`_solver_runs`) whose solvers take them.
+
+    They are formed once, over the rows from the first to the last such run,
+    and each run gets its rows as a view; runs whose solver does not take
+    them get ``None``.
+    """
+    used = [rows for name, _, rows in runs if name in _TAKES_FLUX]
+    if not used:
+        return [None] * len(runs)
+    start = used[0].start
+    flux = S.rows(slice(start, used[-1].stop)).flux()
+    return [flux[:, rows.start - start:rows.stop - start] if name in _TAKES_FLUX else None
+            for name, _, rows in runs]
+
+
 def riemann_flux(
     solver: str | Sequence[str],
     left: np.ndarray,
@@ -754,7 +770,8 @@ def riemann_flux(
     run of rows along its first axis (see :func:`_solver_runs`).  The two sides are stacked on a leading
     side axis and split into the face frame (:class:`_FaceSide`), validated
     (left first) and, for the solvers that need them, given their physical
-    fluxes once for all rows and both sides; each solver's wave model then
+    fluxes once for both sides and every row from the first to the last run
+    that needs them (:func:`_run_fluxes`); each solver's wave model then
     runs on its own row range(s), as views, and the fluxes are rotated back
     once.  Every row's flux is bit-identical to that of a one-solver call.
 
@@ -782,5 +799,10 @@ def riemann_flux(
                     bad = int(np.sum(~side_ok[rows]))
                     if bad:
                         raise StateError(f"{bad} non-physical {name} state(s) passed to solver {run!r}")
-    parts = [kernel(S.rows(rows), gas) for _, kernel, rows in runs]
-    return _unrotate(parts[0] if len(parts) == 1 else np.concatenate(parts), nx, ny)
+    if len(runs) == 1:
+        name, kernel, _ = runs[0]
+        flux = kernel(S, gas, S.flux()) if name in _TAKES_FLUX else kernel(S, gas)
+    else:
+        flux = np.concatenate([kernel(S.rows(rows), gas) if f is None else kernel(S.rows(rows), gas, f)
+                               for (_, kernel, rows), f in zip(runs, _run_fluxes(S, runs))])
+    return _unrotate(flux, nx, ny)

@@ -19,7 +19,9 @@ then splits the spectrum of ``S`` into the spectra of the ``nj`` blocks
 ``S_k = sum_d C_d exp(2 pi i k d / nj)`` of order ``m``, one per transverse
 wavenumber ``k`` -- the normal-mode view of the carbuncle literature.  The
 full-spectrum solver checks the assembled matrix for this structure and,
-where it holds, solves the small blocks instead of all of ``S``.
+where it holds, solves the small blocks instead of all of ``S``.  Since the
+blocks reach two rows each way, a :data:`STRIP_ROWS`-row strip about the
+same rows holds all of them (:func:`widen_strip_blocks`).
 
 Nonlinear maps are differenced centrally with an absolute step of ``1e-7``;
 reconstruction branch switches (limiter kinks, guard activations, min ties)
@@ -69,6 +71,7 @@ __all__ = [
     "assemble",
     "TransverseBlocks",
     "transverse_blocks",
+    "widen_strip_blocks",
     "eigensolve",
     "eigensolve_leading",
     "max_real_eigenpair",
@@ -80,6 +83,10 @@ __all__ = [
 
 #: Default cap on the order of the largest block the dense eigensolver factors.
 DENSE_CAP = 12000
+
+#: Block rows of the strip whose offset blocks give those of a wider
+#: block-circulant operator: the fewest in which the offsets -2..2 do not alias.
+STRIP_ROWS = 5
 
 #: Largest deviation, relative to ``max|S|``, of a block row from block row 0
 #: (cyclically shifted) that still counts as block-circulant in ``j``.
@@ -376,6 +383,23 @@ def transverse_blocks(matrix, nj: int = 1) -> TransverseBlocks:
     blocks = np.zeros((len(offsets), m, m))
     blocks[slot[frame[0] // m], rows[order[:frame.shape[1]]], frame[0] % m] = values[0]
     return TransverseBlocks(nj=nj, offsets=tuple(offsets), blocks=tuple(blocks))
+
+
+def widen_strip_blocks(strip: TransverseBlocks, nj: int) -> TransverseBlocks:
+    """Offset blocks of an ``nj``-row operator from those of its split :data:`STRIP_ROWS`-row strip.
+
+    A block-circulant operator couples each block row to the rows at most two
+    away, so its ``STRIP_ROWS``-row strip (about the same ``j``-uniform base,
+    periodic in ``j``) holds every block ``C_d``: the strip's offsets 3 and 4
+    are ``-2`` and ``-1``, relabelled ``nj - 2`` and ``nj - 1``.  For
+    ``nj > STRIP_ROWS`` the offsets stay ascending, so :func:`eigensolve`
+    sums and solves the blocks as it would those of the full operator.
+    """
+    if strip.nj != STRIP_ROWS or nj <= STRIP_ROWS:
+        raise EigenSolveError(f"a split {STRIP_ROWS}-row strip widens to more rows, "
+                              f"got a {strip.nj}-row split for {nj} rows")
+    offsets = tuple(d if d <= 2 else d - STRIP_ROWS + nj for d in strip.offsets)
+    return TransverseBlocks(nj=nj, offsets=offsets, blocks=strip.blocks)
 
 
 def eigensolve(matrix, cap: int = DENSE_CAP, nj: int = 1) -> np.ndarray:

@@ -225,17 +225,24 @@ def read_prim_files(prefix: str, ni: int, nj: int) -> np.ndarray:
     return prim
 
 
+def _checked_cons(prim: np.ndarray, gas: GasModel) -> tuple[np.ndarray, int]:
+    """``prim_to_cons(prim)`` without numpy warnings, and the number of states
+    that do not convert back to a physical one because their energy
+    overflows or swamps their pressure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cons = prim_to_cons(prim, gas)
+        rho, _, _, p = _primitive_columns(cons, gas)
+        return cons, int(np.sum(~_physical_state(rho, p)))
+
+
 def _flow_file_cons(prim: np.ndarray, prefix: str, gas: GasModel) -> np.ndarray:
     """``prim_to_cons`` of the primitives read from the flow files at ``prefix``.
 
     A cell whose conservative state does not convert back to a physical
-    one, because its energy overflows or swamps its pressure, raises
-    :class:`FlowFileError` naming the files and the number of such cells.
+    one (:func:`_checked_cons`) raises :class:`FlowFileError` naming the
+    files and the number of such cells.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cons = prim_to_cons(prim, gas)
-        rho, _, _, p = _primitive_columns(cons, gas)
-        bad = int(np.sum(~_physical_state(rho, p)))
+    cons, bad = _checked_cons(prim, gas)
     if bad:
         raise FlowFileError(f"flow files {prefix!r}* contain {bad} cell(s) whose conservative state "
                             "overflows or loses its pressure")

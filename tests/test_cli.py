@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shockstab import SettingsError, cli, harness
+from shockstab import SettingsError, cli, harness, stability
 from shockstab.cli import (
     Settings,
     parse_domain_spec,
@@ -17,7 +17,7 @@ from shockstab.cli import (
     parse_settings_text,
     settings_to_text,
 )
-from shockstab.mesh import make_annular_grid, make_cartesian_grid, read_grid, write_grid
+from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
 from shockstab.state import FlowField, GasModel, prim_to_cons, write_flow_files
 
 GAS = GasModel()
@@ -246,6 +246,21 @@ class TestMainAnalysis:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert cli.main([str(tmp_path / "missing.cfg")]) == 2
+
+    @pytest.mark.parametrize("u, p", [("1e200", "1"), ("1e10", "1e-9")])
+    def test_inflow_state_lost_in_conversion_is_a_settings_error(self, tmp_path, capsys, u, p):
+        # At u = 1e200 the inflow energy overflows; at u = 1e10 it swamps
+        # p = 1e-9.  Either way the run names the inflow_* keys, not a
+        # non-positive density or pressure, and numpy stays quiet.
+        cfg = tmp_path / "inflow.cfg"
+        cfg.write_text("test_case = normal_shock\ngrid = 8x4\nmach = 3\nepsilon = 0.1\ninflow_rho = 1\n"
+                       f"inflow_u = {u}\ninflow_v = 0\ninflow_p = {p}\noutput_dir = {tmp_path / 'out'}\n",
+                       encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: inflow_rho, inflow_u, inflow_v, inflow_p give an inflow state "
+                                           "whose conservative form overflows or loses its pressure\n")
 
     def test_slip_wall_one_cell_across_exit_two(self, tmp_path, capsys):
         text = ("grid = 1x4\nmach = 3\nepsilon = 0.3\nsolver = hllc\n"
@@ -580,6 +595,62 @@ class TestSweepAndValidate:
         assert cli.main([str(cfg), "--validate"]) == 1
         row = (out / "validation.dat").read_text().splitlines()[1].split()
         assert float(row[3]) == float(_summary(out)["max_re_lambda"])
+
+    STRIP = {"test_case": "normal_shock", "grid": "7x6", "mach": "3", "epsilon": "0.1", "reconstruction": "muscl",
+             "oned_steps": "40", "sweep_mach": "3,20", "sweep_solvers": "hllc,ausm_plus"}
+
+    @staticmethod
+    def assembled_shapes(monkeypatch):
+        """Grid shapes of every ``stability.assemble`` call from here on."""
+        shapes, assemble = [], stability.assemble
+
+        def counted(base, *args, **kwargs):
+            shapes.append((base.ni, base.nj))
+            return assemble(base, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "assemble", counted)
+        return shapes
+
+    @pytest.mark.parametrize("keys, shape", [
+        ({}, (7, 5)),
+        ({"grid": "7x5"}, (7, 5)),
+        ({"grid": "7x4"}, (7, 4)),
+        ({"domain": "0,1,0,0.7"}, (7, 6)),
+        ({"bc_bottom": "zero_gradient", "bc_top": "slip_wall"}, (7, 6)),
+        ({"eig_method": "arnoldi", "arnoldi_k": "4"}, (7, 6)),
+    ])
+    def test_sweep_assembles_the_strip_only_where_s_splits_bitwise(self, tmp_path, monkeypatch, keys, shape):
+        # A splittable case assembles one ni x 5 strip; nj <= 5, cell areas
+        # that differ in the last bit from row to row, non-periodic j sides
+        # and Arnoldi assemble the full S once each.  Every row equals the
+        # full route's.
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        text = "".join(f"{k} = {v}\n" for k, v in {**self.STRIP, **keys}.items())
+        cfg.write_text(text + f"output_dir = {out}\n", encoding="ascii")
+        settings = parse_settings(cfg)
+        if "domain" in keys:
+            assert not cli._rows_repeat(compute_metrics(cli._build_grid(settings)).volume)
+        shapes = self.assembled_shapes(monkeypatch)
+        assert cli.main([str(cfg), "--sweep"]) == 0
+        assert shapes == [shape] * 4
+        rows = [line.split() for line in (out / "sweep.dat").read_text().splitlines()[1:]]
+        assert len(rows) == 4
+        for row in rows:
+            alone = cli.analyze(replace(settings, mach=float(row[0]), solver=row[1]))
+            assert alone.stab is not None
+            assert row[3:6] == [f"{alone.spectrum[0].real:.17g}", f"{alone.spectrum[0].imag:.17g}",
+                                f"{harness.dominance_gap(alone.spectrum):.17g}"]
+
+    def test_single_analysis_assembles_the_full_operator(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = tmp_path / "single.cfg"
+        text = "".join(f"{k} = {v}\n" for k, v in self.STRIP.items())
+        cfg.write_text(text + f"solver = hllc\noutput_dir = {out}\n", encoding="ascii")
+        shapes = self.assembled_shapes(monkeypatch)
+        cli.main([str(cfg)])
+        assert shapes == [(7, 6)]
+        assert _summary(out)["eig_method_used"] == "transverse_fourier"
 
     def test_sweep_row_matches_single_run(self, tmp_path):
         single, sweep = tmp_path / "single", tmp_path / "sweep"

@@ -423,10 +423,8 @@ class TestRiemannFlux:
         with pytest.raises(StateError):
             riemann_flux("godunov", u, u, np.array([1.0, 0.0]), GAS)
 
-    def test_member_runs_equal_one_solver_calls(self):
-        # One name per member, members outer: each member's rows get exactly
-        # the flux of a one-solver call, interleaved runs included.
-        names = ["hll", "roe", "hll", *RIEMANN_SOLVERS, "slau"]
+    @staticmethod
+    def assert_members_match_one_solver_calls(names):
         rng = np.random.default_rng(12)
         rows = 7 * len(names)
         left, right, n = random_cons(rng, rows), random_cons(rng, rows), random_normals(rng, rows)
@@ -434,6 +432,17 @@ class TestRiemannFlux:
         for k, name in enumerate(names):
             own = slice(7 * k, 7 * (k + 1))
             assert np.array_equal(flux[own], riemann_flux(name, left[own], right[own], n[own], GAS))
+
+    def test_member_runs_equal_one_solver_calls(self):
+        # One name per member, members outer: each member's rows get exactly
+        # the flux of a one-solver call, interleaved runs included.
+        self.assert_members_match_one_solver_calls(["hll", "roe", "hll", *RIEMANN_SOLVERS, "slau"])
+
+    @pytest.mark.parametrize("names", [["ausm_plus", "hllc", "slau", "van_leer_fvs", "ausm_plus"], ["slau", "ausm_plus"]])
+    def test_physical_fluxes_of_the_inner_runs(self, names):
+        # The physical fluxes are formed once, from the first to the last run
+        # that takes them, or not at all.
+        self.assert_members_match_one_solver_calls(names)
 
     def test_member_names_must_split_rows_evenly(self):
         u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 10), GAS)

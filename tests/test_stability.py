@@ -34,6 +34,7 @@ from shockstab.stability import (
     spectral_radius_upper,
     stability_verdict,
     transverse_blocks,
+    widen_strip_blocks,
     write_matrix,
 )
 from shockstab.state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, normal_shock_states, prim_to_cons
@@ -547,6 +548,49 @@ class TestTransverseSplit:
         assert split.nj == 1 and split.method == "dense"
         expected = _sort_spectrum(np.linalg.eigvals(matrix.toarray()))
         assert np.array_equal(eigensolve(matrix, nj=nj), expected)
+
+    @pytest.mark.parametrize("nj", [6, 7])
+    @pytest.mark.parametrize("scheme_name", ["first_order", "muscl_van_albada", "muscl_superbee_prim", "round"])
+    def test_strip_blocks_equal_the_full_operators(self, nj, scheme_name):
+        # A j-uniform M=20 shock, jittered along i, periodic in j: the
+        # five-row strip's relabelled blocks are those read from the full
+        # S, bit for bit, and so is the spectrum.
+        rng = np.random.default_rng(nj)
+        prim = cons_to_prim(init_normal_shock_rh(7, 1, 20.0, 0.3, gas=GAS).q, GAS)
+        prim = prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape))
+        base = FlowField(q=np.repeat(prim_to_cons(prim, GAS), nj, axis=1))
+        metrics = compute_metrics(make_cartesian_grid(7, nj))
+        bcs = normal_shock_bcs(20.0, GAS)
+        scheme = PINNED_SCHEMES[scheme_name]
+        # every scheme's stencil reaches two cells each way in j (zero blocks for first order)
+        reach = (0, 1, 2, nj - 2, nj - 1)
+        for solver in RIEMANN_SOLVERS:
+            full = transverse_blocks(assemble(base, metrics, scheme, solver, bcs, GAS).matrix, nj)
+            strip = cli._strip_blocks(base, metrics, scheme, solver, bcs, GAS)
+            assert full.offsets == strip.offsets == reach, solver
+            assert strip.nj == nj
+            for a, b in zip(strip.blocks, full.blocks):
+                assert a.tobytes() == b.tobytes(), solver
+            assert eigensolve(strip).tobytes() == eigensolve(full).tobytes(), solver
+
+    @pytest.mark.parametrize("nj", [6, 7])
+    def test_strip_leaves_errors_to_the_full_operator(self, nj):
+        # A j-uniform column of negative energy: the error of S counts its
+        # faces, which a strip cannot, so the strip gives way to S.
+        q = init_normal_shock_rh(7, nj, 3.0, 0.3, gas=GAS).q.copy()
+        q[3, :, 3] = -1.0
+        base, metrics, bcs = FlowField(q=q), compute_metrics(make_cartesian_grid(7, nj)), normal_shock_bcs(3.0, GAS)
+        scheme = ReconstructionScheme(kind="muscl")
+        assert cli._strip_blocks(base, metrics, scheme, "hllc", bcs, GAS) is None
+        with pytest.raises(StateError, match=f"^{2 * nj + 1} non-physical left state"):
+            assemble(base, metrics, scheme, "hllc", bcs, GAS)
+
+    @pytest.mark.parametrize("rows,nj", [(4, 8), (5, 5), (5, 4)])
+    def test_widening_needs_a_split_five_row_strip(self, rows, nj):
+        split = transverse_blocks(block_circulant(random_offset_blocks(4, seed=2), rows), rows)
+        assert split.nj == rows
+        with pytest.raises(EigenSolveError, match="strip widens to more rows"):
+            widen_strip_blocks(split, nj)
 
     def test_cap_applies_to_the_largest_block(self):
         m = 4
