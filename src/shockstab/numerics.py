@@ -300,20 +300,30 @@ def reconstruct_pair(
     ``(left, right, fallback)`` where ``fallback`` (bool over faces) marks
     the faces where either side reverted.
 
-    The work runs on the side axis: the stencil is stacked once (and
-    converted to primitives in one call), both sides are limited, split
-    into primitives, checked for positivity and given their fallback in one
-    pass each, and ``left``/``right`` come back as the two halves of one
-    ``(2, ..., 4)`` array.  The triple is a :class:`_FacePair` that also
-    carries that array and, unless a face fell back, its primitive columns,
-    for :func:`riemann_flux`'s ``pair``.  A first-order scheme stacks its
-    cell values ``u1``/``u2`` alike and splits nothing.
+    The four cells are stacked once and handed to
+    :func:`_reconstruct_stencil`, which holds the reconstruction itself.
+    """
+    return _reconstruct_stencil(np.array((u0, u1, u2, u3), dtype=float), scheme, gas)
+
+
+def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas: GasModel):
+    """:func:`reconstruct_pair` of the stacked ``(4, ..., 4)`` stencil ``u0..u3``.
+
+    The work runs on the side axis: the stencil (converted to primitives in
+    one call where the scheme asks for it) gives both sides, which are
+    limited, split into primitives, checked for positivity and given their
+    fallback in one pass each, and ``left``/``right`` come back as the two
+    halves of one ``(2, ..., 4)`` array.  The triple is a :class:`_FacePair`
+    that also carries that array and, unless a face fell back, its primitive
+    columns, for :func:`riemann_flux`'s ``pair``.  A first-order scheme takes
+    its cell values ``u1``/``u2`` as the sides and splits nothing.  Callers
+    that gather their stencils stacked (the nonlinear march) call this
+    directly; ``stencil`` is not written to.
     """
     if scheme.kind == "first_order":
-        faces = np.array((u1, u2), dtype=float)
+        faces = stencil[1:3]
         return _FacePair(faces, None, np.zeros(faces.shape[1:-1], dtype=bool))
 
-    stencil = np.array((u0, u1, u2, u3), dtype=float)
     if scheme.variables == "primitive":
         faces = prim_to_cons(_reconstruct_values(cons_to_prim(stencil, gas), scheme), gas)
     else:

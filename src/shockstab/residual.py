@@ -12,7 +12,13 @@ signs and the scheme is conservative by construction.
 Reconstruction stencils reach two cells to each side, so the interior field
 is embedded in an extended array with two ghost layers per side.  Corner
 ghosts are never read by the axis-aligned stencils; they are filled with
-copies of adjacent ghosts only to keep the array finite.
+copies of adjacent ghosts only to keep the array finite.  Most ghosts are
+copies of interior cells (periodic and zero-gradient sides); the rest are a
+few *ghost rows* formed from the boundary cells, :func:`_frame_sources`: one
+inflow state per inflow side, one exit-pressure state per boundary cell, two
+mirrored states per slip-wall boundary cell.  A map cached per grid size and
+side kinds, :func:`_frame_rows`, points every frame cell into the cells
+followed by those rows, so :func:`fill_ghosts` is one gather.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
@@ -22,10 +28,16 @@ its stencils through the same row table, scatters into each cell the faces
 :func:`_cell_faces` lists, and forms its base residual from its own
 reconstruction through the same flux-to-cell balance, :func:`_flux_balance`.
 
+The nonlinear march's right-hand side, :func:`_residual_map`, skips the
+frame: the same map composed with the stencil rows takes each stage's
+stacked stencils in one gather from the cells and the ghost rows and hands
+the stack straight to the reconstruction body, with the bits of
+:func:`fill_ghosts` plus :func:`residual`.
+
 The 1-D base march has a residual of its own, :func:`_march_residual`: a
 batch of members on a one-row strip periodic in ``j``, whose j-faces carry
 the cell states on both sides and cancel exactly, so it fluxes the i-faces
-alone.  Both residuals share :func:`_face_fluxes`, which decides where the
+alone.  All three residuals share :func:`_face_fluxes`, which decides where the
 flux must re-test the face states.
 """
 
@@ -39,7 +51,13 @@ import numpy as np
 
 from .errors import StateError
 from .mesh import GridMetrics
-from .numerics import ReconstructionScheme, _central_difference, reconstruct_pair, riemann_flux
+from .numerics import (
+    ReconstructionScheme,
+    _central_difference,
+    _reconstruct_stencil,
+    reconstruct_pair,
+    riemann_flux,
+)
 from .state import (
     FlowField,
     GasModel,
@@ -222,15 +240,19 @@ _GHOST_SOURCES = {
 }
 
 
-def _side_views(frame: np.ndarray):
-    """Views of the four sides of an extended frame, in :data:`SIDES` order.
+def _side_views(frame: np.ndarray, ghosts: int = 2):
+    """Views of the four sides of a frame with ``ghosts`` layers per side, in :data:`SIDES` order.
 
-    ``frame`` has shape ``(ni + 4, nj + 4, ...)``.  Each view puts the
-    boundary-normal axis first with the outer ghost at index 0, the
-    adjacent ghost at 1 and the interior from 2 on (so ``view[2:-2]`` is
-    the interior counted from the boundary); corner blocks are left out.
+    ``frame`` has shape ``(ni + 2*ghosts, nj + 2*ghosts, ...)``: an extended
+    frame, or with ``ghosts=0`` the interior cells alone.  Each view puts
+    the boundary-normal axis first, counted from the boundary: on an
+    extended frame the outer ghost is at index 0, the adjacent ghost at 1
+    and the interior from 2 on (so ``view[2:-2]`` is the interior counted
+    from the boundary); corner blocks are left out.
     """
-    return (frame[:, 2:-2], frame[::-1, 2:-2], frame[2:-2].swapaxes(0, 1), frame[2:-2, ::-1].swapaxes(0, 1))
+    i = slice(ghosts, frame.shape[0] - ghosts)
+    j = slice(ghosts, frame.shape[1] - ghosts)
+    return (frame[:, j], frame[::-1, j], frame[i].swapaxes(0, 1), frame[i, ::-1].swapaxes(0, 1))
 
 
 def _wall_normal(metrics: GridMetrics, side: str) -> np.ndarray:
@@ -250,7 +272,7 @@ def _ghost_sources(ni: int, nj: int, kinds: tuple[str, ...]):
     ghosts and corners.  ``gather`` indexes the interior flattened
     j-fastest, as ``q.reshape(ni * nj, ...)`` lays it out; a corner block
     repeats the nearest left/right ghost, and an inflow ghost points at
-    cell 0 (the fill writes its state over it).
+    cell 0 (:func:`_frame_rows` points it at the inflow row instead).
     """
     dep = np.full((ni + 4, nj + 4), -1, dtype=np.int64)
     dep[2:-2, 2:-2] = np.arange(ni * nj).reshape(nj, ni).T
@@ -259,24 +281,71 @@ def _ghost_sources(ni: int, nj: int, kinds: tuple[str, ...]):
             raise StateError(f"slip_wall on the {side} side needs at least two cells across the grid")
         if kind != "supersonic_inflow":
             view[:2] = view[2:-2][_GHOST_SOURCES[kind]]
-    gather = np.where(dep < 0, 0, dep % ni * nj + dep // ni)
-    for rows in (slice(0, 2), slice(-2, None)):
-        gather[rows, :2] = gather[rows, 2:3]
-        gather[rows, -2:] = gather[rows, -3:-2]
+    gather = _fill_corners(np.where(dep < 0, 0, dep % ni * nj + dep // ni))
     for a in (dep, gather):
         a.flags.writeable = False
     return dep, gather
 
 
-def _ghost_layers(frame: np.ndarray, side: str) -> np.ndarray:
-    """A side's two ghost layers of an extended frame, layer axis first.
+def _fill_corners(frame: np.ndarray) -> np.ndarray:
+    """Point each corner block of a ``(ni + 4, nj + 4)`` frame map at the nearest left/right ghost, in place."""
+    for rows in (slice(0, 2), slice(-2, None)):
+        frame[rows, :2] = frame[rows, 2:3]
+        frame[rows, -2:] = frame[rows, -3:-2]
+    return frame
 
-    The left and right layers span whole rows: the corner blocks repeat the
-    nearest left/right ghost, so they take that side's ghost map too.
+
+@lru_cache(maxsize=32)
+def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
+    """Read-only maps of every frame cell, and of every face's stencil, into :func:`_frame_sources`.
+
+    ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
+    ``(frame, stencils)``: ``frame`` is ``(ni + 4, nj + 4)`` and ``stencils``
+    the ``(4, faces)`` rows of :func:`_stencil_rows` composed with it.  A
+    cell or a ghost that copies one (periodic and zero-gradient sides, and
+    the corners of such sides) points at that cell's row of
+    :func:`_ghost_sources`; the ghosts of inflow, exit-pressure and
+    slip-wall sides point at the ghost rows after the cells, in the order
+    :func:`_frame_sources` appends them.
     """
-    if side in ("left", "right"):
-        return frame[:2] if side == "left" else frame[-2:]
-    return (frame[2:-2, :2] if side == "bottom" else frame[2:-2, -2:]).swapaxes(0, 1)
+    _, gather = _ghost_sources(ni, nj, kinds)
+    frame = gather.copy()
+    start = ni * nj
+    for kind, view in zip(kinds, _side_views(frame)):
+        n = view.shape[1]
+        shape = {"supersonic_inflow": (1, 1), "fixed_pressure_outflow": (1, n), "slip_wall": (2, n)}.get(kind)
+        if shape is not None:  # the rows broadcast over the two ghost layers
+            view[:2] = start + np.arange(shape[0] * shape[1]).reshape(shape)
+            start += shape[0] * shape[1]
+    _fill_corners(frame)
+    stencils = frame.reshape(-1)[_stencil_rows(ni, nj)]
+    for a in (frame, stencils):
+        a.flags.writeable = False
+    return frame, stencils
+
+
+def _frame_sources(
+    q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel
+) -> np.ndarray:
+    """The ``(ni, nj, 4)`` cells flattened, then the ghost rows that are not copies of cells.
+
+    ``sides`` holds the boundary conditions in :data:`SIDES` order.  Per
+    side, an inflow side adds its state as one row; an exit-pressure side
+    the ghost of each boundary cell (:func:`_exit_pressure_state`); a slip
+    wall two mirrored rows per boundary cell, the outer layer (from the
+    second cell in) first.  Periodic and zero-gradient sides add none.
+    :func:`_frame_rows` indexes the result.
+    """
+    rows = [q.reshape(-1, 4)]
+    for side, bc, cells in zip(SIDES, sides, _side_views(q, ghosts=0)):
+        if bc.kind == "supersonic_inflow":
+            rows.append(bc.state[None])
+        elif bc.kind == "fixed_pressure_outflow":
+            rows.append(_exit_pressure_state(cells[0], bc.pressure, gas))
+        elif bc.kind == "slip_wall":
+            mirrored = _mirror_momentum(cells[_GHOST_SOURCES["slip_wall"]], _wall_normal(metrics, side))
+            rows.append(mirrored.reshape(-1, 4))
+    return np.concatenate(rows)
 
 
 def _ghost_map_jacobian(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel):
@@ -298,30 +367,18 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     the adjacent interior cell (the latter with its pressure replaced);
     periodic sides wrap.
 
-    The frame is one gather of the interior through a map, cached per grid
-    size and side kinds, of the cell that feeds each ghost; inflow sides
-    then write their state, slip walls mirror and exit-pressure sides
-    replace the pressure, in place.  The corner blocks, which the
-    axis-aligned stencils never read, repeat the nearest left/right ghost
-    to keep every entry finite.
+    The frame is one gather, through a map cached per grid size and side
+    kinds (:func:`_frame_rows`), from the cells and the few ghost rows that
+    are not copies of cells (:func:`_frame_sources`).  The corner blocks,
+    which the axis-aligned stencils never read, repeat the nearest
+    left/right ghost to keep every entry finite.
     """
     ni, nj = field.ni, field.nj
     if metrics.ni != ni or metrics.nj != nj:
         raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {ni} x {nj}")
     sides = [bc.side(side) for side in SIDES]
-    _, gather = _ghost_sources(ni, nj, tuple(side.kind for side in sides))
-    ext = field.q.reshape(ni * nj, 4).take(gather, axis=0)
-    for side, side_bc in zip(SIDES, sides):
-        layers = _ghost_layers(ext, side)
-        if side_bc.kind == "supersonic_inflow":
-            layers[:] = side_bc.state
-        elif side_bc.kind == "fixed_pressure_outflow":
-            layers[:] = _exit_pressure_state(layers[:1], side_bc.pressure, gas)
-        elif side_bc.kind == "slip_wall":
-            normal = _wall_normal(metrics, side)
-            if side in ("left", "right"):
-                normal = np.pad(normal, ((2, 2), (0, 0)), mode="edge")
-            layers[:] = _mirror_momentum(layers, normal)
+    frame, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    ext = _frame_sources(field.q, sides, metrics, gas).take(frame, axis=0)
     return GhostField(ext=ext, ni=ni, nj=nj)
 
 
@@ -340,7 +397,7 @@ def ghost_dependency(
     cells carry exact identities and slip walls their exact reflection;
     the (nonlinear) exit-pressure map is differenced centrally with step
     :data:`~shockstab.numerics.FD_STEP`.  ``dep`` is the ghost-source map
-    that :func:`fill_ghosts` gathers through.
+    that the frame map of :func:`fill_ghosts` is built from.
     """
     ni, nj = base.ni, base.nj
     sides = [bc.side(side) for side in SIDES]
@@ -448,6 +505,36 @@ def residual(
         raise StateError("ghost frame does not match the field")
     flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, scheme, solver, gas)
     return _flux_balance(flux, metrics)
+
+
+def _residual_map(
+    bc: BoundaryConditionSet,
+    metrics: GridMetrics,
+    scheme: ReconstructionScheme,
+    solver: str,
+    gas: GasModel,
+):
+    """:func:`residual` under ``bc`` as a function of the ``(ni, nj, 4)`` cell states alone.
+
+    The nonlinear march's right-hand side.  The frame and stencil maps of
+    :func:`_frame_rows` are looked up once; each call then forms the ghost
+    rows (:func:`_frame_sources`), gathers the stacked ``(4, faces, 4)``
+    stencils from the cells and those rows in one ``take``, and hands them
+    to the reconstruction body, with no ghost frame, no ``GhostField`` and
+    no unstacking in between.  The fluxes go through :func:`_face_fluxes`
+    and :func:`_flux_balance` as in :func:`residual`, and every value is
+    bitwise the one :func:`fill_ghosts` plus :func:`residual` give.  The
+    cells must match ``metrics``; the caller checks that once.
+    """
+    sides = [bc.side(side) for side in SIDES]
+    _, stencil_rows = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
+
+    def evaluate(q: np.ndarray) -> np.ndarray:
+        stencils = _frame_sources(q, sides, metrics, gas).take(stencil_rows, axis=0)
+        reconstruction = _reconstruct_stencil(stencils, scheme, gas)
+        return _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, scheme, solver, gas), metrics)
+
+    return evaluate
 
 
 def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:

@@ -438,6 +438,23 @@ class TestEvolveNonlinear:
         with pytest.raises(EvolutionError, match=match):
             evolve_nonlinear(base, bc, metrics, FIRST, "roe", GAS, **{"steps": 10, **kwargs})
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_perturbation_lost_against_the_base(self):
+        # An amplitude far below the base's last bit leaves the perturbed
+        # state equal to the base: there is no deviation to take the
+        # log-norm of, so the march refuses to start rather than warn and
+        # return a one-step series.
+        base, _ = make_base_flow(5, 5, 20.0, 0.1, MUSCL, "hllc", oned_steps=200)
+        metrics = compute_metrics(make_cartesian_grid(5, 5))
+        with pytest.raises(EvolutionError, match="initial perturbation is zero"):
+            evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc", GAS, steps=10,
+                             amplitude=1e-300)
+
+    def test_rejects_metrics_of_another_grid(self):
+        base, bc = self.uniform_equilibrium(6, 3)
+        with pytest.raises(StateError, match="metrics are 6 x 4 but field is 6 x 3"):
+            evolve_nonlinear(base, bc, compute_metrics(make_cartesian_grid(6, 4)), FIRST, "roe", GAS, steps=10)
+
 
 class TestFitGrowthRate:
     def test_exact_exponential(self):

@@ -9,12 +9,16 @@ from shockstab import StateError
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme, reconstruct_pair, riemann_flux
 from shockstab.residual import (
+    SIDES,
     BoundaryCondition,
     BoundaryConditionSet,
     GhostField,
     _exit_pressure_state,
+    _frame_rows,
+    _frame_sources,
     _march_residual,
     _split_faces,
+    _stencil_rows,
     face_reconstruction,
     fill_ghosts,
     ghost_dependency,
@@ -875,6 +879,45 @@ class TestGhostGather:
         assert np.array_equal(fill_ghosts(field, bcs, metrics, GAS).ext, side_walk_ghosts(field, bcs, metrics))
 
 
+class TestOneTakeStencils:
+    def test_stencils_equal_the_frame_gather_for_every_side_kind(self):
+        # The nonlinear march gathers each face's stencil in one take from the
+        # cells and the ghost rows; it must read the bits that the ghost frame
+        # (and the side-by-side reference walk) holds at every stencil cell.
+        count = 0
+        for field, metrics in ghost_fill_cases():
+            ni, nj = field.ni, field.nj
+            for bcs in side_kind_sets():
+                sides = [bcs.side(side) for side in SIDES]
+                _, rows = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+                stencils = _frame_sources(field.q, sides, metrics, GAS).take(rows, axis=0)
+                frame = fill_ghosts(field, bcs, metrics, GAS).ext.reshape(-1, 4)
+                walk = side_walk_ghosts(field, bcs, metrics).reshape(-1, 4)
+                assert stencils.shape == (4, (ni + 1) * nj + ni * (nj + 1), 4)
+                assert stencils.tobytes() == frame.take(_stencil_rows(ni, nj), axis=0).tobytes()
+                assert stencils.tobytes() == walk.take(_stencil_rows(ni, nj), axis=0).tobytes()
+                count += 1
+        assert count == 3 * 17 * 17
+
+    def test_ghost_rows_hold_only_the_ghosts_that_copy_no_cell(self):
+        # One row per inflow side, one per exit-pressure boundary cell, two
+        # per slip-wall boundary cell; periodic and zero-gradient sides point
+        # at the cells themselves.
+        field, metrics = ghost_fill_cases()[0]
+        ni, nj = field.ni, field.nj
+        bcs = BoundaryConditionSet(
+            left=BoundaryCondition.supersonic_inflow(field.q[0, 0]),
+            right=BoundaryCondition.fixed_pressure_outflow(0.9),
+            bottom=BoundaryCondition.slip_wall(),
+            top=BoundaryCondition.zero_gradient(),
+        )
+        sides = [bcs.side(side) for side in SIDES]
+        frame, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+        assert _frame_sources(field.q, sides, metrics, GAS).shape == (ni * nj + 1 + nj + 2 * ni, 4)
+        assert frame.max() == ni * nj + nj + 2 * ni
+        assert not frame.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # The 1-D march's one-row strip
 # ---------------------------------------------------------------------------
@@ -1089,10 +1132,18 @@ class TestStripBranch:
         # The march builds no 2-D ghost frame and calls no 2-D residual; each
         # step, and the final residual, makes one reconstruction and one flux
         # call over the members' i-faces alone, one row of faces per member.
+        # The harness imports neither name, so both are patched where they
+        # are defined, and in the harness in case it comes to import them.
+        import importlib
+
         from shockstab import harness
 
         for name in ("fill_ghosts", "residual"):
-            monkeypatch.setattr(harness, name, lambda *args, **kwargs: pytest.fail(f"the march called {name}"))
+            def fail(*args, name=name, **kwargs):
+                pytest.fail(f"the march called {name}")
+
+            monkeypatch.setattr(importlib.import_module("shockstab.residual"), name, fail)
+            monkeypatch.setattr(harness, name, fail, raising=False)
         pairs = counting(monkeypatch, "reconstruct_pair")
         fluxes = counting(monkeypatch, "riemann_flux")
         ni, steps, solvers = 9, 5, ["hll", "hllc", "hllc"]
@@ -1180,3 +1231,93 @@ class TestFaceStateValidation:
         assert seen["strip/smooth/muscl_van_albada"] is False and seen["strip/shock/muscl_van_albada"] is True
         assert seen["2d/smooth/round"] is False and seen["2d/shock/round"] is True
         assert seen["strip/smooth/first_order"] is True and seen["2d/smooth/first_order"] is True
+
+
+# ---------------------------------------------------------------------------
+# The nonlinear march's one-take stage residual
+# ---------------------------------------------------------------------------
+
+
+def frame_residual_map(bc, metrics, scheme, solver, gas):
+    """The march's stage right-hand side as it was: a ghost frame from ``fill_ghosts``, then ``residual``."""
+    def evaluate(q):
+        field = FlowField(q=q)
+        return residual(field, fill_ghosts(field, bc, metrics, gas), metrics, scheme, solver, gas)
+
+    return evaluate
+
+
+def series_bytes(series):
+    return series.t.tobytes(), series.log_norm.tobytes(), series.diverged, series.truncated
+
+
+class TestNonlinearMarchStage:
+    @staticmethod
+    def marches(monkeypatch, base, bc, metrics, scheme, solver, **controls):
+        """The march's series and the series of the frame-and-residual reference march."""
+        from shockstab import harness
+
+        series = harness.evolve_nonlinear(base, bc, metrics, scheme, solver, GAS, **controls)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_residual_map", frame_residual_map)
+            reference = harness.evolve_nonlinear(base, bc, metrics, scheme, solver, GAS, **controls)
+        return series, reference
+
+    def test_shock_march_equals_the_frame_march(self, monkeypatch):
+        # Inflow, exit pressure and periodic sides: every solver and scheme.
+        base = init_normal_shock_rh(7, 3, 20.0, 0.1, gas=GAS)
+        metrics = compute_metrics(make_cartesian_grid(7, 3))
+        for scheme in PINNED_SCHEMES.values():
+            for solver in RIEMANN_SOLVERS:
+                series, reference = self.marches(monkeypatch, base, normal_shock_bcs(20.0, GAS), metrics, scheme,
+                                                 solver, steps=25, amplitude=1e-4)
+                assert series_bytes(series) == series_bytes(reference)
+                assert len(series.t) == 26
+
+    def test_annulus_and_fallback_marches_equal_the_frame_march(self, monkeypatch):
+        # The jittered annulus has slip-wall and zero-gradient sides besides
+        # inflow and exit pressure; the cold jittered shock falls back to
+        # first order on some faces under MUSCL and ROUND.
+        setups = pinned_setups()
+        (ring,), _, ring_metrics = setups["annulus"]
+        (shock,), (shock_ghosts,), shock_metrics = setups["shock"]
+        fell_back = 0
+        for scheme in PINNED_SCHEMES.values():
+            fell_back += bool(face_reconstruction(shock_ghosts, scheme, GAS)[2].any())
+            for base, bc, metrics in ((ring, parity_case("annulus")[2], ring_metrics),
+                                      (shock, normal_shock_bcs(20.0, GAS), shock_metrics)):
+                series, reference = self.marches(monkeypatch, base, bc, metrics, scheme, "hllc", steps=20)
+                assert series_bytes(series) == series_bytes(reference)
+        assert fell_back == 2
+
+    def test_blow_up_equals_the_frame_march(self, monkeypatch):
+        from shockstab.harness import make_base_flow
+
+        scheme = PINNED_SCHEMES["muscl_van_albada"]
+        base, _ = make_base_flow(7, 3, 20.0, 0.1, scheme, "hllc", oned_steps=50)
+        metrics = compute_metrics(make_cartesian_grid(7, 3))
+        series, reference = self.marches(monkeypatch, base, normal_shock_bcs(20.0, GAS), metrics, scheme, "hllc",
+                                         steps=50, cfl=3.0, amplitude=1e-2)
+        assert series.diverged
+        assert series_bytes(series) == series_bytes(reference)
+
+    def test_a_step_builds_no_frame_and_makes_four_flux_calls(self, monkeypatch):
+        import importlib
+
+        from shockstab import harness
+
+        module = importlib.import_module("shockstab.residual")
+        for name in ("fill_ghosts", "residual", "face_reconstruction", "reconstruct_pair"):
+            def fail(*args, name=name, **kwargs):
+                pytest.fail(f"the march called {name}")
+
+            monkeypatch.setattr(module, name, fail)
+            monkeypatch.setattr(harness, name, fail, raising=False)
+        fluxes = counting(monkeypatch, "riemann_flux")
+        base = init_normal_shock_rh(7, 3, 20.0, 0.1, gas=GAS)
+        metrics = compute_metrics(make_cartesian_grid(7, 3))
+        series = harness.evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics,
+                                          PINNED_SCHEMES["muscl_van_albada"], "hllc", GAS, steps=1)
+        assert len(series.t) == 2 and not series.diverged
+        assert len(fluxes) == 4
+        assert all(args[1].shape == (8 * 3 + 7 * 4, 4) for args, _ in fluxes)
