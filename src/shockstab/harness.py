@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from .errors import EvolutionError, FitError, StateError
 from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme, _solver_kernel
-from .residual import BoundaryConditionSet, _march_residual, _residual_map, normal_shock_bcs
+from .residual import BoundaryConditionSet, _check_metrics, _march_residual, _residual_map, normal_shock_bcs
 from .stability import spectral_radius_upper
 from .state import FlowField, GasModel, _physical_state, cons_to_prim, init_normal_shock_rh, sound_speed
 
@@ -374,8 +374,7 @@ def evolve_nonlinear(
     for name, value in (("cfl", cfl), ("amplitude", amplitude)):
         if not (np.isfinite(value) and value > 0.0):
             raise EvolutionError(f"{name} must be positive and finite, got {value}")
-    if (metrics.ni, metrics.nj) != (base.ni, base.nj):
-        raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {base.ni} x {base.nj}")
+    _check_metrics(base, metrics)
     rng = np.random.default_rng(seed)
     scale = np.linalg.norm(base.q, axis=-1, keepdims=True)
     pert = amplitude * scale * rng.uniform(-1.0, 1.0, size=base.q.shape)

@@ -317,8 +317,8 @@ def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas:
     that also carries that array and, unless a face fell back, its primitive
     columns, for :func:`riemann_flux`'s ``pair``.  A first-order scheme takes
     its cell values ``u1``/``u2`` as the sides and splits nothing.  Callers
-    that gather their stencils stacked (the nonlinear march) call this
-    directly; ``stencil`` is not written to.
+    that gather their stencils stacked (the nonlinear march and the matrix
+    assembly) call this directly; ``stencil`` is not written to.
     """
     if scheme.kind == "first_order":
         faces = stencil[1:3]
@@ -520,7 +520,8 @@ def _wave_decomposition(L: _FaceSide, R: _FaceSide, qn, qt, H, a, rho_avg):
     return (alpha1, alpha2, alpha3, alpha4), (k1, k2, k3, k4)
 
 
-def _flux_roe(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_roe(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     alphas, ks = _wave_decomposition(L, R, qn, qt, H, a, rho_avg)
@@ -547,14 +548,16 @@ def _two_wave_flux(S: _FaceSide, f, sl, sr):
     return mid, span
 
 
-def _flux_hll(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_hll(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     sl, sr = _davis_speeds(S)
     mid, _ = _two_wave_flux(S, f, sl, sr)
     out = np.where(sl[..., None] >= 0.0, f[0], mid)
     return np.where(sr[..., None] <= 0.0, f[1], out)
 
 
-def _flux_hllc(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_hllc(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     sl, sr = _davis_speeds(S)
     s_side = np.array((sl, sr))
     m = S.rho * (s_side - S.qn)  # ml, mr
@@ -579,14 +582,16 @@ def _einfeldt_speeds(L: _FaceSide, R: _FaceSide, qn, a):
     return bl, br
 
 
-def _flux_hlle(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_hlle(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
     return _two_wave_flux(S, f, bl, br)[0]
 
 
-def _flux_hllem(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_hllem(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     L, R = S.sides()
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     bl, br = _einfeldt_speeds(L, R, qn, a)
@@ -599,7 +604,8 @@ def _flux_hllem(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
     return hll - (bl * br / span * delta)[..., None] * linear
 
 
-def _flux_van_leer(S: _FaceSide, gas: GasModel, f: np.ndarray) -> np.ndarray:
+def _flux_van_leer(S: _FaceSide, gas: GasModel) -> np.ndarray:
+    f = S.flux()
     L, R = S.sides()
     g = gas.gamma
 
@@ -706,10 +712,6 @@ _SOLVER_TABLE = {
 }
 
 
-#: Solvers whose wave models take both sides' physical fluxes (as their third argument).
-_TAKES_FLUX = frozenset(("roe", "hll", "hllc", "hlle", "hllem", "van_leer_fvs"))
-
-
 def _solver_kernel(name: str):
     """Wave model of a named solver; an unknown name raises :class:`StateError`."""
     try:
@@ -742,22 +744,6 @@ def _solver_runs(solver: str | Sequence[str], rows: int):
     return runs
 
 
-def _run_fluxes(S: _FaceSide, runs) -> list:
-    """Both sides' physical fluxes for the runs of a mixed batch (:func:`_solver_runs`) whose solvers take them.
-
-    They are formed once, over the rows from the first to the last such run,
-    and each run gets its rows as a view; runs whose solver does not take
-    them get ``None``.
-    """
-    used = [rows for name, _, rows in runs if name in _TAKES_FLUX]
-    if not used:
-        return [None] * len(runs)
-    start = used[0].start
-    flux = S.rows(slice(start, used[-1].stop)).flux()
-    return [flux[:, rows.start - start:rows.stop - start] if name in _TAKES_FLUX else None
-            for name, _, rows in runs]
-
-
 def riemann_flux(
     solver: str | Sequence[str],
     left: np.ndarray,
@@ -778,12 +764,11 @@ def riemann_flux(
     ``solver`` is one name for the whole batch, or one name per member of a
     ``(rows, ..., 4)`` batch whose members each own an equal, consecutive
     run of rows along its first axis (see :func:`_solver_runs`).  The two sides are stacked on a leading
-    side axis and split into the face frame (:class:`_FaceSide`), validated
-    (left first) and, for the solvers that need them, given their physical
-    fluxes once for both sides and every row from the first to the last run
-    that needs them (:func:`_run_fluxes`); each solver's wave model then
-    runs on its own row range(s), as views, and the fluxes are rotated back
-    once.  Every row's flux is bit-identical to that of a one-solver call.
+    side axis, split into the face frame (:class:`_FaceSide`) and validated
+    (left first) once; each solver's wave model then runs on its own row
+    range(s), as views, forming both sides' physical fluxes itself where it
+    needs them, and the fluxes are rotated back once.  Every row's flux is
+    bit-identical to that of a one-solver call.
 
     ``pair`` is the :func:`reconstruct_pair` result that ``left`` and
     ``right`` come from, if there is one: the flux then takes its stacked
@@ -810,9 +795,7 @@ def riemann_flux(
                     if bad:
                         raise StateError(f"{bad} non-physical {name} state(s) passed to solver {run!r}")
     if len(runs) == 1:
-        name, kernel, _ = runs[0]
-        flux = kernel(S, gas, S.flux()) if name in _TAKES_FLUX else kernel(S, gas)
+        flux = runs[0][1](S, gas)
     else:
-        flux = np.concatenate([kernel(S.rows(rows), gas) if f is None else kernel(S.rows(rows), gas, f)
-                               for (_, kernel, rows), f in zip(runs, _run_fluxes(S, runs))])
+        flux = np.concatenate([kernel(S.rows(rows), gas) for _, kernel, rows in runs])
     return _unrotate(flux, nx, ny)

@@ -16,23 +16,23 @@ copies of adjacent ghosts only to keep the array finite.  Most ghosts are
 copies of interior cells (periodic and zero-gradient sides); the rest are a
 few *ghost rows* formed from the boundary cells, :func:`_frame_sources`: one
 inflow state per inflow side, one exit-pressure state per boundary cell, two
-mirrored states per slip-wall boundary cell.  A map cached per grid size and
-side kinds, :func:`_frame_rows`, points every frame cell into the cells
-followed by those rows, so :func:`fill_ghosts` is one gather.
+mirrored states per slip-wall boundary cell.  One table cached per grid size
+and side kinds, :func:`_frame_rows`, points every frame cell into the cells
+followed by those rows and names each row's source cell, so
+:func:`fill_ghosts` and :func:`ghost_dependency` are gathers through it.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
 fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
-:func:`shockstab.stability.assemble` linearizes the same batch: it gathers
-its stencils through the same row table, scatters into each cell the faces
-:func:`_cell_faces` lists, and forms its base residual from its own
-reconstruction through the same flux-to-cell balance, :func:`_flux_balance`.
 
 The nonlinear march's right-hand side, :func:`_residual_map`, skips the
 frame: the same map composed with the stencil rows takes each stage's
 stacked stencils in one gather from the cells and the ghost rows and hands
 the stack straight to the reconstruction body, with the bits of
-:func:`fill_ghosts` plus :func:`residual`.
+:func:`fill_ghosts` plus :func:`residual` (the frame-based reference path).
+:func:`shockstab.stability.assemble` linearizes the same one-take batch,
+reading each stencil cell's source cell and ghost derivative through the
+same map, and scatters into each cell the faces :func:`_cell_faces` lists.
 
 The 1-D base march has a residual of its own, :func:`_march_residual`: a
 batch of members on a one-row strip periodic in ``j``, whose j-faces carry
@@ -263,65 +263,42 @@ def _wall_normal(metrics: GridMetrics, side: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _ghost_sources(ni: int, nj: int, kinds: tuple[str, ...]):
-    """Read-only maps of the interior cell that feeds each cell of an extended frame.
-
-    ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
-    ``(dep, gather)``, both ``(ni + 4, nj + 4)``.  ``dep`` holds the
-    i-fastest flat interior index (``j*ni + i``) and ``-1`` for inflow
-    ghosts and corners.  ``gather`` indexes the interior flattened
-    j-fastest, as ``q.reshape(ni * nj, ...)`` lays it out; a corner block
-    repeats the nearest left/right ghost, and an inflow ghost points at
-    cell 0 (:func:`_frame_rows` points it at the inflow row instead).
-    """
-    dep = np.full((ni + 4, nj + 4), -1, dtype=np.int64)
-    dep[2:-2, 2:-2] = np.arange(ni * nj).reshape(nj, ni).T
-    for side, kind, view in zip(SIDES, kinds, _side_views(dep)):
-        if kind == "slip_wall" and view.shape[0] < 6:
-            raise StateError(f"slip_wall on the {side} side needs at least two cells across the grid")
-        if kind != "supersonic_inflow":
-            view[:2] = view[2:-2][_GHOST_SOURCES[kind]]
-    gather = _fill_corners(np.where(dep < 0, 0, dep % ni * nj + dep // ni))
-    for a in (dep, gather):
-        a.flags.writeable = False
-    return dep, gather
-
-
-def _fill_corners(frame: np.ndarray) -> np.ndarray:
-    """Point each corner block of a ``(ni + 4, nj + 4)`` frame map at the nearest left/right ghost, in place."""
-    for rows in (slice(0, 2), slice(-2, None)):
-        frame[rows, :2] = frame[rows, 2:3]
-        frame[rows, -2:] = frame[rows, -3:-2]
-    return frame
-
-
-@lru_cache(maxsize=32)
 def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
     """Read-only maps of every frame cell, and of every face's stencil, into :func:`_frame_sources`.
 
     ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
-    ``(frame, stencils)``: ``frame`` is ``(ni + 4, nj + 4)`` and ``stencils``
-    the ``(4, faces)`` rows of :func:`_stencil_rows` composed with it.  A
-    cell or a ghost that copies one (periodic and zero-gradient sides, and
-    the corners of such sides) points at that cell's row of
-    :func:`_ghost_sources`; the ghosts of inflow, exit-pressure and
-    slip-wall sides point at the ghost rows after the cells, in the order
-    :func:`_frame_sources` appends them.
+    ``(frame, stencils, sources)``: the ``(ni + 4, nj + 4)`` frame map, the
+    ``(4, faces)`` rows of :func:`_stencil_rows` composed with it, and for
+    each row the i-fastest cell (``j*ni + i``) it is a function of, ``-1``
+    for an inflow row.  Cells and the ghosts that copy them (periodic and
+    zero-gradient sides) point at the cell rows; other ghosts at the ghost
+    rows after them; corners repeat the nearest left/right ghost.  A slip
+    wall across fewer than two cells raises :class:`StateError`.
     """
-    _, gather = _ghost_sources(ni, nj, kinds)
-    frame = gather.copy()
+    cells = np.arange(ni * nj).reshape(nj, ni).T  # i-fastest index of cell (i, j)
+    frame = np.empty((ni + 4, nj + 4), dtype=np.int64)
+    frame[2:-2, 2:-2] = np.arange(ni * nj).reshape(ni, nj)
+    sources = [cells.reshape(-1)]
     start = ni * nj
-    for kind, view in zip(kinds, _side_views(frame)):
-        n = view.shape[1]
-        shape = {"supersonic_inflow": (1, 1), "fixed_pressure_outflow": (1, n), "slip_wall": (2, n)}.get(kind)
-        if shape is not None:  # the rows broadcast over the two ghost layers
-            view[:2] = start + np.arange(shape[0] * shape[1]).reshape(shape)
-            start += shape[0] * shape[1]
-    _fill_corners(frame)
+    for side, kind, view, side_cells in zip(SIDES, kinds, _side_views(frame), _side_views(cells, ghosts=0)):
+        if kind == "slip_wall" and len(side_cells) < 2:
+            raise StateError(f"slip_wall on the {side} side needs at least two cells across the grid")
+        if kind in ("zero_gradient", "periodic"):
+            view[:2] = view[2:-2][_GHOST_SOURCES[kind]]
+            continue
+        # one row, one row per boundary cell, or two per boundary cell (outer layer first)
+        rows = np.full((1, 1), -1) if kind == "supersonic_inflow" else side_cells[_GHOST_SOURCES[kind]]
+        view[:2] = start + np.arange(rows.size).reshape(rows.shape)  # broadcast over the two ghost layers
+        sources.append(rows.reshape(-1))
+        start += rows.size
+    for band in (slice(0, 2), slice(-2, None)):  # corner blocks: the nearest left/right ghost
+        frame[band, :2] = frame[band, 2:3]
+        frame[band, -2:] = frame[band, -3:-2]
     stencils = frame.reshape(-1)[_stencil_rows(ni, nj)]
-    for a in (frame, stencils):
+    sources = np.concatenate(sources)
+    for a in (frame, stencils, sources):
         a.flags.writeable = False
-    return frame, stencils
+    return frame, stencils, sources
 
 
 def _frame_sources(
@@ -348,15 +325,33 @@ def _frame_sources(
     return np.concatenate(rows)
 
 
-def _ghost_map_jacobian(bc: BoundaryCondition, cells: np.ndarray, normal: np.ndarray, gas: GasModel):
-    """Derivative of a side's ghost states with respect to their source ``cells``."""
-    if bc.kind == "slip_wall":
-        # The reflection is linear: its columns are the reflected unit vectors.
-        units = np.broadcast_to(np.eye(4), normal.shape[:-1] + (4, 4))
-        return _mirror_momentum(units, normal[..., None, :]).swapaxes(-1, -2)
-    if bc.kind == "fixed_pressure_outflow":
-        return _central_difference(lambda u: _exit_pressure_state(u, bc.pressure, gas), cells)
-    return np.eye(4)
+def _frame_source_jacobian(q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics,
+                           gas: GasModel) -> np.ndarray:
+    """``(rows, 4, 4)`` derivative of each row of :func:`_frame_sources` with respect to its source cell.
+
+    Cells carry identities, an inflow row zero and a slip-wall row its exact
+    reflection; an exit-pressure row is :func:`_exit_pressure_state`
+    differenced centrally with step :data:`~shockstab.numerics.FD_STEP`.
+    """
+    jacs = [np.broadcast_to(np.eye(4), (q.shape[0] * q.shape[1], 4, 4))]
+    for side, bc, cells in zip(SIDES, sides, _side_views(q, ghosts=0)):
+        if bc.kind == "supersonic_inflow":
+            jacs.append(np.zeros((1, 4, 4)))
+        elif bc.kind == "fixed_pressure_outflow":
+            jacs.append(_central_difference(lambda u: _exit_pressure_state(u, bc.pressure, gas), cells[0]))
+        elif bc.kind == "slip_wall":
+            # The columns of the reflection are the reflected unit vectors; both layers share it.
+            normal = _wall_normal(metrics, side)
+            units = np.broadcast_to(np.eye(4), normal.shape[:-1] + (4, 4))
+            reflection = _mirror_momentum(units, normal[..., None, :]).swapaxes(-1, -2)
+            jacs.append(np.concatenate((reflection, reflection)))
+    return np.concatenate(jacs)
+
+
+def _check_metrics(field: FlowField, metrics: GridMetrics) -> None:
+    """Raise :class:`StateError` unless ``metrics`` are of ``field``'s grid size."""
+    if (metrics.ni, metrics.nj) != (field.ni, field.nj):
+        raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {field.ni} x {field.nj}")
 
 
 def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics, gas: GasModel) -> GhostField:
@@ -373,13 +368,11 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     which the axis-aligned stencils never read, repeat the nearest
     left/right ghost to keep every entry finite.
     """
-    ni, nj = field.ni, field.nj
-    if metrics.ni != ni or metrics.nj != nj:
-        raise StateError(f"metrics are {metrics.ni} x {metrics.nj} but field is {ni} x {nj}")
+    _check_metrics(field, metrics)
     sides = [bc.side(side) for side in SIDES]
-    frame, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    frame, _, _ = _frame_rows(field.ni, field.nj, tuple(side.kind for side in sides))
     ext = _frame_sources(field.q, sides, metrics, gas).take(frame, axis=0)
-    return GhostField(ext=ext, ni=ni, nj=nj)
+    return GhostField(ext=ext, ni=field.ni, nj=field.nj)
 
 
 def ghost_dependency(
@@ -393,22 +386,21 @@ def ghost_dependency(
     Returns ``(dep, jac)`` where ``dep`` maps each extended cell to the flat
     interior cell index it depends on (``-1`` for frozen inflow ghosts and
     unused corners) and ``jac`` holds the 4x4 derivative of the extended
-    cell's state with respect to that interior cell.  Interior and periodic
-    cells carry exact identities and slip walls their exact reflection;
-    the (nonlinear) exit-pressure map is differenced centrally with step
-    :data:`~shockstab.numerics.FD_STEP`.  ``dep`` is the ghost-source map
-    that the frame map of :func:`fill_ghosts` is built from.
+    cell's state with respect to that interior cell (zero in the corners).
+    Both are gathered through the frame map of :func:`fill_ghosts`, from the
+    source cells of :func:`_frame_rows` and the row derivatives of
+    :func:`_frame_source_jacobian`.
     """
     ni, nj = base.ni, base.nj
     sides = [bc.side(side) for side in SIDES]
-    dep, gather = _ghost_sources(ni, nj, tuple(side.kind for side in sides))
-    cells = base.q.reshape(ni * nj, 4).take(gather, axis=0)  # every frame cell's source state
-    jac = np.zeros((ni + 4, nj + 4, 4, 4))
-    jac[2:-2, 2:-2] = np.eye(4)
-    for side, side_bc, jac_v, cells_v in zip(SIDES, sides, _side_views(jac), _side_views(cells)):
-        if side_bc.kind != "supersonic_inflow":  # a frozen state has no dependency on the unknowns
-            jac_v[:2] = _ghost_map_jacobian(side_bc, cells_v[:2], _wall_normal(metrics, side), gas)
-    return dep.copy(), jac
+    frame, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    dep = sources.take(frame)
+    jac = _frame_source_jacobian(base.q, sides, metrics, gas).take(frame, axis=0)
+    corners = np.ones(frame.shape, dtype=bool)
+    corners[2:-2] = corners[:, 2:-2] = False
+    dep[corners] = -1
+    jac[corners] = 0.0
+    return dep, jac
 
 
 def _join_faces(*families: np.ndarray) -> np.ndarray:
@@ -527,7 +519,7 @@ def _residual_map(
     cells must match ``metrics``; the caller checks that once.
     """
     sides = [bc.side(side) for side in SIDES]
-    _, stencil_rows = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
+    _, stencil_rows, _ = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
 
     def evaluate(q: np.ndarray) -> np.ndarray:
         stencils = _frame_sources(q, sides, metrics, gas).take(stencil_rows, axis=0)

@@ -332,6 +332,22 @@ class TestMainAnalysis:
         assert code == 1
         assert np.loadtxt(out / "eigenvalues.dat").shape == (8, 2)
 
+    @pytest.mark.parametrize("extra", ["", "eig_method = arnoldi\narnoldi_k = 4\n"], ids=["dense", "arnoldi"])
+    def test_eigensolver_failure_on_a_degenerate_domain_is_an_error(self, tmp_path, capsys, extra):
+        # Cells 1e-300 wide scale S near overflow: the eigenvector's
+        # iterates turn NaN (dense) or ARPACK fails (arnoldi).  Either way the
+        # run exits 2 with one error line, no traceback and no numpy warning.
+        out = tmp_path / "out"
+        text = ("test_case = normal_shock\ngrid = 6x6\nmach = 3\nepsilon = 0.1\nsolver = hllc\n"
+                f"domain = 0,1e-300,0,1\noutput_dir = {out}\n" + extra)
+        cfg = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "mode_rho.dat").exists()
+
     @pytest.mark.parametrize("extra,method", [
         ("", "transverse_fourier"),
         ("bc_bottom = slip_wall\nbc_top = slip_wall\n", "dense"),

@@ -440,8 +440,8 @@ class TestRiemannFlux:
 
     @pytest.mark.parametrize("names", [["ausm_plus", "hllc", "slau", "van_leer_fvs", "ausm_plus"], ["slau", "ausm_plus"]])
     def test_physical_fluxes_of_the_inner_runs(self, names):
-        # The physical fluxes are formed once, from the first to the last run
-        # that takes them, or not at all.
+        # Each run's wave model forms its own rows' physical fluxes where it
+        # needs them; runs of the solvers that need none sit between them.
         self.assert_members_match_one_solver_calls(names)
 
     def test_member_names_must_split_rows_evenly(self):

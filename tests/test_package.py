@@ -151,13 +151,15 @@ def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
 def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
     # assemble reads the residual's one face batch: a second flux or
     # reconstruction linearization would mean the face families were split
-    # apart again.  The base residual comes from the same reconstruction,
-    # so the residual module reconstructs nothing of its own.
+    # apart again.  Its stencils come in one gather from the cells and the
+    # ghost rows, so it forms the ghost rows once and builds no ghost frame,
+    # no frame-sized ghost Jacobian and no second reconstruction.
     from shockstab import mesh, numerics, stability, state
     from shockstab.residual import normal_shock_bcs
 
+    residual = importlib.import_module("shockstab.residual")  # the package exports a function of that name
     calls = {"flux_jacobians": 0, "reconstruction_coefficients": 0, "reconstruction_kink_flags": 0,
-             "face_reconstruction": 0}
+             "_frame_sources": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,10 +167,16 @@ def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def forbidden(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError(f"assemble called {name}")
+        return wrapper
+
     for name in calls:
         monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
-    monkeypatch.setattr(importlib.import_module("shockstab.residual"), "face_reconstruction",
-                        stability.face_reconstruction)
+    for name in ("fill_ghosts", "ghost_dependency", "face_reconstruction"):
+        monkeypatch.setattr(residual, name, forbidden(name))
+        monkeypatch.setattr(stability, name, forbidden(name), raising=False)
     gas = state.GasModel()
     metrics = mesh.compute_metrics(mesh.make_cartesian_grid(5, 3))
     field = state.init_normal_shock_rh(5, 3, 3.0, 0.1, gas=gas)

@@ -15,6 +15,7 @@ from shockstab.residual import (
     GhostField,
     _exit_pressure_state,
     _frame_rows,
+    _frame_source_jacobian,
     _frame_sources,
     _march_residual,
     _split_faces,
@@ -889,7 +890,7 @@ class TestOneTakeStencils:
             ni, nj = field.ni, field.nj
             for bcs in side_kind_sets():
                 sides = [bcs.side(side) for side in SIDES]
-                _, rows = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+                _, rows, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
                 stencils = _frame_sources(field.q, sides, metrics, GAS).take(rows, axis=0)
                 frame = fill_ghosts(field, bcs, metrics, GAS).ext.reshape(-1, 4)
                 walk = side_walk_ghosts(field, bcs, metrics).reshape(-1, 4)
@@ -912,10 +913,30 @@ class TestOneTakeStencils:
             top=BoundaryCondition.zero_gradient(),
         )
         sides = [bcs.side(side) for side in SIDES]
-        frame, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+        frame, stencils, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
         assert _frame_sources(field.q, sides, metrics, GAS).shape == (ni * nj + 1 + nj + 2 * ni, 4)
         assert frame.max() == ni * nj + nj + 2 * ni
-        assert not frame.flags.writeable
+        assert sources.shape == (ni * nj + 1 + nj + 2 * ni,)
+        assert not any(a.flags.writeable for a in (frame, stencils, sources))
+
+    def test_row_sources_and_derivatives_equal_the_ghost_dependency(self):
+        # assemble reads each stencil cell's source cell and ghost derivative
+        # through the stencil map; they must be the bits ghost_dependency
+        # holds at every stencil cell of the frame.
+        count = 0
+        for field, metrics in ghost_fill_cases():
+            ni, nj = field.ni, field.nj
+            frame_rows = _stencil_rows(ni, nj)
+            for bcs in side_kind_sets():
+                sides = [bcs.side(side) for side in SIDES]
+                _, rows, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+                derivatives = _frame_source_jacobian(field.q, sides, metrics, GAS)
+                dep, jac = ghost_dependency(field, bcs, metrics, GAS)
+                assert sources.take(rows).tobytes() == dep.reshape(-1).take(frame_rows).tobytes()
+                assert (derivatives.take(rows, axis=0).tobytes()
+                        == jac.reshape(-1, 4, 4).take(frame_rows, axis=0).tobytes())
+                count += 1
+        assert count == 3 * 17 * 17
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,18 @@ class TestAssemble:
             scale = np.max(np.abs(fd_flat))
             assert np.max(np.abs(lin - fd_flat)[ok_rows]) < tol * scale
 
+    def test_rejects_metrics_of_another_size_and_a_one_cell_slip_wall(self):
+        scheme = ReconstructionScheme(kind="muscl")
+        base = smooth_field(5, 4, seed=24)
+        with pytest.raises(StateError, match="^metrics are 5 x 3 but field is 5 x 4$"):
+            assemble(base, compute_metrics(make_cartesian_grid(5, 3)), scheme, "hllc", periodic_bcs(), GAS)
+        wall = BoundaryCondition.slip_wall()
+        walls = BoundaryConditionSet(left=wall, right=wall, bottom=BoundaryCondition.periodic(),
+                                     top=BoundaryCondition.periodic())
+        with pytest.raises(StateError, match="^slip_wall on the left side needs at least two cells across"):
+            assemble(smooth_field(1, 4, seed=24), compute_metrics(make_cartesian_grid(1, 4)), scheme, "hllc",
+                     walls, GAS)
+
     def test_block_row_layout(self):
         # one face's flux depends on its stencil only: perturbing cell (i, j)
         # must leave rows of far-away cells untouched
@@ -394,6 +406,19 @@ class TestEigensolve:
         # (shift 1e-8) times the vector norm
         assert np.linalg.norm(csr @ v - pair.eigenvalue * v) < 5e-8
         assert pair.residual < 5e-8
+
+    def test_max_real_eigenpair_rejects_a_nan_eigenvector(self):
+        # At this scale the Frobenius norm overflows and the iterates turn
+        # NaN; a NaN residual is no converged eigenvector, and numpy stays quiet.
+        m = np.array([[-3e295, 1e295, 0], [2e295, -5e295, 1e295], [0, 1e295, -4e295]])
+        with pytest.raises(EigenSolveError, match="inverse iteration stalled: residual nan"):
+            max_real_eigenpair(m)
+
+    def test_leading_reports_an_arpack_error(self):
+        # ARPACK cannot build an Arnoldi factorization here (info -9999).
+        m = sp.random(40, 40, density=0.2, random_state=1, format="csr") * 1e300 - 3e300 * sp.identity(40)
+        with pytest.raises(EigenSolveError, match="ARPACK error -9999"):
+            eigensolve_leading(m, k=4)
 
     def test_mode_field_layout(self):
         ni, nj = 5, 3
