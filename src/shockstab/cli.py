@@ -34,6 +34,7 @@ from .state import (
     GasModel,
     _checked_cons,
     _flow_file_cons,
+    _write_records,
     normal_shock_states,
     perturbation_to_primitive,
     cons_to_prim,
@@ -389,7 +390,7 @@ def _write_summary(path, pairs) -> None:
 
 def _write_eigenvalues(path, spectrum: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{lam.real:.17g} {lam.imag:.17g}\n" for lam in spectrum.tolist())
+        _write_records(fh, "%.17g %.17g\n", spectrum.real.tolist(), spectrum.imag.tolist())
 
 
 def _scheme_label(settings: Settings) -> str:

@@ -25,9 +25,17 @@ import scipy.sparse as sp
 from .errors import EvolutionError, FitError, StateError
 from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
 from .numerics import ReconstructionScheme, _solver_kernel
-from .residual import BoundaryConditionSet, _check_metrics, _march_residual, _residual_map, normal_shock_bcs
+from .residual import BoundaryConditionSet, _check_metrics, _march_map, _residual_map, normal_shock_bcs
 from .stability import spectral_radius_upper
-from .state import FlowField, GasModel, _physical_state, cons_to_prim, init_normal_shock_rh, sound_speed
+from .state import (
+    FlowField,
+    GasModel,
+    _physical_state,
+    _write_records,
+    cons_to_prim,
+    init_normal_shock_rh,
+    sound_speed,
+)
 
 __all__ = [
     "OneDResult",
@@ -122,11 +130,13 @@ def solve_1d_steady(
     The 1-D equations are run on a one-cell-high strip of ``ni`` unit
     squares, periodic in ``j``, through the same reconstruction and flux
     code as the 2-D residual.  The strip's j-faces cancel exactly, so
-    :func:`~shockstab.residual._march_residual` fluxes its i-faces alone,
+    :func:`~shockstab.residual._march_map` fluxes its i-faces alone,
     bitwise as :func:`~shockstab.residual.residual` would on each member's
-    own frame.  Forward Euler with per-cell CFL time steps is applied for
-    exactly ``steps`` iterations (no early exit); the final residual norm is
-    reported so the caller can judge convergence.
+    own frame; its frame, stencil view and normals are formed once per
+    march (again only when a member drops out).  Forward Euler with
+    per-cell CFL time steps is applied for exactly ``steps`` iterations (no
+    early exit); the final residual norm is reported so the caller can
+    judge convergence.
 
     Batch form: any of ``mach``, ``epsilon``, ``solver`` and ``shock_col``
     may be a sequence with one entry per member, and a scalar applies to
@@ -176,8 +186,9 @@ def solve_1d_steady(
     outcome: list = [None] * count
     live = np.arange(count)
     prim = cons_to_prim(q, gas)
+    march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
     for step in range(steps):
-        res = _march_residual(q, prim, inflow, p_exit, metrics, scheme, live_solvers, gas)
+        res = march(q, prim)
         history[step, live] = np.abs(res).max(axis=(0, 2))
         dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
         q += dt[..., None] * res
@@ -193,9 +204,9 @@ def solve_1d_steady(
                 break
             q, prim, inflow, p_exit = q[:, physical], prim[:, physical], inflow[physical], p_exit[physical]
             live_solvers = [solvers[k] for k in live]
+            march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
     if live.size:
-        final = _march_residual(q, prim, inflow, p_exit, metrics, scheme, live_solvers, gas)
-        final = np.abs(final).max(axis=(0, 2))
+        final = np.abs(march(q, prim)).max(axis=(0, 2))
         for pos, k in enumerate(live):
             outcome[k] = OneDResult(q=q[:, pos].copy(), residual_inf=float(final[pos]),
                                     residual_history=history[:, k].copy())
@@ -514,7 +525,7 @@ def dominance_gap(eigenvalues: np.ndarray) -> float:
 
 def _write_columns(path, first, second) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(f"{a:.17g} {b:.17g}\n" for a, b in zip(first, second))
+        _write_records(fh, "%.17g %.17g\n", first, second)
 
 
 def write_series(series: EvolutionSeries, path) -> None:

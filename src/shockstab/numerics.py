@@ -15,19 +15,24 @@ component falls back to its first-order value.  On uniform data every face
 therefore gets bitwise-equal left/right states, which in turn keeps free
 streams exactly stationary.
 
-The face kernels carry a leading *side axis*: the four stencil cells travel
-as one ``(4, ..., 4)`` array and the left and right face states as one
-``(2, ..., 4)`` array (left first), so both sides are limited, checked for
-positivity, split into the face frame, validated and given their physical
-fluxes in one pass each; AUSM+ and SLAU evaluate their split Mach and
-pressure polynomials for both sides at once too, with the side's sign
-``+1``/``-1`` as a ``(2, 1, ...)`` array.  The public functions still take
-and return the sides separately, but the stacked sides and their
-primitive columns travel with them from :func:`reconstruct_pair` to
-:func:`riemann_flux` (its ``pair`` argument), so a face batch is split into
-primitives once (twice where a face fell back to its cell value).  The
-arithmetic is elementwise and unchanged, so every face state and flux is
-bit-identical to a side-by-side evaluation.
+Inside the module a face batch is *component-major*: the four stencil cells
+travel as one ``(4 components, 4 cells, ...faces)`` array, the left and
+right face states as one ``(4, 2, ...faces)`` array (left first) and a flux
+as ``(4, ...faces)``.  Every component and every face-frame scalar is then
+a contiguous array of the batch's face shape, with the side axis first
+where both sides travel together, and a per-face scalar scales a 4-vector
+by broadcasting along the leading axis.  Both sides are limited, checked
+for positivity, split into the face frame, validated and given their
+physical fluxes in one pass each; AUSM+ and SLAU evaluate their split Mach
+and pressure polynomials for both sides at once too, with the side's sign
+``+1``/``-1`` as a ``(2, 1, ...)`` array.  The public functions keep their
+``(..., 4)`` arrays, as views of the component-major ones: the stacked
+sides and their primitive columns travel with the ``(left, right,
+fallback)`` triple from :func:`reconstruct_pair` to :func:`riemann_flux`
+(its ``pair`` argument), so a face batch is split into primitives once
+(twice where a face fell back to its cell value).  The arithmetic is
+elementwise and unchanged, so every face state and flux is bit-identical
+to a side-by-side evaluation in any layout.
 
 Finite-difference linearizations (:func:`_central_difference`) hand the
 eight ``x +- e_c`` probes of a batch to the map on a leading axis in one
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -92,16 +98,19 @@ _LIMITER_KINKS = {
 }
 
 
-def _columns(*columns: np.ndarray) -> np.ndarray:
-    """``np.stack(columns, axis=-1)`` of equal-shaped float columns, filled in place.
+def _components_first(states: np.ndarray) -> np.ndarray:
+    """The ``(..., 4)`` states as a component-major ``(4, ...)`` view."""
+    return states.transpose((states.ndim - 1,) + tuple(range(states.ndim - 1)))
 
-    Same values as ``np.stack``, at a fraction of its call overhead on the
-    small face batches the kernels see.
-    """
-    out = np.empty(np.shape(columns[0]) + (len(columns),))
-    for k, column in enumerate(columns):
-        out[..., k] = column
-    return out
+
+def _components_last(batch: np.ndarray) -> np.ndarray:
+    """The component-major ``(4, ...)`` batch as a ``(..., 4)`` view."""
+    return batch.transpose(tuple(range(1, batch.ndim)) + (0,))
+
+
+def _stack_components(states) -> np.ndarray:
+    """The ``(..., 4)`` arrays ``states``, of one shape, as one C-ordered ``(4, len(states), ...)`` array."""
+    return np.stack([_components_first(np.asarray(s, dtype=float)) for s in states], axis=1)
 
 
 def _central_difference(fn, x: np.ndarray) -> np.ndarray:
@@ -122,9 +131,12 @@ def _central_difference(fn, x: np.ndarray) -> np.ndarray:
     return np.moveaxis((values[:4] - values[4:]) / (2.0 * FD_STEP), 0, -1).copy()
 
 
-def _side_signs(ndim: int) -> np.ndarray:
-    """``(+1, -1)`` on a leading side axis (left, right) of an ``ndim``-dimensional array."""
-    return np.array([1.0, -1.0]).reshape((2,) + (1,) * (ndim - 1))
+@lru_cache(maxsize=16)
+def _side_signs(ndim: int, scale: float = 1.0) -> np.ndarray:
+    """Read-only ``(+scale, -scale)`` on a leading side axis (left, right) of an ``ndim``-dimensional array."""
+    signs = np.array([scale, -scale]).reshape((2,) + (1,) * (ndim - 1))
+    signs.flags.writeable = False
+    return signs
 
 
 def limiter_value(name: str, r: np.ndarray) -> np.ndarray:
@@ -140,7 +152,8 @@ def limiter_value(name: str, r: np.ndarray) -> np.ndarray:
     if name == "van_leer":
         return (r + np.abs(r)) / (1.0 + np.abs(r))
     if name == "van_albada":
-        return np.where(r > 0.0, (r * r + r) / (r * r + 1.0), 0.0)
+        r2 = r * r
+        return np.where(r > 0.0, (r2 + r) / (r2 + 1.0), 0.0)
     if name == "minmod":
         return np.maximum(0.0, np.minimum(r, 1.0))
     if name == "deng":
@@ -227,35 +240,37 @@ def round_face_value(uh: np.ndarray, params: RoundParams) -> np.ndarray:
 
 
 def _stencil_sides(kind: str, stencil: np.ndarray):
-    """``(center, upwind, num, den, sign)`` of both face values, side axis first.
+    """``(center, upwind, num, den, half_sign)`` of both face values, component axis first, side axis next.
 
-    ``stencil`` stacks the cells ``u0..u3`` as ``(4, ..., 4)``; each result
-    has a leading side axis (left, right) or broadcasts against one.  MUSCL
-    limits the slope ratio ``num/den`` and moves ``center`` by ``sign *
-    psi/2 * den``; ROUND maps the normalized variable ``num/den`` and
-    measures the face value from ``upwind`` in units of ``den``.
+    ``stencil`` stacks the cells ``u0..u3`` component-major, as ``(4, 4,
+    ...)``; each result has a side axis (left, right) after the component
+    axis or broadcasts against one.  MUSCL limits the slope ratio
+    ``num/den`` and moves ``center`` by ``half_sign * psi * den`` with
+    ``half_sign = +-1/2``; ROUND maps the normalized variable ``num/den``
+    and measures the face value from ``upwind`` in units of ``den``.
     """
-    center, upwind = stencil[1:3], stencil[::3]  # (u1, u2), (u0, u3)
+    center, upwind = stencil[:, 1:3], stencil[:, ::3]  # (u1, u2), (u0, u3)
     if kind == "muscl":
-        slopes = stencil[1:] - stencil[:-1]  # u1 - u0, u2 - u1, u3 - u2
-        return center, upwind, slopes[1], slopes[::2], _side_signs(stencil.ndim)
+        slopes = stencil[:, 1:] - stencil[:, :-1]  # u1 - u0, u2 - u1, u3 - u2
+        return center, upwind, slopes[:, 1:2], slopes[:, ::2], _side_signs(stencil.ndim - 1, 0.5)
     # (u1 - u0, u2 - u3) over (u2 - u0, u1 - u3)
-    return center, upwind, center - upwind, stencil[2:0:-1] - upwind, None
+    return center, upwind, center - upwind, stencil[:, 2:0:-1] - upwind, None
 
 
 def _reconstruct_values(stencil: np.ndarray, scheme: ReconstructionScheme) -> np.ndarray:
-    """Stacked ``(2, ..., 4)`` left/right face values of a second-order scheme.
+    """Component-major ``(4, 2, ...)`` left/right face values of a second-order scheme.
 
-    ``stencil`` is the ``(4, ..., 4)`` stack of ``u0..u3``; the values are
-    taken before the positivity fallback.  Where ``|den|`` is below
-    :data:`ZERO_SLOPE_GUARD` a component keeps its cell value.
+    ``stencil`` is the component-major ``(4, 4, ...)`` stack of ``u0..u3``;
+    the values are taken before the positivity fallback.  Where ``|den|``
+    is below :data:`ZERO_SLOPE_GUARD` a component keeps its cell value.
     """
-    center, upwind, num, den_raw, sign = _stencil_sides(scheme.kind, stencil)
+    center, upwind, num, den_raw, half_sign = _stencil_sides(scheme.kind, stencil)
     safe = np.abs(den_raw) >= ZERO_SLOPE_GUARD
     den = np.where(safe, den_raw, 1.0)
     r = np.where(safe, num / den, 0.0)
     if scheme.kind == "muscl":
-        val = center + sign * 0.5 * limiter_value(scheme.limiter, r) * den_raw
+        # (sign * 0.5) * psi * den with the exact product sign * 0.5 formed once
+        val = center + half_sign * limiter_value(scheme.limiter, r) * den_raw
     else:
         val = upwind + round_face_value(r, scheme.round_params) * den_raw
     return np.where(safe, val, center)
@@ -264,18 +279,20 @@ def _reconstruct_values(stencil: np.ndarray, scheme: ReconstructionScheme) -> np
 class _FacePair(tuple):
     """The ``(left, right, fallback)`` triple of :func:`reconstruct_pair`, with the stacked sides.
 
-    ``stack`` is the ``(2, ..., 4)`` array whose halves are ``left`` and
-    ``right``, and ``primitives`` the ``rho, u, v, p`` columns of ``stack``
-    (with the side axis), as :func:`~shockstab.state._primitive_columns`
-    gives them, or ``None`` where the reconstruction formed none (first
-    order) or a fallback face made them stale: only a flux needs them then,
-    and it forms them itself.  Passed to :func:`riemann_flux` as ``pair``,
-    they spare the flux a second stacking and, when present, a second
-    primitive split.
+    ``stack`` is the component-major ``(4, 2, ...)`` array of both sides,
+    of which ``left`` and ``right`` are ``(..., 4)`` views, and
+    ``primitives`` the ``rho, u, v, p`` columns of ``stack`` (each with the
+    side axis first), as :func:`~shockstab.state._primitive_columns` gives
+    them, or ``None`` where the reconstruction formed none (first order) or
+    a fallback face made them stale: only a flux needs them then, and it
+    forms them itself.  Passed to :func:`riemann_flux` as ``pair``, they
+    spare the flux a second stacking and, when present, a second primitive
+    split.
     """
 
     def __new__(cls, stack: np.ndarray, primitives, fallback: np.ndarray) -> "_FacePair":
-        pair = super().__new__(cls, (stack[0], stack[1], fallback))
+        sides = _components_last(stack)
+        pair = super().__new__(cls, (sides[0], sides[1], fallback))
         pair.stack, pair.primitives = stack, primitives
         return pair
 
@@ -298,34 +315,37 @@ def reconstruct_pair(
     Face states of a second-order scheme with non-positive density or
     pressure revert to the first-order value of their side.  Returns
     ``(left, right, fallback)`` where ``fallback`` (bool over faces) marks
-    the faces where either side reverted.
+    the faces where either side reverted; ``left`` and ``right`` are views
+    of one component-major array.
 
-    The four cells are stacked once and handed to
+    The four cells are stacked component-major once and handed to
     :func:`_reconstruct_stencil`, which holds the reconstruction itself.
     """
-    return _reconstruct_stencil(np.array((u0, u1, u2, u3), dtype=float), scheme, gas)
+    return _reconstruct_stencil(_stack_components((u0, u1, u2, u3)), scheme, gas)
 
 
 def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas: GasModel):
-    """:func:`reconstruct_pair` of the stacked ``(4, ..., 4)`` stencil ``u0..u3``.
+    """:func:`reconstruct_pair` of the component-major ``(4, 4, ...)`` stencil ``u0..u3``.
 
     The work runs on the side axis: the stencil (converted to primitives in
     one call where the scheme asks for it) gives both sides, which are
     limited, split into primitives, checked for positivity and given their
-    fallback in one pass each, and ``left``/``right`` come back as the two
-    halves of one ``(2, ..., 4)`` array.  The triple is a :class:`_FacePair`
-    that also carries that array and, unless a face fell back, its primitive
-    columns, for :func:`riemann_flux`'s ``pair``.  A first-order scheme takes
-    its cell values ``u1``/``u2`` as the sides and splits nothing.  Callers
-    that gather their stencils stacked (the nonlinear march and the matrix
-    assembly) call this directly; ``stencil`` is not written to.
+    fallback in one pass each, as one ``(4, 2, ...)`` array whose component
+    columns are contiguous.  The triple is a :class:`_FacePair` that also
+    carries that array and, unless a face fell back, its primitive columns,
+    for :func:`riemann_flux`'s ``pair``.  A first-order scheme takes its
+    cell values ``u1``/``u2`` as the sides and splits nothing.  Callers that
+    gather their stencils component-major (the nonlinear march, the 1-D
+    march and the matrix assembly) call this directly; ``stencil`` is not
+    written to.
     """
     if scheme.kind == "first_order":
-        faces = stencil[1:3]
-        return _FacePair(faces, None, np.zeros(faces.shape[1:-1], dtype=bool))
+        faces = stencil[:, 1:3]
+        return _FacePair(faces, None, np.zeros(faces.shape[2:], dtype=bool))
 
     if scheme.variables == "primitive":
-        faces = prim_to_cons(_reconstruct_values(cons_to_prim(stencil, gas), scheme), gas)
+        # The conversions are elementwise over leading axes: .T puts the components last.
+        faces = prim_to_cons(_reconstruct_values(cons_to_prim(stencil.T, gas).T, scheme).T, gas).T
     else:
         faces = _reconstruct_values(stencil, scheme)
 
@@ -333,7 +353,7 @@ def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas:
         primitives = _primitive_columns(faces, gas)
         bad = ~_physical_state(primitives[0], primitives[3])
     if bad.any():
-        faces = np.where(bad[..., None], stencil[1:3], faces)
+        faces = np.where(bad, stencil[:, 1:3], faces)
         primitives = None
     return _FacePair(faces, primitives, bad[0] | bad[1])
 
@@ -375,8 +395,9 @@ def reconstruction_kink_flags(
         return np.zeros(stencil.shape[1:-1], dtype=bool)
     if scheme.variables == "primitive":
         stencil = cons_to_prim(stencil, gas)
+    stencil = _components_first(stencil)
 
-    scale = np.maximum.reduce(np.abs(stencil)) + 1.0e-300
+    scale = np.maximum.reduce(np.abs(stencil), axis=1, keepdims=True) + 1.0e-300
 
     # An exactly zero variation is branch-stable: probes of either sign land
     # in consistent branches (every limiter vanishes for r <= 0 and the guard
@@ -396,7 +417,7 @@ def reconstruction_kink_flags(
         tie_high = np.abs(a_high - bound) <= _KINK_TOL * (1.0 + np.abs(a_high) + np.abs(bound))
         flags |= regular & (((r > 0.0) & (r <= 0.5) & tie_low) | ((r > 0.5) & (r <= 1.0) & tie_high))
 
-    return np.any(flags, axis=(0, -1))
+    return np.any(flags, axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +449,9 @@ class _FaceSide:
     """Face-frame view of face states: scalars rho, u, v, qn, qt, p, E, a, H.
 
     :func:`riemann_flux` splits both sides at once (:meth:`split`), from the
-    ``(2, ..., 4)`` stack of the left and right states, so every attribute
-    carries the side axis first and the normal broadcasts over it; the
+    component-major ``(4, 2, ...)`` stack of the left and right states, so
+    every scalar carries the side axis first, ``cons`` the component axis
+    and then the side axis, and the normal broadcasts over the sides; the
     frame split, the validation and :meth:`flux` then run once for both
     sides.  :meth:`sides` gives each side alone, as views, for the wave
     models that treat the sides differently.
@@ -443,22 +465,23 @@ class _FaceSide:
 
     @classmethod
     def split(cls, cons: np.ndarray, primitives, nx: np.ndarray, ny: np.ndarray, gas: GasModel) -> "_FaceSide":
-        """The face-frame view of conservative ``(..., 4)`` states about the normal ``(nx, ny)``.
+        """The face-frame view of component-major conservative ``(4, ...)`` states about the normal ``(nx, ny)``.
 
         ``primitives`` are the ``rho, u, v, p`` columns of ``cons``, as
         :func:`~shockstab.state._primitive_columns` gives them.
         """
         rho, u, v, p = primitives
-        E = cons[..., 3]
+        E = cons[3]
         qn = u * nx + v * ny
         qt = -u * ny + v * nx
         # Face-frame conservative state (rho, rho qn, rho qt, E).
-        frame_cons = _columns(rho, rho * qn, rho * qt, E)
+        frame_cons = np.array((rho, rho * qn, rho * qt, E))
         return cls(rho, u, v, qn, qt, p, E, np.sqrt(gas.gamma * p / rho), (E + p) / rho, frame_cons)
 
-    def _view(self, index) -> "_FaceSide":
+    def _view(self, index: tuple) -> "_FaceSide":
         return _FaceSide(self.rho[index], self.u[index], self.v[index], self.qn[index], self.qt[index],
-                         self.p[index], self.E[index], self.a[index], self.H[index], self.cons[index])
+                         self.p[index], self.E[index], self.a[index], self.H[index],
+                         self.cons[(slice(None),) + index])
 
     def rows(self, rows: slice) -> "_FaceSide":
         """Both sides over a run of face rows, as views."""
@@ -466,22 +489,18 @@ class _FaceSide:
 
     def sides(self) -> tuple["_FaceSide", "_FaceSide"]:
         """The left and the right side alone, as views."""
-        return self._view(0), self._view(1)
+        return self._view((0,)), self._view((1,))
 
     def flux(self) -> np.ndarray:
-        """Face-frame flux (mass, normal momentum, tangential momentum, energy)."""
+        """Component-major face-frame flux (mass, normal momentum, tangential momentum, energy)."""
         m = self.rho * self.qn
-        return _columns(m, m * self.qn + self.p, m * self.qt, (self.E + self.p) * self.qn)
+        return np.array((m, m * self.qn + self.p, m * self.qt, (self.E + self.p) * self.qn))
 
 
 def _unrotate(face_flux: np.ndarray, nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
-    """Rotate the momentum components of a face-frame flux back to x/y."""
-    out = np.empty_like(face_flux)
-    out[..., 0] = face_flux[..., 0]
-    out[..., 1] = face_flux[..., 1] * nx - face_flux[..., 2] * ny
-    out[..., 2] = face_flux[..., 1] * ny + face_flux[..., 2] * nx
-    out[..., 3] = face_flux[..., 3]
-    return out
+    """Rotate the momentum components of a component-major face-frame flux back to x/y."""
+    return np.array((face_flux[0], face_flux[1] * nx - face_flux[2] * ny, face_flux[1] * ny + face_flux[2] * nx,
+                     face_flux[3]))
 
 
 def _roe_average(L: _FaceSide, R: _FaceSide, gas: GasModel):
@@ -499,7 +518,7 @@ def _roe_average(L: _FaceSide, R: _FaceSide, gas: GasModel):
 
 
 def _wave_decomposition(L: _FaceSide, R: _FaceSide, qn, qt, H, a, rho_avg):
-    """Characteristic strengths and right eigenvectors at the interface.
+    """Characteristic strengths and component-major right eigenvectors at the interface.
 
     Returns ``(alphas, vectors)`` for the four waves ``qn - a``, entropy,
     shear, ``qn + a`` in the face frame.
@@ -513,10 +532,10 @@ def _wave_decomposition(L: _FaceSide, R: _FaceSide, qn, qt, H, a, rho_avg):
     alpha4 = (dp + rho_avg * a * dqn) / (2.0 * a2)
     one = np.ones_like(qn)
     zero = np.zeros_like(qn)
-    k1 = _columns(one, qn - a, qt, H - qn * a)
-    k2 = _columns(one, qn, qt, 0.5 * (qn * qn + qt * qt))
-    k3 = _columns(zero, zero, one, qt)
-    k4 = _columns(one, qn + a, qt, H + qn * a)
+    k1 = np.array((one, qn - a, qt, H - qn * a))
+    k2 = np.array((one, qn, qt, 0.5 * (qn * qn + qt * qt)))
+    k3 = np.array((zero, zero, one, qt))
+    k4 = np.array((one, qn + a, qt, H + qn * a))
     return (alpha1, alpha2, alpha3, alpha4), (k1, k2, k3, k4)
 
 
@@ -526,8 +545,8 @@ def _flux_roe(S: _FaceSide, gas: GasModel) -> np.ndarray:
     qn, qt, H, a, rho_avg = _roe_average(L, R, gas)
     alphas, ks = _wave_decomposition(L, R, qn, qt, H, a, rho_avg)
     lams = (np.abs(qn - a), np.abs(qn), np.abs(qn), np.abs(qn + a))
-    diss = sum((lam * al)[..., None] * k for lam, al, k in zip(lams, alphas, ks))
-    return 0.5 * (f[0] + f[1]) - 0.5 * diss
+    diss = sum((lam * al) * k for lam, al, k in zip(lams, alphas, ks))
+    return 0.5 * (f[:, 0] + f[:, 1]) - 0.5 * diss
 
 
 def _davis_speeds(S: _FaceSide):
@@ -542,9 +561,10 @@ def _two_wave_flux(S: _FaceSide, f, sl, sr):
     (1 where the speeds coincide), from the stacked side fluxes ``f``;
     returns the flux and ``span``.
     """
-    span = np.where(sr - sl == 0.0, 1.0, sr - sl)
-    jump = S.cons[1] - S.cons[0]
-    mid = (sr[..., None] * f[0] - sl[..., None] * f[1] + (sl * sr)[..., None] * jump) / span[..., None]
+    span = sr - sl
+    span = np.where(span == 0.0, 1.0, span)
+    jump = S.cons[:, 1] - S.cons[:, 0]
+    mid = (sr * f[:, 0] - sl * f[:, 1] + (sl * sr) * jump) / span
     return mid, span
 
 
@@ -552,8 +572,8 @@ def _flux_hll(S: _FaceSide, gas: GasModel) -> np.ndarray:
     f = S.flux()
     sl, sr = _davis_speeds(S)
     mid, _ = _two_wave_flux(S, f, sl, sr)
-    out = np.where(sl[..., None] >= 0.0, f[0], mid)
-    return np.where(sr[..., None] <= 0.0, f[1], out)
+    out = np.where(sl >= 0.0, f[:, 0], mid)
+    return np.where(sr <= 0.0, f[:, 1], out)
 
 
 def _flux_hllc(S: _FaceSide, gas: GasModel) -> np.ndarray:
@@ -567,13 +587,14 @@ def _flux_hllc(S: _FaceSide, gas: GasModel) -> np.ndarray:
     s_star = (S.p[1] - S.p[0] + mq[0] - mq[1]) / den
 
     # Both star states at once: rho*(s - qn) is m on each side.
-    factor = m / np.where(s_side - s_star == 0.0, 1.0, s_side - s_star)
+    gap = s_side - s_star
+    factor = m / np.where(gap == 0.0, 1.0, gap)
     energy = S.E / S.rho + (s_star - S.qn) * (s_star + S.p / m)
-    star = _columns(factor, factor * s_star, factor * S.qt, factor * energy)
-    f_star = f + s_side[..., None] * (star - S.cons)
-    out = np.where(s_star[..., None] >= 0.0, f_star[0], f_star[1])
-    out = np.where(sl[..., None] >= 0.0, f[0], out)
-    return np.where(sr[..., None] <= 0.0, f[1], out)
+    star = np.array((factor, factor * s_star, factor * S.qt, factor * energy))
+    f_star = f + s_side * (star - S.cons)
+    out = np.where(s_star >= 0.0, f_star[:, 0], f_star[:, 1])
+    out = np.where(sl >= 0.0, f[:, 0], out)
+    return np.where(sr <= 0.0, f[:, 1], out)
 
 
 def _einfeldt_speeds(L: _FaceSide, R: _FaceSide, qn, a):
@@ -600,8 +621,8 @@ def _flux_hllem(S: _FaceSide, gas: GasModel) -> np.ndarray:
     # Anti-diffusion restores the entropy and shear waves that the two-wave
     # average smears; the amount is throttled by delta near sonic faces.
     delta = a / (a + np.abs(qn))
-    linear = alphas[1][..., None] * ks[1] + alphas[2][..., None] * ks[2]
-    return hll - (bl * br / span * delta)[..., None] * linear
+    linear = alphas[1] * ks[1] + alphas[2] * ks[2]
+    return hll - (bl * br / span * delta) * linear
 
 
 def _flux_van_leer(S: _FaceSide, gas: GasModel) -> np.ndarray:
@@ -614,14 +635,14 @@ def _flux_van_leer(S: _FaceSide, gas: GasModel) -> np.ndarray:
         f_mass = sign * 0.25 * S.rho * S.a * (m + sign) ** 2
         vel = ((g - 1.0) * S.qn + sign * 2.0 * S.a) / g
         enrg = vel * vel * (g * g / (2.0 * (g * g - 1.0))) + 0.5 * S.qt * S.qt
-        split_flux = _columns(f_mass, f_mass * vel, f_mass * S.qt, f_mass * enrg)
+        split_flux = np.array((f_mass, f_mass * vel, f_mass * S.qt, f_mass * enrg))
         if sign > 0:
-            split_flux = np.where(m[..., None] >= 1.0, full, split_flux)
-            return np.where(m[..., None] <= -1.0, 0.0, split_flux)
-        split_flux = np.where(m[..., None] <= -1.0, full, split_flux)
-        return np.where(m[..., None] >= 1.0, 0.0, split_flux)
+            split_flux = np.where(m >= 1.0, full, split_flux)
+            return np.where(m <= -1.0, 0.0, split_flux)
+        split_flux = np.where(m <= -1.0, full, split_flux)
+        return np.where(m >= 1.0, 0.0, split_flux)
 
-    return split(L, +1.0, f[0]) + split(R, -1.0, f[1])
+    return split(L, +1.0, f[:, 0]) + split(R, -1.0, f[:, 1])
 
 
 def _mach_split_m4(m: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -644,15 +665,15 @@ def _pressure_split_p5(m: np.ndarray, sign: np.ndarray, alpha: float = 0.1875) -
 
 
 def _upwind_convection(S: _FaceSide, mdot: np.ndarray, p_half: np.ndarray) -> np.ndarray:
-    """Face-frame flux of the AUSM family from the interface mass flux and pressure.
+    """Component-major face-frame flux of the AUSM family from the interface mass flux and pressure.
 
     ``mdot`` carries ``(1, qn, qt, H)`` of its upwind side; ``p_half`` adds
     to the normal momentum.
     """
-    psi = _columns(np.ones_like(S.qn), S.qn, S.qt, S.H)
-    conv = 0.5 * (mdot + np.abs(mdot))[..., None] * psi[0] + 0.5 * (mdot - np.abs(mdot))[..., None] * psi[1]
+    psi = np.array((np.ones_like(S.qn), S.qn, S.qt, S.H))
+    conv = 0.5 * (mdot + np.abs(mdot)) * psi[:, 0] + 0.5 * (mdot - np.abs(mdot)) * psi[:, 1]
     zero = np.zeros_like(mdot)
-    return conv + _columns(zero, p_half, zero, zero)
+    return conv + np.array((zero, p_half, zero, zero))
 
 
 def _flux_ausm_plus(S: _FaceSide, gas: GasModel) -> np.ndarray:
@@ -720,28 +741,29 @@ def _solver_kernel(name: str):
         raise StateError(f"unknown solver {name!r}; choose one of {RIEMANN_SOLVERS}") from None
 
 
-def _solver_runs(solver: str | Sequence[str], rows: int):
+@lru_cache(maxsize=64)
+def _solver_runs(solver: str | tuple[str, ...], rows: int):
     """``(name, kernel, rows)`` of each run of equal solver names over a face batch.
 
     A single name is one run over the whole batch (``slice(None)``).  A
-    sequence holds one name per member, and the members own equal,
+    tuple holds one name per member, and the members own equal,
     consecutive shares of the ``rows`` face rows (members outer); adjacent
-    members with the same name form one run.
+    members with the same name form one run.  The runs are cached, so a
+    march that passes the same members on every step forms them once.
     """
     if isinstance(solver, str):
-        return [(solver, _solver_kernel(solver), slice(None))]
-    names = list(solver)
-    if not names or rows % len(names):
-        raise StateError(f"{rows} face rows do not split evenly among {len(names)} solver members")
-    if names.count(names[0]) == len(names):
-        return _solver_runs(names[0], rows)
+        return ((solver, _solver_kernel(solver), slice(None)),)
+    if not solver or rows % len(solver):
+        raise StateError(f"{rows} face rows do not split evenly among {len(solver)} solver members")
+    if solver.count(solver[0]) == len(solver):
+        return _solver_runs(solver[0], rows)
     runs = []
-    share, start = rows // len(names), 0
-    for name, group in groupby(names):
+    share, start = rows // len(solver), 0
+    for name, group in groupby(solver):
         stop = start + share * len(list(group))
         runs.append((name, _solver_kernel(name), slice(start, stop)))
         start = stop
-    return runs
+    return tuple(runs)
 
 
 def riemann_flux(
@@ -763,12 +785,16 @@ def riemann_flux(
 
     ``solver`` is one name for the whole batch, or one name per member of a
     ``(rows, ..., 4)`` batch whose members each own an equal, consecutive
-    run of rows along its first axis (see :func:`_solver_runs`).  The two sides are stacked on a leading
-    side axis, split into the face frame (:class:`_FaceSide`) and validated
-    (left first) once; each solver's wave model then runs on its own row
-    range(s), as views, forming both sides' physical fluxes itself where it
-    needs them, and the fluxes are rotated back once.  Every row's flux is
-    bit-identical to that of a one-solver call.
+    run of rows along its first axis (see :func:`_solver_runs`).  The two
+    sides are stacked component-major, as one ``(4, 2, ...)`` array, split
+    into the face frame (:class:`_FaceSide`) and validated (left first)
+    once; each solver's wave model then runs on its own row range(s), as
+    views, forming both sides' physical fluxes itself where it needs them,
+    and the fluxes are rotated back once.  Every row's flux is bit-identical
+    to that of a one-solver call.  The flux comes back as a ``(..., 4)``
+    view of the component-major result.  A caller that passes the normals
+    stored component-major (a transposed ``(2, faces)`` array) gives the
+    kernels contiguous ``nx`` and ``ny``.
 
     ``pair`` is the :func:`reconstruct_pair` result that ``left`` and
     ``right`` come from, if there is one: the flux then takes its stacked
@@ -778,14 +804,18 @@ def riemann_flux(
     """
     normal = np.asarray(normal, dtype=float)
     nx, ny = normal[..., 0], normal[..., 1]
+    if pair is None:
+        stack = _stack_components((left, right))
+    else:
+        stack = pair.stack
     # A non-physical side yields inf/nan here; validation reports it below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        stack = np.array((left, right), dtype=float) if pair is None else pair.stack
         primitives = getattr(pair, "primitives", None)
         if primitives is None:
             primitives = _primitive_columns(stack, gas)
         S = _FaceSide.split(stack, primitives, nx, ny, gas)
-    runs = _solver_runs(solver, stack.shape[1] if stack.ndim > 2 else 1)
+    batch_rows = stack.shape[2] if stack.ndim > 2 else 1
+    runs = _solver_runs(solver if isinstance(solver, str) else tuple(solver), batch_rows)
     if validate:
         ok = _physical_state(S.rho, S.p)
         if not ok.all():
@@ -797,5 +827,5 @@ def riemann_flux(
     if len(runs) == 1:
         flux = runs[0][1](S, gas)
     else:
-        flux = np.concatenate([kernel(S.rows(rows), gas) for _, kernel, rows in runs])
-    return _unrotate(flux, nx, ny)
+        flux = np.concatenate([kernel(S.rows(rows), gas) for _, kernel, rows in runs], axis=1)
+    return _components_last(_unrotate(flux, nx, ny))

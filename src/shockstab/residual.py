@@ -25,20 +25,27 @@ Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
 fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
 
+The face kernels work on component-major batches (see
+:mod:`shockstab.numerics`); cell states keep their ``(ni, nj, 4)`` layout.
 The nonlinear march's right-hand side, :func:`_residual_map`, skips the
 frame: the same map composed with the stencil rows takes each stage's
-stacked stencils in one gather from the cells and the ghost rows and hands
-the stack straight to the reconstruction body, with the bits of
-:func:`fill_ghosts` plus :func:`residual` (the frame-based reference path).
-:func:`shockstab.stability.assemble` linearizes the same one-take batch,
-reading each stencil cell's source cell and ghost derivative through the
-same map, and scatters into each cell the faces :func:`_cell_faces` lists.
+component-major ``(4, 4, faces)`` stencils in one gather from the ``(4,
+rows)`` table of the cells and the ghost rows and hands them straight to
+the reconstruction body, with the bits of :func:`fill_ghosts` plus
+:func:`residual` (the frame-based reference path).  :func:`_flux_balance`
+takes the ``(4, faces)`` fluxes and writes the ``(ni, nj, 4)`` balance
+through one transposed view.  :func:`shockstab.stability.assemble`
+linearizes the same one-take batch, reading each stencil cell's source
+cell and ghost derivative through the same map, and scatters into each
+cell the faces :func:`_cell_faces` lists.
 
-The 1-D base march has a residual of its own, :func:`_march_residual`: a
-batch of members on a one-row strip periodic in ``j``, whose j-faces carry
-the cell states on both sides and cancel exactly, so it fluxes the i-faces
-alone.  All three residuals share :func:`_face_fluxes`, which decides where the
-flux must re-test the face states.
+The 1-D base march has a residual of its own, :func:`_march_map`: a batch
+of members on a one-row strip periodic in ``j``, whose j-faces carry the
+cell states on both sides and cancel exactly, so it fluxes the i-faces
+alone.  It forms its ``(4, members, ni + 4)`` frame once per march and
+reads its stencils as a sliding-window view of it.  All three residuals
+share :func:`_face_fluxes`, which decides where the flux must re-test the
+face states.
 """
 
 from __future__ import annotations
@@ -48,12 +55,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import StateError
 from .mesh import GridMetrics
 from .numerics import (
     ReconstructionScheme,
     _central_difference,
+    _components_first,
     _reconstruct_stencil,
     reconstruct_pair,
     riemann_flux,
@@ -464,7 +473,7 @@ def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: G
 
 
 def _face_fluxes(reconstruction, normal: np.ndarray, scheme: ReconstructionScheme, solver, gas: GasModel):
-    """Fluxes of a reconstructed face batch, given as the ``(left, right, fallback)`` triple.
+    """Component-major ``(4, ...)`` fluxes of a face batch, given as its ``(left, right, fallback)`` triple.
 
     The triple goes to the flux as its ``pair`` too, so the face states are
     split into primitives once, in the reconstruction.  The flux re-tests
@@ -475,7 +484,13 @@ def _face_fluxes(reconstruction, normal: np.ndarray, scheme: ReconstructionSchem
     """
     left, right, fallback = reconstruction
     tested = scheme.is_second_order and not fallback.any()
-    return riemann_flux(solver, left, right, normal, gas, validate=not tested, pair=reconstruction)
+    flux = riemann_flux(solver, left, right, normal, gas, validate=not tested, pair=reconstruction)
+    return _components_first(flux)
+
+
+def _normal_columns(normal: np.ndarray) -> np.ndarray:
+    """The ``(faces, 2)`` normals stored component-major, so that the kernels read contiguous ``nx`` and ``ny``."""
+    return np.ascontiguousarray(normal.T).T
 
 
 def residual(
@@ -508,63 +523,76 @@ def _residual_map(
 ):
     """:func:`residual` under ``bc`` as a function of the ``(ni, nj, 4)`` cell states alone.
 
-    The nonlinear march's right-hand side.  The frame and stencil maps of
-    :func:`_frame_rows` are looked up once; each call then forms the ghost
-    rows (:func:`_frame_sources`), gathers the stacked ``(4, faces, 4)``
-    stencils from the cells and those rows in one ``take``, and hands them
-    to the reconstruction body, with no ghost frame, no ``GhostField`` and
-    no unstacking in between.  The fluxes go through :func:`_face_fluxes`
-    and :func:`_flux_balance` as in :func:`residual`, and every value is
+    The nonlinear march's right-hand side.  The stencil map of
+    :func:`_frame_rows` and the component-major normals are formed once;
+    each call then forms the ghost rows (:func:`_frame_sources`), gathers
+    the component-major ``(4, 4, faces)`` stencils from the ``(4, rows)``
+    table of the cells and those rows in one ``take``, and hands them to
+    the reconstruction body, with no ghost frame, no ``GhostField`` and no
+    unstacking in between.  The fluxes go through :func:`_face_fluxes` and
+    :func:`_flux_balance` as in :func:`residual`, and every value is
     bitwise the one :func:`fill_ghosts` plus :func:`residual` give.  The
     cells must match ``metrics``; the caller checks that once.
     """
     sides = [bc.side(side) for side in SIDES]
     _, stencil_rows, _ = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
+    normal = _normal_columns(metrics.face_normal)
 
     def evaluate(q: np.ndarray) -> np.ndarray:
-        stencils = _frame_sources(q, sides, metrics, gas).take(stencil_rows, axis=0)
+        stencils = _frame_sources(q, sides, metrics, gas).T.take(stencil_rows, axis=1)
         reconstruction = _reconstruct_stencil(stencils, scheme, gas)
-        return _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, scheme, solver, gas), metrics)
+        return _flux_balance(_face_fluxes(reconstruction, normal, scheme, solver, gas), metrics)
 
     return evaluate
 
 
 def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
-    """``(ni, nj, 4)`` ``dU/dt`` of every interior cell from the fluxes of a face batch (see :func:`_join_faces`)."""
-    flux_i, flux_j = _split_faces(flux, metrics.ni, metrics.nj)
-    lf_i = metrics.iface_len[..., None] * flux_i
-    lf_j = metrics.jface_len[..., None] * flux_j
-    net = lf_i[1:] - lf_i[:-1]
-    net += lf_j[:, 1:] - lf_j[:, :-1]
-    return -net / metrics.volume[..., None]
+    """``(ni, nj, 4)`` ``dU/dt`` of every interior cell from the component-major ``(4, faces)`` fluxes of a face batch.
+
+    The faces run in :func:`_join_faces` order.  The balance is formed
+    component-major and written through one transposed view into the
+    C-ordered result.
+    """
+    ni, nj = metrics.ni, metrics.nj
+    count = (ni + 1) * nj  # the i-faces, as in _split_faces
+    lf_i = metrics.iface_len * flux[:, :count].reshape(4, ni + 1, nj)
+    lf_j = metrics.jface_len * flux[:, count:].reshape(4, ni, nj + 1)
+    net = lf_i[:, 1:] - lf_i[:, :-1]
+    net += lf_j[:, :, 1:] - lf_j[:, :, :-1]
+    out = np.empty(metrics.volume.shape + (4,))
+    np.divide(-net, metrics.volume, out=out.transpose(2, 0, 1))
+    return out
 
 
-def _march_residual(
-    q: np.ndarray,
-    prim: np.ndarray,
+def _march_map(
     inflow: np.ndarray,
     p_exit: np.ndarray,
     metrics: GridMetrics,
     scheme: ReconstructionScheme,
     solver: str | Sequence[str],
     gas: GasModel,
-) -> np.ndarray:
-    """``dU/dt`` of the 1-D march's members on a one-row strip, from its i-faces alone.
+):
+    """``dU/dt`` of the 1-D march's members on a one-row strip, from its i-faces alone, as a function.
 
-    ``q`` is ``(ni, members, 4)``, member ``k``'s cells being ``q[:, k]``,
-    and ``prim`` is ``cons_to_prim(q)``; ``metrics`` is the ``ni x 1``
-    strip, periodic in ``j`` with two j-face rows of equal lengths and
-    normals.  ``inflow`` ``(members, 4)`` and
+    ``metrics`` is the ``ni x 1`` strip, periodic in ``j`` with two j-face
+    rows of equal lengths and normals.  ``inflow`` ``(members, 4)`` and
     ``p_exit`` ``(members,)`` hold each member's inflow state and exit
-    pressure, and ``solver`` is one name, or one name per member.  Each
-    member's frame takes two inflow ghosts on the left and two copies of
-    its last cell at the exit pressure on the right (the ghosts of
-    :func:`fill_ghosts`), converted back from the last cell's primitives
-    with the pressure replaced, which is the arithmetic of
-    :func:`_exit_pressure_state`.  The face batch is ``(members, ni + 1)``,
-    members outer: each member's i-faces are one row of it, so
-    :func:`~shockstab.numerics.riemann_flux` runs each solver on its own
-    members' rows, and the i-face normals broadcast over the members.
+    pressure, and ``solver`` is one name, or one name per member.  The
+    returned ``evaluate(q, prim)`` takes the ``(ni, members, 4)`` cells,
+    member ``k``'s cells being ``q[:, k]``, and ``prim = cons_to_prim(q)``.
+
+    The march's constants are formed here once: a component-major ``(4,
+    members, ni + 4)`` frame with each member's two inflow ghosts filled
+    for good, its stencils as a sliding-window view, the component-major
+    normals and the exit ghosts' pressure term.  Each call copies the cells
+    into the frame and puts two copies of each member's last cell at its
+    exit pressure on the right (the ghosts of :func:`fill_ghosts`),
+    converted back from the last cell's primitives with the pressure
+    replaced, which is the arithmetic of :func:`_exit_pressure_state`.  The
+    face batch is ``(members, ni + 1)``, members outer: each member's
+    i-faces are one row of it, so :func:`~shockstab.numerics.riemann_flux`
+    runs each solver on its own members' rows, and the i-face normals
+    broadcast over the members.
 
     Both j-faces of a strip cell see four copies of the cell under the same
     geometry, so their fluxes are bitwise equal and their difference is
@@ -573,14 +601,26 @@ def _march_residual(
     physical-state test, as the march keeps them, every member's result is
     bitwise that of :func:`residual` on its own frame.
     """
-    ni, members = q.shape[:2]
-    frame = np.empty((members, ni + 4, 4))
-    frame[:, :2] = inflow[:, None]
-    frame[:, 2:-2] = q.swapaxes(0, 1)
-    exit_prim = prim[-1].copy()
-    exit_prim[:, 3] = p_exit
-    frame[:, -2:] = prim_to_cons(exit_prim, gas)[:, None]
-    stencils = [frame[:, k : k + ni + 1] for k in range(4)]
-    flux = _face_fluxes(reconstruct_pair(*stencils, scheme, gas), metrics.iface_normal[:, 0], scheme, solver, gas)
-    lf = metrics.iface_len[:, 0, None] * flux
-    return (-(lf[:, 1:] - lf[:, :-1] + 0.0) / metrics.volume[:, 0, None]).swapaxes(0, 1)
+    ni, members = metrics.ni, len(inflow)
+    frame = np.empty((4, members, ni + 4))
+    frame[..., :2] = inflow.T[..., None]
+    stencils = sliding_window_view(frame, ni + 1, axis=-1).transpose(0, 2, 1, 3)  # (4, 4, members, ni + 1)
+    normal = _normal_columns(metrics.iface_normal[:, 0])
+    length, volume = metrics.iface_len[:, 0], metrics.volume[:, 0]
+    energy = p_exit / (gas.gamma - 1.0)
+
+    def evaluate(q: np.ndarray, prim: np.ndarray) -> np.ndarray:
+        frame[..., 2:-2] = q.T
+        rho, u, v = prim[-1, :, 0], prim[-1, :, 1], prim[-1, :, 2]
+        exit_ghost = np.array((rho, rho * u, rho * v, energy + 0.5 * rho * (u * u + v * v)))
+        frame[..., -2:] = exit_ghost[..., None]
+        # A C-ordered copy of the window view: the kernels' results follow their
+        # input's memory order, and the members' solver runs slice axis 1.
+        reconstruction = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
+        flux = _face_fluxes(reconstruction, normal, scheme, solver, gas)
+        lf = length * flux
+        out = np.empty((ni, members, 4))
+        np.divide(-(lf[..., 1:] - lf[..., :-1] + 0.0), volume, out=out.T)
+        return out
+
+    return evaluate

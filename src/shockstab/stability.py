@@ -43,6 +43,7 @@ from .numerics import (
     FD_STEP,  # noqa: F401 - still importable as stability.FD_STEP
     ReconstructionScheme,
     _central_difference,
+    _components_last,
     _reconstruct_stencil,
     reconstruct_pair,
     reconstruction_kink_flags,
@@ -61,7 +62,7 @@ from .residual import (
     _join_faces,
     _split_faces,
 )
-from .state import FlowField, GasModel
+from .state import FlowField, GasModel, _write_records
 
 __all__ = [
     "NEUTRAL_TOL",
@@ -183,7 +184,7 @@ def reconstruction_coefficients(
     def face_states(c: int, u: np.ndarray) -> np.ndarray:
         """Both face states with cell ``c`` replaced by the probes ``u``, the side axis next to last."""
         stencil = [u if k == c else np.broadcast_to(cell, u.shape) for k, cell in enumerate(cells)]
-        return np.moveaxis(reconstruct_pair(*stencil, scheme, gas).stack, 0, -2)
+        return np.moveaxis(reconstruct_pair(*stencil, scheme, gas).stack, (0, 1), (-1, -2))
 
     for c in range(4):
         jac = _central_difference(lambda u: face_states(c, u), cells[c])  # (..., side, 4, 4)
@@ -245,11 +246,13 @@ def assemble(
     :func:`~shockstab.residual.residual` evaluates (i-faces first): difference
     the flux against both reconstructed side states, difference the
     reconstruction against its four stencil cells, chain the two and map the
-    stencil cells through their ghost derivatives.  The stacked stencils
-    are gathered once from the cells and ghost rows, through the stencil map
-    of :func:`~shockstab.residual._frame_rows` as in the nonlinear march, and
-    feed the reconstruction, its coefficients and its kink flags; the same
-    map gives each stencil cell's source cell and ghost derivative.  Each
+    stencil cells through their ghost derivatives.  The component-major
+    stencils are gathered once from the cells and ghost rows, through the
+    stencil map of :func:`~shockstab.residual._frame_rows` as in the
+    nonlinear march; they feed the reconstruction, and their ``(faces, 4)``
+    views the public coefficient and kink-flag functions.  The same map
+    gives each stencil cell's source cell and ghost derivative; the
+    Jacobians and their ``einsum`` chain keep their layout.  Each
     cell row then takes the 4x4 blocks of its four faces
     (:func:`~shockstab.residual._cell_faces`): a face feeds the cell before
     it with ``-L/vol`` and the cell after it with ``+L/vol``.
@@ -263,8 +266,9 @@ def assemble(
     _check_metrics(base, metrics)
     sides = [bc.side(side) for side in SIDES]
     _, rows, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-    stencils = _frame_sources(base.q, sides, metrics, gas).take(rows, axis=0)
+    stencils = _frame_sources(base.q, sides, metrics, gas).T.take(rows, axis=1)  # (4, stencil cell, faces)
     reconstruction = _reconstruct_stencil(stencils, scheme, gas)
+    stencils = _components_last(stencils)  # the four (faces, 4) cells of the public functions
     left, right, fallback = reconstruction
     base_res = _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, scheme, solver, gas), metrics)
     base_residual_inf = float(np.max(np.abs(base_res)))
@@ -478,6 +482,21 @@ def spectral_radius_upper(matrix: sp.spmatrix) -> float:
     return float(np.sqrt(norm1 * norminf))
 
 
+def _frobenius_norm(matrix: sp.spmatrix) -> float:
+    """``|S|_F``, finite wherever the norm itself is.
+
+    The sum of the squares of ``S``'s entries overflows once they pass
+    about 1e154; the norm is then taken as ``s * |S / s|_F`` with ``s =
+    max|S|``.  Below that it is the plain norm, bit for bit.
+    """
+    data = matrix.tocsr().data
+    norm = float(np.linalg.norm(data))
+    if norm < np.inf:
+        return norm
+    scale = float(max(data.max(), -data.min()))
+    return scale * float(np.linalg.norm(data / scale)) if scale < np.inf else scale
+
+
 def max_real_eigenpair(
     matrix: sp.spmatrix,
     eigenvalues: np.ndarray | None = None,
@@ -489,7 +508,9 @@ def max_real_eigenpair(
     the slightly offset shift ``lambda + 1e-8`` (so the factored matrix is
     nonsingular), started from a seeded random vector, and is normalized so
     its largest-magnitude component equals 1 exactly.  Convergence requires
-    ``|S v - lambda v| <= 1e-8 * |S|_F * |v|``.
+    ``|S v - lambda v| <= 1e-8 * |S|_F * |v|``, with ``|S|_F`` formed as
+    :func:`_frobenius_norm` does, so that it stays finite where the sum of
+    the squared entries overflows.
     """
     if not sp.issparse(matrix):
         matrix = sp.csr_matrix(np.asarray(matrix, dtype=float))
@@ -507,7 +528,7 @@ def max_real_eigenpair(
         raise EigenSolveError(f"inverse-iteration factorization failed: {exc}") from exc
     # A residual that overflows or is NaN fails the test below; numpy stays quiet.
     with np.errstate(all="ignore"):
-        limit = 1.0e-8 * float(spla.norm(matrix.tocsr(), "fro"))
+        limit = 1.0e-8 * _frobenius_norm(matrix)
         best = None
         for _ in range(50):
             v = lu.solve(v)
@@ -543,8 +564,8 @@ def write_matrix(matrix: sp.spmatrix, path) -> None:
         # Blocks of records: Python lists of every entry would raise peak memory.
         for start in range(0, coo.nnz, 4096):
             block = order[start:start + 4096]
-            records = zip(coo.row[block].tolist(), coo.col[block].tolist(), coo.data[block].tolist())
-            fh.writelines(f"{r} {c} {v:.17g}\n" for r, c, v in records)
+            _write_records(fh, "%d %d %.17g\n", coo.row[block].tolist(), coo.col[block].tolist(),
+                           coo.data[block].tolist())
 
 
 def read_matrix(path) -> sp.csr_matrix:

@@ -80,15 +80,17 @@ def prim_to_cons(prim: np.ndarray, gas: GasModel) -> np.ndarray:
 
 
 def _primitive_columns(cons: np.ndarray, gas: GasModel):
-    """``rho, u, v, p`` of conservative states as separate arrays.
+    """``rho, u, v, p`` of component-major conservative states ``(4, ...)`` as separate arrays.
 
-    Zero density gives inf/nan rather than an error; the caller sets the
-    floating-point error state, once for all the work it does with the result.
+    States stored ``(..., 4)`` pass their reversed view ``cons.T``; the
+    columns then come out reversed too.  Zero density gives inf/nan rather
+    than an error; the caller sets the floating-point error state, once for
+    all the work it does with the result.
     """
-    rho = cons[..., 0]
-    u = cons[..., 1] / rho
-    v = cons[..., 2] / rho
-    p = (gas.gamma - 1.0) * (cons[..., 3] - 0.5 * rho * (u * u + v * v))
+    rho = cons[0]
+    u = cons[1] / rho
+    v = cons[2] / rho
+    p = (gas.gamma - 1.0) * (cons[3] - 0.5 * rho * (u * u + v * v))
     return rho, u, v, p
 
 
@@ -96,8 +98,9 @@ def cons_to_prim(cons: np.ndarray, gas: GasModel) -> np.ndarray:
     """Convert ``(rho, rho*u, rho*v, E)`` to ``(rho, u, v, p)``."""
     cons = np.asarray(cons, dtype=float)
     prim = np.empty_like(cons)
+    columns = prim.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3] = _primitive_columns(cons, gas)
+        columns[0], columns[1], columns[2], columns[3] = _primitive_columns(cons.T, gas)
     return prim
 
 
@@ -231,7 +234,7 @@ def _checked_cons(prim: np.ndarray, gas: GasModel) -> tuple[np.ndarray, int]:
     overflows or swamps their pressure."""
     with np.errstate(over="ignore", invalid="ignore"):
         cons = prim_to_cons(prim, gas)
-        rho, _, _, p = _primitive_columns(cons, gas)
+        rho, _, _, p = _primitive_columns(cons.T, gas)
         return cons, int(np.sum(~_physical_state(rho, p)))
 
 
@@ -257,6 +260,23 @@ def read_flow_files(prefix: str, ni: int, nj: int, gas: GasModel = GasModel()) -
     return FlowField(q=_flow_file_cons(read_prim_files(prefix, ni, nj), prefix, gas))
 
 
+def _write_records(fh, record: str, *columns) -> None:
+    """Write one ``record % fields`` line per entry of the equal-length ``columns``, one ``%`` per 4,096 records.
+
+    ``%.17g`` and ``{:.17g}`` share CPython's float formatter (signed zeros,
+    ``inf`` and ``nan`` included), and ``%d`` prints a Python int as
+    ``{}`` does, so the text is that of one f-string per record; the blocks
+    bound the text held at once.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), 4096):
+        block = [column[start:start + 4096] for column in columns]
+        fields = [None] * (width * len(block[0]))
+        for k, column in enumerate(block):
+            fields[k::width] = column
+        fh.write(record * len(block[0]) % tuple(fields))
+
+
 def write_prim_files(prim: np.ndarray, prefix: str) -> None:
     """Write a primitive ``(ni, nj, 4)`` array as four one-column files.
 
@@ -266,7 +286,7 @@ def write_prim_files(prim: np.ndarray, prefix: str) -> None:
     """
     for k, path in enumerate(flow_file_paths(prefix)):
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(f"{v:.17g}\n" for v in prim[:, :, k].T.ravel().tolist())  # i fastest
+            _write_records(fh, "%.17g\n", prim[:, :, k].T.ravel().tolist())  # i fastest
 
 
 def write_flow_files(field: FlowField, prefix: str, gas: GasModel = GasModel()) -> None:

@@ -348,6 +348,17 @@ class TestMainAnalysis:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "mode_rho.dat").exists()
 
+    def test_degenerate_domain_error_names_a_finite_norm(self, tmp_path, capsys):
+        # S's entries near 1e300 overflow the sum of squares behind |S|_F;
+        # the stall message quotes the scaled, finite norm.
+        out = tmp_path / "out"
+        text = ("test_case = normal_shock\ngrid = 6x6\nmach = 3\nepsilon = 0.1\nsolver = hllc\n"
+                f"domain = 0,1e-300,0,1\noutput_dir = {out}\n")
+        assert cli.main([self.write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: inverse iteration stalled: residual nan exceeds 1e-8 * |S|_F = ")
+        assert np.isfinite(float(err.rsplit("= ", 1)[1]))
+
     @pytest.mark.parametrize("extra,method", [
         ("", "transverse_fourier"),
         ("bc_bottom = slip_wall\nbc_top = slip_wall\n", "dense"),

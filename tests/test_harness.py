@@ -1,5 +1,7 @@
 """1-D base-flow driver, time marching, and growth-rate fitting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -145,7 +147,7 @@ class TestBatchMarch:
     @pytest.mark.parametrize("solver", ["godunov", ["roe", "godunov"]])
     def test_unknown_solver_rejected_before_any_step(self, solver, monkeypatch):
         steps = []
-        monkeypatch.setattr(harness, "_march_residual", lambda *args: steps.append(args))
+        monkeypatch.setattr(harness, "_march_map", lambda *args: steps.append(args))
         mach = [2.0, 3.0] if isinstance(solver, list) else 2.0
         with pytest.raises(StateError, match="^unknown solver 'godunov'; choose one of "):
             solve_1d_steady(11, mach, 0.1, 10, FIRST, solver)
@@ -579,3 +581,76 @@ class TestNormByDotProduct:
         reference = evolve_nonlinear(*args, steps=60)
         assert series.log_norm.tobytes() == reference.log_norm.tobytes()
         assert series.t.tobytes() == reference.t.tobytes()
+
+
+#: ``(q, residual_history)`` sha256 digests of each member of the ``sweep_small``
+#: batch (11 cells, 500 steps, MUSCL/van Albada, epsilon 0.1), in the sweep's
+#: order (each solver's members adjacent), recorded before the face kernels
+#: moved to the component-major layout.  The march uses only + - * / sqrt,
+#: min/max and selects, so the bytes hold on any IEEE machine.
+PINNED_SWEEP_MARCH_DIGESTS = {
+    (3.0, "hll"): (
+        "56e34b2295b37706be679e20c4453e6fe6da2fe41731640a35ef895291ba68f6",
+        "0513bb2f9955765a9a3698b8213200a0019ac233c468c73b44b83407915fede3",
+    ),
+    (20.0, "hll"): (
+        "ee4f779649dbebae24db7341cb4712dcd7ff0b9ce1ca368da790a9e2548c8249",
+        "a851069712dd2c8db37d641b8181c6ef698ff5073422263d5a681f33c8c1a8dd",
+    ),
+    (3.0, "hllc"): (
+        "027c3beb8f1f3377ff34bd359f02c806d019cad335efd903ba93fedfafdf91d0",
+        "0fd6eaee41b674228eadd8c1aa474d2b75afddd0d1420fa6e17a2da47451ef78",
+    ),
+    (20.0, "hllc"): (
+        "658b47b06b813e9d6c1fb1a704c2b85f84dd7031e8d35312f6dfe8d6fffe3a37",
+        "b4c5bea0756f21636fcaede583091bc3cd61bc0a01e8d6fc137c173b4887e82c",
+    ),
+    (3.0, "ausm_plus"): (
+        "68d6f0c3da47cf0b8a20e80079ec1086a372d8efb8c13d6e6b130a72d494ff38",
+        "6537ac25f2e9c399b0c7c78d1cf4b6e576333ddfcc2635f2fe55b5b57e0ad02f",
+    ),
+    (20.0, "ausm_plus"): (
+        "9f05ba865f0231f2a0cb9e681a7e68bb42ac8ea0ed485f8bc634c8b6a56fef28",
+        "30a8d4f5ca8c3c091e080e8aea22add7e99b31865f9e44f4406b29f00b6244ca",
+    ),
+    (3.0, "slau"): (
+        "c00a76ecf2e6697d62ab441720ae53600644d77c9e374b18d1a7223b1ce32496",
+        "a96a712fa253521547138a848bff854d44c8bbd53d6321cae607498d77cfb87d",
+    ),
+    (20.0, "slau"): (
+        "9b7789e96f07bff2da64dacb282bd81ba849af26e287692d2ccfed2637d77dbe",
+        "edc31331e94578abfd7fad164e762a7ac50820195e3726cd8a774251711f96f4",
+    ),
+}
+
+#: sha256 of ``series.t`` of two nonlinear marches on their own 5x5 bases at
+#: M=20, epsilon 0.1 (default 2000-step 1-D base, seed 20230614): every time
+#: step is a minimum over the march's state, so a changed bit anywhere in the
+#: march shows up in ``t``.
+PINNED_NONLINEAR_T_DIGESTS = {
+    ("hllc", "muscl", 600): "971ef6e567fc3937fb0123f3ef2ca72e8d3efd8b73f7ab8a7fc18550d041ec60",
+    ("roe", "round", 100): "ba502c51137feeb0fe25b03750849141ac06099f6ece9290a79810fd9939e7df",
+}
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+class TestPinnedMarchBytes:
+    """Byte gates on whole marches: the 1-D batch of ``sweep_small`` and two nonlinear cross-checks."""
+
+    def test_sweep_batch_members(self):
+        machs, solvers = zip(*PINNED_SWEEP_MARCH_DIGESTS)
+        batch = solve_1d_steady(11, list(machs), 0.1, 500, MUSCL, list(solvers))
+        got = {key: (sha256(r.q), sha256(r.residual_history)) for key, r in zip(PINNED_SWEEP_MARCH_DIGESTS, batch)}
+        assert got == PINNED_SWEEP_MARCH_DIGESTS
+
+    @pytest.mark.parametrize("solver,kind,steps", sorted(PINNED_NONLINEAR_T_DIGESTS))
+    def test_nonlinear_time_axis(self, solver, kind, steps):
+        scheme = ReconstructionScheme(kind=kind, limiter="van_albada")
+        base, _ = make_base_flow(5, 5, 20.0, 0.1, scheme, solver)
+        metrics = compute_metrics(make_cartesian_grid(5, 5))
+        series = evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, scheme, solver, GAS, steps=steps)
+        assert len(series.t) == steps + 1 and not series.diverged
+        assert sha256(series.t) == PINNED_NONLINEAR_T_DIGESTS[solver, kind, steps]

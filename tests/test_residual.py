@@ -17,7 +17,7 @@ from shockstab.residual import (
     _frame_rows,
     _frame_source_jacobian,
     _frame_sources,
-    _march_residual,
+    _march_map,
     _split_faces,
     _stencil_rows,
     face_reconstruction,
@@ -442,8 +442,7 @@ class TestResidual:
             ReconstructionScheme(kind="muscl", limiter="van_albada"),
             ReconstructionScheme(kind="round", variables="primitive"),
         ):
-            res = _march_residual(q, prim, np.stack([bc.left.state for bc in bcs]), p_exit, metrics, scheme,
-                                  solvers, GAS)
+            res = _march_map(np.stack([bc.left.state for bc in bcs]), p_exit, metrics, scheme, solvers, GAS)(q, prim)
             for k, (solver, bc) in enumerate(zip(solvers, bcs)):
                 assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
 
@@ -974,7 +973,7 @@ def march_residual(q, bcs, metrics, scheme, solver):
     """The 1-D march's residual of the ``(ni, members, 4)`` state ``q``, member ``k`` under ``bcs[k]``."""
     inflow = np.stack([bc.left.state for bc in bcs])
     p_exit = np.array([bc.right.pressure for bc in bcs])
-    return _march_residual(q, cons_to_prim(q, GAS), inflow, p_exit, metrics, scheme, solver, GAS)
+    return _march_map(inflow, p_exit, metrics, scheme, solver, GAS)(q, cons_to_prim(q, GAS))
 
 
 def own_residual(cells, bcs, metrics, scheme, solver):
@@ -1153,6 +1152,8 @@ class TestStripBranch:
         # The march builds no 2-D ghost frame and calls no 2-D residual; each
         # step, and the final residual, makes one reconstruction and one flux
         # call over the members' i-faces alone, one row of faces per member.
+        # The reconstruction takes the component-major stencil view of the
+        # march's frame.
         # The harness imports neither name, so both are patched where they
         # are defined, and in the harness in case it comes to import them.
         import importlib
@@ -1165,13 +1166,14 @@ class TestStripBranch:
 
             monkeypatch.setattr(importlib.import_module("shockstab.residual"), name, fail)
             monkeypatch.setattr(harness, name, fail, raising=False)
-        pairs = counting(monkeypatch, "reconstruct_pair")
+        pairs = counting(monkeypatch, "_reconstruct_stencil")
         fluxes = counting(monkeypatch, "riemann_flux")
         ni, steps, solvers = 9, 5, ["hll", "hllc", "hllc"]
         harness.solve_1d_steady(ni, [3.0, 6.0, 20.0], 0.4, steps, PINNED_SCHEMES["muscl_van_albada"], solvers)
         assert len(pairs) == len(fluxes) == steps + 1
         for (pair_args, _), (flux_args, _) in zip(pairs, fluxes):
-            assert pair_args[0].shape == flux_args[1].shape == (len(solvers), ni + 1, 4)
+            assert pair_args[0].shape == (4, 4, len(solvers), ni + 1)
+            assert flux_args[1].shape == (len(solvers), ni + 1, 4)
 
     def test_strip_equals_the_two_family_path(self):
         # The march's i-face residual equals residual() on each member's own

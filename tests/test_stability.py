@@ -414,6 +414,33 @@ class TestEigensolve:
         with pytest.raises(EigenSolveError, match="inverse iteration stalled: residual nan"):
             max_real_eigenpair(m)
 
+    def separated_matrix(self):
+        """A 6x6 matrix whose leading eigenvalue (about 2.4) stands well clear of the rest."""
+        a = np.random.default_rng(3).standard_normal((6, 6)) - 3.0 * np.eye(6)
+        a[0, 0] = 2.0
+        return a
+
+    def test_max_real_eigenpair_on_entries_past_the_square_overflow(self):
+        # Entries near 1e155 overflow the sum of squares behind |S|_F; the
+        # scaled norm keeps the limit finite and the pair is that of the
+        # unscaled matrix.  (At 1e200 the iterates' own norms underflow, as
+        # the shift's 1e-8 drowns in the eigenvalue's rounding error.)
+        a = self.separated_matrix()
+        small, large = max_real_eigenpair(a), max_real_eigenpair(1e155 * a)
+        assert large.eigenvalue / 1e155 == pytest.approx(small.eigenvalue, rel=1e-12)
+        assert np.allclose(large.vector, small.vector, rtol=0.0, atol=1e-8)
+        assert large.residual <= 1e-8 * 1e155 * np.linalg.norm(a)
+
+    def test_max_real_eigenpair_detects_a_stall_on_large_entries(self):
+        # An eigenvalue off by 1e-3 can never meet the limit; with |S|_F
+        # overflowing to inf every finite residual used to pass.
+        a = 1e155 * self.separated_matrix()
+        lam = eigensolve(a)[0]
+        with pytest.raises(EigenSolveError, match="inverse iteration stalled") as info:
+            max_real_eigenpair(a, eigenvalues=np.array([lam * (1.0 + 1e-3)]))
+        limit = float(str(info.value).rsplit("= ", 1)[1])
+        assert limit == pytest.approx(1e-8 * 1e155 * np.linalg.norm(a / 1e155), rel=1e-5)  # printed with %g
+
     def test_leading_reports_an_arpack_error(self):
         # ARPACK cannot build an Arnoldi factorization here (info -9999).
         m = sp.random(40, 40, density=0.2, random_state=1, format="csr") * 1e300 - 3e300 * sp.identity(40)

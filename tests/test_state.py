@@ -99,7 +99,7 @@ class TestConversions:
         # rho, leaves p NaN or -inf.
         cons = np.array(rows, dtype=float)
         with np.errstate(all="ignore"):
-            rho, u, v, p = _primitive_columns(cons, GAS)
+            rho, u, v, p = _primitive_columns(cons.T, GAS)
             full = np.isfinite(rho) & np.isfinite(u) & np.isfinite(v) & np.isfinite(p) & (rho > 0.0) & (p > 0.0)
             short = _physical_state(rho, p)
             assert np.array_equal(short, full)
