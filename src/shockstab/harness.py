@@ -24,17 +24,17 @@ import scipy.sparse as sp
 
 from .errors import EvolutionError, FitError, StateError
 from .mesh import GridMetrics, compute_metrics, make_cartesian_grid
-from .numerics import ReconstructionScheme, _solver_kernel
+from .numerics import ReconstructionScheme, _components_first, _components_last, _solver_kernel
 from .residual import BoundaryConditionSet, _check_metrics, _march_map, _residual_map, normal_shock_bcs
 from .stability import spectral_radius_upper
 from .state import (
     FlowField,
     GasModel,
     _physical_state,
+    _primitive_columns,
+    _sound_speed,
     _write_records,
-    cons_to_prim,
     init_normal_shock_rh,
-    sound_speed,
 )
 
 __all__ = [
@@ -101,14 +101,24 @@ def local_wave_speed_sums(prim: np.ndarray, metrics: GridMetrics, gas: GasModel)
     """Per-cell sum from primitive states of ``L * (|q_n| + a)`` over all four faces.
 
     ``prim`` is the ``(ni, nj, 4)`` primitive field, or any primitive
-    states that broadcast against the ``(ni, nj)`` cells: the 1-D march
-    passes its ``(ni, members, 4)`` members against its ``ni x 1`` strip.
-    Uses the cell's own state on every face; this is the standard local
-    estimate behind CFL-based time steps.
+    states that broadcast against the ``(ni, nj)`` cells.  Uses the cell's
+    own state on every face; this is the standard local estimate behind
+    CFL-based time steps.
     """
-    a = sound_speed(prim, gas)
-    u, v = prim[..., 1], prim[..., 2]
-    length, nx, ny = metrics.cell_faces
+    prim = np.asarray(prim, dtype=float)
+    return _wave_speed_sums((prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]), metrics.cell_faces, gas)
+
+
+def _wave_speed_sums(prim, faces, gas: GasModel) -> np.ndarray:
+    """:func:`local_wave_speed_sums` of the primitive columns ``prim = (rho, u, v, p)``.
+
+    ``faces`` is :attr:`~shockstab.mesh.GridMetrics.cell_faces`, or views of
+    it whose last three axes broadcast against the columns: the marches
+    pass the columns of their component-major states.
+    """
+    rho, u, v, p = prim
+    a = _sound_speed(rho, p, gas)
+    length, nx, ny = faces
     terms = length * (np.abs(u * nx + v * ny) + a)
     # Summed face by face in GridMetrics.cell_faces order.
     return terms[0] + terms[1] + terms[2] + terms[3]
@@ -133,15 +143,20 @@ def solve_1d_steady(
     :func:`~shockstab.residual._march_map` fluxes its i-faces alone,
     bitwise as :func:`~shockstab.residual.residual` would on each member's
     own frame; its frame, stencil view and normals are formed once per
-    march (again only when a member drops out).  Forward Euler with
-    per-cell CFL time steps is applied for exactly ``steps`` iterations (no
-    early exit); the final residual norm is reported so the caller can
-    judge convergence.
+    march (again only when a member drops out).  The members' state is
+    component-major, ``(4, members, ni)``, and lives in that frame's
+    interior: each step adds its update there in place and splits the
+    state into primitive columns once
+    (:func:`~shockstab.state._primitive_columns`), which serve the
+    physical-state check, the next time step and the next exit ghost.
+    Forward Euler with per-cell CFL time steps is applied for exactly
+    ``steps`` iterations (no early exit); the final residual norm is
+    reported so the caller can judge convergence.
 
     Batch form: any of ``mach``, ``epsilon``, ``solver`` and ``shock_col``
     may be a sequence with one entry per member, and a scalar applies to
     every member.  The members share ``ni``, ``steps``, ``scheme``, ``gas``
-    and ``cfl``; they march as one ``(ni, members, 4)`` state, each member
+    and ``cfl``; they march as one state, each member
     with its own inflow state, exit pressure and solver.  Every step makes
     one reconstruction and one flux call for all members; only each
     solver's wave model runs per solver, on the contiguous face rows of its
@@ -180,41 +195,57 @@ def solve_1d_steady(
     bcs = [normal_shock_bcs(m, gas) for m, *_ in members]
     inflow = np.stack([bc.left.state for bc in bcs])
     p_exit = np.array([bc.right.pressure for bc in bcs])
-    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q[:, 0] for m, e, c, _ in members], axis=1)
-    cfl_volume = cfl * metrics.volume
+    q = np.stack([init_normal_shock_rh(ni, 1, m, e, shock_col=c, gas=gas).q[:, 0] for m, e, c, _ in members])
+    # The strip's (4, ni, 1) face arrays against the (members, ni) columns.
+    faces = [a.transpose(0, 2, 1) for a in metrics.cell_faces]
+    cfl_volume = cfl * metrics.volume[:, 0]
     history = np.empty((steps, count))
     outcome: list = [None] * count
     live = np.arange(count)
-    prim = cons_to_prim(q, gas)
-    march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
+    cells, march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
+    cells[...] = q.transpose(2, 0, 1)
+    prim = _march_primitives(cells, gas)
     for step in range(steps):
-        res = march(q, prim)
+        res = march(prim)
         history[step, live] = np.abs(res).max(axis=(0, 2))
-        dt = cfl_volume / local_wave_speed_sums(prim, metrics, gas)
-        q += dt[..., None] * res
+        res *= cfl_volume / _wave_speed_sums(prim, faces, gas)
+        cells += res
         # One conversion per step serves this check, the next time step and
         # the next exit ghost.
-        prim = cons_to_prim(q, gas)
-        physical = _physical_state(prim[..., 0], prim[..., 3]).all(axis=0)
+        prim = _march_primitives(cells, gas)
+        physical = _physical_state(prim[0], prim[3]).all(axis=1)
         if not physical.all():
             for k in live[~physical]:
                 outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
             live = live[physical]
             if live.size == 0:
                 break
-            q, prim, inflow, p_exit = q[:, physical], prim[:, physical], inflow[physical], p_exit[physical]
+            inflow, p_exit = inflow[physical], p_exit[physical]
             live_solvers = [solvers[k] for k in live]
-            march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
+            kept = cells[:, physical]
+            cells, march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
+            cells[...] = kept
+            prim = _march_primitives(cells, gas)
     if live.size:
-        final = np.abs(march(q, prim)).max(axis=(0, 2))
+        final = np.abs(march(prim)).max(axis=(0, 2))
         for pos, k in enumerate(live):
-            outcome[k] = OneDResult(q=q[:, pos].copy(), residual_inf=float(final[pos]),
+            outcome[k] = OneDResult(q=cells[:, pos].T.copy(), residual_inf=float(final[pos]),
                                     residual_history=history[:, k].copy())
     if sizes:  # the batch form
         return outcome
     if isinstance(outcome[0], EvolutionError):
         raise outcome[0]
     return outcome[0]
+
+
+def _march_primitives(cells: np.ndarray, gas: GasModel):
+    """The primitive columns ``(rho, u, v, p)`` of a march's component-major cells, as ``cons_to_prim`` forms them.
+
+    ``rho`` is the view ``cells[0]``: the columns describe the cells only
+    until the march next writes them.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _primitive_columns(cells, gas)
 
 
 def project_1d_to_2d(oned: OneDResult | np.ndarray, nj: int) -> FlowField:
@@ -367,12 +398,16 @@ def evolve_nonlinear(
     up (non-physical or non-finite state) truncates the series and marks it
     diverged — for this analysis that is itself an instability verdict.
 
-    Each RK4 stage evaluates the residual through
-    :func:`~shockstab.residual._residual_map`, whose frame and stencil maps
-    are looked up once per march: the stage forms its few ghost rows and
-    gathers its stencils in one take from the cells and those rows, with
-    no ghost frame (no :func:`~shockstab.residual.fill_ghosts` or
+    The march keeps its state component-major, ``(4, ni, nj)``.  Each RK4
+    stage writes its state (``q + c dt k``) straight into the cells block of
+    the persistent ghost table of
+    :func:`~shockstab.residual._residual_map`, formed once per march; the
+    evaluation rewrites only the ghost rows that depend on cells and
+    gathers its stencils in one take from the table, with no ghost frame
+    (no :func:`~shockstab.residual.fill_ghosts` or
     :func:`~shockstab.residual.residual` call), bitwise as those two would.
+    The deviation norm sums ``q - q_base`` in the ``(i, j, component)``
+    order of the base field.
     A step makes four flux calls.
 
     ``steps < 1``, a non-finite or non-positive ``cfl`` or ``amplitude``,
@@ -394,7 +429,14 @@ def evolve_nonlinear(
     deviation = _norm(q - q_ref)
     if deviation == 0.0:
         raise EvolutionError(f"initial perturbation is zero: amplitude {amplitude:g} is lost against the base flow")
-    rhs = _residual_map(bc, metrics, scheme, solver, gas)
+    q = np.ascontiguousarray(_components_first(q))
+    cells, rhs = _residual_map(bc, metrics, scheme, solver, gas)
+    diff = np.empty(q_ref.shape)  # q - q_ref in the (i, j, component) order the norm sums in
+
+    def stage(c: float, k: np.ndarray) -> np.ndarray:
+        """The right-hand side at the stage state ``q + c k``, written into the cells block."""
+        np.add(q, np.multiply(c, k, out=cells), out=cells)
+        return rhs()
 
     t = 0.0
     ts = [0.0]
@@ -402,19 +444,20 @@ def evolve_nonlinear(
     diverged = truncated = False
     for _ in range(steps):
         try:
-            prim = cons_to_prim(q, gas)
-            if not np.all(_physical_state(prim[..., 0], prim[..., 3])):
+            prim = _march_primitives(q, gas)
+            if not np.all(_physical_state(prim[0], prim[3])):
                 raise StateError("non-physical state")
-            dt = cfl * float(np.min(metrics.volume / local_wave_speed_sums(prim, metrics, gas)))
-            k1 = rhs(q)
-            k2 = rhs(q + 0.5 * dt * k1)
-            k3 = rhs(q + 0.5 * dt * k2)
-            k4 = rhs(q + dt * k3)
-            q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            dt = cfl * float(np.min(metrics.volume / _wave_speed_sums(prim, metrics.cell_faces, gas)))
+            cells[...] = q
+            k1 = rhs()
+            k2 = stage(0.5 * dt, k1)
+            k3 = stage(0.5 * dt, k2)
+            k4 = stage(dt, k3)
+            q += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except StateError:
             diverged = True
             break
-        dev = _norm(q - q_ref)
+        dev = _norm(np.subtract(_components_last(q), q_ref, out=diff))
         if not math.isfinite(dev) or dev == 0.0:
             diverged = True
             break

@@ -14,38 +14,43 @@ is embedded in an extended array with two ghost layers per side.  Corner
 ghosts are never read by the axis-aligned stencils; they are filled with
 copies of adjacent ghosts only to keep the array finite.  Most ghosts are
 copies of interior cells (periodic and zero-gradient sides); the rest are a
-few *ghost rows* formed from the boundary cells, :func:`_frame_sources`: one
-inflow state per inflow side, one exit-pressure state per boundary cell, two
-mirrored states per slip-wall boundary cell.  One table cached per grid size
-and side kinds, :func:`_frame_rows`, points every frame cell into the cells
-followed by those rows and names each row's source cell, so
-:func:`fill_ghosts` and :func:`ghost_dependency` are gathers through it.
+few *ghost rows* formed from the boundary cells: one inflow state per inflow
+side, one exit-pressure state per boundary cell, two mirrored states per
+slip-wall boundary cell.  :func:`_ghost_table` holds the cells and those
+rows as one component-major ``(4, rows)`` table and rewrites the rows that
+depend on cells in place.  One map cached per grid size and side kinds,
+:func:`_frame_rows`, points every frame cell into that table and names each
+row's source cell, so :func:`fill_ghosts` and :func:`ghost_dependency` are
+gathers through it.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
 fluxes back into the ``(ni+1, nj)`` and ``(ni, nj+1)`` family shapes.
 
 The face kernels work on component-major batches (see
-:mod:`shockstab.numerics`); cell states keep their ``(ni, nj, 4)`` layout.
-The nonlinear march's right-hand side, :func:`_residual_map`, skips the
-frame: the same map composed with the stencil rows takes each stage's
-component-major ``(4, 4, faces)`` stencils in one gather from the ``(4,
-rows)`` table of the cells and the ghost rows and hands them straight to
-the reconstruction body, with the bits of :func:`fill_ghosts` plus
-:func:`residual` (the frame-based reference path).  :func:`_flux_balance`
-takes the ``(4, faces)`` fluxes and writes the ``(ni, nj, 4)`` balance
-through one transposed view.  :func:`shockstab.stability.assemble`
-linearizes the same one-take batch, reading each stencil cell's source
-cell and ghost derivative through the same map, and scatters into each
-cell the faces :func:`_cell_faces` lists.
+:mod:`shockstab.numerics`), and so do both explicit marches' states; the
+public functions keep the ``(ni, nj, 4)`` layout.  The nonlinear march's
+right-hand side, :func:`_residual_map`, skips the frame: it owns one ghost
+table for the whole march, whose ``(4, ni, nj)`` cells block the march
+writes each stage's state into.  Each evaluation rewrites the exit-pressure
+and slip-wall rows, takes the component-major ``(4, 4, faces)`` stencils in
+one gather from the contiguous table and hands them straight to the
+reconstruction body, with the bits of :func:`fill_ghosts` plus
+:func:`residual` (the frame-based reference path).
+:func:`_flux_balance` takes the ``(4, faces)`` fluxes and returns the
+component-major ``(4, ni, nj)`` balance.
+:func:`shockstab.stability.assemble` linearizes the same one-take batch,
+reading each stencil cell's source cell and ghost derivative through the
+same map, and scatters into each cell the faces :func:`_cell_faces` lists.
 
 The 1-D base march has a residual of its own, :func:`_march_map`: a batch
 of members on a one-row strip periodic in ``j``, whose j-faces carry the
 cell states on both sides and cancel exactly, so it fluxes the i-faces
-alone.  It forms its ``(4, members, ni + 4)`` frame once per march and
-reads its stencils as a sliding-window view of it.  All three residuals
-share :func:`_face_fluxes`, which decides where the flux must re-test the
-face states.
+alone.  It forms its ``(4, members, ni + 4)`` frame once per march; the
+members' states live in the frame's interior, which the march updates in
+place, and the stencils are a sliding-window view of the frame.  All three
+residuals share :func:`_face_fluxes`, which decides where the flux must
+re-test the face states.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from .numerics import (
     ReconstructionScheme,
     _central_difference,
     _components_first,
+    _components_last,
     _reconstruct_stencil,
     reconstruct_pair,
     riemann_flux,
@@ -205,36 +211,41 @@ class GhostField:
         return self.ext[2:-2, 2:-2]
 
 
-def _mirror_momentum(cells: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Reflect cell momentum about a wall with unit normal ``normal``.
+def _mirror_momentum(cells: np.ndarray, normal: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reflect the momentum of component-major cells ``(4, ...)`` about a wall with unit normal ``normal`` ``(2, ...)``.
 
     Density and total energy are unchanged: the reflection preserves kinetic
-    energy exactly.
+    energy exactly.  The result is written to ``out`` when it is given.
     """
-    out = cells.copy()
-    nx, ny = normal[..., 0], normal[..., 1]
-    mn = cells[..., 1] * nx + cells[..., 2] * ny
-    out[..., 1] = cells[..., 1] - 2.0 * mn * nx
-    out[..., 2] = cells[..., 2] - 2.0 * mn * ny
+    if out is None:
+        out = np.empty(cells.shape)
+    nx, ny = normal
+    mn = cells[1] * nx + cells[2] * ny
+    out[0] = cells[0]
+    out[1] = cells[1] - 2.0 * mn * nx
+    out[2] = cells[2] - 2.0 * mn * ny
+    out[3] = cells[3]
     return out
 
 
-def _exit_pressure_state(cells: np.ndarray, pressure: float | np.ndarray, gas: GasModel) -> np.ndarray:
-    """Conservative ``cells`` with their pressure replaced by ``pressure``.
+def _exit_pressure_state(cells: np.ndarray, pressure: float | np.ndarray, gas: GasModel,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Component-major conservative ``cells`` ``(4, ...)`` with their pressure replaced by ``pressure``.
 
     The arithmetic of ``prim_to_cons`` applied to the cells' primitive state
     with its pressure column overwritten; the pressure it would overwrite is
-    never formed.
+    never formed.  The result is written to ``out`` when it is given.
     """
-    out = np.empty(cells.shape)
-    rho = cells[..., 0]
+    if out is None:
+        out = np.empty(cells.shape)
+    rho = cells[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = cells[..., 1] / rho
-        v = cells[..., 2] / rho
-    out[..., 0] = rho
-    out[..., 1] = rho * u
-    out[..., 2] = rho * v
-    out[..., 3] = pressure / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+        u = cells[1] / rho
+        v = cells[2] / rho
+    out[0] = rho
+    out[1] = rho * u
+    out[2] = rho * v
+    out[3] = pressure / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
     return out
 
 
@@ -265,15 +276,15 @@ def _side_views(frame: np.ndarray, ghosts: int = 2):
 
 
 def _wall_normal(metrics: GridMetrics, side: str) -> np.ndarray:
-    """Unit normals ``(n, 2)`` of a side's boundary faces, in :func:`_side_views` order."""
+    """Component-major unit normals ``(2, n)`` of a side's boundary faces, in :func:`_side_views` order."""
     if side in ("left", "right"):
-        return metrics.iface_normal[0 if side == "left" else metrics.ni]
-    return metrics.jface_normal[:, 0 if side == "bottom" else metrics.nj]
+        return metrics.iface_normal[0 if side == "left" else metrics.ni].T
+    return metrics.jface_normal[:, 0 if side == "bottom" else metrics.nj].T
 
 
 @lru_cache(maxsize=32)
 def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
-    """Read-only maps of every frame cell, and of every face's stencil, into :func:`_frame_sources`.
+    """Read-only maps of every frame cell, and of every face's stencil, into the rows of :func:`_ghost_table`.
 
     ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
     ``(frame, stencils, sources)``: the ``(ni + 4, nj + 4)`` frame map, the
@@ -310,28 +321,56 @@ def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
     return frame, stencils, sources
 
 
+def _ghost_table(sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel):
+    """The component-major ``(4, rows)`` table that :func:`_frame_rows` indexes, and how to keep its ghost rows.
+
+    ``sides`` holds the boundary conditions in :data:`SIDES` order.  The
+    table holds the ``(ni, nj)`` cells in C order, then per side the ghost
+    rows that are not copies of cells: an inflow side its state as one row,
+    an exit-pressure side the ghost of each boundary cell
+    (:func:`_exit_pressure_state`), a slip wall two mirrored rows per
+    boundary cell (:func:`_mirror_momentum`), the outer layer (from the
+    second cell in) first.  Returns ``(table, cells, refresh)``: the table
+    with its inflow rows written, its cells block as a ``(4, ni, nj)`` view
+    for the caller to fill, and ``refresh()``, which rewrites the other
+    ghost rows in place from the cells block.
+    """
+    ni, nj = metrics.ni, metrics.nj
+    _, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    table = np.empty((4, sources.size))
+    cells = table[:, : ni * nj].reshape(4, ni, nj)
+    updates = []
+    start = ni * nj
+    for side, bc, view in zip(SIDES, sides, _side_views(_components_last(cells), ghosts=0)):
+        count = view.shape[1]
+        if bc.kind == "supersonic_inflow":
+            table[:, start] = bc.state
+            start += 1
+        elif bc.kind == "fixed_pressure_outflow":
+            updates.append((_exit_pressure_state, _components_first(view[0]), bc.pressure, gas,
+                            table[:, start : start + count]))
+            start += count
+        elif bc.kind == "slip_wall":
+            rows = table[:, start : start + 2 * count].reshape(4, 2, count)
+            updates.append((_mirror_momentum, _components_first(view[_GHOST_SOURCES["slip_wall"]]),
+                            _wall_normal(metrics, side), rows))
+            start += 2 * count
+
+    def refresh() -> None:
+        for update, *args in updates:
+            update(*args)
+
+    return table, cells, refresh
+
+
 def _frame_sources(
     q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel
 ) -> np.ndarray:
-    """The ``(ni, nj, 4)`` cells flattened, then the ghost rows that are not copies of cells.
-
-    ``sides`` holds the boundary conditions in :data:`SIDES` order.  Per
-    side, an inflow side adds its state as one row; an exit-pressure side
-    the ghost of each boundary cell (:func:`_exit_pressure_state`); a slip
-    wall two mirrored rows per boundary cell, the outer layer (from the
-    second cell in) first.  Periodic and zero-gradient sides add none.
-    :func:`_frame_rows` indexes the result.
-    """
-    rows = [q.reshape(-1, 4)]
-    for side, bc, cells in zip(SIDES, sides, _side_views(q, ghosts=0)):
-        if bc.kind == "supersonic_inflow":
-            rows.append(bc.state[None])
-        elif bc.kind == "fixed_pressure_outflow":
-            rows.append(_exit_pressure_state(cells[0], bc.pressure, gas))
-        elif bc.kind == "slip_wall":
-            mirrored = _mirror_momentum(cells[_GHOST_SOURCES["slip_wall"]], _wall_normal(metrics, side))
-            rows.append(mirrored.reshape(-1, 4))
-    return np.concatenate(rows)
+    """The rows of :func:`_ghost_table` for the ``(ni, nj, 4)`` cells ``q``, as a ``(rows, 4)`` view of the table."""
+    table, cells, refresh = _ghost_table(sides, metrics, gas)
+    cells[...] = _components_first(q)
+    refresh()
+    return table.T
 
 
 def _frame_source_jacobian(q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics,
@@ -347,12 +386,13 @@ def _frame_source_jacobian(q: np.ndarray, sides: Sequence[BoundaryCondition], me
         if bc.kind == "supersonic_inflow":
             jacs.append(np.zeros((1, 4, 4)))
         elif bc.kind == "fixed_pressure_outflow":
-            jacs.append(_central_difference(lambda u: _exit_pressure_state(u, bc.pressure, gas), cells[0]))
+            jacs.append(_central_difference(
+                lambda u: _components_last(_exit_pressure_state(_components_first(u), bc.pressure, gas)), cells[0]))
         elif bc.kind == "slip_wall":
-            # The columns of the reflection are the reflected unit vectors; both layers share it.
+            # Column k of the reflection is the reflected unit vector e_k; both layers share it.
             normal = _wall_normal(metrics, side)
-            units = np.broadcast_to(np.eye(4), normal.shape[:-1] + (4, 4))
-            reflection = _mirror_momentum(units, normal[..., None, :]).swapaxes(-1, -2)
+            units = np.broadcast_to(np.eye(4)[..., None], (4, 4, normal.shape[1]))
+            reflection = _mirror_momentum(units, normal).transpose(2, 0, 1)
             jacs.append(np.concatenate((reflection, reflection)))
     return np.concatenate(jacs)
 
@@ -511,7 +551,7 @@ def residual(
     if (ghosts.ni, ghosts.nj) != (field.ni, field.nj):
         raise StateError("ghost frame does not match the field")
     flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, scheme, solver, gas)
-    return _flux_balance(flux, metrics)
+    return np.ascontiguousarray(_components_last(_flux_balance(flux, metrics)))
 
 
 def _residual_map(
@@ -521,37 +561,37 @@ def _residual_map(
     solver: str,
     gas: GasModel,
 ):
-    """:func:`residual` under ``bc`` as a function of the ``(ni, nj, 4)`` cell states alone.
+    """:func:`residual` under ``bc`` as a function of a persistent component-major cells block.
 
-    The nonlinear march's right-hand side.  The stencil map of
-    :func:`_frame_rows` and the component-major normals are formed once;
-    each call then forms the ghost rows (:func:`_frame_sources`), gathers
-    the component-major ``(4, 4, faces)`` stencils from the ``(4, rows)``
-    table of the cells and those rows in one ``take``, and hands them to
-    the reconstruction body, with no ghost frame, no ``GhostField`` and no
-    unstacking in between.  The fluxes go through :func:`_face_fluxes` and
-    :func:`_flux_balance` as in :func:`residual`, and every value is
-    bitwise the one :func:`fill_ghosts` plus :func:`residual` give.  The
-    cells must match ``metrics``; the caller checks that once.
+    The nonlinear march's right-hand side.  Returns ``(cells, evaluate)``:
+    the ``(4, ni, nj)`` cells block of a :func:`_ghost_table` formed here
+    once, which the caller writes each stage's state into, and
+    ``evaluate()``.  That rewrites the ghost rows that depend on cells,
+    gathers the component-major ``(4, 4, faces)`` stencils from the
+    contiguous table in one ``take`` through the stencil map of
+    :func:`_frame_rows` and hands them to the reconstruction body, with no
+    ghost frame in between.  The fluxes go through :func:`_face_fluxes` and
+    :func:`_flux_balance` as in :func:`residual`, and the ``(4, ni, nj)``
+    balance holds bitwise what :func:`fill_ghosts` plus :func:`residual`
+    give.
     """
     sides = [bc.side(side) for side in SIDES]
     _, stencil_rows, _ = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
+    table, cells, refresh = _ghost_table(sides, metrics, gas)
     normal = _normal_columns(metrics.face_normal)
 
-    def evaluate(q: np.ndarray) -> np.ndarray:
-        stencils = _frame_sources(q, sides, metrics, gas).T.take(stencil_rows, axis=1)
-        reconstruction = _reconstruct_stencil(stencils, scheme, gas)
+    def evaluate() -> np.ndarray:
+        refresh()
+        reconstruction = _reconstruct_stencil(table.take(stencil_rows, axis=1), scheme, gas)
         return _flux_balance(_face_fluxes(reconstruction, normal, scheme, solver, gas), metrics)
 
-    return evaluate
+    return cells, evaluate
 
 
 def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
-    """``(ni, nj, 4)`` ``dU/dt`` of every interior cell from the component-major ``(4, faces)`` fluxes of a face batch.
+    """Component-major ``(4, ni, nj)`` ``dU/dt`` of every interior cell from the ``(4, faces)`` fluxes of a face batch.
 
-    The faces run in :func:`_join_faces` order.  The balance is formed
-    component-major and written through one transposed view into the
-    C-ordered result.
+    The faces run in :func:`_join_faces` order.
     """
     ni, nj = metrics.ni, metrics.nj
     count = (ni + 1) * nj  # the i-faces, as in _split_faces
@@ -559,9 +599,7 @@ def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
     lf_j = metrics.jface_len * flux[:, count:].reshape(4, ni, nj + 1)
     net = lf_i[:, 1:] - lf_i[:, :-1]
     net += lf_j[:, :, 1:] - lf_j[:, :, :-1]
-    out = np.empty(metrics.volume.shape + (4,))
-    np.divide(-net, metrics.volume, out=out.transpose(2, 0, 1))
-    return out
+    return np.divide(-net, metrics.volume, out=net)
 
 
 def _march_map(
@@ -577,22 +615,24 @@ def _march_map(
     ``metrics`` is the ``ni x 1`` strip, periodic in ``j`` with two j-face
     rows of equal lengths and normals.  ``inflow`` ``(members, 4)`` and
     ``p_exit`` ``(members,)`` hold each member's inflow state and exit
-    pressure, and ``solver`` is one name, or one name per member.  The
-    returned ``evaluate(q, prim)`` takes the ``(ni, members, 4)`` cells,
-    member ``k``'s cells being ``q[:, k]``, and ``prim = cons_to_prim(q)``.
+    pressure, and ``solver`` is one name, or one name per member.
 
-    The march's constants are formed here once: a component-major ``(4,
-    members, ni + 4)`` frame with each member's two inflow ghosts filled
-    for good, its stencils as a sliding-window view, the component-major
-    normals and the exit ghosts' pressure term.  Each call copies the cells
-    into the frame and puts two copies of each member's last cell at its
-    exit pressure on the right (the ghosts of :func:`fill_ghosts`),
-    converted back from the last cell's primitives with the pressure
-    replaced, which is the arithmetic of :func:`_exit_pressure_state`.  The
-    face batch is ``(members, ni + 1)``, members outer: each member's
-    i-faces are one row of it, so :func:`~shockstab.numerics.riemann_flux`
-    runs each solver on its own members' rows, and the i-face normals
-    broadcast over the members.
+    Returns ``(cells, evaluate)``.  The march's constants are formed here
+    once: a component-major ``(4, members, ni + 4)`` frame with each
+    member's two inflow ghosts filled for good, its stencils as a
+    sliding-window view, the component-major normals and the exit ghosts'
+    pressure term.  ``cells`` is the frame's interior ``(4, members, ni)``,
+    where the caller keeps the members' states (member ``k``'s cells are
+    ``cells[:, k]``).  ``evaluate(prim)`` takes the primitive columns
+    ``(rho, u, v, p)`` of those cells and returns their ``(4, members, ni)``
+    balance.  It puts two copies of each member's last cell at its exit
+    pressure on the right (the ghosts of :func:`fill_ghosts`), converted
+    back from the last cell's primitives with the pressure replaced, which
+    is the arithmetic of :func:`_exit_pressure_state`.  The face batch is
+    ``(members, ni + 1)``, members outer: each member's i-faces are one row
+    of it, so :func:`~shockstab.numerics.riemann_flux` runs each solver on
+    its own members' rows, and the i-face normals broadcast over the
+    members.
 
     Both j-faces of a strip cell see four copies of the cell under the same
     geometry, so their fluxes are bitwise equal and their difference is
@@ -609,18 +649,14 @@ def _march_map(
     length, volume = metrics.iface_len[:, 0], metrics.volume[:, 0]
     energy = p_exit / (gas.gamma - 1.0)
 
-    def evaluate(q: np.ndarray, prim: np.ndarray) -> np.ndarray:
-        frame[..., 2:-2] = q.T
-        rho, u, v = prim[-1, :, 0], prim[-1, :, 1], prim[-1, :, 2]
+    def evaluate(prim) -> np.ndarray:
+        rho, u, v = prim[0][:, -1], prim[1][:, -1], prim[2][:, -1]
         exit_ghost = np.array((rho, rho * u, rho * v, energy + 0.5 * rho * (u * u + v * v)))
         frame[..., -2:] = exit_ghost[..., None]
         # A C-ordered copy of the window view: the kernels' results follow their
         # input's memory order, and the members' solver runs slice axis 1.
         reconstruction = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
-        flux = _face_fluxes(reconstruction, normal, scheme, solver, gas)
-        lf = length * flux
-        out = np.empty((ni, members, 4))
-        np.divide(-(lf[..., 1:] - lf[..., :-1] + 0.0), volume, out=out.T)
-        return out
+        lf = length * _face_fluxes(reconstruction, normal, scheme, solver, gas)
+        return -(lf[..., 1:] - lf[..., :-1] + 0.0) / volume
 
-    return evaluate
+    return frame[..., 2:-2], evaluate

@@ -107,7 +107,12 @@ def cons_to_prim(cons: np.ndarray, gas: GasModel) -> np.ndarray:
 def sound_speed(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     """Speed of sound ``sqrt(gamma*p/rho)`` from primitive states."""
     prim = np.asarray(prim, dtype=float)
-    return np.sqrt(gas.gamma * prim[..., 3] / prim[..., 0])
+    return _sound_speed(prim[..., 0], prim[..., 3], gas)
+
+
+def _sound_speed(rho, p, gas: GasModel):
+    """:func:`sound_speed` of separate density and pressure columns."""
+    return np.sqrt(gas.gamma * p / rho)
 
 
 def _physical_state(rho, p) -> np.ndarray:

@@ -633,18 +633,50 @@ PINNED_NONLINEAR_T_DIGESTS = {
 }
 
 
+#: ``(q, residual_history)`` sha256 digests of the one-member 1-D march behind
+#: ``validate_small``'s base (5 cells, 2000 steps, M=20, epsilon 0.1, HLLC,
+#: MUSCL/van Albada), recorded before the march state moved to the
+#: component-major layout.
+PINNED_VALIDATE_MARCH_DIGESTS = (
+    "a72422ef854b586ec77a14d17cfb0ecdc12269213d3c0782b7ffc05528a3e62e",
+    "e79ca503e9d435e74c1036324966c62292f51835b3f855f9a1ddf5a60f767a4d",
+)
+
+#: The same digests for a three-member batch (11 cells, 50 steps, MUSCL/van
+#: Albada, epsilon 0.1, CFL 4) whose middle member, M=20 HLLC, leaves the
+#: physical state space at step 16; the outer members (M=6 HLLC, M=3 Roe)
+#: march on with the state and solver column compacted around it.
+PINNED_DROPOUT_MARCH = (
+    ("2caf0bb9bd0c592dcdbad0ac982c6d2de2196a175926410785d7cc7ba441854d",
+     "24630022b7fc50f7f6d655bbb812567cf4905f05a9453b1a46c857484fa8f0c5"),
+    "1-D march left the physical state space at step 16",
+    ("ed123d48e0c3ca772ba0d2eece4f45a2e84814689760dd33eac9633da09f5f1c",
+     "33fd077165e78c6580332adb2aa9f7b2ef9fb9b7b3ac09fa6124ceb47c489279"),
+)
+
+
 def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 class TestPinnedMarchBytes:
-    """Byte gates on whole marches: the 1-D batch of ``sweep_small`` and two nonlinear cross-checks."""
+    """Byte gates on whole marches: 1-D batches and marches, and two nonlinear cross-checks."""
 
     def test_sweep_batch_members(self):
         machs, solvers = zip(*PINNED_SWEEP_MARCH_DIGESTS)
         batch = solve_1d_steady(11, list(machs), 0.1, 500, MUSCL, list(solvers))
         got = {key: (sha256(r.q), sha256(r.residual_history)) for key, r in zip(PINNED_SWEEP_MARCH_DIGESTS, batch)}
         assert got == PINNED_SWEEP_MARCH_DIGESTS
+
+    def test_validate_base_march(self):
+        res = solve_1d_steady(5, 20.0, 0.1, 2000, MUSCL, "hllc")
+        assert (sha256(res.q), sha256(res.residual_history)) == PINNED_VALIDATE_MARCH_DIGESTS
+
+    def test_batch_with_a_member_dropping_out(self):
+        batch = solve_1d_steady(11, [6.0, 20.0, 3.0], 0.1, 50, MUSCL, ["hllc", "hllc", "roe"], cfl=4.0)
+        got = tuple(str(r) if isinstance(r, EvolutionError) else (sha256(r.q), sha256(r.residual_history))
+                    for r in batch)
+        assert got == PINNED_DROPOUT_MARCH
 
     @pytest.mark.parametrize("solver,kind,steps", sorted(PINNED_NONLINEAR_T_DIGESTS))
     def test_nonlinear_time_axis(self, solver, kind, steps):

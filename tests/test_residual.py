@@ -29,6 +29,7 @@ from shockstab.residual import (
 from shockstab.state import (
     FlowField,
     GasModel,
+    _primitive_columns,
     cons_to_prim,
     init_normal_shock_rh,
     normal_shock_states,
@@ -433,16 +434,15 @@ class TestResidual:
         q[-1, 2, 1] = -0.0
         bcs = [strip_bcs(prim_to_cons(np.array([1.0, 2.0 + 0.05 * k, 0.1, 0.9]), GAS), 0.9 + 0.02 * k)
                for k in range(len(solvers))]
-        prim = cons_to_prim(q, GAS)
         p_exit = np.array([bc.right.pressure for bc in bcs])
         ghosts = [fill_ghosts(FlowField(q=q[:, k, None]), bc, metrics, GAS).ext[-1, 2] for k, bc in enumerate(bcs)]
-        assert np.stack(ghosts).tobytes() == _exit_pressure_state(q[-1], p_exit, GAS).tobytes()
+        assert np.stack(ghosts).tobytes() == _exit_pressure_state(q[-1].T, p_exit, GAS).T.tobytes()
         for scheme in (
             ReconstructionScheme(kind="first_order"),
             ReconstructionScheme(kind="muscl", limiter="van_albada"),
             ReconstructionScheme(kind="round", variables="primitive"),
         ):
-            res = _march_map(np.stack([bc.left.state for bc in bcs]), p_exit, metrics, scheme, solvers, GAS)(q, prim)
+            res = march_residual(q, bcs, metrics, scheme, solvers)
             for k, (solver, bc) in enumerate(zip(solvers, bcs)):
                 assert res[:, k].tobytes() == own_residual(q[:, k], bc, metrics, scheme, solver).tobytes()
 
@@ -973,7 +973,9 @@ def march_residual(q, bcs, metrics, scheme, solver):
     """The 1-D march's residual of the ``(ni, members, 4)`` state ``q``, member ``k`` under ``bcs[k]``."""
     inflow = np.stack([bc.left.state for bc in bcs])
     p_exit = np.array([bc.right.pressure for bc in bcs])
-    return _march_map(inflow, p_exit, metrics, scheme, solver, GAS)(q, cons_to_prim(q, GAS))
+    cells, evaluate = _march_map(inflow, p_exit, metrics, scheme, solver, GAS)
+    cells[...] = q.transpose(2, 1, 0)
+    return evaluate(_primitive_columns(cells, GAS)).transpose(2, 1, 0)
 
 
 def own_residual(cells, bcs, metrics, scheme, solver):
@@ -1262,12 +1264,18 @@ class TestFaceStateValidation:
 
 
 def frame_residual_map(bc, metrics, scheme, solver, gas):
-    """The march's stage right-hand side as it was: a ghost frame from ``fill_ghosts``, then ``residual``."""
-    def evaluate(q):
-        field = FlowField(q=q)
-        return residual(field, fill_ghosts(field, bc, metrics, gas), metrics, scheme, solver, gas)
+    """The march's stage right-hand side as it was: a ghost frame from ``fill_ghosts``, then ``residual``.
 
-    return evaluate
+    It takes the march's seam: a ``(4, ni, nj)`` block the march writes each
+    stage's state into, and a function of that block.
+    """
+    cells = np.empty((4, metrics.ni, metrics.nj))
+
+    def evaluate():
+        field = FlowField(q=np.moveaxis(cells, 0, -1).copy())
+        return np.moveaxis(residual(field, fill_ghosts(field, bc, metrics, gas), metrics, scheme, solver, gas), -1, 0)
+
+    return cells, evaluate
 
 
 def series_bytes(series):
@@ -1312,6 +1320,39 @@ class TestNonlinearMarchStage:
                 series, reference = self.marches(monkeypatch, base, bc, metrics, scheme, "hllc", steps=20)
                 assert series_bytes(series) == series_bytes(reference)
         assert fell_back == 2
+
+    @staticmethod
+    def j_shock(ni, nj, mach):
+        """A normal shock running in ``+j``: the ``(nj, ni)`` i-running shock transposed, momenta swapped."""
+        q = init_normal_shock_rh(nj, ni, mach, 0.1, gas=GAS).q.transpose(1, 0, 2)[..., [0, 2, 1, 3]]
+        up, down = normal_shock_states(mach, GAS)
+        return FlowField(q=q.copy()), BoundaryCondition.supersonic_inflow(prim_to_cons(up[[0, 2, 1, 3]], GAS)), \
+            BoundaryCondition.fixed_pressure_outflow(down[3])
+
+    @pytest.mark.parametrize("setup", ["j_shock_periodic", "j_shock_walls", "i_shock_walls", "box"])
+    def test_ghost_rows_on_every_side_equal_the_frame_march(self, monkeypatch, setup):
+        # Exit-pressure rows on the top, inflow on the bottom, and slip-wall
+        # rows on each of the four sides, on a perturbed grid so that every
+        # wall has normals of its own.
+        ni, nj = 5, 6
+        metrics = compute_metrics(perturbed_cartesian(ni, nj, seed=41, amp=0.08))
+        wall, periodic = BoundaryCondition.slip_wall(), BoundaryCondition.periodic()
+        if setup.startswith("j_shock"):
+            base, inflow, outflow = self.j_shock(ni, nj, 6.0)
+            side = wall if setup == "j_shock_walls" else periodic
+            bc = BoundaryConditionSet(left=side, right=side, bottom=inflow, top=outflow)
+        elif setup == "i_shock_walls":
+            base = init_normal_shock_rh(ni, nj, 6.0, 0.1, gas=GAS)
+            bcs = normal_shock_bcs(6.0, GAS)
+            bc = BoundaryConditionSet(left=bcs.left, right=bcs.right, bottom=wall, top=wall)
+        else:
+            base = smooth_field(ni, nj, seed=42, scale=0.1)
+            bc = BoundaryConditionSet(left=wall, right=wall, bottom=wall, top=wall)
+        for scheme in PINNED_SCHEMES.values():
+            series, reference = self.marches(monkeypatch, base, bc, metrics, scheme, "hllc", steps=15,
+                                             amplitude=1e-4)
+            assert series_bytes(series) == series_bytes(reference)
+            assert len(series.t) == 16
 
     def test_blow_up_equals_the_frame_march(self, monkeypatch):
         from shockstab.harness import make_base_flow
