@@ -28,14 +28,13 @@ from . import harness, stability
 from .errors import EvolutionError, FitError, SettingsError, ShockStabError
 from .mesh import Grid, GridMetrics, compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
 from .numerics import LIMITERS, RECONSTRUCTION_KINDS, RIEMANN_SOLVERS, ReconstructionScheme
-from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet
+from .residual import BC_KINDS, SIDES, BoundaryCondition, BoundaryConditionSet, normal_shock_bcs
 from .state import (
     FlowField,
     GasModel,
     _checked_cons,
     _flow_file_cons,
     _write_records,
-    normal_shock_states,
     perturbation_to_primitive,
     cons_to_prim,
     prim_to_cons,
@@ -52,8 +51,6 @@ EIG_METHODS = ("dense", "arnoldi")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -329,22 +326,19 @@ def _build_scheme(settings: Settings) -> ReconstructionScheme:
 
 
 def _build_bcs(settings: Settings, gas: GasModel) -> BoundaryConditionSet:
+    shock = normal_shock_bcs(settings.mach, gas) if settings.test_case == "normal_shock" else None
     if settings.inflow_rho is not None:
         prim = np.array([settings.inflow_rho, settings.inflow_u, settings.inflow_v, settings.inflow_p])
         inflow, bad = _checked_cons(prim, gas)
         if bad:
             raise SettingsError("inflow_rho, inflow_u, inflow_v, inflow_p give an inflow state whose conservative "
                                 "form overflows or loses its pressure")
-    elif settings.test_case == "normal_shock":
-        inflow = prim_to_cons(normal_shock_states(settings.mach, gas)[0], gas)
     else:
-        inflow = None
+        inflow = None if shock is None else shock.left.state
     if settings.exit_pressure is not None:
         exit_pressure = settings.exit_pressure
-    elif settings.test_case == "normal_shock":
-        exit_pressure = float(normal_shock_states(settings.mach, gas)[1][3])
     else:
-        exit_pressure = None
+        exit_pressure = None if shock is None else shock.right.pressure
 
     def build(kind: str) -> BoundaryCondition:
         if kind == "supersonic_inflow":

@@ -50,7 +50,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import StateError
-from .state import GasModel, _physical_state, _primitive_columns, cons_to_prim, prim_to_cons
+from .state import GasModel, _physical_state, _primitive_columns, _sound_speed, cons_to_prim, prim_to_cons
 
 __all__ = [
     "FD_STEP",
@@ -476,7 +476,7 @@ class _FaceSide:
         qt = -u * ny + v * nx
         # Face-frame conservative state (rho, rho qn, rho qt, E).
         frame_cons = np.array((rho, rho * qn, rho * qt, E))
-        return cls(rho, u, v, qn, qt, p, E, np.sqrt(gas.gamma * p / rho), (E + p) / rho, frame_cons)
+        return cls(rho, u, v, qn, qt, p, E, _sound_speed(rho, p, gas), (E + p) / rho, frame_cons)
 
     def _view(self, index: tuple) -> "_FaceSide":
         return _FaceSide(self.rho[index], self.u[index], self.v[index], self.qn[index], self.qt[index],
@@ -748,15 +748,14 @@ def _solver_runs(solver: str | tuple[str, ...], rows: int):
     A single name is one run over the whole batch (``slice(None)``).  A
     tuple holds one name per member, and the members own equal,
     consecutive shares of the ``rows`` face rows (members outer); adjacent
-    members with the same name form one run.  The runs are cached, so a
+    members with the same name form one run, so members that all share a
+    name are one run over the whole batch too.  The runs are cached, so a
     march that passes the same members on every step forms them once.
     """
     if isinstance(solver, str):
         return ((solver, _solver_kernel(solver), slice(None)),)
     if not solver or rows % len(solver):
         raise StateError(f"{rows} face rows do not split evenly among {len(solver)} solver members")
-    if solver.count(solver[0]) == len(solver):
-        return _solver_runs(solver[0], rows)
     runs = []
     share, start = rows // len(solver), 0
     for name, group in groupby(solver):

@@ -18,10 +18,10 @@ few *ghost rows* formed from the boundary cells: one inflow state per inflow
 side, one exit-pressure state per boundary cell, two mirrored states per
 slip-wall boundary cell.  :func:`_ghost_table` holds the cells and those
 rows as one component-major ``(4, rows)`` table and rewrites the rows that
-depend on cells in place.  One map cached per grid size and side kinds,
-:func:`_frame_rows`, points every frame cell into that table and names each
-row's source cell, so :func:`fill_ghosts` and :func:`ghost_dependency` are
-gathers through it.
+depend on cells in place.  One map, :func:`_frame_rows`, built at the start
+of each march, assembly or call, points every frame cell into that table and
+names each row's source cell, so :func:`fill_ghosts` and
+:func:`ghost_dependency` are gathers through it.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
@@ -49,15 +49,15 @@ cell states on both sides and cancel exactly, so it fluxes the i-faces
 alone.  It forms its ``(4, members, ni + 4)`` frame once per march; the
 members' states live in the frame's interior, which the march updates in
 place, and the stencils are a sliding-window view of the frame.  All three
-residuals share :func:`_face_fluxes`, which decides where the flux must
-re-test the face states.
+residuals share :func:`_face_fluxes`, whose flux re-tests the face states
+exactly where the reconstruction has not (its pair carries no primitive
+columns).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,6 +76,7 @@ from .numerics import (
 from .state import (
     FlowField,
     GasModel,
+    _conservative_columns,
     cons_to_prim,
     is_physical_prim,
     normal_shock_states,
@@ -232,9 +233,9 @@ def _exit_pressure_state(cells: np.ndarray, pressure: float | np.ndarray, gas: G
                          out: np.ndarray | None = None) -> np.ndarray:
     """Component-major conservative ``cells`` ``(4, ...)`` with their pressure replaced by ``pressure``.
 
-    The arithmetic of ``prim_to_cons`` applied to the cells' primitive state
-    with its pressure column overwritten; the pressure it would overwrite is
-    never formed.  The result is written to ``out`` when it is given.
+    :func:`~shockstab.state._conservative_columns` of the cells' density and
+    velocity with ``pressure``; the pressure it replaces is never formed.
+    The result is written to ``out`` when it is given.
     """
     if out is None:
         out = np.empty(cells.shape)
@@ -242,11 +243,7 @@ def _exit_pressure_state(cells: np.ndarray, pressure: float | np.ndarray, gas: G
     with np.errstate(divide="ignore", invalid="ignore"):
         u = cells[1] / rho
         v = cells[2] / rho
-    out[0] = rho
-    out[1] = rho * u
-    out[2] = rho * v
-    out[3] = pressure / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
-    return out
+    return _conservative_columns(rho, u, v, pressure, gas, out)
 
 
 #: Interior cells feeding each kind's two ghost layers (outer first), counted
@@ -282,9 +279,8 @@ def _wall_normal(metrics: GridMetrics, side: str) -> np.ndarray:
     return metrics.jface_normal[:, 0 if side == "bottom" else metrics.nj].T
 
 
-@lru_cache(maxsize=32)
 def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
-    """Read-only maps of every frame cell, and of every face's stencil, into the rows of :func:`_ghost_table`.
+    """Maps of every frame cell, and of every face's stencil, into the rows of :func:`_ghost_table`.
 
     ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
     ``(frame, stencils, sources)``: the ``(ni + 4, nj + 4)`` frame map, the
@@ -293,7 +289,9 @@ def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
     for an inflow row.  Cells and the ghosts that copy them (periodic and
     zero-gradient sides) point at the cell rows; other ghosts at the ghost
     rows after them; corners repeat the nearest left/right ghost.  A slip
-    wall across fewer than two cells raises :class:`StateError`.
+    wall across fewer than two cells raises :class:`StateError`.  The maps
+    are built afresh on each call, which a march or an assembly makes only
+    at its start.
     """
     cells = np.arange(ni * nj).reshape(nj, ni).T  # i-fastest index of cell (i, j)
     frame = np.empty((ni + 4, nj + 4), dtype=np.int64)
@@ -314,11 +312,7 @@ def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
     for band in (slice(0, 2), slice(-2, None)):  # corner blocks: the nearest left/right ghost
         frame[band, :2] = frame[band, 2:3]
         frame[band, -2:] = frame[band, -3:-2]
-    stencils = frame.reshape(-1)[_stencil_rows(ni, nj)]
-    sources = np.concatenate(sources)
-    for a in (frame, stencils, sources):
-        a.flags.writeable = False
-    return frame, stencils, sources
+    return frame, frame.reshape(-1)[_stencil_rows(ni, nj)], np.concatenate(sources)
 
 
 def _ghost_table(sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel):
@@ -411,11 +405,11 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     the adjacent interior cell (the latter with its pressure replaced);
     periodic sides wrap.
 
-    The frame is one gather, through a map cached per grid size and side
-    kinds (:func:`_frame_rows`), from the cells and the few ghost rows that
-    are not copies of cells (:func:`_frame_sources`).  The corner blocks,
-    which the axis-aligned stencils never read, repeat the nearest
-    left/right ghost to keep every entry finite.
+    The frame is one gather, through the map of :func:`_frame_rows`, from
+    the cells and the few ghost rows that are not copies of cells
+    (:func:`_frame_sources`).  The corner blocks, which the axis-aligned
+    stencils never read, repeat the nearest left/right ghost to keep every
+    entry finite.
     """
     _check_metrics(field, metrics)
     sides = [bc.side(side) for side in SIDES]
@@ -468,9 +462,8 @@ def _split_faces(batch: np.ndarray, ni: int, nj: int):
     return batch[:count].reshape((ni + 1, nj) + tail), batch[count:].reshape((ni, nj + 1) + tail)
 
 
-@lru_cache(maxsize=32)
 def _stencil_rows(ni: int, nj: int) -> np.ndarray:
-    """Read-only ``(4, faces)`` rows of the four-cell stencil of every face.
+    """The ``(4, faces)`` rows of the four-cell stencil of every face.
 
     The rows index the ``(ni+4, nj+4)`` frame cells flattened and run over
     the faces in :func:`_join_faces` order.  Stencil cell ``k`` of i-face
@@ -479,14 +472,11 @@ def _stencil_rows(ni: int, nj: int) -> np.ndarray:
     """
     frame = np.arange((ni + 4) * (nj + 4)).reshape(ni + 4, nj + 4)
     iface, jface = frame[:, 2 : nj + 2], frame[2 : ni + 2, :]
-    rows = np.stack([_join_faces(iface[k : k + ni + 1], jface[:, k : k + nj + 1]) for k in range(4)])
-    rows.flags.writeable = False
-    return rows
+    return np.stack([_join_faces(iface[k : k + ni + 1], jface[:, k : k + nj + 1]) for k in range(4)])
 
 
-@lru_cache(maxsize=32)
 def _cell_faces(ni: int, nj: int) -> np.ndarray:
-    """Read-only ``(ni * nj, 4)`` face-batch indices of the four faces of every cell.
+    """The ``(ni * nj, 4)`` face-batch indices of the four faces of every cell.
 
     Cells run in the flat ``j*ni + i`` order; each row holds the i-face after
     the cell, the i-face before it, the j-face after it and the j-face before
@@ -494,9 +484,7 @@ def _cell_faces(ni: int, nj: int) -> np.ndarray:
     """
     iface, jface = _split_faces(np.arange((ni + 1) * nj + ni * (nj + 1)), ni, nj)
     faces = np.stack((iface[1:], iface[:-1], jface[:, 1:], jface[:, :-1]), axis=-1).transpose(1, 0, 2)
-    faces = faces.reshape(ni * nj, 4)
-    faces.flags.writeable = False
-    return faces
+    return faces.reshape(ni * nj, 4)
 
 
 def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: GasModel):
@@ -512,19 +500,18 @@ def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: G
     return reconstruct_pair(*stencils, scheme, gas)
 
 
-def _face_fluxes(reconstruction, normal: np.ndarray, scheme: ReconstructionScheme, solver, gas: GasModel):
+def _face_fluxes(reconstruction, normal: np.ndarray, solver, gas: GasModel):
     """Component-major ``(4, ...)`` fluxes of a face batch, given as its ``(left, right, fallback)`` triple.
 
     The triple goes to the flux as its ``pair`` too, so the face states are
     split into primitives once, in the reconstruction.  The flux re-tests
-    the face states only where the reconstruction left some untested: a
-    first-order scheme, or a face that fell back to its cell values.  A
-    second-order reconstruction with no fallback face has already passed
-    every face state with the flux's own test.
+    the face states only where the pair carries no primitive columns: a
+    reconstruction that has them (second order, no face fell back) has
+    already passed every face state with the flux's own test.
     """
-    left, right, fallback = reconstruction
-    tested = scheme.is_second_order and not fallback.any()
-    flux = riemann_flux(solver, left, right, normal, gas, validate=not tested, pair=reconstruction)
+    left, right, _ = reconstruction
+    flux = riemann_flux(solver, left, right, normal, gas, validate=reconstruction.primitives is None,
+                        pair=reconstruction)
     return _components_first(flux)
 
 
@@ -550,7 +537,7 @@ def residual(
     """
     if (ghosts.ni, ghosts.nj) != (field.ni, field.nj):
         raise StateError("ghost frame does not match the field")
-    flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, scheme, solver, gas)
+    flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, solver, gas)
     return np.ascontiguousarray(_components_last(_flux_balance(flux, metrics)))
 
 
@@ -583,7 +570,7 @@ def _residual_map(
     def evaluate() -> np.ndarray:
         refresh()
         reconstruction = _reconstruct_stencil(table.take(stencil_rows, axis=1), scheme, gas)
-        return _flux_balance(_face_fluxes(reconstruction, normal, scheme, solver, gas), metrics)
+        return _flux_balance(_face_fluxes(reconstruction, normal, solver, gas), metrics)
 
     return cells, evaluate
 
@@ -620,15 +607,16 @@ def _march_map(
     Returns ``(cells, evaluate)``.  The march's constants are formed here
     once: a component-major ``(4, members, ni + 4)`` frame with each
     member's two inflow ghosts filled for good, its stencils as a
-    sliding-window view, the component-major normals and the exit ghosts'
-    pressure term.  ``cells`` is the frame's interior ``(4, members, ni)``,
-    where the caller keeps the members' states (member ``k``'s cells are
-    ``cells[:, k]``).  ``evaluate(prim)`` takes the primitive columns
-    ``(rho, u, v, p)`` of those cells and returns their ``(4, members, ni)``
-    balance.  It puts two copies of each member's last cell at its exit
-    pressure on the right (the ghosts of :func:`fill_ghosts`), converted
-    back from the last cell's primitives with the pressure replaced, which
-    is the arithmetic of :func:`_exit_pressure_state`.  The face batch is
+    sliding-window view and the component-major normals.  ``cells`` is the
+    frame's interior ``(4, members, ni)``, where the caller keeps the
+    members' states (member ``k``'s cells are ``cells[:, k]``).
+    ``evaluate(prim)`` takes the primitive columns ``(rho, u, v, p)`` of
+    those cells and returns their ``(4, members, ni)`` balance.  It puts two
+    copies of each member's last cell at its exit pressure on the right (the
+    ghosts of :func:`fill_ghosts`): the last cell's density and velocity
+    columns with the exit pressure, through
+    :func:`~shockstab.state._conservative_columns` as in
+    :func:`_exit_pressure_state`.  The face batch is
     ``(members, ni + 1)``, members outer: each member's i-faces are one row
     of it, so :func:`~shockstab.numerics.riemann_flux` runs each solver on
     its own members' rows, and the i-face normals broadcast over the
@@ -647,16 +635,14 @@ def _march_map(
     stencils = sliding_window_view(frame, ni + 1, axis=-1).transpose(0, 2, 1, 3)  # (4, 4, members, ni + 1)
     normal = _normal_columns(metrics.iface_normal[:, 0])
     length, volume = metrics.iface_len[:, 0], metrics.volume[:, 0]
-    energy = p_exit / (gas.gamma - 1.0)
 
     def evaluate(prim) -> np.ndarray:
-        rho, u, v = prim[0][:, -1], prim[1][:, -1], prim[2][:, -1]
-        exit_ghost = np.array((rho, rho * u, rho * v, energy + 0.5 * rho * (u * u + v * v)))
-        frame[..., -2:] = exit_ghost[..., None]
+        _conservative_columns(prim[0][:, -1], prim[1][:, -1], prim[2][:, -1], p_exit, gas, frame[..., -2])
+        frame[..., -1] = frame[..., -2]
         # A C-ordered copy of the window view: the kernels' results follow their
         # input's memory order, and the members' solver runs slice axis 1.
         reconstruction = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
-        lf = length * _face_fluxes(reconstruction, normal, scheme, solver, gas)
+        lf = length * _face_fluxes(reconstruction, normal, solver, gas)
         return -(lf[..., 1:] - lf[..., :-1] + 0.0) / volume
 
     return frame[..., 2:-2], evaluate

@@ -270,7 +270,7 @@ def assemble(
     reconstruction = _reconstruct_stencil(stencils, scheme, gas)
     stencils = _components_last(stencils)  # the four (faces, 4) cells of the public functions
     left, right, fallback = reconstruction
-    base_res = _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, scheme, solver, gas), metrics)
+    base_res = _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, solver, gas), metrics)
     base_residual_inf = float(np.max(np.abs(base_res)))
 
     dep_sten = sources.take(rows).T  # (faces, stencil cell)

@@ -70,13 +70,22 @@ class FlowField:
 def prim_to_cons(prim: np.ndarray, gas: GasModel) -> np.ndarray:
     """Convert ``(rho, u, v, p)`` to ``(rho, rho*u, rho*v, E)``."""
     prim = np.asarray(prim, dtype=float)
-    rho, u, v, p = prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
     cons = np.empty_like(prim)
-    cons[..., 0] = rho
-    cons[..., 1] = rho * u
-    cons[..., 2] = rho * v
-    cons[..., 3] = p / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+    _conservative_columns(*prim.T, gas, cons.T)
     return cons
+
+
+def _conservative_columns(rho, u, v, p, gas: GasModel, out: np.ndarray) -> np.ndarray:
+    """:func:`prim_to_cons` of the primitive columns ``rho, u, v, p``, written to component-major ``out`` ``(4, ...)``.
+
+    The mirror of :func:`_primitive_columns`: states stored ``(..., 4)``
+    pass their reversed views ``prim.T`` and ``cons.T``.
+    """
+    out[0] = rho
+    out[1] = rho * u
+    out[2] = rho * v
+    out[3] = p / (gas.gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+    return out
 
 
 def _primitive_columns(cons: np.ndarray, gas: GasModel):

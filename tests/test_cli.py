@@ -108,6 +108,12 @@ class TestParsing:
         # other solvers accept the same value
         parse_settings_text(text + "solver = hllc\n")
 
+    @pytest.mark.parametrize("drop", ["mach", "epsilon"])
+    def test_normal_shock_requires_mach_and_epsilon(self, drop):
+        text = "".join(line + "\n" for line in MINIMAL.splitlines() if not line.startswith(drop))
+        with pytest.raises(SettingsError, match="^normal_shock requires both 'mach' and 'epsilon'$"):
+            parse_settings_text(text)
+
     def test_grid_exclusivity(self):
         with pytest.raises(SettingsError, match="exactly one of"):
             parse_settings_text("test_case = normal_shock\nmach = 2\nepsilon = 0.1\n")
@@ -406,6 +412,12 @@ class TestExternalFlow:
         cfg, out = self.make_case(tmp_path)
         assert cli.main([str(cfg), "--validate"]) == 2
 
+    def test_sweep_flag_rejected_for_external_flow(self, tmp_path, capsys):
+        cfg, out = self.make_case(tmp_path)
+        assert cli.main([str(cfg), "--sweep"]) == 2
+        assert capsys.readouterr().err == "error: --sweep supports the normal_shock case only\n"
+        assert not (out / "sweep.dat").exists()
+
     def test_overflowing_energy_is_a_flow_file_error(self, tmp_path, capsys):
         # u = 1e200 is finite, but its kinetic energy overflows the
         # conservative state; the run names the files, not a flux.
@@ -424,6 +436,14 @@ class TestExternalFlow:
 
 
 class TestSweepAndValidate:
+    def test_non_numeric_sweep_mach_is_a_settings_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{MINIMAL}sweep_mach = 2,three\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--sweep"]) == 2
+        assert capsys.readouterr().err == "error: sweep_mach must be a comma list of numbers, got '2,three'\n"
+        assert not (out / "sweep.dat").exists()
+
     def test_sweep_table(self, tmp_path):
         out = tmp_path / "out"
         text = (

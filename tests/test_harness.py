@@ -23,12 +23,19 @@ from shockstab.harness import (
 )
 from shockstab.mesh import compute_metrics, make_cartesian_grid
 from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme
-from shockstab.residual import fill_ghosts, normal_shock_bcs, residual
+from shockstab.residual import (
+    BoundaryCondition,
+    BoundaryConditionSet,
+    fill_ghosts,
+    normal_shock_bcs,
+    residual,
+)
 from shockstab.stability import spectral_radius_upper
 from shockstab.state import (
     FlowField,
     GasModel,
     cons_to_prim,
+    init_normal_shock_rh,
     normal_shock_states,
     prim_to_cons,
 )
@@ -166,6 +173,17 @@ class TestBatchMarch:
         assert all(isinstance(r, EvolutionError) for r in solve_1d_steady(11, [20.0], 0.1, 50, MUSCL, "hllc",
                                                                            cfl=4.0))
 
+    def test_members_naming_one_solver_march_as_the_single_name(self):
+        # A solver list whose members all share a name is one run over the
+        # whole batch, as the single name is: every member's bits agree.
+        for scheme in (FIRST, MUSCL):
+            named = solve_1d_steady(11, self.MACH, self.EPSILON, 50, scheme, "hllc", shock_col=self.SHOCK_COL)
+            listed = solve_1d_steady(11, self.MACH, self.EPSILON, 50, scheme, ["hllc"] * 3, shock_col=self.SHOCK_COL)
+            for got, want in zip(listed, named):
+                assert got.q.tobytes() == want.q.tobytes()
+                assert got.residual_history.tobytes() == want.residual_history.tobytes()
+                assert got.residual_inf == want.residual_inf
+
     def test_scalars_apply_to_every_member(self):
         batch = solve_1d_steady(9, [2.0, 3.0], 0.1, 20, FIRST, "roe", shock_col=3)
         for got, mach in zip(batch, [2.0, 3.0]):
@@ -288,6 +306,20 @@ class TestEvolveLinear:
         m = sp.csr_matrix(np.diag([-1.0, 0.5]))
         with pytest.raises(EvolutionError, match="non-finite"):
             evolve_linear(m, steps=10, delta0=np.array([1.0, np.nan]))
+
+    def test_rejects_zero_perturbation(self):
+        m = sp.csr_matrix(np.diag([-1.0, 0.5]))
+        with pytest.raises(EvolutionError, match="^initial perturbation is zero$"):
+            evolve_linear(m, steps=10, delta0=np.zeros(2))
+
+    def test_overflowing_step_marks_the_series_diverged(self):
+        # The RK4 step polynomial of 1e200 * I overflows to inf, so the first
+        # step's norm is inf: the series keeps its start and stops, diverged.
+        m = sp.identity(2, format="csr") * 1e200
+        series = evolve_linear(m, steps=10, delta0=np.array([3.0, 4.0]), dt=1.0)
+        assert series.diverged and not series.truncated
+        assert series.log_norm.tolist() == [np.log(5.0)]
+        assert series.t.tolist() == [0.0]
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +483,41 @@ class TestEvolveNonlinear:
         with pytest.raises(EvolutionError, match="initial perturbation is zero"):
             evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc", GAS, steps=10,
                              amplitude=1e-300)
+
+    def test_deviation_past_the_log_span_truncates(self):
+        # The Euler equations keep their solutions when density, momentum,
+        # energy and pressure scale by one factor.  At 1e150 times the M = 20
+        # Rankine-Hugoniot profile, an amplitude of 1e-304 survives only in
+        # the zero y-momentum (a deviation near 1e-154), while the first step
+        # moves the unconverged shock cells by about 1e149: the log-norm
+        # rises by more than 600 and the series stops there.
+        scale = 1e150
+        base = FlowField(q=scale * init_normal_shock_rh(7, 3, 20.0, 0.1, gas=GAS).q)
+        shock = normal_shock_bcs(20.0, GAS)
+        bc = BoundaryConditionSet(left=BoundaryCondition.supersonic_inflow(scale * shock.left.state),
+                                  right=BoundaryCondition.fixed_pressure_outflow(scale * shock.right.pressure),
+                                  bottom=shock.bottom, top=shock.top)
+        series = evolve_nonlinear(base, bc, compute_metrics(make_cartesian_grid(7, 3)), MUSCL, "hllc", GAS,
+                                  steps=10, amplitude=1e-304)
+        assert series.truncated and not series.diverged
+        assert len(series.log_norm) == 2
+        assert series.log_norm[0] < -350.0 and series.log_norm[1] - series.log_norm[0] > 600.0
+
+    def test_overflowing_deviation_marks_the_series_diverged(self):
+        # Gas at rest with density and pressure 4.7e153, perturbed by 20%:
+        # every state is physical and every cell's norm finite, but the
+        # deviation's sum of squares over the 36 cells overflows (by design,
+        # so numpy's overflow warning is silenced).  The first step's
+        # deviation is inf, and the series stops there, diverged.
+        prim = np.tile([4.7e153, 0.0, 0.0, 4.7e153], (6, 6, 1))
+        bc = BoundaryConditionSet(*(BoundaryCondition.periodic() for _ in range(4)))
+        with np.errstate(over="ignore"):
+            series = evolve_nonlinear(FlowField(q=prim_to_cons(prim, GAS)), bc,
+                                      compute_metrics(make_cartesian_grid(6, 6)), FIRST, "hllc", GAS,
+                                      steps=10, amplitude=0.2)
+        assert series.diverged and not series.truncated
+        assert series.t.tolist() == [0.0]
+        assert series.log_norm.tolist() == [np.inf]
 
     def test_rejects_metrics_of_another_grid(self):
         base, bc = self.uniform_equilibrium(6, 3)

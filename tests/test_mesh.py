@@ -1,5 +1,6 @@
 """Grid construction, metrics identities, and grid-file round trips."""
 
+import re
 import warnings
 
 import numpy as np
@@ -89,6 +90,11 @@ class TestGenerators:
     def test_annular_rejects_bad_radii(self):
         with pytest.raises(GridError):
             make_annular_grid(2, 2, r_inner=2.0, r_outer=1.0)
+
+    @pytest.mark.parametrize("angle", [0.0, -1.0, 2.0 * np.pi + 1e-9, np.inf, np.nan])
+    def test_annular_rejects_bad_angle(self, angle):
+        with pytest.raises(GridError, match=r"^sector angle must lie in \(0, 2\*pi\], got "):
+            make_annular_grid(2, 2, angle=angle)
 
 
 class TestMetrics:
@@ -243,6 +249,22 @@ class TestGridFiles:
         path = tmp_path / "grid.dat"
         path.write_text("two 2\n")
         with pytest.raises(GridError):
+            read_grid(path)
+
+    @pytest.mark.parametrize("text", ["", "3\n"])
+    def test_missing_header(self, tmp_path, text):
+        path = tmp_path / "grid.dat"
+        path.write_text(text)
+        with pytest.raises(GridError, match=rf"^grid file {re.escape(repr(path))} is missing the node-count header$"):
+            read_grid(path)
+
+    @pytest.mark.parametrize("header", ["1 3", "3 1", "0 0"])
+    def test_fewer_than_two_nodes_per_direction(self, tmp_path, header):
+        path = tmp_path / "grid.dat"
+        path.write_text(f"{header}\n0 0 0\n1 0 0\n2 0 0\n")
+        ni, nj = header.split()
+        message = rf"^grid file {re.escape(repr(path))} declares {ni} x {nj} nodes; need >= 2 each$"
+        with pytest.raises(GridError, match=message):
             read_grid(path)
 
     def test_reader_is_i_fastest(self, tmp_path):

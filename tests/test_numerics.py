@@ -450,6 +450,17 @@ class TestRiemannFlux:
         # needs them; runs of the solvers that need none sit between them.
         self.assert_members_match_one_solver_calls(names)
 
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_members_of_one_solver_equal_the_single_name(self, solver):
+        # Members that all name one solver form one run over the whole
+        # batch, as the single name does, on a (members, faces) batch too.
+        rng = np.random.default_rng(13)
+        left, right = random_cons(rng, (3, 5)), random_cons(rng, (3, 5))
+        n = random_normals(rng, (3, 5))
+        flux = riemann_flux(solver, left, right, n, GAS)
+        assert riemann_flux((solver,) * 3, left, right, n, GAS).tobytes() == flux.tobytes()
+        assert riemann_flux([solver] * 3, left, right, n, GAS).tobytes() == flux.tobytes()
+
     def test_member_names_must_split_rows_evenly(self):
         u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 10), GAS)
         with pytest.raises(StateError, match="10 face rows do not split evenly among 3 solver members"):
@@ -470,6 +481,16 @@ class TestRiemannFlux:
         bad[0, 3] = 0.0  # zero total energy -> negative pressure
         with pytest.raises(StateError):
             riemann_flux("roe", u, bad, np.array([[1.0, 0.0]]), GAS)
+
+    @pytest.mark.parametrize("solver", ["roe", "hlle", "hllem"])
+    def test_unvalidated_negative_pressure_fails_the_roe_average(self, solver):
+        # Unvalidated, a uniform state of negative pressure reaches the Roe
+        # average, whose squared sound speed is then gamma p / rho < 0.
+        u = prim_to_cons(np.array([[1.0, 0.5, 0.0, -1.0]] * 2), GAS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateError, match="^interface averaging produced a non-positive sound speed$"):
+                riemann_flux(solver, u, u, np.array([[1.0, 0.0]] * 2), GAS, validate=False)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("momentum", [0.0, 0.5])

@@ -1,6 +1,7 @@
 """Linearization chain, matrix assembly, and eigenvalue analysis."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 
 from scipy.optimize import linear_sum_assignment
 
-from shockstab import EigenSolveError, FlowFileError, ShockStabError, StateError, cli
+from shockstab import EigenSolveError, FlowFileError, LinearizationError, ShockStabError, StateError, cli
 from shockstab.mesh import Grid, compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme
 from shockstab.residual import (
@@ -143,6 +144,17 @@ class TestFluxJacobians:
         assert jl.shape == (3, 2, 4, 4)
         assert jr.shape == (3, 2, 4, 4)
 
+    @pytest.mark.parametrize("solver", ["hll", "hllc", "van_leer_fvs", "slau"])
+    def test_probes_past_zero_pressure_are_a_linearization_error(self, solver):
+        # At p = 1e-12 the energy probe -FD_STEP leaves the pressure
+        # negative: its sound speed is NaN and so is the differenced column.
+        cons = prim_to_cons(np.array([1.0, 0.5, 0.0, 1e-12]), GAS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearizationError, match=f"^flux differencing for solver '{solver}' produced "
+                               "non-finite entries; the base flow sits too close to the boundary"):
+                flux_jacobians(solver, cons, cons, np.array([1.0, 0.0]), GAS)
+
     def test_one_solver_name_only(self):
         # The probes stack on the leading axes, where a per-member solver
         # list would read its members' face rows.
@@ -183,6 +195,19 @@ class TestReconstructionCoefficients:
         lin_r = sum(ar[0, k] @ d[k] for k in range(4))
         assert np.max(np.abs(fd_l[0] - lin_l)) < 1e-6
         assert np.max(np.abs(fd_r[0] - lin_r)) < 1e-6
+
+    @pytest.mark.parametrize("cell", [1, 2])
+    def test_infinite_face_cell_is_a_linearization_error(self, cell):
+        # A finite stencil cannot reach this error: the positivity fallback
+        # replaces any non-finite face state by its finite cell value.  An
+        # infinite energy in a face cell survives as the fallback, and
+        # inf - inf (numpy's invalid-value warning, silenced here) leaves
+        # the differenced columns NaN.
+        stencil = [prim_to_cons(np.array([1.0, 0.5, 0.0, 1.0]), GAS) for _ in range(4)]
+        stencil[cell][3] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(LinearizationError, match="^reconstruction differencing produced non-finite entries$"):
+                reconstruction_coefficients(*stencil, ReconstructionScheme(), GAS)
 
     def test_fd_map_is_shift_invariant(self):
         scheme = ReconstructionScheme(kind="muscl", limiter="van_albada")
@@ -413,6 +438,13 @@ class TestEigensolve:
         m = np.array([[-3e295, 1e295, 0], [2e295, -5e295, 1e295], [0, 1e295, -4e295]])
         with pytest.raises(EigenSolveError, match="inverse iteration stalled: residual nan"):
             max_real_eigenpair(m)
+
+    def test_max_real_eigenpair_reports_an_exactly_singular_shift(self):
+        # Given eigenvalue -1e-8, the offset shift lambda + 1e-8 is exactly 0,
+        # and the zero matrix minus 0 * I cannot be factored.
+        message = "^inverse-iteration factorization failed: Factor is exactly singular$"
+        with pytest.raises(EigenSolveError, match=message):
+            max_real_eigenpair(sp.csr_matrix((3, 3)), eigenvalues=np.array([-1e-8]))
 
     def separated_matrix(self):
         """A 6x6 matrix whose leading eigenvalue (about 2.4) stands well clear of the rest."""
@@ -658,6 +690,125 @@ class TestTransverseSplit:
         broken.data[0] += 1.0
         with pytest.raises(EigenSolveError):
             eigensolve(broken, nj=nj)
+
+
+class TestUniformFlowSymbol:
+    """``S`` about a uniform flow against its closed-form von Neumann symbol.
+
+    Uniform flow at M = 2 in x with v = 0.3 (rho = 1, c = 1) on 8 x 6 unit
+    cells, periodic on all four sides, first order.  Every cell then sees
+    the same face Jacobians: ``JL``, ``JR`` on the x-faces and ``KL``,
+    ``KR`` on the y-faces.  The unit-cell residual ``-(F_{i+1/2} -
+    F_{i-1/2} + G_{j+1/2} - G_{j-1/2})`` gives block row (i, j) the block
+    ``JL`` toward cell (i-1, j), ``-JR`` toward (i+1, j), ``KL`` toward
+    (i, j-1), ``-KR`` toward (i, j+1) and ``JR - JL + KR - KL`` on the
+    diagonal.  The closed forms come from the exact Jacobians ``A`` (x) and
+    ``B`` (y) of :func:`euler_flux_jacobian`:
+
+    - x, supersonic (``u - c = 1``): every solver but SLAU upwinds fully,
+      ``JL = A`` and ``JR = 0``.  SLAU's mass flux averages ``|qn|`` over
+      both sides even then (its ``g = 0``, ``chi = 0`` branch), giving
+      ``rho_L (m_L + m_R) / (rho_L + rho_R)``, whose derivative in the right
+      state is ``(e_1 - u e_0) / 2``, and its pressure is the left one.  So
+      there ``JR = psi (e_1 - u e_0)^T / 2`` with ``psi = (1, u, v, H)``,
+      and ``JL = A - JR``.
+    - y, subsonic: Roe gives ``KL, KR = (B +- |B|) / 2``.  HLL and HLLE give
+      the two-wave form with speeds ``sl, sr = v -+ c`` (Davis's and
+      Einfeldt's speeds coincide at a uniform state):
+      ``KL = (sr B - sl sr I) / (sr - sl)``, ``KR = (sl sr I - sl B) / (sr - sl)``.
+      The other solvers are held to consistency, ``KL + KR = B``.
+
+    Tolerance: ``S`` comes from central differences with step ``FD_STEP`` =
+    1e-7, whose roundoff is about ``eps |F| / FD_STEP``, some 1e-8 of
+    ``max |A|``; the entries match to 1.2e-8 of it here (HLL), the spectra
+    to 1.5e-8 of ``max |lambda|``.  ``TOL`` pins 1e-7 relative.
+    """
+
+    NI, NJ = 8, 6
+    PRIM = np.array([1.0, 2.0, 0.3, 1.0 / GAS.gamma])
+    TOL = 1e-7
+
+    def matrix(self, solver):
+        cons = prim_to_cons(self.PRIM, GAS)
+        base = FlowField(q=np.tile(cons, (self.NI, self.NJ, 1)))
+        metrics = compute_metrics(make_cartesian_grid(self.NI, self.NJ))
+        return assemble(base, metrics, ReconstructionScheme(kind="first_order"), solver, periodic_bcs(), GAS).matrix
+
+    def x_faces(self, solver, a):
+        """``(JL, JR)`` of the supersonic x-faces."""
+        if solver != "slau":
+            return a, np.zeros((4, 4))
+        rho, u, v, p = self.PRIM
+        total_enthalpy = (prim_to_cons(self.PRIM, GAS)[3] + p) / rho
+        jr = 0.5 * np.outer([1.0, u, v, total_enthalpy], [-u, 1.0, 0.0, 0.0])
+        return a - jr, jr
+
+    def y_faces(self, solver, b):
+        """``(KL, KR)`` of the subsonic y-faces, for the solvers with a closed form there."""
+        if solver == "roe":
+            speeds, vectors = np.linalg.eig(b)
+            abs_b = ((vectors * np.abs(speeds)) @ np.linalg.inv(vectors)).real
+            return 0.5 * (b + abs_b), 0.5 * (b - abs_b)
+        sl, sr = self.PRIM[2] - 1.0, self.PRIM[2] + 1.0
+        eye = np.eye(4)
+        return (sr * b - sl * sr * eye) / (sr - sl), (sl * sr * eye - sl * b) / (sr - sl)
+
+    def operator(self, jl, jr, kl, kr):
+        """The dense ``S`` of these face Jacobians, cell (i, j) in block row ``j*ni + i``."""
+        ni, nj = self.NI, self.NJ
+
+        def shift(n, d):  # row k has its one in column (k + d) mod n
+            return np.roll(np.eye(n), d, axis=1)
+
+        x_part = np.kron(shift(ni, -1), jl) - np.kron(shift(ni, 1), jr)
+        y_part = np.kron(np.kron(shift(nj, -1), np.eye(ni)), kl) - np.kron(np.kron(shift(nj, 1), np.eye(ni)), kr)
+        return np.kron(np.eye(nj), x_part) + y_part + np.kron(np.eye(ni * nj), jr - jl + kr - kl)
+
+    def jacobians(self):
+        cons = prim_to_cons(self.PRIM, GAS)
+        return euler_flux_jacobian(cons, (1.0, 0.0), GAS), euler_flux_jacobian(cons, (0.0, 1.0), GAS)
+
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_offset_blocks_equal_the_closed_form(self, solver):
+        a, b = self.jacobians()
+        s = self.matrix(solver).toarray()
+        jl, jr = self.x_faces(solver, a)
+        if solver in ("roe", "hll", "hlle"):
+            kl, kr = self.y_faces(solver, b)
+        else:
+            # No closed form in y: take cell (0, 0)'s blocks toward (0, nj-1)
+            # and (0, 1); the comparison below still holds every other block
+            # row, the x-blocks and the diagonal to them.
+            m = 4 * self.NI
+            kl, kr = s[:4, (self.NJ - 1) * m : (self.NJ - 1) * m + 4], -s[:4, m : m + 4]
+        scale = np.max(np.abs(a))
+        assert np.max(np.abs(kl + kr - b)) <= self.TOL * scale
+        assert np.max(np.abs(s - self.operator(jl, jr, kl, kr))) <= self.TOL * scale
+
+    @pytest.mark.parametrize("solver", ["roe", "hll", "hlle"])
+    def test_split_route_equals_the_symbol(self, solver):
+        a, b = self.jacobians()
+        jl, jr = self.x_faces(solver, a)
+        kl, kr = self.y_faces(solver, b)
+        split = transverse_blocks(self.matrix(solver), self.NJ)
+        # The first-order operator keeps the pattern of the four-cell
+        # stencil, so the blocks at offsets +-2 are there too, as zeros.
+        assert split.offsets == (0, 1, 2, self.NJ - 2, self.NJ - 1)
+        m = 4 * self.NI
+        row = self.operator(jl, jr, kl, kr)[:m]  # block row 0 holds C_d in block column d
+        scale = np.max(np.abs(a))
+        for d, block in zip(split.offsets, split.blocks):
+            assert np.max(np.abs(block - row[:, d * m : (d + 1) * m])) <= self.TOL * scale
+        # The symbol at wavenumbers (tx, ty): each block times exp(i theta offset).
+        symbol = np.concatenate([
+            np.linalg.eigvals(jr - jl + kr - kl + np.exp(-1j * tx) * jl - np.exp(1j * tx) * jr
+                              + np.exp(-1j * ty) * kl - np.exp(1j * ty) * kr)
+            for tx in 2.0 * np.pi * np.arange(self.NI) / self.NI
+            for ty in 2.0 * np.pi * np.arange(self.NJ) / self.NJ
+        ])
+        spectrum = eigensolve(split)
+        assert spectrum.shape == symbol.shape
+        assert matched_distance(spectrum, symbol) <= self.TOL * np.max(np.abs(symbol))
 
 
 class TestMatrixIO:

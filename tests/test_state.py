@@ -1,5 +1,6 @@
 """State conversions, shock jump relations, flow-file I/O, and linearization."""
 
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestGasModel:
     def test_rejects_non_physical_gamma(self, gamma):
         with pytest.raises(StateError):
             GasModel(gamma=gamma)
+
+
+class TestFlowField:
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 3), (2, 3, 4, 1), (4,)])
+    def test_rejects_a_shape_other_than_ni_nj_4(self, shape):
+        message = rf"^flow field must have shape \(ni, nj, 4\), got {re.escape(str(shape))}$"
+        with pytest.raises(StateError, match=message):
+            FlowField(q=np.ones(shape))
 
 
 class TestConversions:
