@@ -151,7 +151,11 @@ def solve_1d_steady(
     physical-state check, the next time step and the next exit ghost.
     Forward Euler with per-cell CFL time steps is applied for exactly
     ``steps`` iterations (no early exit); the final residual norm is
-    reported so the caller can judge convergence.
+    reported so the caller can judge convergence.  The march silences
+    numpy's divide and invalid warnings once, around its whole step loop
+    (the kernels it calls set no error state): a member that leaves the
+    physical states gives inf/nan, which the end-of-step check catches.
+    The caller's error state holds again when the call returns or raises.
 
     Batch form: any of ``mach``, ``epsilon``, ``solver`` and ``shock_col``
     may be a sequence with one entry per member, and a scalar applies to
@@ -204,48 +208,39 @@ def solve_1d_steady(
     live = np.arange(count)
     cells, march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
     cells[...] = q.transpose(2, 0, 1)
-    prim = _march_primitives(cells, gas)
-    for step in range(steps):
-        res = march(prim)
-        history[step, live] = np.abs(res).max(axis=(0, 2))
-        res *= cfl_volume / _wave_speed_sums(prim, faces, gas)
-        cells += res
-        # One conversion per step serves this check, the next time step and
-        # the next exit ghost.
-        prim = _march_primitives(cells, gas)
-        physical = _physical_state(prim[0], prim[3]).all(axis=1)
-        if not physical.all():
-            for k in live[~physical]:
-                outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
-            live = live[physical]
-            if live.size == 0:
-                break
-            inflow, p_exit = inflow[physical], p_exit[physical]
-            live_solvers = [solvers[k] for k in live]
-            kept = cells[:, physical]
-            cells, march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
-            cells[...] = kept
-            prim = _march_primitives(cells, gas)
-    if live.size:
-        final = np.abs(march(prim)).max(axis=(0, 2))
-        for pos, k in enumerate(live):
-            outcome[k] = OneDResult(q=cells[:, pos].T.copy(), residual_inf=float(final[pos]),
-                                    residual_history=history[:, k].copy())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prim = _primitive_columns(cells, gas)
+        for step in range(steps):
+            res = march(prim)
+            history[step, live] = np.abs(res).max(axis=(0, 2))
+            res *= cfl_volume / _wave_speed_sums(prim, faces, gas)
+            cells += res
+            # One conversion per step serves this check, the next time step and
+            # the next exit ghost.
+            prim = _primitive_columns(cells, gas)
+            physical = _physical_state(prim[0], prim[3]).all(axis=1)
+            if not physical.all():
+                for k in live[~physical]:
+                    outcome[k] = EvolutionError(f"1-D march left the physical state space at step {step + 1}")
+                live = live[physical]
+                if live.size == 0:
+                    break
+                inflow, p_exit = inflow[physical], p_exit[physical]
+                live_solvers = [solvers[k] for k in live]
+                kept = cells[:, physical]
+                cells, march = _march_map(inflow, p_exit, metrics, scheme, live_solvers, gas)
+                cells[...] = kept
+                prim = _primitive_columns(cells, gas)
+        if live.size:
+            final = np.abs(march(prim)).max(axis=(0, 2))
+            for pos, k in enumerate(live):
+                outcome[k] = OneDResult(q=cells[:, pos].T.copy(), residual_inf=float(final[pos]),
+                                        residual_history=history[:, k].copy())
     if sizes:  # the batch form
         return outcome
     if isinstance(outcome[0], EvolutionError):
         raise outcome[0]
     return outcome[0]
-
-
-def _march_primitives(cells: np.ndarray, gas: GasModel):
-    """The primitive columns ``(rho, u, v, p)`` of a march's component-major cells, as ``cons_to_prim`` forms them.
-
-    ``rho`` is the view ``cells[0]``: the columns describe the cells only
-    until the march next writes them.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _primitive_columns(cells, gas)
 
 
 def project_1d_to_2d(oned: OneDResult | np.ndarray, nj: int) -> FlowField:
@@ -314,6 +309,12 @@ def evolve_linear(
     components sink into subnormal numbers, whose arithmetic costs several
     times that of normal numbers on every later step.
 
+    The loop allocates nothing per step with a dense ``P``: the product
+    alternates between two buffers, the norm is one dot product and the
+    flush goes through preallocated ``|v|`` and mask buffers (a CSR ``P``
+    allocates its product).  It sets no floating-point error state; a step
+    that overflows ends the series as diverged, under the caller's.
+
     ``steps < 1``, a non-finite or non-positive ``dt`` and a non-finite
     ``delta0`` raise :class:`EvolutionError`.
     """
@@ -338,21 +339,28 @@ def evolve_linear(
     if nrm == 0.0:
         raise EvolutionError("initial perturbation is zero")
     step_matrix = _rk4_step_matrix(matrix, dt)
+    dense = isinstance(step_matrix, np.ndarray)
     flush = np.exp(-_LOG_SPAN_LIMIT)
     v = v / nrm
+    w = np.empty(n)  # the other half of the dense product's ping-pong pair
+    size = np.empty(n)
+    tiny = np.empty(n, dtype=bool)
     log0 = float(np.log(nrm))
     logs = [log0]
     shift = 0.0
     diverged = truncated = False
     for _ in range(steps):
-        v = step_matrix @ v
-        growth = _norm(v)
+        if dense:
+            v, w = np.dot(step_matrix, v, out=w), v
+        else:
+            v = step_matrix @ v
+        growth = math.sqrt(v.dot(v))
         if not math.isfinite(growth) or growth == 0.0:
             diverged = True
             break
         shift += float(np.log(growth))
         v /= growth
-        v[np.abs(v) < flush] = 0.0
+        np.copyto(v, 0.0, where=np.less(np.abs(v, out=size), flush, out=tiny))
         logs.append(log0 + shift)
         if abs(shift) > _LOG_SPAN_LIMIT:
             truncated = True
@@ -408,7 +416,11 @@ def evolve_nonlinear(
     :func:`~shockstab.residual.residual` call), bitwise as those two would.
     The deviation norm sums ``q - q_base`` in the ``(i, j, component)``
     order of the base field.
-    A step makes four flux calls.
+    A step makes four flux calls.  As in :func:`solve_1d_steady`, numpy's
+    divide and invalid warnings are silenced once, around the whole step
+    loop: a non-physical state ends the series through the physical-state
+    check or the flux's own, and the caller's error state holds again on
+    return.
 
     ``steps < 1``, a non-finite or non-positive ``cfl`` or ``amplitude``,
     and an ``amplitude`` so small that the perturbed state equals the base
@@ -442,31 +454,32 @@ def evolve_nonlinear(
     ts = [0.0]
     logs = [float(np.log(deviation))]
     diverged = truncated = False
-    for _ in range(steps):
-        try:
-            prim = _march_primitives(q, gas)
-            if not np.all(_physical_state(prim[0], prim[3])):
-                raise StateError("non-physical state")
-            dt = cfl * float(np.min(metrics.volume / _wave_speed_sums(prim, metrics.cell_faces, gas)))
-            cells[...] = q
-            k1 = rhs()
-            k2 = stage(0.5 * dt, k1)
-            k3 = stage(0.5 * dt, k2)
-            k4 = stage(dt, k3)
-            q += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except StateError:
-            diverged = True
-            break
-        dev = _norm(np.subtract(_components_last(q), q_ref, out=diff))
-        if not math.isfinite(dev) or dev == 0.0:
-            diverged = True
-            break
-        t += dt
-        ts.append(t)
-        logs.append(float(np.log(dev)))
-        if abs(logs[-1] - logs[0]) > _LOG_SPAN_LIMIT:
-            truncated = True
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            try:
+                prim = _primitive_columns(q, gas)
+                if not np.all(_physical_state(prim[0], prim[3])):
+                    raise StateError("non-physical state")
+                dt = cfl * float(np.min(metrics.volume / _wave_speed_sums(prim, metrics.cell_faces, gas)))
+                cells[...] = q
+                k1 = rhs()
+                k2 = stage(0.5 * dt, k1)
+                k3 = stage(0.5 * dt, k2)
+                k4 = stage(dt, k3)
+                q += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except StateError:
+                diverged = True
+                break
+            dev = _norm(np.subtract(_components_last(q), q_ref, out=diff))
+            if not math.isfinite(dev) or dev == 0.0:
+                diverged = True
+                break
+            t += dt
+            ts.append(t)
+            logs.append(float(np.log(dev)))
+            if abs(logs[-1] - logs[0]) > _LOG_SPAN_LIMIT:
+                truncated = True
+                break
     return EvolutionSeries(t=np.array(ts), log_norm=np.array(logs), diverged=diverged, truncated=truncated)
 
 
@@ -513,9 +526,8 @@ def fit_growth_rate(t: np.ndarray, log_norms: np.ndarray) -> GrowthRateFit:
     else:
         mask = np.ones(slopes.size, dtype=bool)
     edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    # The mask holds at the peak slope (or everywhere), so there is a run.
     run_starts, run_ends = edges[::2], edges[1::2]
-    if run_starts.size == 0:
-        raise FitError("no samples near the peak exponential slope")
     longest = int(np.argmax(run_ends - run_starts))
     lo = int(run_starts[longest])
     hi = min(int(run_ends[longest]) - 1 + width, n_total - 1)

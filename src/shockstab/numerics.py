@@ -50,7 +50,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import StateError
-from .state import GasModel, _physical_state, _primitive_columns, _sound_speed, cons_to_prim, prim_to_cons
+from .state import GasModel, _conservative_columns, _physical_state, _primitive_columns, _sound_speed, cons_to_prim
 
 __all__ = [
     "FD_STEP",
@@ -319,9 +319,11 @@ def reconstruct_pair(
     of one component-major array.
 
     The four cells are stacked component-major once and handed to
-    :func:`_reconstruct_stencil`, which holds the reconstruction itself.
+    :func:`_reconstruct_stencil`, which holds the reconstruction itself,
+    with numpy's divide and invalid warnings silenced.
     """
-    return _reconstruct_stencil(_stack_components((u0, u1, u2, u3)), scheme, gas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _reconstruct_stencil(_stack_components((u0, u1, u2, u3)), scheme, gas)
 
 
 def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas: GasModel):
@@ -337,21 +339,24 @@ def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas:
     cell values ``u1``/``u2`` as the sides and splits nothing.  Callers that
     gather their stencils component-major (the nonlinear march, the 1-D
     march and the matrix assembly) call this directly; ``stencil`` is not
-    written to.
+    written to.  It sets no floating-point error state: a non-physical
+    cell or face state divides by zero here, and its caller decides whether
+    numpy warns (each march silences divide and invalid once, around its
+    whole step loop).
     """
     if scheme.kind == "first_order":
         faces = stencil[:, 1:3]
         return _FacePair(faces, None, np.zeros(faces.shape[2:], dtype=bool))
 
     if scheme.variables == "primitive":
-        # The conversions are elementwise over leading axes: .T puts the components last.
-        faces = prim_to_cons(_reconstruct_values(cons_to_prim(stencil.T, gas).T, scheme).T, gas).T
+        # cons_to_prim, then prim_to_cons, through their column rules.
+        values = _reconstruct_values(np.array(_primitive_columns(stencil, gas)), scheme)
+        faces = _conservative_columns(*values, gas, np.empty(values.shape))
     else:
         faces = _reconstruct_values(stencil, scheme)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        primitives = _primitive_columns(faces, gas)
-        bad = ~_physical_state(primitives[0], primitives[3])
+    primitives = _primitive_columns(faces, gas)
+    bad = ~_physical_state(primitives[0], primitives[3])
     if bad.any():
         faces = np.where(bad, stencil[:, 1:3], faces)
         primitives = None
@@ -800,7 +805,18 @@ def riemann_flux(
     sides, and their primitive columns where the pair has them, instead of
     stacking and splitting the sides again.  The fluxes are the same bits
     either way.
+
+    numpy's divide and invalid warnings are silenced for the whole call: a
+    non-physical side gives inf/nan, which ``validate`` reports or the flux
+    carries.  The residuals call the body, :func:`_riemann_flux`, under the
+    error state that their caller sets.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _riemann_flux(solver, left, right, normal, gas, validate, pair)
+
+
+def _riemann_flux(solver, left, right, normal, gas: GasModel, validate: bool, pair: _FacePair | None) -> np.ndarray:
+    """:func:`riemann_flux`, under whatever floating-point error state the caller has set."""
     normal = np.asarray(normal, dtype=float)
     nx, ny = normal[..., 0], normal[..., 1]
     if pair is None:
@@ -808,11 +824,10 @@ def riemann_flux(
     else:
         stack = pair.stack
     # A non-physical side yields inf/nan here; validation reports it below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        primitives = getattr(pair, "primitives", None)
-        if primitives is None:
-            primitives = _primitive_columns(stack, gas)
-        S = _FaceSide.split(stack, primitives, nx, ny, gas)
+    primitives = getattr(pair, "primitives", None)
+    if primitives is None:
+        primitives = _primitive_columns(stack, gas)
+    S = _FaceSide.split(stack, primitives, nx, ny, gas)
     batch_rows = stack.shape[2] if stack.ndim > 2 else 1
     runs = _solver_runs(solver if isinstance(solver, str) else tuple(solver), batch_rows)
     if validate:

@@ -70,8 +70,8 @@ from .numerics import (
     _components_first,
     _components_last,
     _reconstruct_stencil,
+    _riemann_flux,
     reconstruct_pair,
-    riemann_flux,
 )
 from .state import (
     FlowField,
@@ -235,14 +235,15 @@ def _exit_pressure_state(cells: np.ndarray, pressure: float | np.ndarray, gas: G
 
     :func:`~shockstab.state._conservative_columns` of the cells' density and
     velocity with ``pressure``; the pressure it replaces is never formed.
-    The result is written to ``out`` when it is given.
+    The result is written to ``out`` when it is given.  A zero density
+    divides by zero here, under the floating-point error state that the
+    caller sets.
     """
     if out is None:
         out = np.empty(cells.shape)
     rho = cells[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cells[1] / rho
-        v = cells[2] / rho
+    u = cells[1] / rho
+    v = cells[2] / rho
     return _conservative_columns(rho, u, v, pressure, gas, out)
 
 
@@ -409,12 +410,14 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     the cells and the few ghost rows that are not copies of cells
     (:func:`_frame_sources`).  The corner blocks, which the axis-aligned
     stencils never read, repeat the nearest left/right ghost to keep every
-    entry finite.
+    entry finite.  numpy's divide and invalid warnings are silenced: an
+    exit-pressure ghost of a zero-density cell is inf/nan.
     """
     _check_metrics(field, metrics)
     sides = [bc.side(side) for side in SIDES]
     frame, _, _ = _frame_rows(field.ni, field.nj, tuple(side.kind for side in sides))
-    ext = _frame_sources(field.q, sides, metrics, gas).take(frame, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ext = _frame_sources(field.q, sides, metrics, gas).take(frame, axis=0)
     return GhostField(ext=ext, ni=field.ni, nj=field.nj)
 
 
@@ -432,13 +435,15 @@ def ghost_dependency(
     cell's state with respect to that interior cell (zero in the corners).
     Both are gathered through the frame map of :func:`fill_ghosts`, from the
     source cells of :func:`_frame_rows` and the row derivatives of
-    :func:`_frame_source_jacobian`.
+    :func:`_frame_source_jacobian`, with numpy's divide and invalid
+    warnings silenced as in :func:`fill_ghosts`.
     """
     ni, nj = base.ni, base.nj
     sides = [bc.side(side) for side in SIDES]
     frame, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
     dep = sources.take(frame)
-    jac = _frame_source_jacobian(base.q, sides, metrics, gas).take(frame, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = _frame_source_jacobian(base.q, sides, metrics, gas).take(frame, axis=0)
     corners = np.ones(frame.shape, dtype=bool)
     corners[2:-2] = corners[:, 2:-2] = False
     dep[corners] = -1
@@ -507,11 +512,13 @@ def _face_fluxes(reconstruction, normal: np.ndarray, solver, gas: GasModel):
     split into primitives once, in the reconstruction.  The flux re-tests
     the face states only where the pair carries no primitive columns: a
     reconstruction that has them (second order, no face fell back) has
-    already passed every face state with the flux's own test.
+    already passed every face state with the flux's own test.  The flux
+    body, :func:`~shockstab.numerics._riemann_flux`, runs under the
+    caller's floating-point error state.
     """
     left, right, _ = reconstruction
-    flux = riemann_flux(solver, left, right, normal, gas, validate=reconstruction.primitives is None,
-                        pair=reconstruction)
+    flux = _riemann_flux(solver, left, right, normal, gas, validate=reconstruction.primitives is None,
+                         pair=reconstruction)
     return _components_first(flux)
 
 
@@ -531,13 +538,14 @@ def residual(
     """Net volume-scaled flux balance ``dU/dt`` for every interior cell.
 
     One reconstruction over the face batch of both families (see
-    :func:`face_reconstruction`) and one
-    :func:`~shockstab.numerics.riemann_flux` call, through
-    :func:`_face_fluxes`.
+    :func:`face_reconstruction`) and one flux evaluation, through
+    :func:`_face_fluxes`, with numpy's divide and invalid warnings silenced
+    as in :func:`~shockstab.numerics.riemann_flux`.
     """
     if (ghosts.ni, ghosts.nj) != (field.ni, field.nj):
         raise StateError("ghost frame does not match the field")
-    flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, solver, gas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, solver, gas)
     return np.ascontiguousarray(_components_last(_flux_balance(flux, metrics)))
 
 
@@ -618,9 +626,9 @@ def _march_map(
     :func:`~shockstab.state._conservative_columns` as in
     :func:`_exit_pressure_state`.  The face batch is
     ``(members, ni + 1)``, members outer: each member's i-faces are one row
-    of it, so :func:`~shockstab.numerics.riemann_flux` runs each solver on
-    its own members' rows, and the i-face normals broadcast over the
-    members.
+    of it, so the flux body :func:`~shockstab.numerics._riemann_flux` runs
+    each solver on its own members' rows, and the i-face normals broadcast
+    over the members.
 
     Both j-faces of a strip cell see four copies of the cell under the same
     geometry, so their fluxes are bitwise equal and their difference is

@@ -45,6 +45,7 @@ from .numerics import (
     _central_difference,
     _components_last,
     _reconstruct_stencil,
+    _solver_kernel,
     reconstruct_pair,
     reconstruction_kink_flags,
     riemann_flux,
@@ -127,26 +128,31 @@ def flux_jacobians(
     """Central-difference flux derivatives with respect to both side states.
 
     Returns ``(JL, JR)``, each ``(..., 4, 4)`` with ``J[..., r, c] =
-    dF_r/dU_c``.  Raises :class:`LinearizationError` if any differenced
-    column is non-finite (e.g. a perturbation left the physical state space).
-    ``solver`` is one name (a per-member list raises :class:`StateError`):
-    each side's probes go through the flux stacked on a leading axis (see
-    :func:`~shockstab.numerics._central_difference`), with the other side
-    broadcast.
+    dF_r/dU_c``.  Raises :class:`LinearizationError` if a perturbation left
+    the physical state space: a differenced column is non-finite, or the
+    solver's interface average (Roe, HLLE, HLLEM) has no positive sound
+    speed, whose :class:`StateError` is chained as the cause.
+    ``solver`` is one name (a per-member list or an unknown name raises
+    :class:`StateError`): each side's probes go through the flux stacked on
+    a leading axis (see :func:`~shockstab.numerics._central_difference`),
+    with the other side broadcast.
     """
     if not isinstance(solver, str):
         raise StateError(f"flux_jacobians takes one solver name, got {solver!r}")
+    _solver_kernel(solver)
     left = np.asarray(left, dtype=float)
     right = np.asarray(right, dtype=float)
-    jl = _central_difference(
-        lambda u: riemann_flux(solver, u, np.broadcast_to(right, u.shape), normal, gas, validate=False), left)
-    jr = _central_difference(
-        lambda u: riemann_flux(solver, np.broadcast_to(left, u.shape), u, normal, gas, validate=False), right)
+    near_boundary = "the base flow sits too close to the boundary of the physical state space"
+    try:
+        jl = _central_difference(
+            lambda u: riemann_flux(solver, u, np.broadcast_to(right, u.shape), normal, gas, validate=False), left)
+        jr = _central_difference(
+            lambda u: riemann_flux(solver, np.broadcast_to(left, u.shape), u, normal, gas, validate=False), right)
+    except StateError as exc:
+        raise LinearizationError(f"flux differencing for solver {solver!r} failed: {exc}; {near_boundary}") from exc
     if not (np.all(np.isfinite(jl)) and np.all(np.isfinite(jr))):
         raise LinearizationError(
-            f"flux differencing for solver {solver!r} produced non-finite entries; "
-            "the base flow sits too close to the boundary of the physical state space"
-        )
+            f"flux differencing for solver {solver!r} produced non-finite entries; {near_boundary}")
     return jl, jr
 
 
@@ -260,21 +266,24 @@ def assemble(
     sides, through the residual's own
     :func:`~shockstab.residual._face_fluxes` and
     :func:`~shockstab.residual._flux_balance`, so the base is reconstructed
-    and split into primitives once.
+    and split into primitives once.  Those private kernels set no
+    floating-point error state; their divide and invalid warnings are
+    silenced here, as the public ghost, reconstruction and flux functions
+    silence theirs.
     """
     ni, nj = base.ni, base.nj
     _check_metrics(base, metrics)
     sides = [bc.side(side) for side in SIDES]
     _, rows, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-    stencils = _frame_sources(base.q, sides, metrics, gas).T.take(rows, axis=1)  # (4, stencil cell, faces)
-    reconstruction = _reconstruct_stencil(stencils, scheme, gas)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stencils = _frame_sources(base.q, sides, metrics, gas).T.take(rows, axis=1)  # (4, stencil cell, faces)
+        reconstruction = _reconstruct_stencil(stencils, scheme, gas)
+        base_flux = _face_fluxes(reconstruction, metrics.face_normal, solver, gas)
+        g_sten = np.moveaxis(_frame_source_jacobian(base.q, sides, metrics, gas).take(rows, axis=0), 0, 1)
     stencils = _components_last(stencils)  # the four (faces, 4) cells of the public functions
     left, right, fallback = reconstruction
-    base_res = _flux_balance(_face_fluxes(reconstruction, metrics.face_normal, solver, gas), metrics)
-    base_residual_inf = float(np.max(np.abs(base_res)))
-
+    base_residual_inf = float(np.max(np.abs(_flux_balance(base_flux, metrics))))
     dep_sten = sources.take(rows).T  # (faces, stencil cell)
-    g_sten = np.moveaxis(_frame_source_jacobian(base.q, sides, metrics, gas).take(rows, axis=0), 0, 1)
     jl_flux, jr_flux = flux_jacobians(solver, left, right, metrics.face_normal, gas)
     al, ar = reconstruction_coefficients(*stencils, scheme, gas)
     # Chain rule per stencil cell, then through the ghost map.

@@ -753,3 +753,109 @@ class TestPinnedMarchBytes:
         series = evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, scheme, solver, GAS, steps=steps)
         assert len(series.t) == steps + 1 and not series.diverged
         assert sha256(series.t) == PINNED_NONLINEAR_T_DIGESTS[solver, kind, steps]
+
+
+def shock_case(ni, nj):
+    """A Rankine-Hugoniot M=20 base on ``ni x nj`` cells, its boundaries and metrics."""
+    base = init_normal_shock_rh(ni, nj, 20.0, 0.1, gas=GAS)
+    return base, normal_shock_bcs(20.0, GAS), compute_metrics(make_cartesian_grid(ni, nj))
+
+
+class TestMarchErrorState:
+    """Both explicit marches set numpy's error state around their step loop and give the caller's back.
+
+    The caller's state here raises on divide and invalid, so a march that
+    leaked its own silenced state, or left its kernels unsilenced, shows.
+    """
+
+    @staticmethod
+    def restores(run):
+        with np.errstate(divide="raise", invalid="raise"):
+            before = np.geterr()
+            result = run()
+            assert np.geterr() == before
+        return result
+
+    def test_normal_returns(self):
+        res = self.restores(lambda: solve_1d_steady(5, 20.0, 0.1, 50, MUSCL, "hllc"))
+        assert res.residual_history.shape == (50,)
+        base, bc, metrics = shock_case(5, 5)
+        series = self.restores(lambda: evolve_nonlinear(base, bc, metrics, MUSCL, "hllc", GAS, steps=20))
+        assert len(series.t) == 21 and not series.diverged
+
+    def test_scalar_march_that_leaves_the_physical_states(self):
+        def run():
+            with pytest.raises(EvolutionError, match="at step 5$"):
+                solve_1d_steady(11, 20.0, 0.1, 200, MUSCL, "hllc", cfl=5.0)
+
+        self.restores(run)
+
+    def test_nonlinear_march_that_diverges(self):
+        base, _ = make_base_flow(7, 3, 20.0, 0.1, MUSCL, "hllc", oned_steps=50)
+        metrics = compute_metrics(make_cartesian_grid(7, 3))
+        series = self.restores(lambda: evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc",
+                                                        GAS, steps=50, cfl=3.0, amplitude=1e-2))
+        assert series.diverged
+
+    def test_an_error_inside_the_step_loop(self, monkeypatch):
+        # Both loops take their time step from _wave_speed_sums; its third
+        # call raises from inside the silenced block.
+        calls = []
+        wave_speed_sums = harness._wave_speed_sums
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("planted")
+            return wave_speed_sums(*args)
+
+        monkeypatch.setattr(harness, "_wave_speed_sums", failing)
+        base, bc, metrics = shock_case(5, 5)
+        for run in (lambda: solve_1d_steady(5, 20.0, 0.1, 10, MUSCL, "hllc"),
+                    lambda: evolve_nonlinear(base, bc, metrics, MUSCL, "hllc", GAS, steps=10)):
+            calls.clear()
+
+            def raises(run=run):
+                with pytest.raises(RuntimeError, match="^planted$"):
+                    run()
+
+            self.restores(raises)
+
+
+class TestOneErrorStatePerMarch:
+    """The number of ``np.errstate`` entries in a march does not grow with its step count."""
+
+    @staticmethod
+    def entries(monkeypatch, run) -> int:
+        count = [0]
+
+        class Counting(np.errstate):
+            def __enter__(self):
+                count[0] += 1
+                return super().__enter__()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "errstate", Counting)
+            run()
+        return count[0]
+
+    SCHEMES = {"first_order": FIRST, "muscl": MUSCL,
+               "muscl_primitive": ReconstructionScheme(kind="muscl", limiter="van_albada", variables="primitive")}
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_1d_march(self, monkeypatch, scheme):
+        def run(steps):
+            res = solve_1d_steady(5, [20.0, 3.0], 0.1, steps, self.SCHEMES[scheme], ["hllc", "roe"])
+            assert all(r.residual_history.shape == (steps,) for r in res)
+
+        assert self.entries(monkeypatch, lambda: run(10)) == self.entries(monkeypatch, lambda: run(100))
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_nonlinear_march(self, monkeypatch, scheme):
+        base, bc, metrics = shock_case(5, 5)
+
+        def run(steps):
+            series = evolve_nonlinear(base, bc, metrics, self.SCHEMES[scheme], "hllc", GAS, steps=steps)
+            assert len(series.t) == steps + 1 and not series.diverged
+
+        assert self.entries(monkeypatch, lambda: run(10)) == self.entries(monkeypatch, lambda: run(100))

@@ -1,6 +1,7 @@
 """Boundary ghosts, their linearization, and the finite-volume residual."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -1168,7 +1169,7 @@ class TestStripBranch:
             monkeypatch.setattr(importlib.import_module("shockstab.residual"), name, fail)
             monkeypatch.setattr(harness, name, fail, raising=False)
         pairs = counting(monkeypatch, "_reconstruct_stencil")
-        fluxes = counting(monkeypatch, "riemann_flux")
+        fluxes = counting(monkeypatch, "_riemann_flux")
         ni, steps, solvers = 9, 5, ["hll", "hllc", "hllc"]
         harness.solve_1d_steady(ni, [3.0, 6.0, 20.0], 0.4, steps, PINNED_SCHEMES["muscl_van_albada"], solvers)
         assert len(pairs) == len(fluxes) == steps + 1
@@ -1245,7 +1246,7 @@ class TestFaceStateValidation:
         for name, ghosts, evaluate in self.cases():
             for scheme_name, scheme in PINNED_SCHEMES.items():
                 fallback = face_reconstruction(ghosts, scheme, GAS)[2].any()
-                fluxes = counting(monkeypatch, "riemann_flux")
+                fluxes = counting(monkeypatch, "_riemann_flux")
                 evaluate(scheme)
                 flags = [kwargs.get("validate", True) for _, kwargs in fluxes]
                 assert flags == [not scheme.is_second_order or bool(fallback)]
@@ -1376,7 +1377,7 @@ class TestNonlinearMarchStage:
 
             monkeypatch.setattr(module, name, fail)
             monkeypatch.setattr(harness, name, fail, raising=False)
-        fluxes = counting(monkeypatch, "riemann_flux")
+        fluxes = counting(monkeypatch, "_riemann_flux")
         base = init_normal_shock_rh(7, 3, 20.0, 0.1, gas=GAS)
         metrics = compute_metrics(make_cartesian_grid(7, 3))
         series = harness.evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics,
@@ -1384,3 +1385,70 @@ class TestNonlinearMarchStage:
         assert len(series.t) == 2 and not series.diverged
         assert len(fluxes) == 4
         assert all(args[1].shape == (8 * 3 + 7 * 4, 4) for args, _ in fluxes)
+
+
+class TestQuietOnNonPhysicalCells:
+    """The public face, ghost and residual functions silence numpy's divide and invalid warnings.
+
+    The private kernels behind them set no error state of their own (the
+    marches set it once per march), so each public entry point sets it
+    itself.  A zero-density or negative-pressure cell goes through each of
+    them with every warning an error: the results carry inf/nan, or the
+    physical-state test raises :class:`StateError`, and numpy stays quiet.
+    """
+
+    CELLS = {
+        "zero_density": np.array([0.0, 0.0, 0.0, 1.0]),
+        "negative_pressure": prim_to_cons(np.array([1.0, 0.5, 0.0, -0.5]), GAS),
+    }
+    GOOD = prim_to_cons(np.array([1.0, 0.5, 0.1, 1.0]), GAS)
+
+    @staticmethod
+    def field_with(cell):
+        """A 5x3 M=3 field whose last cell in i, next to the exit-pressure ghosts, is ``cell``."""
+        q = np.tile(TestQuietOnNonPhysicalCells.GOOD, (5, 3, 1))
+        q[4, 1] = cell
+        return FlowField(q=q), normal_shock_bcs(3.0, GAS), compute_metrics(make_cartesian_grid(5, 3))
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_reconstruct_pair(self, name):
+        good, bad = self.GOOD, self.CELLS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scheme in PINNED_SCHEMES.values():
+                left, right, _ = reconstruct_pair(good, good, bad, good, scheme, GAS)
+                assert left.shape == right.shape == (4,)
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    @pytest.mark.parametrize("solver", RIEMANN_SOLVERS)
+    def test_riemann_flux_unvalidated(self, solver, name):
+        good, bad = self.GOOD, self.CELLS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for left, right in ((bad, good), (good, bad)):
+                assert riemann_flux(solver, left, right, np.array([1.0, 0.0]), GAS, validate=False).shape == (4,)
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_fill_ghosts_and_ghost_dependency(self, name):
+        field, bcs, metrics = self.field_with(self.CELLS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ext = fill_ghosts(field, bcs, metrics, GAS).ext
+            ghost_dependency(field, bcs, metrics, GAS)
+        if name == "zero_density":  # the exit ghosts of a zero-density cell divide by zero
+            assert not np.all(np.isfinite(ext[-2:, 3]))
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_residual_and_assemble_raise_quietly(self, name):
+        from shockstab.stability import assemble
+
+        field, bcs, metrics = self.field_with(self.CELLS[name])
+        for scheme in PINNED_SCHEMES.values():
+            for solver in RIEMANN_SOLVERS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ghosts = fill_ghosts(field, bcs, metrics, GAS)
+                    with pytest.raises(StateError, match="non-physical"):
+                        residual(field, ghosts, metrics, scheme, solver, GAS)
+                    with pytest.raises(StateError, match="non-physical"):
+                        assemble(field, metrics, scheme, solver, bcs, GAS)

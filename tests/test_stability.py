@@ -144,16 +144,36 @@ class TestFluxJacobians:
         assert jl.shape == (3, 2, 4, 4)
         assert jr.shape == (3, 2, 4, 4)
 
-    @pytest.mark.parametrize("solver", ["hll", "hllc", "van_leer_fvs", "slau"])
+    @pytest.mark.parametrize("solver", ["hll", "hllc", "van_leer_fvs", "slau", "roe", "hlle", "hllem"])
     def test_probes_past_zero_pressure_are_a_linearization_error(self, solver):
         # At p = 1e-12 the energy probe -FD_STEP leaves the pressure
         # negative: its sound speed is NaN and so is the differenced column.
+        # The Roe-averaged solvers stop earlier, on the probe's negative
+        # squared interface sound speed, whose StateError becomes the cause.
+        cons = prim_to_cons(np.array([1.0, 0.5, 0.0, 1e-12]), GAS)
+        roe_averaged = solver in ("roe", "hlle", "hllem")
+        what = ("failed: interface averaging produced a non-positive sound speed" if roe_averaged
+                else "produced non-finite entries")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinearizationError, match=f"^flux differencing for solver '{solver}' {what}; "
+                               "the base flow sits too close to the boundary of the physical state space$") as info:
+                flux_jacobians(solver, cons, cons, np.array([1.0, 0.0]), GAS)
+        assert isinstance(info.value.__cause__, StateError) == roe_averaged
+
+    def test_ausm_plus_probes_stay_finite_at_tiny_pressure(self):
+        # AUSM+ takes its interface sound speed from the enthalpy, which the
+        # negative-pressure probe leaves positive: the Jacobians exist.
         cons = prim_to_cons(np.array([1.0, 0.5, 0.0, 1e-12]), GAS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(LinearizationError, match=f"^flux differencing for solver '{solver}' produced "
-                               "non-finite entries; the base flow sits too close to the boundary"):
-                flux_jacobians(solver, cons, cons, np.array([1.0, 0.0]), GAS)
+            jl, jr = flux_jacobians("ausm_plus", cons, cons, np.array([1.0, 0.0]), GAS)
+        assert np.all(np.isfinite(jl)) and np.all(np.isfinite(jr))
+
+    def test_unknown_solver_is_a_state_error(self):
+        cons = prim_to_cons(np.array([1.0, 0.5, 0.0, 1.0]), GAS)
+        with pytest.raises(StateError, match="^unknown solver 'godunov'"):
+            flux_jacobians("godunov", cons, cons, np.array([1.0, 0.0]), GAS)
 
     def test_one_solver_name_only(self):
         # The probes stack on the leading axes, where a per-member solver
