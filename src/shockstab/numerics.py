@@ -25,14 +25,20 @@ by broadcasting along the leading axis.  Both sides are limited, checked
 for positivity, split into the face frame, validated and given their
 physical fluxes in one pass each; AUSM+ and SLAU evaluate their split Mach
 and pressure polynomials for both sides at once too, with the side's sign
-``+1``/``-1`` as a ``(2, 1, ...)`` array.  The public functions keep their
-``(..., 4)`` arrays, as views of the component-major ones: the stacked
-sides and their primitive columns travel with the ``(left, right,
-fallback)`` triple from :func:`reconstruct_pair` to :func:`riemann_flux`
-(its ``pair`` argument), so a face batch is split into primitives once
-(twice where a face fell back to its cell value).  The arithmetic is
-elementwise and unchanged, so every face state and flux is bit-identical
-to a side-by-side evaluation in any layout.
+``+1``/``-1`` as a ``(2, 1, ...)`` array.  The arithmetic is elementwise,
+so every face state and flux is bit-identical to a side-by-side evaluation
+in any layout.
+
+The private contract: :func:`_reconstruct_stencil` takes the ``(4, 4,
+...)`` stencils and returns ``(faces, primitives, fallback)``, with
+``faces`` the ``(4, 2, ...)`` sides and ``primitives`` their ``rho, u, v,
+p`` columns, or ``None`` where it formed none (first order) or a fallback
+face made them stale.  :func:`_riemann_flux` takes ``faces`` and
+``primitives`` as they come (it splits the sides itself when
+``primitives`` is ``None``) and returns the ``(4, ...)`` flux.  Neither
+sets a floating-point error state.  The public :func:`reconstruct_pair`
+and :func:`riemann_flux` keep their ``(..., 4)`` arrays, as views of the
+component-major ones.
 
 Finite-difference linearizations (:func:`_central_difference`) hand the
 eight ``x +- e_c`` probes of a batch to the map on a leading axis in one
@@ -276,27 +282,6 @@ def _reconstruct_values(stencil: np.ndarray, scheme: ReconstructionScheme) -> np
     return np.where(safe, val, center)
 
 
-class _FacePair(tuple):
-    """The ``(left, right, fallback)`` triple of :func:`reconstruct_pair`, with the stacked sides.
-
-    ``stack`` is the component-major ``(4, 2, ...)`` array of both sides,
-    of which ``left`` and ``right`` are ``(..., 4)`` views, and
-    ``primitives`` the ``rho, u, v, p`` columns of ``stack`` (each with the
-    side axis first), as :func:`~shockstab.state._primitive_columns` gives
-    them, or ``None`` where the reconstruction formed none (first order) or
-    a fallback face made them stale: only a flux needs them then, and it
-    forms them itself.  Passed to :func:`riemann_flux` as ``pair``, they
-    spare the flux a second stacking and, when present, a second primitive
-    split.
-    """
-
-    def __new__(cls, stack: np.ndarray, primitives, fallback: np.ndarray) -> "_FacePair":
-        sides = _components_last(stack)
-        pair = super().__new__(cls, (sides[0], sides[1], fallback))
-        pair.stack, pair.primitives = stack, primitives
-        return pair
-
-
 def reconstruct_pair(
     u0: np.ndarray,
     u1: np.ndarray,
@@ -316,37 +301,33 @@ def reconstruct_pair(
     pressure revert to the first-order value of their side.  Returns
     ``(left, right, fallback)`` where ``fallback`` (bool over faces) marks
     the faces where either side reverted; ``left`` and ``right`` are views
-    of one component-major array.
-
-    The four cells are stacked component-major once and handed to
-    :func:`_reconstruct_stencil`, which holds the reconstruction itself,
-    with numpy's divide and invalid warnings silenced.
+    of one component-major array.  numpy's divide and invalid warnings are
+    silenced.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _reconstruct_stencil(_stack_components((u0, u1, u2, u3)), scheme, gas)
+        faces, _, fallback = _reconstruct_stencil(_stack_components((u0, u1, u2, u3)), scheme, gas)
+    left, right = _components_last(faces)
+    return left, right, fallback
 
 
 def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas: GasModel):
-    """:func:`reconstruct_pair` of the component-major ``(4, 4, ...)`` stencil ``u0..u3``.
+    """``(faces, primitives, fallback)`` of the component-major ``(4, 4, ...)`` stencil ``u0..u3``.
 
-    The work runs on the side axis: the stencil (converted to primitives in
-    one call where the scheme asks for it) gives both sides, which are
-    limited, split into primitives, checked for positivity and given their
-    fallback in one pass each, as one ``(4, 2, ...)`` array whose component
-    columns are contiguous.  The triple is a :class:`_FacePair` that also
-    carries that array and, unless a face fell back, its primitive columns,
-    for :func:`riemann_flux`'s ``pair``.  A first-order scheme takes its
-    cell values ``u1``/``u2`` as the sides and splits nothing.  Callers that
-    gather their stencils component-major (the nonlinear march, the 1-D
-    march and the matrix assembly) call this directly; ``stencil`` is not
-    written to.  It sets no floating-point error state: a non-physical
-    cell or face state divides by zero here, and its caller decides whether
-    numpy warns (each march silences divide and invalid once, around its
-    whole step loop).
+    ``faces`` is the ``(4, 2, ...)`` array of both sides (left first) and
+    ``fallback`` marks the faces where either side reverted, as in
+    :func:`reconstruct_pair`.  The stencil (converted to primitives in one
+    call where the scheme asks for it) gives both sides, which are limited,
+    split into primitives, checked for positivity and given their fallback
+    in one pass each.  ``primitives`` are the ``rho, u, v, p`` columns of
+    ``faces``, or ``None`` for a first-order scheme, which takes its cell
+    values ``u1``/``u2`` as the sides and splits nothing, and wherever a
+    face fell back.  ``stencil`` is not written to.  It sets no
+    floating-point error state: a non-physical cell or face state divides
+    by zero here, and its caller decides whether numpy warns.
     """
     if scheme.kind == "first_order":
         faces = stencil[:, 1:3]
-        return _FacePair(faces, None, np.zeros(faces.shape[2:], dtype=bool))
+        return faces, None, np.zeros(faces.shape[2:], dtype=bool)
 
     if scheme.variables == "primitive":
         # cons_to_prim, then prim_to_cons, through their column rules.
@@ -360,7 +341,7 @@ def _reconstruct_stencil(stencil: np.ndarray, scheme: ReconstructionScheme, gas:
     if bad.any():
         faces = np.where(bad, stencil[:, 1:3], faces)
         primitives = None
-    return _FacePair(faces, primitives, bad[0] | bad[1])
+    return faces, primitives, bad[0] | bad[1]
 
 
 #: A stencil variation below this fraction of the component's largest
@@ -453,7 +434,7 @@ def physical_flux(cons: np.ndarray, normal: np.ndarray, gas: GasModel) -> np.nda
 class _FaceSide:
     """Face-frame view of face states: scalars rho, u, v, qn, qt, p, E, a, H.
 
-    :func:`riemann_flux` splits both sides at once (:meth:`split`), from the
+    :func:`_riemann_flux` splits both sides at once (:meth:`split`), from the
     component-major ``(4, 2, ...)`` stack of the left and right states, so
     every scalar carries the side axis first, ``cons`` the component axis
     and then the side axis, and the normal broadcasts over the sides; the
@@ -777,8 +758,6 @@ def riemann_flux(
     normal: np.ndarray,
     gas: GasModel,
     validate: bool = True,
-    *,
-    pair: _FacePair | None = None,
 ) -> np.ndarray:
     """Numerical flux of the requested solver for ``(left, right)`` states.
 
@@ -789,46 +768,37 @@ def riemann_flux(
 
     ``solver`` is one name for the whole batch, or one name per member of a
     ``(rows, ..., 4)`` batch whose members each own an equal, consecutive
-    run of rows along its first axis (see :func:`_solver_runs`).  The two
-    sides are stacked component-major, as one ``(4, 2, ...)`` array, split
-    into the face frame (:class:`_FaceSide`) and validated (left first)
-    once; each solver's wave model then runs on its own row range(s), as
-    views, forming both sides' physical fluxes itself where it needs them,
-    and the fluxes are rotated back once.  Every row's flux is bit-identical
-    to that of a one-solver call.  The flux comes back as a ``(..., 4)``
-    view of the component-major result.  A caller that passes the normals
-    stored component-major (a transposed ``(2, faces)`` array) gives the
-    kernels contiguous ``nx`` and ``ny``.
-
-    ``pair`` is the :func:`reconstruct_pair` result that ``left`` and
-    ``right`` come from, if there is one: the flux then takes its stacked
-    sides, and their primitive columns where the pair has them, instead of
-    stacking and splitting the sides again.  The fluxes are the same bits
-    either way.
-
-    numpy's divide and invalid warnings are silenced for the whole call: a
-    non-physical side gives inf/nan, which ``validate`` reports or the flux
-    carries.  The residuals call the body, :func:`_riemann_flux`, under the
-    error state that their caller sets.
+    run of rows along its first axis (see :func:`_solver_runs`).  The sides
+    are stacked component-major and handed to :func:`_riemann_flux`; the
+    flux comes back as a ``(..., 4)`` view of its component-major result.
+    numpy's divide and invalid warnings are silenced: a non-physical side
+    gives inf/nan, which ``validate`` reports or the flux carries.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _riemann_flux(solver, left, right, normal, gas, validate, pair)
+        flux = _riemann_flux(solver, _stack_components((left, right)), None, normal, gas, validate)
+    return _components_last(flux)
 
 
-def _riemann_flux(solver, left, right, normal, gas: GasModel, validate: bool, pair: _FacePair | None) -> np.ndarray:
-    """:func:`riemann_flux`, under whatever floating-point error state the caller has set."""
+def _riemann_flux(solver, faces: np.ndarray, primitives, normal, gas: GasModel, validate: bool) -> np.ndarray:
+    """Component-major ``(4, ...)`` flux of the component-major ``(4, 2, ...)`` sides ``faces``.
+
+    ``primitives`` are the ``rho, u, v, p`` columns of ``faces``, or
+    ``None`` to split them here.  The sides are split into the face frame
+    (:class:`_FaceSide`) and validated (left first) once; each solver's
+    wave model then runs on its own row range(s), as views, and the fluxes
+    are rotated back once, so every row's flux is bit-identical to that of
+    a one-solver call.  A caller that passes the normals stored
+    component-major (a transposed ``(2, faces)`` array) gives the kernels
+    contiguous ``nx`` and ``ny``.  It runs under whatever floating-point
+    error state the caller has set.
+    """
     normal = np.asarray(normal, dtype=float)
     nx, ny = normal[..., 0], normal[..., 1]
-    if pair is None:
-        stack = _stack_components((left, right))
-    else:
-        stack = pair.stack
-    # A non-physical side yields inf/nan here; validation reports it below.
-    primitives = getattr(pair, "primitives", None)
     if primitives is None:
-        primitives = _primitive_columns(stack, gas)
-    S = _FaceSide.split(stack, primitives, nx, ny, gas)
-    batch_rows = stack.shape[2] if stack.ndim > 2 else 1
+        # A non-physical side yields inf/nan here; validation reports it below.
+        primitives = _primitive_columns(faces, gas)
+    S = _FaceSide.split(faces, primitives, nx, ny, gas)
+    batch_rows = faces.shape[2] if faces.ndim > 2 else 1
     runs = _solver_runs(solver if isinstance(solver, str) else tuple(solver), batch_rows)
     if validate:
         ok = _physical_state(S.rho, S.p)
@@ -842,4 +812,4 @@ def _riemann_flux(solver, left, right, normal, gas: GasModel, validate: bool, pa
         flux = runs[0][1](S, gas)
     else:
         flux = np.concatenate([kernel(S.rows(rows), gas) for _, kernel, rows in runs], axis=1)
-    return _components_last(_unrotate(flux, nx, ny))
+    return _unrotate(flux, nx, ny)

@@ -17,11 +17,11 @@ copies of interior cells (periodic and zero-gradient sides); the rest are a
 few *ghost rows* formed from the boundary cells: one inflow state per inflow
 side, one exit-pressure state per boundary cell, two mirrored states per
 slip-wall boundary cell.  :func:`_ghost_table` holds the cells and those
-rows as one component-major ``(4, rows)`` table and rewrites the rows that
-depend on cells in place.  One map, :func:`_frame_rows`, built at the start
-of each march, assembly or call, points every frame cell into that table and
-names each row's source cell, so :func:`fill_ghosts` and
-:func:`ghost_dependency` are gathers through it.
+rows as one component-major ``(4, rows)`` table, rewrites the rows that
+depend on cells in place and hands out the maps of :func:`_frame_rows`,
+which point every frame cell and every face's stencil into that table and
+name each row's source cell.  :func:`fill_ghosts` and
+:func:`ghost_dependency` are gathers through those maps.
 
 Both face families travel as one batch, i-faces first: the residual makes
 one reconstruction call and one flux call per evaluation and splits the
@@ -34,24 +34,23 @@ right-hand side, :func:`_residual_map`, skips the frame: it owns one ghost
 table for the whole march, whose ``(4, ni, nj)`` cells block the march
 writes each stage's state into.  Each evaluation rewrites the exit-pressure
 and slip-wall rows, takes the component-major ``(4, 4, faces)`` stencils in
-one gather from the contiguous table and hands them straight to the
-reconstruction body, with the bits of :func:`fill_ghosts` plus
-:func:`residual` (the frame-based reference path).
-:func:`_flux_balance` takes the ``(4, faces)`` fluxes and returns the
-component-major ``(4, ni, nj)`` balance.
+one gather from the table and hands them to the private reconstruction and
+flux kernels, with the bits of :func:`fill_ghosts` plus :func:`residual`
+(the frame-based reference path).  :func:`_flux_balance` takes the ``(4,
+faces)`` fluxes and returns the component-major ``(4, ni, nj)`` balance.
 :func:`shockstab.stability.assemble` linearizes the same one-take batch,
 reading each stencil cell's source cell and ghost derivative through the
-same map, and scatters into each cell the faces :func:`_cell_faces` lists.
+same maps, and scatters into each cell the faces :func:`_cell_faces` lists.
 
 The 1-D base march has a residual of its own, :func:`_march_map`: a batch
 of members on a one-row strip periodic in ``j``, whose j-faces carry the
 cell states on both sides and cancel exactly, so it fluxes the i-faces
 alone.  It forms its ``(4, members, ni + 4)`` frame once per march; the
 members' states live in the frame's interior, which the march updates in
-place, and the stencils are a sliding-window view of the frame.  All three
-residuals share :func:`_face_fluxes`, whose flux re-tests the face states
-exactly where the reconstruction has not (its pair carries no primitive
-columns).
+place, and the stencils are a sliding-window view of the frame.  The two
+marches and the assembly re-test the face states in the flux exactly where
+the reconstruction has not (it returns no primitive columns);
+:func:`residual` tests them all.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .numerics import (
     _reconstruct_stencil,
     _riemann_flux,
     reconstruct_pair,
+    riemann_flux,
 )
 from .state import (
     FlowField,
@@ -280,20 +280,18 @@ def _wall_normal(metrics: GridMetrics, side: str) -> np.ndarray:
     return metrics.jface_normal[:, 0 if side == "bottom" else metrics.nj].T
 
 
-def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
-    """Maps of every frame cell, and of every face's stencil, into the rows of :func:`_ghost_table`.
+def _frame_rows(ni: int, nj: int, bc: BoundaryConditionSet):
+    """Maps of every frame cell, and of every face's stencil, into the rows of :func:`_ghost_table` under ``bc``.
 
-    ``kinds`` holds the boundary kinds in :data:`SIDES` order.  Returns
-    ``(frame, stencils, sources)``: the ``(ni + 4, nj + 4)`` frame map, the
-    ``(4, faces)`` rows of :func:`_stencil_rows` composed with it, and for
-    each row the i-fastest cell (``j*ni + i``) it is a function of, ``-1``
-    for an inflow row.  Cells and the ghosts that copy them (periodic and
+    Returns ``(frame, stencils, sources)``: the ``(ni + 4, nj + 4)`` frame
+    map, the ``(4, faces)`` rows of :func:`_stencil_rows` composed with it,
+    and for each row the i-fastest cell (``j*ni + i``) it is a function of,
+    ``-1`` for an inflow row.  Cells and the ghosts that copy them (periodic and
     zero-gradient sides) point at the cell rows; other ghosts at the ghost
     rows after them; corners repeat the nearest left/right ghost.  A slip
-    wall across fewer than two cells raises :class:`StateError`.  The maps
-    are built afresh on each call, which a march or an assembly makes only
-    at its start.
+    wall across fewer than two cells raises :class:`StateError`.
     """
+    kinds = [bc.side(side).kind for side in SIDES]
     cells = np.arange(ni * nj).reshape(nj, ni).T  # i-fastest index of cell (i, j)
     frame = np.empty((ni + 4, nj + 4), dtype=np.int64)
     frame[2:-2, 2:-2] = np.arange(ni * nj).reshape(ni, nj)
@@ -316,36 +314,37 @@ def _frame_rows(ni: int, nj: int, kinds: tuple[str, ...]):
     return frame, frame.reshape(-1)[_stencil_rows(ni, nj)], np.concatenate(sources)
 
 
-def _ghost_table(sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel):
-    """The component-major ``(4, rows)`` table that :func:`_frame_rows` indexes, and how to keep its ghost rows.
+def _ghost_table(bc: BoundaryConditionSet, metrics: GridMetrics, gas: GasModel):
+    """The component-major ``(4, rows)`` ghost table under ``bc``, how to keep its ghost rows, and its maps.
 
-    ``sides`` holds the boundary conditions in :data:`SIDES` order.  The
-    table holds the ``(ni, nj)`` cells in C order, then per side the ghost
+    The table holds the ``(ni, nj)`` cells in C order, then per side the ghost
     rows that are not copies of cells: an inflow side its state as one row,
     an exit-pressure side the ghost of each boundary cell
     (:func:`_exit_pressure_state`), a slip wall two mirrored rows per
     boundary cell (:func:`_mirror_momentum`), the outer layer (from the
-    second cell in) first.  Returns ``(table, cells, refresh)``: the table
-    with its inflow rows written, its cells block as a ``(4, ni, nj)`` view
-    for the caller to fill, and ``refresh()``, which rewrites the other
-    ghost rows in place from the cells block.
+    second cell in) first.  Returns ``(table, cells, refresh, maps)``: the
+    table with its inflow rows written, its cells block as a ``(4, ni, nj)``
+    view for the caller to fill, ``refresh()``, which rewrites the other
+    ghost rows in place from the cells block, and the ``(frame, stencils,
+    sources)`` maps of :func:`_frame_rows` into the table.
     """
     ni, nj = metrics.ni, metrics.nj
-    _, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-    table = np.empty((4, sources.size))
+    maps = _frame_rows(ni, nj, bc)
+    sides = [bc.side(side) for side in SIDES]
+    table = np.empty((4, maps[2].size))  # one row per entry of the source map
     cells = table[:, : ni * nj].reshape(4, ni, nj)
     updates = []
     start = ni * nj
-    for side, bc, view in zip(SIDES, sides, _side_views(_components_last(cells), ghosts=0)):
+    for side, condition, view in zip(SIDES, sides, _side_views(_components_last(cells), ghosts=0)):
         count = view.shape[1]
-        if bc.kind == "supersonic_inflow":
-            table[:, start] = bc.state
+        if condition.kind == "supersonic_inflow":
+            table[:, start] = condition.state
             start += 1
-        elif bc.kind == "fixed_pressure_outflow":
-            updates.append((_exit_pressure_state, _components_first(view[0]), bc.pressure, gas,
+        elif condition.kind == "fixed_pressure_outflow":
+            updates.append((_exit_pressure_state, _components_first(view[0]), condition.pressure, gas,
                             table[:, start : start + count]))
             start += count
-        elif bc.kind == "slip_wall":
+        elif condition.kind == "slip_wall":
             rows = table[:, start : start + 2 * count].reshape(4, 2, count)
             updates.append((_mirror_momentum, _components_first(view[_GHOST_SOURCES["slip_wall"]]),
                             _wall_normal(metrics, side), rows))
@@ -355,35 +354,27 @@ def _ghost_table(sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: 
         for update, *args in updates:
             update(*args)
 
-    return table, cells, refresh
+    return table, cells, refresh, maps
 
 
-def _frame_sources(
-    q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics, gas: GasModel
-) -> np.ndarray:
-    """The rows of :func:`_ghost_table` for the ``(ni, nj, 4)`` cells ``q``, as a ``(rows, 4)`` view of the table."""
-    table, cells, refresh = _ghost_table(sides, metrics, gas)
-    cells[...] = _components_first(q)
-    refresh()
-    return table.T
-
-
-def _frame_source_jacobian(q: np.ndarray, sides: Sequence[BoundaryCondition], metrics: GridMetrics,
+def _frame_source_jacobian(q: np.ndarray, bc: BoundaryConditionSet, metrics: GridMetrics,
                            gas: GasModel) -> np.ndarray:
-    """``(rows, 4, 4)`` derivative of each row of :func:`_frame_sources` with respect to its source cell.
+    """``(rows, 4, 4)`` derivative of each row of :func:`_ghost_table` under ``bc`` with respect to its source cell.
 
-    Cells carry identities, an inflow row zero and a slip-wall row its exact
-    reflection; an exit-pressure row is :func:`_exit_pressure_state`
-    differenced centrally with step :data:`~shockstab.numerics.FD_STEP`.
+    ``q`` holds the ``(ni, nj, 4)`` cells.  Cells carry identities, an
+    inflow row zero and a slip-wall row its exact reflection; an
+    exit-pressure row is :func:`_exit_pressure_state` differenced centrally
+    with step :data:`~shockstab.numerics.FD_STEP`.
     """
+    sides = [bc.side(side) for side in SIDES]
     jacs = [np.broadcast_to(np.eye(4), (q.shape[0] * q.shape[1], 4, 4))]
-    for side, bc, cells in zip(SIDES, sides, _side_views(q, ghosts=0)):
-        if bc.kind == "supersonic_inflow":
+    for side, condition, cells in zip(SIDES, sides, _side_views(q, ghosts=0)):
+        if condition.kind == "supersonic_inflow":
             jacs.append(np.zeros((1, 4, 4)))
-        elif bc.kind == "fixed_pressure_outflow":
-            jacs.append(_central_difference(
-                lambda u: _components_last(_exit_pressure_state(_components_first(u), bc.pressure, gas)), cells[0]))
-        elif bc.kind == "slip_wall":
+        elif condition.kind == "fixed_pressure_outflow":
+            jacs.append(_central_difference(lambda u: _components_last(
+                _exit_pressure_state(_components_first(u), condition.pressure, gas)), cells[0]))
+        elif condition.kind == "slip_wall":
             # Column k of the reflection is the reflected unit vector e_k; both layers share it.
             normal = _wall_normal(metrics, side)
             units = np.broadcast_to(np.eye(4)[..., None], (4, 4, normal.shape[1]))
@@ -406,19 +397,19 @@ def fill_ghosts(field: FlowField, bc: BoundaryConditionSet, metrics: GridMetrics
     the adjacent interior cell (the latter with its pressure replaced);
     periodic sides wrap.
 
-    The frame is one gather, through the map of :func:`_frame_rows`, from
-    the cells and the few ghost rows that are not copies of cells
-    (:func:`_frame_sources`).  The corner blocks, which the axis-aligned
-    stencils never read, repeat the nearest left/right ghost to keep every
-    entry finite.  numpy's divide and invalid warnings are silenced: an
-    exit-pressure ghost of a zero-density cell is inf/nan.
+    The frame is one gather, through the frame map of :func:`_ghost_table`,
+    from the cells and the few ghost rows that are not copies of cells.  The
+    corner blocks, which the axis-aligned stencils never read, repeat the
+    nearest left/right ghost to keep every entry finite.  numpy's divide and
+    invalid warnings are silenced: an exit-pressure ghost of a zero-density
+    cell is inf/nan.
     """
     _check_metrics(field, metrics)
-    sides = [bc.side(side) for side in SIDES]
-    frame, _, _ = _frame_rows(field.ni, field.nj, tuple(side.kind for side in sides))
+    table, cells, refresh, (frame, _, _) = _ghost_table(bc, metrics, gas)
+    cells[...] = _components_first(field.q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ext = _frame_sources(field.q, sides, metrics, gas).take(frame, axis=0)
-    return GhostField(ext=ext, ni=field.ni, nj=field.nj)
+        refresh()
+    return GhostField(ext=table.T.take(frame, axis=0), ni=field.ni, nj=field.nj)
 
 
 def ghost_dependency(
@@ -433,17 +424,15 @@ def ghost_dependency(
     interior cell index it depends on (``-1`` for frozen inflow ghosts and
     unused corners) and ``jac`` holds the 4x4 derivative of the extended
     cell's state with respect to that interior cell (zero in the corners).
-    Both are gathered through the frame map of :func:`fill_ghosts`, from the
-    source cells of :func:`_frame_rows` and the row derivatives of
+    Both are gathered through the frame map of :func:`_frame_rows`, from
+    its source cells and the row derivatives of
     :func:`_frame_source_jacobian`, with numpy's divide and invalid
     warnings silenced as in :func:`fill_ghosts`.
     """
-    ni, nj = base.ni, base.nj
-    sides = [bc.side(side) for side in SIDES]
-    frame, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    frame, _, sources = _frame_rows(base.ni, base.nj, bc)
     dep = sources.take(frame)
     with np.errstate(divide="ignore", invalid="ignore"):
-        jac = _frame_source_jacobian(base.q, sides, metrics, gas).take(frame, axis=0)
+        jac = _frame_source_jacobian(base.q, bc, metrics, gas).take(frame, axis=0)
     corners = np.ones(frame.shape, dtype=bool)
     corners[2:-2] = corners[:, 2:-2] = False
     dep[corners] = -1
@@ -505,23 +494,6 @@ def face_reconstruction(ghosts: GhostField, scheme: ReconstructionScheme, gas: G
     return reconstruct_pair(*stencils, scheme, gas)
 
 
-def _face_fluxes(reconstruction, normal: np.ndarray, solver, gas: GasModel):
-    """Component-major ``(4, ...)`` fluxes of a face batch, given as its ``(left, right, fallback)`` triple.
-
-    The triple goes to the flux as its ``pair`` too, so the face states are
-    split into primitives once, in the reconstruction.  The flux re-tests
-    the face states only where the pair carries no primitive columns: a
-    reconstruction that has them (second order, no face fell back) has
-    already passed every face state with the flux's own test.  The flux
-    body, :func:`~shockstab.numerics._riemann_flux`, runs under the
-    caller's floating-point error state.
-    """
-    left, right, _ = reconstruction
-    flux = _riemann_flux(solver, left, right, normal, gas, validate=reconstruction.primitives is None,
-                         pair=reconstruction)
-    return _components_first(flux)
-
-
 def _normal_columns(normal: np.ndarray) -> np.ndarray:
     """The ``(faces, 2)`` normals stored component-major, so that the kernels read contiguous ``nx`` and ``ny``."""
     return np.ascontiguousarray(normal.T).T
@@ -538,15 +510,15 @@ def residual(
     """Net volume-scaled flux balance ``dU/dt`` for every interior cell.
 
     One reconstruction over the face batch of both families (see
-    :func:`face_reconstruction`) and one flux evaluation, through
-    :func:`_face_fluxes`, with numpy's divide and invalid warnings silenced
-    as in :func:`~shockstab.numerics.riemann_flux`.
+    :func:`face_reconstruction`) and one call of the public
+    :func:`~shockstab.numerics.riemann_flux`, which validates every face
+    state.  Each silences numpy's divide and invalid warnings.
     """
     if (ghosts.ni, ghosts.nj) != (field.ni, field.nj):
         raise StateError("ghost frame does not match the field")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flux = _face_fluxes(face_reconstruction(ghosts, scheme, gas), metrics.face_normal, solver, gas)
-    return np.ascontiguousarray(_components_last(_flux_balance(flux, metrics)))
+    left, right, _ = face_reconstruction(ghosts, scheme, gas)
+    flux = riemann_flux(solver, left, right, metrics.face_normal, gas)
+    return np.ascontiguousarray(_components_last(_flux_balance(_components_first(flux), metrics)))
 
 
 def _residual_map(
@@ -562,23 +534,21 @@ def _residual_map(
     the ``(4, ni, nj)`` cells block of a :func:`_ghost_table` formed here
     once, which the caller writes each stage's state into, and
     ``evaluate()``.  That rewrites the ghost rows that depend on cells,
-    gathers the component-major ``(4, 4, faces)`` stencils from the
-    contiguous table in one ``take`` through the stencil map of
-    :func:`_frame_rows` and hands them to the reconstruction body, with no
-    ghost frame in between.  The fluxes go through :func:`_face_fluxes` and
-    :func:`_flux_balance` as in :func:`residual`, and the ``(4, ni, nj)``
-    balance holds bitwise what :func:`fill_ghosts` plus :func:`residual`
-    give.
+    gathers the component-major ``(4, 4, faces)`` stencils from the table
+    in one ``take`` through its stencil map and hands them to
+    :func:`~shockstab.numerics._reconstruct_stencil` and
+    :func:`~shockstab.numerics._riemann_flux`, which re-tests the face
+    states only where the reconstruction returned no primitives, with no
+    ghost frame in between.  The ``(4, ni, nj)`` balance holds bitwise what
+    :func:`fill_ghosts` plus :func:`residual` give.
     """
-    sides = [bc.side(side) for side in SIDES]
-    _, stencil_rows, _ = _frame_rows(metrics.ni, metrics.nj, tuple(side.kind for side in sides))
-    table, cells, refresh = _ghost_table(sides, metrics, gas)
+    table, cells, refresh, (_, stencil_rows, _) = _ghost_table(bc, metrics, gas)
     normal = _normal_columns(metrics.face_normal)
 
     def evaluate() -> np.ndarray:
         refresh()
-        reconstruction = _reconstruct_stencil(table.take(stencil_rows, axis=1), scheme, gas)
-        return _flux_balance(_face_fluxes(reconstruction, normal, solver, gas), metrics)
+        faces, primitives, _ = _reconstruct_stencil(table.take(stencil_rows, axis=1), scheme, gas)
+        return _flux_balance(_riemann_flux(solver, faces, primitives, normal, gas, primitives is None), metrics)
 
     return cells, evaluate
 
@@ -649,8 +619,8 @@ def _march_map(
         frame[..., -1] = frame[..., -2]
         # A C-ordered copy of the window view: the kernels' results follow their
         # input's memory order, and the members' solver runs slice axis 1.
-        reconstruction = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
-        lf = length * _face_fluxes(reconstruction, normal, solver, gas)
+        faces, primitives, _ = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
+        lf = length * _riemann_flux(solver, faces, primitives, normal, gas, primitives is None)
         return -(lf[..., 1:] - lf[..., :-1] + 0.0) / volume
 
     return frame[..., 2:-2], evaluate

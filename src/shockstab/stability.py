@@ -43,23 +43,22 @@ from .numerics import (
     FD_STEP,  # noqa: F401 - still importable as stability.FD_STEP
     ReconstructionScheme,
     _central_difference,
+    _components_first,
     _components_last,
     _reconstruct_stencil,
+    _riemann_flux,
     _solver_kernel,
     reconstruct_pair,
     reconstruction_kink_flags,
     riemann_flux,
 )
 from .residual import (
-    SIDES,
     BoundaryConditionSet,
     _cell_faces,
     _check_metrics,
-    _face_fluxes,
     _flux_balance,
-    _frame_rows,
     _frame_source_jacobian,
-    _frame_sources,
+    _ghost_table,
     _join_faces,
     _split_faces,
 )
@@ -190,7 +189,8 @@ def reconstruction_coefficients(
     def face_states(c: int, u: np.ndarray) -> np.ndarray:
         """Both face states with cell ``c`` replaced by the probes ``u``, the side axis next to last."""
         stencil = [u if k == c else np.broadcast_to(cell, u.shape) for k, cell in enumerate(cells)]
-        return np.moveaxis(reconstruct_pair(*stencil, scheme, gas).stack, (0, 1), (-1, -2))
+        left, right, _ = reconstruct_pair(*stencil, scheme, gas)
+        return np.stack((left, right), axis=-2)
 
     for c in range(4):
         jac = _central_difference(lambda u: face_states(c, u), cells[c])  # (..., side, 4, 4)
@@ -253,35 +253,36 @@ def assemble(
     the flux against both reconstructed side states, difference the
     reconstruction against its four stencil cells, chain the two and map the
     stencil cells through their ghost derivatives.  The component-major
-    stencils are gathered once from the cells and ghost rows, through the
-    stencil map of :func:`~shockstab.residual._frame_rows` as in the
-    nonlinear march; they feed the reconstruction, and their ``(faces, 4)``
-    views the public coefficient and kink-flag functions.  The same map
-    gives each stencil cell's source cell and ghost derivative; the
-    Jacobians and their ``einsum`` chain keep their layout.  Each
-    cell row then takes the 4x4 blocks of its four faces
-    (:func:`~shockstab.residual._cell_faces`): a face feeds the cell before
-    it with ``-L/vol`` and the cell after it with ``+L/vol``.
-    ``base_residual_inf`` comes from one flux call on the same reconstructed
-    sides, through the residual's own
-    :func:`~shockstab.residual._face_fluxes` and
-    :func:`~shockstab.residual._flux_balance`, so the base is reconstructed
-    and split into primitives once.  Those private kernels set no
-    floating-point error state; their divide and invalid warnings are
-    silenced here, as the public ghost, reconstruction and flux functions
-    silence theirs.
+    stencils are gathered once from the cells and ghost rows of one
+    :func:`~shockstab.residual._ghost_table`, through its stencil map, as
+    in the nonlinear march; they feed the reconstruction, and their
+    ``(faces, 4)`` views the public coefficient and kink-flag functions.
+    The table's source map and
+    :func:`~shockstab.residual._frame_source_jacobian` give each stencil
+    cell's source cell and ghost derivative; the Jacobians and their
+    ``einsum`` chain keep their layout.  Each cell row then takes the 4x4
+    blocks of its four faces (:func:`~shockstab.residual._cell_faces`): a
+    face feeds the cell before it with ``-L/vol`` and the cell after it
+    with ``+L/vol``.  ``base_residual_inf`` comes from one call of the flux
+    kernel :func:`~shockstab.numerics._riemann_flux` on the same
+    reconstructed sides and :func:`~shockstab.residual._flux_balance`, so
+    the base is reconstructed and split into primitives once.  The private
+    kernels set no floating-point error state; their divide and invalid
+    warnings are silenced here, as the public ghost, reconstruction and
+    flux functions silence theirs.
     """
     ni, nj = base.ni, base.nj
     _check_metrics(base, metrics)
-    sides = [bc.side(side) for side in SIDES]
-    _, rows, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
+    table, cells, refresh, (_, rows, sources) = _ghost_table(bc, metrics, gas)
+    cells[...] = _components_first(base.q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        stencils = _frame_sources(base.q, sides, metrics, gas).T.take(rows, axis=1)  # (4, stencil cell, faces)
-        reconstruction = _reconstruct_stencil(stencils, scheme, gas)
-        base_flux = _face_fluxes(reconstruction, metrics.face_normal, solver, gas)
-        g_sten = np.moveaxis(_frame_source_jacobian(base.q, sides, metrics, gas).take(rows, axis=0), 0, 1)
+        refresh()
+        stencils = table.take(rows, axis=1)  # (4, stencil cell, faces)
+        faces, primitives, fallback = _reconstruct_stencil(stencils, scheme, gas)
+        base_flux = _riemann_flux(solver, faces, primitives, metrics.face_normal, gas, primitives is None)
+        g_sten = np.moveaxis(_frame_source_jacobian(base.q, bc, metrics, gas).take(rows, axis=0), 0, 1)
     stencils = _components_last(stencils)  # the four (faces, 4) cells of the public functions
-    left, right, fallback = reconstruction
+    left, right = _components_last(faces)
     base_residual_inf = float(np.max(np.abs(_flux_balance(base_flux, metrics))))
     dep_sten = sources.take(rows).T  # (faces, stencil cell)
     jl_flux, jr_flux = flux_jacobians(solver, left, right, metrics.face_normal, gas)

@@ -17,7 +17,9 @@ from shockstab.numerics import (
     _flux_slau,
     _mach_split_m4,
     _pressure_split_p5,
+    _reconstruct_stencil,
     _reconstruct_values,
+    _riemann_flux,
     _side_signs,
     limiter_value,
     physical_flux,
@@ -254,27 +256,40 @@ class TestReconstructPair:
         assert fallback.shape == (10,) and not fallback.any()
 
     @pytest.mark.parametrize("kind", RECONSTRUCTION_KINDS)
-    def test_pair_carries_its_stack_and_primitives_to_the_flux(self, kind):
+    def test_stencil_faces_and_primitives_give_the_public_flux(self, kind):
         # The positivity-fallback stencil of test_positivity_fallback beside
-        # random ones: the primitives travel unless the scheme is first order
-        # or a face fell back, and the flux given the pair has the bits of
-        # the flux that splits the sides itself.
+        # random ones: the private kernels pass the component-major sides and
+        # their primitive columns, which come back unless the scheme is first
+        # order or a face fell back, and the flux of what they pass has the
+        # bits of the public flux of the public face states.
         rng = np.random.default_rng(13)
         stencil = [np.concatenate((u, random_cons(rng, 6))) for u in (
             [[2.0, 0.1, 0.0, 0.3]], [[1.0, 0.5, 0.0, 0.375]], [[0.5, 0.9, 0.0, 0.85]], [[0.25, 1.3, 0.0, 3.5]])]
         scheme = ReconstructionScheme(kind=kind, limiter="superbee")
-        pair = reconstruct_pair(*stencil, scheme, GAS)
-        left, right, fallback = pair
+        faces, primitives, fallback = _reconstruct_stencil(np.moveaxis(np.stack(stencil), -1, 0), scheme, GAS)
+        left, right, public_fallback = reconstruct_pair(*stencil, scheme, GAS)
         assert fallback[0] == (kind == "muscl")
-        assert np.moveaxis(pair.stack, 0, -1).tobytes() == np.stack((left, right)).tobytes()
-        if kind == "first_order" or fallback.any():
-            assert pair.primitives is None
-        else:
-            assert np.stack(pair.primitives).tobytes() == np.stack(_primitive_columns(pair.stack, GAS)).tobytes()
+        assert fallback.tobytes() == public_fallback.tobytes()
+        assert faces.shape == (4, 2, 7)
+        assert np.moveaxis(faces, 0, -1).tobytes() == np.stack((left, right)).tobytes()
+        assert (primitives is None) == (kind == "first_order" or fallback.any())
+        if primitives is not None:
+            assert np.stack(primitives).tobytes() == np.stack(_primitive_columns(faces, GAS)).tobytes()
         normal = random_normals(rng, 7)
         for solver in RIEMANN_SOLVERS:
             own = riemann_flux(solver, left, right, normal, GAS)
-            assert riemann_flux(solver, left, right, normal, GAS, pair=pair).tobytes() == own.tobytes()
+            flux = _riemann_flux(solver, faces, primitives, normal, GAS, primitives is None)
+            assert flux.shape == (4, 7)
+            assert np.moveaxis(flux, 0, -1).tobytes() == own.tobytes()
+
+    def test_pair_is_a_plain_tuple_of_views_of_one_array(self):
+        rng = np.random.default_rng(14)
+        stencil = [random_cons(rng, 5) for _ in range(4)]
+        for kind in RECONSTRUCTION_KINDS:
+            pair = reconstruct_pair(*stencil, ReconstructionScheme(kind=kind), GAS)
+            assert type(pair) is tuple and len(pair) == 3
+            left, right, _ = pair
+            assert left.base is not None and left.base is right.base
 
     def test_scheme_validation(self):
         with pytest.raises(StateError):

@@ -122,15 +122,24 @@ def test_benchmark_observed_parameters():
     assert list(inspect.signature(stability.write_matrix).parameters)[1] == "path"
 
 
+def test_riemann_flux_parameters():
+    # The public flux takes the face states and nothing that a reconstruction
+    # carries alongside them.
+    from shockstab import numerics
+
+    assert list(inspect.signature(numerics.riemann_flux).parameters) == [
+        "solver", "left", "right", "normal", "gas", "validate"]
+
+
 def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
     # Both face families go through one batch: splitting them again would
     # double the per-call overhead, and bypassing face_reconstruction would
-    # leave the benchmark hook on it timing nothing.  The flux goes through
-    # riemann_flux's body, which runs under residual's own error state.
+    # leave the benchmark hook on it timing nothing.  The flux is the public
+    # riemann_flux, which validates every face state.
     from shockstab import mesh, numerics, state
 
     residual = importlib.import_module("shockstab.residual")  # the package exports a function of that name
-    calls = {"reconstruct_pair": 0, "_riemann_flux": 0, "face_reconstruction": 0}
+    calls = {"reconstruct_pair": 0, "riemann_flux": 0, "face_reconstruction": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -146,7 +155,7 @@ def test_residual_makes_one_reconstruction_and_one_flux_call(monkeypatch):
     ghosts = residual.fill_ghosts(field, residual.normal_shock_bcs(3.0, gas), metrics, gas)
     scheme = numerics.ReconstructionScheme(kind="muscl", limiter="van_albada")
     residual.residual(field, ghosts, metrics, scheme, "hllc", gas)
-    assert calls == {"reconstruct_pair": 1, "_riemann_flux": 1, "face_reconstruction": 1}
+    assert calls == {"reconstruct_pair": 1, "riemann_flux": 1, "face_reconstruction": 1}
 
 
 def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
@@ -160,7 +169,7 @@ def test_assemble_linearizes_every_face_in_one_pass(monkeypatch):
 
     residual = importlib.import_module("shockstab.residual")  # the package exports a function of that name
     calls = {"flux_jacobians": 0, "reconstruction_coefficients": 0, "reconstruction_kink_flags": 0,
-             "_frame_sources": 0}
+             "_ghost_table": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):

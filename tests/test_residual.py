@@ -10,15 +10,15 @@ from shockstab import StateError
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme, reconstruct_pair, riemann_flux
 from shockstab.residual import (
-    SIDES,
     BoundaryCondition,
     BoundaryConditionSet,
     GhostField,
     _exit_pressure_state,
     _frame_rows,
     _frame_source_jacobian,
-    _frame_sources,
+    _ghost_table,
     _march_map,
+    _residual_map,
     _split_faces,
     _stencil_rows,
     face_reconstruction,
@@ -880,6 +880,14 @@ class TestGhostGather:
         assert np.array_equal(fill_ghosts(field, bcs, metrics, GAS).ext, side_walk_ghosts(field, bcs, metrics))
 
 
+def ghost_rows(field, bcs, metrics):
+    """The rows of the ghost table for ``field``'s cells, as a ``(rows, 4)`` view, and the table's maps."""
+    table, cells, refresh, maps = _ghost_table(bcs, metrics, GAS)
+    cells[...] = np.moveaxis(field.q, -1, 0)
+    refresh()
+    return table.T, maps
+
+
 class TestOneTakeStencils:
     def test_stencils_equal_the_frame_gather_for_every_side_kind(self):
         # The nonlinear march gathers each face's stencil in one take from the
@@ -889,9 +897,8 @@ class TestOneTakeStencils:
         for field, metrics in ghost_fill_cases():
             ni, nj = field.ni, field.nj
             for bcs in side_kind_sets():
-                sides = [bcs.side(side) for side in SIDES]
-                _, rows, _ = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-                stencils = _frame_sources(field.q, sides, metrics, GAS).take(rows, axis=0)
+                table, (_, rows, _) = ghost_rows(field, bcs, metrics)
+                stencils = table.take(rows, axis=0)
                 frame = fill_ghosts(field, bcs, metrics, GAS).ext.reshape(-1, 4)
                 walk = side_walk_ghosts(field, bcs, metrics).reshape(-1, 4)
                 assert stencils.shape == (4, (ni + 1) * nj + ni * (nj + 1), 4)
@@ -912,9 +919,8 @@ class TestOneTakeStencils:
             bottom=BoundaryCondition.slip_wall(),
             top=BoundaryCondition.zero_gradient(),
         )
-        sides = [bcs.side(side) for side in SIDES]
-        frame, _, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-        assert _frame_sources(field.q, sides, metrics, GAS).shape == (ni * nj + 1 + nj + 2 * ni, 4)
+        table, (frame, _, sources) = ghost_rows(field, bcs, metrics)
+        assert table.shape == (ni * nj + 1 + nj + 2 * ni, 4)
         assert frame.max() == ni * nj + nj + 2 * ni
         assert sources.shape == (ni * nj + 1 + nj + 2 * ni,)
 
@@ -927,15 +933,45 @@ class TestOneTakeStencils:
             ni, nj = field.ni, field.nj
             frame_rows = _stencil_rows(ni, nj)
             for bcs in side_kind_sets():
-                sides = [bcs.side(side) for side in SIDES]
-                _, rows, sources = _frame_rows(ni, nj, tuple(side.kind for side in sides))
-                derivatives = _frame_source_jacobian(field.q, sides, metrics, GAS)
+                _, rows, sources = _frame_rows(ni, nj, bcs)
+                derivatives = _frame_source_jacobian(field.q, bcs, metrics, GAS)
                 dep, jac = ghost_dependency(field, bcs, metrics, GAS)
                 assert sources.take(rows).tobytes() == dep.reshape(-1).take(frame_rows).tobytes()
                 assert (derivatives.take(rows, axis=0).tobytes()
                         == jac.reshape(-1, 4, 4).take(frame_rows, axis=0).tobytes())
                 count += 1
         assert count == 3 * 17 * 17
+
+    def test_each_call_builds_the_maps_once(self, monkeypatch):
+        # The ghost table hands its maps to its callers, so no caller builds
+        # them a second time to read their size or its stencil rows.
+        import importlib
+
+        from shockstab import stability
+
+        module = importlib.import_module("shockstab.residual")
+        builds = counting(monkeypatch, "_frame_rows")
+        monkeypatch.setattr(stability, "_frame_rows", module._frame_rows, raising=False)  # counted if it is imported
+        field, metrics = ghost_fill_cases()[0]
+        bcs = BoundaryConditionSet(
+            left=BoundaryCondition.supersonic_inflow(field.q[0, 0]),
+            right=BoundaryCondition.fixed_pressure_outflow(0.9),
+            bottom=BoundaryCondition.slip_wall(),
+            top=BoundaryCondition.zero_gradient(),
+        )
+        scheme = PINNED_SCHEMES["muscl_van_albada"]
+        calls = {
+            "fill_ghosts": lambda: fill_ghosts(field, bcs, metrics, GAS),
+            "ghost_dependency": lambda: ghost_dependency(field, bcs, metrics, GAS),
+            "assemble": lambda: stability.assemble(field, metrics, scheme, "hllc", bcs, GAS),
+            "_residual_map": lambda: _residual_map(bcs, metrics, scheme, "hllc", GAS),
+        }
+        counts = {}
+        for name, call in calls.items():
+            builds.clear()
+            call()
+            counts[name] = len(builds)
+        assert counts == dict.fromkeys(calls, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1175,7 +1211,7 @@ class TestStripBranch:
         assert len(pairs) == len(fluxes) == steps + 1
         for (pair_args, _), (flux_args, _) in zip(pairs, fluxes):
             assert pair_args[0].shape == (4, 4, len(solvers), ni + 1)
-            assert flux_args[1].shape == (len(solvers), ni + 1, 4)
+            assert flux_args[1].shape == (4, 2, len(solvers), ni + 1)
 
     def test_strip_equals_the_two_family_path(self):
         # The march's i-face residual equals residual() on each member's own
@@ -1216,17 +1252,34 @@ class TestStripBranch:
         assert pairs[0][0][0].shape == ((6 + 1) * 1 + 6 * 2, 4)
 
 
+def stage_residual(field, bc, metrics, scheme):
+    """The nonlinear march's stage right-hand side for ``field``, as ``(4, ni, nj)``, under the march's error state."""
+    cells, evaluate = _residual_map(bc, metrics, scheme, "hllc", GAS)
+    cells[...] = np.moveaxis(field.q, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return evaluate()
+
+
+def validate_flags(calls):
+    """The ``validate`` argument of each recorded flux call; both flux functions take it sixth."""
+    return [kwargs.get("validate", args[5] if len(args) > 5 else True) for args, kwargs in calls]
+
+
 class TestFaceStateValidation:
-    """``riemann_flux`` re-tests the face states only where the reconstruction left some untested."""
+    """The marches' flux re-tests the face states only where the reconstruction left some untested.
+
+    :func:`residual`, the frame-based reference, calls the public flux, which
+    tests every face state.
+    """
 
     @staticmethod
     def cases():
-        """``(name, ghosts, evaluate)``: the march's strip and a 2-D field, each smooth and as a cold jittered shock.
+        """``(name, ghosts, evaluate)``: the 1-D march's strip, and 2-D fields through the nonlinear march and :func:`residual`.
 
-        ``evaluate(scheme)`` runs the path's residual: the march's own on the
-        strips, :func:`residual` on the 2-D fields.  A strip frame's j-face
-        stencils hold four copies of a cell and never fall back, so its
-        fallback mask flags the march's i-faces alone.
+        Each path runs on a smooth field and on a cold jittered shock.
+        ``evaluate(scheme)`` runs the path's residual.  A strip frame's
+        j-face stencils hold four copies of a cell and never fall back, so
+        its fallback mask flags the march's i-faces alone.
         """
         shock, bcs, metrics, _ = strip_setups()["shock"]
         smooth = smooth_field(9, 1, seed=21, scale=0.1).q
@@ -1235,9 +1288,12 @@ class TestFaceStateValidation:
             out.append((name, fill_ghosts(FlowField(q=q), bc, metrics, GAS),
                         lambda scheme, q=q, bc=bc: march_residual(q, [bc], metrics, scheme, "hllc")))
         setups = pinned_setups()
-        for name, setup in (("2d/smooth", "annulus"), ("2d/shock", "shock")):
+        for name, setup, bc in (("smooth", "annulus", parity_case("annulus")[2]),
+                                ("shock", "shock", normal_shock_bcs(20.0, GAS))):
             (field,), (ghosts,), grid_metrics = setups[setup]
-            out.append((name, ghosts, lambda scheme, field=field, ghosts=ghosts, grid_metrics=grid_metrics:
+            out.append((f"march/{name}", ghosts, lambda scheme, field=field, bc=bc, grid_metrics=grid_metrics:
+                        stage_residual(field, bc, grid_metrics, scheme)))
+            out.append((f"2d/{name}", ghosts, lambda scheme, field=field, ghosts=ghosts, grid_metrics=grid_metrics:
                         residual(field, ghosts, grid_metrics, scheme, "hllc", GAS)))
         return out
 
@@ -1246,16 +1302,20 @@ class TestFaceStateValidation:
         for name, ghosts, evaluate in self.cases():
             for scheme_name, scheme in PINNED_SCHEMES.items():
                 fallback = face_reconstruction(ghosts, scheme, GAS)[2].any()
-                fluxes = counting(monkeypatch, "_riemann_flux")
+                kernel = counting(monkeypatch, "_riemann_flux")
+                public = counting(monkeypatch, "riemann_flux")
                 evaluate(scheme)
-                flags = [kwargs.get("validate", True) for _, kwargs in fluxes]
-                assert flags == [not scheme.is_second_order or bool(fallback)]
+                flags = validate_flags(kernel) + validate_flags(public)
+                if name.startswith("2d/"):
+                    assert not kernel and flags == [True]
+                else:
+                    assert not public and flags == [not scheme.is_second_order or bool(fallback)]
                 seen[f"{name}/{scheme_name}"] = flags[0]
                 monkeypatch.undo()
-        # both outcomes occur for the second-order schemes on both paths
+        # both outcomes occur for the second-order schemes on both marches
         assert seen["strip/smooth/muscl_van_albada"] is False and seen["strip/shock/muscl_van_albada"] is True
-        assert seen["2d/smooth/round"] is False and seen["2d/shock/round"] is True
-        assert seen["strip/smooth/first_order"] is True and seen["2d/smooth/first_order"] is True
+        assert seen["march/smooth/round"] is False and seen["march/shock/round"] is True
+        assert seen["strip/smooth/first_order"] is True and seen["march/smooth/first_order"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -1384,7 +1444,7 @@ class TestNonlinearMarchStage:
                                           PINNED_SCHEMES["muscl_van_albada"], "hllc", GAS, steps=1)
         assert len(series.t) == 2 and not series.diverged
         assert len(fluxes) == 4
-        assert all(args[1].shape == (8 * 3 + 7 * 4, 4) for args, _ in fluxes)
+        assert all(args[1].shape == (4, 2, 8 * 3 + 7 * 4) for args, _ in fluxes)
 
 
 class TestQuietOnNonPhysicalCells:
