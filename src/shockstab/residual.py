@@ -429,6 +429,7 @@ def ghost_dependency(
     :func:`_frame_source_jacobian`, with numpy's divide and invalid
     warnings silenced as in :func:`fill_ghosts`.
     """
+    _check_metrics(base, metrics)
     frame, _, sources = _frame_rows(base.ni, base.nj, bc)
     dep = sources.take(frame)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -27,6 +27,10 @@ Nonlinear maps are differenced centrally with an absolute step of ``1e-7``;
 reconstruction branch switches (limiter kinks, guard activations, min ties)
 make the operator non-differentiable at isolated states, and faces sitting
 near such switches are flagged so downstream comparisons can exclude them.
+
+The sparse eigensolvers (``scipy.sparse.linalg``: ARPACK and SuperLU) load
+on first use, in :func:`eigensolve_leading` and :func:`max_real_eigenpair`,
+so runs that call neither (a ``--sweep``, grid generation) never load them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import EigenSolveError, FlowFileError, LinearizationError, StateError
 from .mesh import GridMetrics
@@ -292,8 +295,9 @@ def assemble(
     contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
     contrib = np.einsum("...crk,...ckm->...crm", contrib, g_sten)
 
-    # tocsr sums a row's duplicate entries in input order, so the face order
-    # of _cell_faces fixes the bits of S.
+    # The face order of _cell_faces fixes the COO order.  tocsr then sorts
+    # each row by column (scipy's unstable std::sort) before it sums the
+    # duplicates, and that sort fixes the summation order and the bits of S.
     faces = _cell_faces(ni, nj)
     length = _join_faces(metrics.iface_len, metrics.jface_len)
     fac = np.array([-1.0, 1.0, -1.0, 1.0]) * (length[faces] / metrics.volume.T.reshape(-1, 1))
@@ -468,6 +472,9 @@ def eigensolve_leading(matrix: sp.spmatrix, k: int = 12, seed: int = 20230614) -
     n = matrix.shape[0]
     if not 0 < k < n - 1:
         raise EigenSolveError(f"need 0 < k < n-1 for the iterative path, got k={k}, n={n}")
+    # Loaded on first use: sweeps and grid generation never need ARPACK or SuperLU.
+    import scipy.sparse.linalg as spla
+
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
     # Canonical CSR sums each row in ascending column order, as a CSC matvec
@@ -532,6 +539,8 @@ def max_real_eigenpair(
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     shifted = (matrix.astype(complex) - (lam + 1.0e-8) * sp.identity(n, dtype=complex)).tocsc()
+    import scipy.sparse.linalg as spla  # loaded on first use, as in eigensolve_leading
+
     try:
         lu = spla.splu(shifted)
     except RuntimeError as exc:

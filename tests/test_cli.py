@@ -1,5 +1,9 @@
 """Settings parsing, the analysis pipeline, and both console entry points."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import fields, replace
 from itertools import takewhile
@@ -825,3 +829,33 @@ class TestNonFiniteExtents:
             assert cli.gridgen_main(args + ["-o", str(tmp_path / "g.grd")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "g.grd").exists()
+
+
+# Run in a fresh interpreter, so no test before it has imported the solvers.
+LAZY_SOLVERS_SCRIPT = textwrap.dedent(r"""
+    import sys
+    from pathlib import Path
+
+    def solvers():
+        return [name for name in ("scipy.sparse.linalg", "scipy.linalg") if name in sys.modules]
+
+    from shockstab import cli
+    assert solvers() == [], f"import shockstab.cli loaded {solvers()}"
+    out = Path(sys.argv[1])
+    assert cli.gridgen_main(["cartesian", "5", "5", "-o", str(out / "g.grd")]) == 0
+    assert solvers() == [], f"gridgen_main loaded {solvers()}"
+    cfg = out / "case.cfg"
+    cfg.write_text("test_case = normal_shock\ngrid = 5x5\nmach = 3\nepsilon = 0.1\noned_steps = 20\n"
+                   f"sweep_mach = 3\nsweep_solvers = hllc\noutput_dir = {out / 'out'}\n")
+    assert cli.main([str(cfg), "--sweep"]) == 0
+    assert solvers() == [], f"--sweep loaded {solvers()}"
+    assert cli.main([str(cfg)]) in (0, 1)
+    assert "scipy.sparse.linalg" in sys.modules, "a single analysis ran without the sparse solvers"
+""")
+
+
+def test_sweep_and_gridgen_leave_the_sparse_eigensolvers_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", LAZY_SOLVERS_SCRIPT, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr

@@ -261,6 +261,15 @@ class TestGhostDependency:
         assert np.array_equal(dep[2:-2, 2:-2], jj * 4 + ii)
         assert np.allclose(jac[2:-2, 2:-2], np.eye(4), rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (5, 4)])
+    def test_rejects_metrics_of_another_grid(self, shape):
+        field = smooth_field(5, 3, seed=3)
+        metrics = compute_metrics(make_cartesian_grid(*shape))
+        message = f"^metrics are {shape[0]} x {shape[1]} but field is 5 x 3$"
+        for fn in (fill_ghosts, ghost_dependency):
+            with pytest.raises(StateError, match=message):
+                fn(field, self.all_kinds_bcs(), metrics, GAS)
+
     def test_inflow_has_no_dependency(self):
         metrics = compute_metrics(make_cartesian_grid(4, 3))
         field = smooth_field(4, 3, seed=3)
