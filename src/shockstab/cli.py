@@ -384,7 +384,7 @@ def _write_summary(path, pairs) -> None:
 
 def _write_eigenvalues(path, spectrum: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        _write_records(fh, "%.17g %.17g\n", spectrum.real.tolist(), spectrum.imag.tolist())
+        _write_records(fh, "%.17g %.17g\n", spectrum.real, spectrum.imag)
 
 
 def _scheme_label(settings: Settings) -> str:
@@ -428,20 +428,27 @@ def _rows_repeat(a: np.ndarray) -> bool:
     return bool(np.all(bits == bits[:, :1]))
 
 
+#: Block rows of the strip that stands for ``S``: the fewest in which the
+#: offsets -2..2 of a MUSCL or ROUND stencil do not alias.
+_STRIP_ROWS = 5
+
+
 def _strip_blocks(base: FlowField, metrics: GridMetrics, scheme: ReconstructionScheme, solver: str,
                   bc: BoundaryConditionSet, gas: GasModel):
-    """Transverse blocks of ``S`` read from an ``ni x STRIP_ROWS`` strip, or ``None`` to assemble ``S``.
+    """Transverse blocks of ``S`` read from an ``ni x _STRIP_ROWS`` strip, or ``None`` to assemble ``S``.
 
     The strip stands for ``S`` where every row of ``S``'s inputs is the same
-    bits: periodic bottom and top, more than
-    :data:`~shockstab.stability.STRIP_ROWS` rows, a base with identical rows
-    in ``j`` and metrics whose rows are bitwise equal across ``j``.  The
-    strip's geometry and base are the first rows of the case's own, so each
-    strip face computes the bits of its rows' faces in ``S``, and the blocks
-    are those that :func:`~shockstab.stability.transverse_blocks` reads from
-    ``S`` (see :func:`~shockstab.stability.widen_strip_blocks`).
+    bits: periodic bottom and top, more than :data:`_STRIP_ROWS` rows, a
+    base with identical rows in ``j`` and metrics whose rows are bitwise
+    equal across ``j``.  The strip's geometry and base are the first rows of
+    the case's own, so each strip face computes the bits of its rows' faces
+    in ``S``.  A block row couples only to the rows at most two away, so the
+    strip holds every block ``C_d`` of ``S``, and
+    :func:`~shockstab.stability.transverse_blocks` gives both the same
+    signed offsets ``-2..2`` in the same order: the strip's split, with
+    ``S``'s ``nj``, is the split of ``S``.
     """
-    rows = stability.STRIP_ROWS
+    rows = _STRIP_ROWS
     if not (base.nj > rows and bc.bottom.kind == bc.top.kind == "periodic"):
         return None
     parts = (metrics.volume, metrics.iface_len, metrics.iface_normal, metrics.jface_len, metrics.jface_normal)
@@ -457,7 +464,7 @@ def _strip_blocks(base: FlowField, metrics: GridMetrics, scheme: ReconstructionS
     except ShockStabError:
         return None  # the full assembly raises the error, with the face counts of S
     split = stability.transverse_blocks(strip.matrix, rows)
-    return stability.widen_strip_blocks(split, base.nj) if split.nj == rows else None
+    return replace(split, nj=base.nj) if split.nj == rows else None
 
 
 def analyze(settings: Settings, oned: harness.OneDResult | None = None, *, matrix: bool = True) -> Analysis:

@@ -148,7 +148,7 @@ def solve_1d_steady(
     interior: each step adds its update there in place and splits the
     state into primitive columns once
     (:func:`~shockstab.state._primitive_columns`), which serve the
-    physical-state check, the next time step and the next exit ghost.
+    physical-state check and the next time step.
     Forward Euler with per-cell CFL time steps is applied for exactly
     ``steps`` iterations (no early exit); the final residual norm is
     reported so the caller can judge convergence.  The march silences
@@ -211,12 +211,11 @@ def solve_1d_steady(
     with np.errstate(divide="ignore", invalid="ignore"):
         prim = _primitive_columns(cells, gas)
         for step in range(steps):
-            res = march(prim)
+            res = march()
             history[step, live] = np.abs(res).max(axis=(0, 2))
             res *= cfl_volume / _wave_speed_sums(prim, faces, gas)
             cells += res
-            # One conversion per step serves this check, the next time step and
-            # the next exit ghost.
+            # One conversion per step serves this check and the next time step.
             prim = _primitive_columns(cells, gas)
             physical = _physical_state(prim[0], prim[3]).all(axis=1)
             if not physical.all():
@@ -232,7 +231,7 @@ def solve_1d_steady(
                 cells[...] = kept
                 prim = _primitive_columns(cells, gas)
         if live.size:
-            final = np.abs(march(prim)).max(axis=(0, 2))
+            final = np.abs(march()).max(axis=(0, 2))
             for pos, k in enumerate(live):
                 outcome[k] = OneDResult(q=cells[:, pos].T.copy(), residual_inf=float(final[pos]),
                                         residual_history=history[:, k].copy())
@@ -585,7 +584,7 @@ def _write_columns(path, first, second) -> None:
 
 def write_series(series: EvolutionSeries, path) -> None:
     """Write a norm history as two-column ``t norm`` text."""
-    _write_columns(path, series.t.tolist(), series.norm.tolist())
+    _write_columns(path, series.t, series.norm)
 
 
 def write_residual_history(oned: OneDResult, path) -> None:
@@ -594,4 +593,4 @@ def write_residual_history(oned: OneDResult, path) -> None:
     Line ``k`` (from 0) holds the residual max-norm of the state after ``k``
     steps; the final state's is ``oned.residual_inf``.
     """
-    _write_columns(path, range(oned.residual_history.size), oned.residual_history.tolist())
+    _write_columns(path, np.arange(oned.residual_history.size), oned.residual_history)

@@ -35,7 +35,8 @@ The private contract: :func:`_reconstruct_stencil` takes the ``(4, 4,
 p`` columns, or ``None`` where it formed none (first order) or a fallback
 face made them stale.  :func:`_riemann_flux` takes ``faces`` and
 ``primitives`` as they come (it splits the sides itself when
-``primitives`` is ``None``) and returns the ``(4, ...)`` flux.  Neither
+``primitives`` is ``None``), with one solver name or explicit solver runs
+over the batch's rows, and returns the ``(4, ...)`` flux.  Neither
 sets a floating-point error state.  The public :func:`reconstruct_pair`
 and :func:`riemann_flux` keep their ``(..., 4)`` arrays, as views of the
 component-major ones.
@@ -48,10 +49,8 @@ bits of a call of its own.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -727,32 +726,8 @@ def _solver_kernel(name: str):
         raise StateError(f"unknown solver {name!r}; choose one of {RIEMANN_SOLVERS}") from None
 
 
-@lru_cache(maxsize=64)
-def _solver_runs(solver: str | tuple[str, ...], rows: int):
-    """``(name, kernel, rows)`` of each run of equal solver names over a face batch.
-
-    A single name is one run over the whole batch (``slice(None)``).  A
-    tuple holds one name per member, and the members own equal,
-    consecutive shares of the ``rows`` face rows (members outer); adjacent
-    members with the same name form one run, so members that all share a
-    name are one run over the whole batch too.  The runs are cached, so a
-    march that passes the same members on every step forms them once.
-    """
-    if isinstance(solver, str):
-        return ((solver, _solver_kernel(solver), slice(None)),)
-    if not solver or rows % len(solver):
-        raise StateError(f"{rows} face rows do not split evenly among {len(solver)} solver members")
-    runs = []
-    share, start = rows // len(solver), 0
-    for name, group in groupby(solver):
-        stop = start + share * len(list(group))
-        runs.append((name, _solver_kernel(name), slice(start, stop)))
-        start = stop
-    return tuple(runs)
-
-
 def riemann_flux(
-    solver: str | Sequence[str],
+    solver: str,
     left: np.ndarray,
     right: np.ndarray,
     normal: np.ndarray,
@@ -761,19 +736,22 @@ def riemann_flux(
 ) -> np.ndarray:
     """Numerical flux of the requested solver for ``(left, right)`` states.
 
-    ``left``/``right`` are conservative ``(..., 4)`` arrays of one shape
-    and ``normal`` a unit-vector ``(..., 2)`` array; all solvers reduce to
-    the exact flux when ``left == right``.  With ``validate``, any side state whose density
-    or pressure is not finite and positive raises :class:`StateError`.
+    ``solver`` is one name; anything else (a per-member list, ``None``)
+    raises :class:`StateError`, as does an unknown name.  ``left``/``right``
+    are conservative ``(..., 4)`` arrays of one shape and ``normal`` a
+    unit-vector ``(..., 2)`` array; all solvers reduce to the exact flux
+    when ``left == right``.  With ``validate``, any side state whose
+    density or pressure is not finite and positive raises
+    :class:`StateError`.
 
-    ``solver`` is one name for the whole batch, or one name per member of a
-    ``(rows, ..., 4)`` batch whose members each own an equal, consecutive
-    run of rows along its first axis (see :func:`_solver_runs`).  The sides
-    are stacked component-major and handed to :func:`_riemann_flux`; the
-    flux comes back as a ``(..., 4)`` view of its component-major result.
-    numpy's divide and invalid warnings are silenced: a non-physical side
-    gives inf/nan, which ``validate`` reports or the flux carries.
+    The sides are stacked component-major and handed to
+    :func:`_riemann_flux`; the flux comes back as a ``(..., 4)`` view of its
+    component-major result.  numpy's divide and invalid warnings are
+    silenced: a non-physical side gives inf/nan, which ``validate`` reports
+    or the flux carries.
     """
+    if not isinstance(solver, str):
+        raise StateError(f"riemann_flux takes one solver name, got {solver!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         flux = _riemann_flux(solver, _stack_components((left, right)), None, normal, gas, validate)
     return _components_last(flux)
@@ -782,24 +760,27 @@ def riemann_flux(
 def _riemann_flux(solver, faces: np.ndarray, primitives, normal, gas: GasModel, validate: bool) -> np.ndarray:
     """Component-major ``(4, ...)`` flux of the component-major ``(4, 2, ...)`` sides ``faces``.
 
-    ``primitives`` are the ``rho, u, v, p`` columns of ``faces``, or
-    ``None`` to split them here.  The sides are split into the face frame
-    (:class:`_FaceSide`) and validated (left first) once; each solver's
-    wave model then runs on its own row range(s), as views, and the fluxes
-    are rotated back once, so every row's flux is bit-identical to that of
-    a one-solver call.  A caller that passes the normals stored
+    ``solver`` is one name for the whole batch, or the runs of a batch of
+    members: ``(name, kernel, rows)`` per run, ``rows`` a slice of the
+    batch's first face axis and ``kernel`` the name's wave model
+    (:func:`_solver_kernel`), as :func:`~shockstab.residual._member_runs`
+    forms them.  ``primitives`` are the ``rho, u, v, p`` columns of
+    ``faces``, or ``None`` to split them here.  The sides are split into
+    the face frame (:class:`_FaceSide`) and validated (left first) once;
+    each run's wave model then runs on its own rows, as views, and the
+    fluxes are rotated back once, so every row's flux is bit-identical to
+    that of a one-solver call.  A caller that passes the normals stored
     component-major (a transposed ``(2, faces)`` array) gives the kernels
     contiguous ``nx`` and ``ny``.  It runs under whatever floating-point
     error state the caller has set.
     """
+    runs = ((solver, _solver_kernel(solver), slice(None)),) if isinstance(solver, str) else solver
     normal = np.asarray(normal, dtype=float)
     nx, ny = normal[..., 0], normal[..., 1]
     if primitives is None:
         # A non-physical side yields inf/nan here; validation reports it below.
         primitives = _primitive_columns(faces, gas)
     S = _FaceSide.split(faces, primitives, nx, ny, gas)
-    batch_rows = faces.shape[2] if faces.ndim > 2 else 1
-    runs = _solver_runs(solver if isinstance(solver, str) else tuple(solver), batch_rows)
     if validate:
         ok = _physical_state(S.rho, S.p)
         if not ok.all():

@@ -45,9 +45,11 @@ same maps, and scatters into each cell the faces :func:`_cell_faces` lists.
 The 1-D base march has a residual of its own, :func:`_march_map`: a batch
 of members on a one-row strip periodic in ``j``, whose j-faces carry the
 cell states on both sides and cancel exactly, so it fluxes the i-faces
-alone.  It forms its ``(4, members, ni + 4)`` frame once per march; the
-members' states live in the frame's interior, which the march updates in
-place, and the stencils are a sliding-window view of the frame.  The two
+alone.  It forms its ``(4, members, ni + 4)`` frame and its members'
+solver runs once per march.  The members' states live in the frame's
+interior, which the march updates in place, the exit ghosts come from the
+last interior cells through :func:`_exit_pressure_state`, and the stencils
+are a sliding-window view of the frame.  The two
 marches and the assembly re-test the face states in the flux exactly where
 the reconstruction has not (it returns no primitive columns);
 :func:`residual` tests them all.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,6 +73,7 @@ from .numerics import (
     _components_last,
     _reconstruct_stencil,
     _riemann_flux,
+    _solver_kernel,
     reconstruct_pair,
     riemann_flux,
 )
@@ -568,6 +572,21 @@ def _flux_balance(flux: np.ndarray, metrics: GridMetrics) -> np.ndarray:
     return np.divide(-net, metrics.volume, out=net)
 
 
+def _member_runs(names: Sequence[str]):
+    """``(name, kernel, rows)`` of each run of equal adjacent solver ``names``, one face row per member.
+
+    The runs of a members-outer face batch, as
+    :func:`~shockstab.numerics._riemann_flux` takes them; an unknown name
+    raises :class:`StateError`.
+    """
+    runs, start = [], 0
+    for name, group in groupby(names):
+        stop = start + len(list(group))
+        runs.append((name, _solver_kernel(name), slice(start, stop)))
+        start = stop
+    return tuple(runs)
+
+
 def _march_map(
     inflow: np.ndarray,
     p_exit: np.ndarray,
@@ -586,20 +605,17 @@ def _march_map(
     Returns ``(cells, evaluate)``.  The march's constants are formed here
     once: a component-major ``(4, members, ni + 4)`` frame with each
     member's two inflow ghosts filled for good, its stencils as a
-    sliding-window view and the component-major normals.  ``cells`` is the
-    frame's interior ``(4, members, ni)``, where the caller keeps the
-    members' states (member ``k``'s cells are ``cells[:, k]``).
-    ``evaluate(prim)`` takes the primitive columns ``(rho, u, v, p)`` of
-    those cells and returns their ``(4, members, ni)`` balance.  It puts two
-    copies of each member's last cell at its exit pressure on the right (the
-    ghosts of :func:`fill_ghosts`): the last cell's density and velocity
-    columns with the exit pressure, through
-    :func:`~shockstab.state._conservative_columns` as in
-    :func:`_exit_pressure_state`.  The face batch is
-    ``(members, ni + 1)``, members outer: each member's i-faces are one row
-    of it, so the flux body :func:`~shockstab.numerics._riemann_flux` runs
-    each solver on its own members' rows, and the i-face normals broadcast
-    over the members.
+    sliding-window view, the component-major normals and the members'
+    solver runs (:func:`_member_runs`).  ``cells`` is the frame's interior
+    ``(4, members, ni)``, where the caller keeps the members' states
+    (member ``k``'s cells are ``cells[:, k]``).  ``evaluate()`` returns
+    their ``(4, members, ni)`` balance.  It puts two copies of each
+    member's last cell at its exit pressure on the right (the ghosts of
+    :func:`fill_ghosts`, through :func:`_exit_pressure_state`).  The face
+    batch is ``(members, ni + 1)``, members outer: each member's i-faces
+    are one row of it, so the flux body
+    :func:`~shockstab.numerics._riemann_flux` runs each solver on its own
+    members' rows, and the i-face normals broadcast over the members.
 
     Both j-faces of a strip cell see four copies of the cell under the same
     geometry, so their fluxes are bitwise equal and their difference is
@@ -609,19 +625,20 @@ def _march_map(
     bitwise that of :func:`residual` on its own frame.
     """
     ni, members = metrics.ni, len(inflow)
+    runs = _member_runs([solver] * members if isinstance(solver, str) else solver)
     frame = np.empty((4, members, ni + 4))
     frame[..., :2] = inflow.T[..., None]
     stencils = sliding_window_view(frame, ni + 1, axis=-1).transpose(0, 2, 1, 3)  # (4, 4, members, ni + 1)
     normal = _normal_columns(metrics.iface_normal[:, 0])
     length, volume = metrics.iface_len[:, 0], metrics.volume[:, 0]
 
-    def evaluate(prim) -> np.ndarray:
-        _conservative_columns(prim[0][:, -1], prim[1][:, -1], prim[2][:, -1], p_exit, gas, frame[..., -2])
+    def evaluate() -> np.ndarray:
+        _exit_pressure_state(frame[..., -3], p_exit, gas, frame[..., -2])
         frame[..., -1] = frame[..., -2]
         # A C-ordered copy of the window view: the kernels' results follow their
         # input's memory order, and the members' solver runs slice axis 1.
         faces, primitives, _ = _reconstruct_stencil(np.ascontiguousarray(stencils), scheme, gas)
-        lf = length * _riemann_flux(solver, faces, primitives, normal, gas, primitives is None)
+        lf = length * _riemann_flux(runs, faces, primitives, normal, gas, primitives is None)
         return -(lf[..., 1:] - lf[..., :-1] + 0.0) / volume
 
     return frame[..., 2:-2], evaluate

@@ -19,9 +19,7 @@ then splits the spectrum of ``S`` into the spectra of the ``nj`` blocks
 ``S_k = sum_d C_d exp(2 pi i k d / nj)`` of order ``m``, one per transverse
 wavenumber ``k`` -- the normal-mode view of the carbuncle literature.  The
 full-spectrum solver checks the assembled matrix for this structure and,
-where it holds, solves the small blocks instead of all of ``S``.  Since the
-blocks reach two rows each way, a :data:`STRIP_ROWS`-row strip about the
-same rows holds all of them (:func:`widen_strip_blocks`).
+where it holds, solves the small blocks instead of all of ``S``.
 
 Nonlinear maps are differenced centrally with an absolute step of ``1e-7``;
 reconstruction branch switches (limiter kinks, guard activations, min ties)
@@ -77,7 +75,6 @@ __all__ = [
     "assemble",
     "TransverseBlocks",
     "transverse_blocks",
-    "widen_strip_blocks",
     "eigensolve",
     "eigensolve_leading",
     "max_real_eigenpair",
@@ -89,10 +86,6 @@ __all__ = [
 
 #: Default cap on the order of the largest block the dense eigensolver factors.
 DENSE_CAP = 12000
-
-#: Block rows of the strip whose offset blocks give those of a wider
-#: block-circulant operator: the fewest in which the offsets -2..2 do not alias.
-STRIP_ROWS = 5
 
 #: Largest deviation, relative to ``max|S|``, of a block row from block row 0
 #: (cyclically shifted) that still counts as block-circulant in ``j``.
@@ -351,8 +344,10 @@ class TransverseBlocks:
 
     With ``nj > 1`` the matrix is block-circulant in ``j`` with ``nj`` block
     rows: block row ``j`` holds ``blocks[i]`` (dense, ``m x m``) in block
-    column ``(j + offsets[i]) mod nj``.  ``offsets`` are the offsets that occur,
-    taken mod ``nj`` and ascending, and always start with ``0`` (a zero block
+    column ``(j + offsets[i]) mod nj``.  ``offsets`` are the offsets that
+    occur, signed: ``d`` in ``(-nj/2, nj/2]``, so a row's neighbours one and
+    two rows below are ``-1`` and ``-2`` for any ``nj``.  They are listed in
+    ascending order of ``d mod nj`` and always start with ``0`` (a zero block
     if the diagonal has none).  ``nj == 1`` is the unsplit matrix: one block,
     the matrix itself, at offset ``0``.
     """
@@ -381,7 +376,9 @@ def transverse_blocks(matrix, nj: int = 1) -> TransverseBlocks:
     block row repeats the sparsity pattern of block row 0, shifted
     cyclically by its index, with values equal to within ``1e-13 * max|S|``.
     The blocks ``C_d`` are read from the rows of block row 0; nothing of
-    order ``n`` is densified.  Any other matrix comes back as one block.
+    order ``n`` is densified.  An offset ``d`` with ``2d > nj`` is given as
+    ``d - nj``, so the offsets are signed (see :class:`TransverseBlocks`).
+    Any other matrix comes back as one block.
     """
     whole = TransverseBlocks(nj=1, offsets=(0,), blocks=(matrix,))
     n = matrix.shape[0]
@@ -407,24 +404,8 @@ def transverse_blocks(matrix, nj: int = 1) -> TransverseBlocks:
     slot[offsets] = range(len(offsets))
     blocks = np.zeros((len(offsets), m, m))
     blocks[slot[frame[0] // m], rows[order[:frame.shape[1]]], frame[0] % m] = values[0]
-    return TransverseBlocks(nj=nj, offsets=tuple(offsets), blocks=tuple(blocks))
-
-
-def widen_strip_blocks(strip: TransverseBlocks, nj: int) -> TransverseBlocks:
-    """Offset blocks of an ``nj``-row operator from those of its split :data:`STRIP_ROWS`-row strip.
-
-    A block-circulant operator couples each block row to the rows at most two
-    away, so its ``STRIP_ROWS``-row strip (about the same ``j``-uniform base,
-    periodic in ``j``) holds every block ``C_d``: the strip's offsets 3 and 4
-    are ``-2`` and ``-1``, relabelled ``nj - 2`` and ``nj - 1``.  For
-    ``nj > STRIP_ROWS`` the offsets stay ascending, so :func:`eigensolve`
-    sums and solves the blocks as it would those of the full operator.
-    """
-    if strip.nj != STRIP_ROWS or nj <= STRIP_ROWS:
-        raise EigenSolveError(f"a split {STRIP_ROWS}-row strip widens to more rows, "
-                              f"got a {strip.nj}-row split for {nj} rows")
-    offsets = tuple(d if d <= 2 else d - STRIP_ROWS + nj for d in strip.offsets)
-    return TransverseBlocks(nj=nj, offsets=offsets, blocks=strip.blocks)
+    signed = tuple(d - nj if 2 * d > nj else d for d in offsets)
+    return TransverseBlocks(nj=nj, offsets=signed, blocks=tuple(blocks))
 
 
 def eigensolve(matrix, cap: int = DENSE_CAP, nj: int = 1) -> np.ndarray:
@@ -580,11 +561,7 @@ def write_matrix(matrix: sp.spmatrix, path) -> None:
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        # Blocks of records: Python lists of every entry would raise peak memory.
-        for start in range(0, coo.nnz, 4096):
-            block = order[start:start + 4096]
-            _write_records(fh, "%d %d %.17g\n", coo.row[block].tolist(), coo.col[block].tolist(),
-                           coo.data[block].tolist())
+        _write_records(fh, "%d %d %.17g\n", coo.row[order], coo.col[order], coo.data[order])
 
 
 def read_matrix(path) -> sp.csr_matrix:

@@ -275,16 +275,17 @@ def read_flow_files(prefix: str, ni: int, nj: int, gas: GasModel = GasModel()) -
 
 
 def _write_records(fh, record: str, *columns) -> None:
-    """Write one ``record % fields`` line per entry of the equal-length ``columns``, one ``%`` per 4,096 records.
+    """Write one ``record % fields`` line per entry of the equal-length array ``columns``, one ``%`` per 4,096 records.
 
-    ``%.17g`` and ``{:.17g}`` share CPython's float formatter (signed zeros,
-    ``inf`` and ``nan`` included), and ``%d`` prints a Python int as
+    Each block of records becomes Python floats and ints (``tolist``) on its
+    own.  ``%.17g`` and ``{:.17g}`` share CPython's float formatter (signed
+    zeros, ``inf`` and ``nan`` included), and ``%d`` prints a Python int as
     ``{}`` does, so the text is that of one f-string per record; the blocks
-    bound the text held at once.
+    bound the Python objects and the text held at once.
     """
     width = len(columns)
     for start in range(0, len(columns[0]), 4096):
-        block = [column[start:start + 4096] for column in columns]
+        block = [column[start:start + 4096].tolist() for column in columns]
         fields = [None] * (width * len(block[0]))
         for k, column in enumerate(block):
             fields[k::width] = column
@@ -300,7 +301,7 @@ def write_prim_files(prim: np.ndarray, prefix: str) -> None:
     """
     for k, path in enumerate(flow_file_paths(prefix)):
         with open(path, "w", encoding="ascii") as fh:
-            _write_records(fh, "%.17g\n", prim[:, :, k].T.ravel().tolist())  # i fastest
+            _write_records(fh, "%.17g\n", prim[:, :, k].T.ravel())  # i fastest
 
 
 def write_flow_files(field: FlowField, prefix: str, gas: GasModel = GasModel()) -> None:

@@ -1,5 +1,6 @@
 """Limiters, reconstruction, kink diagnostics, and Riemann solver properties."""
 
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from shockstab.numerics import (
     ReconstructionScheme,
     RoundParams,
     _FaceSide,
+    _components_last,
     _flux_ausm_plus,
     _flux_slau,
     _mach_split_m4,
@@ -21,6 +23,7 @@ from shockstab.numerics import (
     _reconstruct_values,
     _riemann_flux,
     _side_signs,
+    _stack_components,
     limiter_value,
     physical_flux,
     reconstruct_pair,
@@ -28,6 +31,7 @@ from shockstab.numerics import (
     riemann_flux,
     round_face_value,
 )
+from shockstab.residual import _member_runs
 from shockstab.state import GasModel, _primitive_columns, cons_to_prim, normal_shock_states, prim_to_cons
 
 GAS = GasModel()
@@ -444,15 +448,29 @@ class TestRiemannFlux:
         with pytest.raises(StateError):
             riemann_flux("godunov", u, u, np.array([1.0, 0.0]), GAS)
 
+    @pytest.mark.parametrize("solver", [5, None, ["roe", "hll"]])
+    def test_takes_one_solver_name(self, solver):
+        u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 2), GAS)
+        with pytest.raises(StateError, match=f"^riemann_flux takes one solver name, got {re.escape(repr(solver))}$"):
+            riemann_flux(solver, u, u, np.array([[1.0, 0.0]] * 2), GAS)
+
     @staticmethod
-    def assert_members_match_one_solver_calls(names):
+    def member_flux(names, left, right, normal):
+        """``_riemann_flux`` of a members-outer ``(members, faces, 4)`` batch under the runs that ``_march_map`` forms."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flux = _riemann_flux(_member_runs(names), _stack_components((left, right)), None, normal, GAS, True)
+        return _components_last(flux)
+
+    def assert_members_match_one_solver_calls(self, names):
         rng = np.random.default_rng(12)
         rows = 7 * len(names)
         left, right, n = random_cons(rng, rows), random_cons(rng, rows), random_normals(rng, rows)
-        flux = riemann_flux(names, left, right, n, GAS)
+        members = (len(names), 7)
+        flux = self.member_flux(names, left.reshape(members + (4,)), right.reshape(members + (4,)),
+                                n.reshape(members + (2,)))
         for k, name in enumerate(names):
             own = slice(7 * k, 7 * (k + 1))
-            assert np.array_equal(flux[own], riemann_flux(name, left[own], right[own], n[own], GAS))
+            assert np.array_equal(flux[k], riemann_flux(name, left[own], right[own], n[own], GAS))
 
     def test_member_runs_equal_one_solver_calls(self):
         # One name per member, members outer: each member's rows get exactly
@@ -473,22 +491,22 @@ class TestRiemannFlux:
         left, right = random_cons(rng, (3, 5)), random_cons(rng, (3, 5))
         n = random_normals(rng, (3, 5))
         flux = riemann_flux(solver, left, right, n, GAS)
-        assert riemann_flux((solver,) * 3, left, right, n, GAS).tobytes() == flux.tobytes()
-        assert riemann_flux([solver] * 3, left, right, n, GAS).tobytes() == flux.tobytes()
+        assert len(_member_runs((solver,) * 3)) == 1
+        assert self.member_flux((solver,) * 3, left, right, n).tobytes() == flux.tobytes()
+        assert self.member_flux([solver] * 3, left, right, n).tobytes() == flux.tobytes()
 
     def test_member_names_must_split_rows_evenly(self):
-        u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 10), GAS)
-        with pytest.raises(StateError, match="10 face rows do not split evenly among 3 solver members"):
-            riemann_flux(["roe", "hll", "hllc"], u, u, np.array([[1.0, 0.0]] * 10), GAS)
+        u = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 10), GAS).reshape(2, 5, 4)
         with pytest.raises(StateError, match="unknown solver 'godunov'"):
-            riemann_flux(["roe", "godunov"], u, u, np.array([[1.0, 0.0]] * 10), GAS)
+            self.member_flux(["roe", "godunov"], u, u, np.array([[1.0, 0.0]] * 10).reshape(2, 5, 2))
 
     def test_non_physical_state_names_its_members_solver(self):
         good = prim_to_cons(np.array([[1.0, 0.5, 0.0, 1.0]] * 6), GAS)
         bad = good.copy()
         bad[4:, 0] = 0.0
         with pytest.raises(StateError, match="^2 non-physical right state\\(s\\) passed to solver 'slau'$"):
-            riemann_flux(["hll", "roe", "slau"], good, bad, np.array([[1.0, 0.0]] * 6), GAS)
+            self.member_flux(["hll", "roe", "slau"], good.reshape(3, 2, 4), bad.reshape(3, 2, 4),
+                             np.array([[1.0, 0.0]] * 6).reshape(3, 2, 2))
 
     def test_rejects_unphysical_state(self):
         u = prim_to_cons(np.array([[1.0, 0.0, 0.0, 1.0]]), GAS)

@@ -8,7 +8,14 @@ import pytest
 
 from shockstab import StateError
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid
-from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme, reconstruct_pair, riemann_flux
+from shockstab.numerics import (
+    RIEMANN_SOLVERS,
+    ReconstructionScheme,
+    _riemann_flux,
+    _stack_components,
+    reconstruct_pair,
+    riemann_flux,
+)
 from shockstab.residual import (
     BoundaryCondition,
     BoundaryConditionSet,
@@ -18,6 +25,7 @@ from shockstab.residual import (
     _frame_source_jacobian,
     _ghost_table,
     _march_map,
+    _member_runs,
     _residual_map,
     _split_faces,
     _stencil_rows,
@@ -30,7 +38,6 @@ from shockstab.residual import (
 from shockstab.state import (
     FlowField,
     GasModel,
-    _primitive_columns,
     cons_to_prim,
     init_normal_shock_rh,
     normal_shock_states,
@@ -734,17 +741,24 @@ class TestPinnedBits:
         left = prim_to_cons(prim, GAS)
         return left, left[::-1].copy(), np.tile(np.array([1.0, 0.0]), (12, 1))
 
+    @staticmethod
+    def mixed_batch_flux(left, right, normal):
+        """The validated flux of the twelve rows as three members of four faces, under the march map's runs."""
+        faces = _stack_components((left.reshape(3, 4, 4), right.reshape(3, 4, 4)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _riemann_flux(_member_runs(PINNED_BATCH_SOLVERS), faces, None, normal.reshape(3, 4, 2), GAS, True)
+
     def test_bad_right_state_names_side_count_and_run(self):
         left, right, normal = self.mixed_batch_sides()
         right[[5, 6], 3] = -1.0
         with pytest.raises(StateError, match=r"^2 non-physical right state\(s\) passed to solver 'ausm_plus'$"):
-            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+            self.mixed_batch_flux(left, right, normal)
 
     def test_bad_left_state_names_side_count_and_run(self):
         left, right, normal = self.mixed_batch_sides()
         left[9, 0] = 0.0
         with pytest.raises(StateError, match=r"^1 non-physical left state\(s\) passed to solver 'hllc'$"):
-            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+            self.mixed_batch_flux(left, right, normal)
 
     def test_left_side_reported_before_right(self):
         # Both sides bad: the left side is checked first, whatever the runs.
@@ -752,7 +766,7 @@ class TestPinnedBits:
         right[[0, 1, 2], 0] = -1.0
         left[[10, 11], 3] = np.nan
         with pytest.raises(StateError, match=r"^2 non-physical left state\(s\) passed to solver 'hllc'$"):
-            riemann_flux(list(PINNED_BATCH_SOLVERS), left, right, normal, GAS)
+            self.mixed_batch_flux(left, right, normal)
 
     def test_positivity_fallback_replaces_one_side(self):
         # A cold stream where the MUSCL right state of stencil ``a`` has
@@ -1020,7 +1034,7 @@ def march_residual(q, bcs, metrics, scheme, solver):
     p_exit = np.array([bc.right.pressure for bc in bcs])
     cells, evaluate = _march_map(inflow, p_exit, metrics, scheme, solver, GAS)
     cells[...] = q.transpose(2, 1, 0)
-    return evaluate(_primitive_columns(cells, GAS)).transpose(2, 1, 0)
+    return evaluate().transpose(2, 1, 0)
 
 
 def own_residual(cells, bcs, metrics, scheme, solver):

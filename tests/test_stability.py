@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from shockstab.stability import (
     spectral_radius_upper,
     stability_verdict,
     transverse_blocks,
-    widen_strip_blocks,
     write_matrix,
 )
 from shockstab.state import FlowField, GasModel, cons_to_prim, init_normal_shock_rh, normal_shock_states, prim_to_cons
@@ -584,7 +584,7 @@ class TestTransverseSplit:
         analysis = anchor_11 if grid == "11x11" else anchor_analysis(grid)
         nj = analysis.stab.nj
         assert analysis.eig_method_used == "transverse_fourier"
-        assert transverse_blocks(analysis.stab.matrix, nj).offsets == (0, 1, 2, nj - 2, nj - 1)
+        assert transverse_blocks(analysis.stab.matrix, nj).offsets == (0, 1, 2, -2, -1)
         split, plain = analysis.spectrum, eigensolve(analysis.stab.matrix)
         assert split.shape == plain.shape
         # the deep left half-plane holds highly non-normal clusters that
@@ -653,12 +653,12 @@ class TestTransverseSplit:
         expected = _sort_spectrum(np.linalg.eigvals(matrix.toarray()))
         assert np.array_equal(eigensolve(matrix, nj=nj), expected)
 
-    @pytest.mark.parametrize("nj", [6, 7])
+    @pytest.mark.parametrize("nj", [6, 7, 9])
     @pytest.mark.parametrize("scheme_name", ["first_order", "muscl_van_albada", "muscl_superbee_prim", "round"])
     def test_strip_blocks_equal_the_full_operators(self, nj, scheme_name):
         # A j-uniform M=20 shock, jittered along i, periodic in j: the
-        # five-row strip's relabelled blocks are those read from the full
-        # S, bit for bit, and so is the spectrum.
+        # five-row strip's blocks and signed offsets are those read from the
+        # full S, bit for bit, and so is the spectrum.
         rng = np.random.default_rng(nj)
         prim = cons_to_prim(init_normal_shock_rh(7, 1, 20.0, 0.3, gas=GAS).q, GAS)
         prim = prim * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, prim.shape))
@@ -667,7 +667,7 @@ class TestTransverseSplit:
         bcs = normal_shock_bcs(20.0, GAS)
         scheme = PINNED_SCHEMES[scheme_name]
         # every scheme's stencil reaches two cells each way in j (zero blocks for first order)
-        reach = (0, 1, 2, nj - 2, nj - 1)
+        reach = (0, 1, 2, -2, -1)
         for solver in RIEMANN_SOLVERS:
             full = transverse_blocks(assemble(base, metrics, scheme, solver, bcs, GAS).matrix, nj)
             strip = cli._strip_blocks(base, metrics, scheme, solver, bcs, GAS)
@@ -689,12 +689,15 @@ class TestTransverseSplit:
         with pytest.raises(StateError, match=f"^{2 * nj + 1} non-physical left state"):
             assemble(base, metrics, scheme, "hllc", bcs, GAS)
 
-    @pytest.mark.parametrize("rows,nj", [(4, 8), (5, 5), (5, 4)])
-    def test_widening_needs_a_split_five_row_strip(self, rows, nj):
-        split = transverse_blocks(block_circulant(random_offset_blocks(4, seed=2), rows), rows)
-        assert split.nj == rows
-        with pytest.raises(EigenSolveError, match="strip widens to more rows"):
-            widen_strip_blocks(split, nj)
+    @pytest.mark.parametrize("nj", [6, 7, 8])
+    def test_signed_and_modular_offsets_solve_to_the_same_bytes(self, nj):
+        # k * d and k * (d - nj) are the same integer mod nj, so the solve
+        # weighs every block alike under either labelling.
+        split = transverse_blocks(block_circulant(random_offset_blocks(4, seed=nj + 20), nj), nj)
+        assert split.offsets == (0, 1, 2, -2, -1)
+        modular = replace(split, offsets=tuple(d % nj for d in split.offsets))
+        assert modular.offsets == (0, 1, 2, nj - 2, nj - 1)
+        assert eigensolve(split).tobytes() == eigensolve(modular).tobytes()
 
     def test_cap_applies_to_the_largest_block(self):
         m = 4
@@ -813,12 +816,13 @@ class TestUniformFlowSymbol:
         split = transverse_blocks(self.matrix(solver), self.NJ)
         # The first-order operator keeps the pattern of the four-cell
         # stencil, so the blocks at offsets +-2 are there too, as zeros.
-        assert split.offsets == (0, 1, 2, self.NJ - 2, self.NJ - 1)
+        assert split.offsets == (0, 1, 2, -2, -1)
         m = 4 * self.NI
-        row = self.operator(jl, jr, kl, kr)[:m]  # block row 0 holds C_d in block column d
+        row = self.operator(jl, jr, kl, kr)[:m]  # block row 0 holds C_d in block column d mod nj
         scale = np.max(np.abs(a))
         for d, block in zip(split.offsets, split.blocks):
-            assert np.max(np.abs(block - row[:, d * m : (d + 1) * m])) <= self.TOL * scale
+            col = d % self.NJ * m
+            assert np.max(np.abs(block - row[:, col : col + m])) <= self.TOL * scale
         # The symbol at wavenumbers (tx, ty): each block times exp(i theta offset).
         symbol = np.concatenate([
             np.linalg.eigvals(jr - jl + kr - kl + np.exp(-1j * tx) * jl - np.exp(1j * tx) * jr
