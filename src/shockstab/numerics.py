@@ -760,11 +760,10 @@ def riemann_flux(
 def _riemann_flux(solver, faces: np.ndarray, primitives, normal, gas: GasModel, validate: bool) -> np.ndarray:
     """Component-major ``(4, ...)`` flux of the component-major ``(4, 2, ...)`` sides ``faces``.
 
-    ``solver`` is one name for the whole batch, or the runs of a batch of
-    members: ``(name, kernel, rows)`` per run, ``rows`` a slice of the
-    batch's first face axis and ``kernel`` the name's wave model
-    (:func:`_solver_kernel`), as :func:`~shockstab.residual._member_runs`
-    forms them.  ``primitives`` are the ``rho, u, v, p`` columns of
+    ``solver`` is one name for the whole batch, or explicit runs:
+    ``(name, kernel, rows)`` per run, ``rows`` a slice of the batch's first
+    face axis and ``kernel`` the name's wave model (:func:`_solver_kernel`).
+    ``primitives`` are the ``rho, u, v, p`` columns of
     ``faces``, or ``None`` to split them here.  The sides are split into
     the face frame (:class:`_FaceSide`) and validated (left first) once;
     each run's wave model then runs on its own rows, as views, and the
