@@ -37,6 +37,7 @@ from .state import (
     _write_records,
     perturbation_to_primitive,
     cons_to_prim,
+    init_normal_shock_rh,
     prim_to_cons,
     read_prim_files,
     write_prim_files,
@@ -350,28 +351,30 @@ def _build_bcs(settings: Settings, gas: GasModel) -> BoundaryConditionSet:
     return BoundaryConditionSet(**{side: build(getattr(settings, f"bc_{side}")) for side in SIDES})
 
 
-def _build_base(settings: Settings, grid: Grid, gas: GasModel, scheme: ReconstructionScheme, oned):
-    """Base flow plus its canonical primitive representation.
+def _build_base(settings: Settings, grid: Grid, gas: GasModel, oned):
+    """Base flow, the 1-D march behind it (or ``None``) and its canonical primitives.
 
-    The analysis runs on ``prim_to_cons(prim)`` where ``prim`` is exactly
-    what the ``flow_*`` artifacts record, so re-running from those files
-    reproduces the operator bit for bit (the conservative-to-primitive
-    round trip is not the floating-point identity).  A given 1-D profile
-    ``oned`` is projected instead of marching one.
+    The one place where a case gets its base: an external flow reads its
+    ``flow_*`` files, and a normal shock is the Rankine-Hugoniot field or the
+    projection of ``oned``, its :func:`_march_batch` entry (a batch of one
+    marches when none is given, and an :class:`EvolutionError` entry is
+    raised).  The analysis runs on ``prim_to_cons(prim)``, with ``prim``
+    exactly what the ``flow_*`` artifacts record, so a re-run from those
+    files reproduces the operator bit for bit (the primitive round trip is
+    not the floating-point identity).
     """
     ni, nj = grid.ni_cells, grid.nj_cells
     if settings.test_case == "external_flow":
         prim = read_prim_files(settings.flow_file_prefix, ni, nj)
         return FlowField(q=_flow_file_cons(prim, settings.flow_file_prefix, gas)), None, prim
-    if oned is not None:
-        base = harness.project_1d_to_2d(oned, nj)
+    if settings.initialization == "rankine_hugoniot":
+        base = init_normal_shock_rh(ni, nj, settings.mach, settings.epsilon, shock_col=settings.shock_col, gas=gas)
     else:
-        base, oned = harness.make_base_flow(
-            ni, nj, settings.mach, settings.epsilon, scheme, settings.solver,
-            init=settings.initialization, gas=gas,
-            oned_steps=settings.oned_steps, oned_cfl=settings.oned_cfl,
-            shock_col=settings.shock_col,
-        )
+        if oned is None:
+            (oned,) = _march_batch([settings], ni)
+        if isinstance(oned, EvolutionError):
+            raise oned
+        base = harness.project_1d_to_2d(oned, nj)
     prim = cons_to_prim(base.q, gas)
     return FlowField(q=prim_to_cons(prim, gas)), oned, prim
 
@@ -467,13 +470,15 @@ def _strip_blocks(base: FlowField, metrics: GridMetrics, scheme: ReconstructionS
     return replace(split, nj=base.nj) if split.nj == rows else None
 
 
-def analyze(settings: Settings, oned: harness.OneDResult | None = None, *, matrix: bool = True) -> Analysis:
+def analyze(settings: Settings, oned: harness.OneDResult | EvolutionError | None = None, *,
+            matrix: bool = True) -> Analysis:
     """Build the base flow, assemble ``S`` and solve for its spectrum.
 
     Every run mode (single analysis, ``--sweep``, ``--validate``) starts
-    here, so each analyses the operator its settings describe.  ``oned`` is
-    this case's 1-D march made beforehand (``--sweep`` marches all its
-    cases as one batch); without it a projected base marches its own.
+    here, so each analyses the operator its settings describe, on the base
+    :func:`_build_base` makes.  ``oned`` is this case's entry of
+    :func:`_march_batch` made beforehand (``--sweep`` marches all its cases
+    as one batch); without it a projected base marches a batch of one.
 
     ``matrix=False`` asks for the spectrum only (``--sweep``): where a dense
     solve would split ``S`` by transverse wavenumber and every row of its
@@ -488,7 +493,7 @@ def analyze(settings: Settings, oned: harness.OneDResult | None = None, *, matri
     grid = _build_grid(settings)
     metrics = compute_metrics(grid)
     bc = _build_bcs(settings, gas)
-    base, oned, base_prim = _build_base(settings, grid, gas, scheme, oned)
+    base, oned, base_prim = _build_base(settings, grid, gas, oned)
     stab, blocks = None, None
     if not matrix and settings.eig_method == "dense":
         blocks = _strip_blocks(base, metrics, scheme, settings.solver, bc, gas)
@@ -553,17 +558,19 @@ def _sweep_values(settings: Settings):
     return machs, solvers
 
 
-def _march_batch(cases: list[Settings]) -> list:
-    """1-D marches of normal-shock cases that differ only in Mach number and solver, as one batch.
+def _march_batch(cases: list[Settings], ni: int) -> list:
+    """1-D marches on ``ni`` cells of normal-shock cases that differ only in Mach number and solver, as one batch.
 
-    Each case is one member with its own Mach number and solver; the
-    members share every step's reconstruction and face-frame split (see
-    :func:`harness.solve_1d_steady`).  Returns, per case, its
-    profile or the :class:`EvolutionError` that stopped it.
+    Every 1-D march of the program runs here: a single analysis or
+    ``--validate`` marches its case as a batch of one.  Each case is one
+    member with its own Mach number and solver; the members share every
+    step's reconstruction and face-frame split (see
+    :func:`harness.solve_1d_steady`).  Returns, per case, its profile or
+    the :class:`EvolutionError` that stopped it.
     """
     s = cases[0]
     return harness.solve_1d_steady(
-        _build_grid(s).ni_cells, [c.mach for c in cases], s.epsilon, s.oned_steps, _build_scheme(s),
+        ni, [c.mach for c in cases], s.epsilon, s.oned_steps, _build_scheme(s),
         [c.solver for c in cases], gas=GasModel(s.gamma), cfl=s.oned_cfl, shock_col=s.shock_col,
     )
 
@@ -575,9 +582,9 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
     in Mach number and solver, so with a projected base they all march as
     one batch (:func:`_march_batch`), after the header is written, with
     each solver's members adjacent; every case then runs the one
-    :func:`analyze` pipeline on its own profile.  A member whose march
-    failed raises its error when its row is reached, after the rows before
-    it are written.
+    :func:`analyze` pipeline on its own entry of the batch.  A member whose
+    march failed raises its error in :func:`_build_base` when its row is
+    reached, after the rows before it are written.
     """
     if settings.test_case != "normal_shock":
         raise SettingsError("--sweep supports the normal_shock case only")
@@ -592,10 +599,10 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
     cases = [_validate(replace(settings, mach=mach, solver=solver)) for solver in solvers for mach in machs]
     with open(outdir / "sweep.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda lambda_im gap\n")
-        profiles = _march_batch(cases) if settings.initialization == "oned_projection" else [None] * len(cases)
+        profiles = [None] * len(cases)
+        if settings.initialization == "oned_projection":
+            profiles = _march_batch(cases, _build_grid(settings).ni_cells)
         for case, oned in zip(cases, profiles):
-            if isinstance(oned, EvolutionError):
-                raise oned
             spectrum = analyze(case, oned, matrix=False).spectrum
             fh.write(
                 f"{case.mach:.17g} {case.solver} {_scheme_label(case)} "
@@ -604,15 +611,17 @@ def run_sweep(settings: Settings, outdir: Path) -> None:
 
 
 def run_validation(analysis: Analysis, outdir: Path) -> None:
-    """Time-marching cross-check of an analysed case."""
+    """Time-marching cross-check; a ``#`` line names each unfitted rate and each march that stopped early."""
     s = analysis.settings
     max_real = float(analysis.spectrum[0].real)
-    marches, errors = time_march(analysis)
+    marches, notes = time_march(analysis)
     columns = []
     for kind, (series, sigma) in marches.items():
         sigma = float("nan") if sigma is None else sigma
         columns.append(f"{sigma:.17g} {abs(sigma - max_real) / max(abs(max_real), 1.0e-300):.17g}")
         harness.write_series(series, outdir / f"series_{kind}.dat")
+        if series.diverged or series.truncated:
+            notes.append(f"{kind}: {'diverged' if series.diverged else 'truncated'} after {len(series.t) - 1} steps")
     with open(outdir / "validation.dat", "w", encoding="ascii") as fh:
         fh.write("# mach solver scheme max_re_lambda sigma_linear rel_diff_linear "
                  "sigma_nonlinear rel_diff_nonlinear gap\n")
@@ -620,8 +629,8 @@ def run_validation(analysis: Analysis, outdir: Path) -> None:
             f"{s.mach:.17g} {s.solver} {_scheme_label(s)} {max_real:.17g} {' '.join(columns)} "
             f"{harness.dominance_gap(analysis.spectrum):.17g}\n"
         )
-        for err in errors:
-            fh.write(f"# {err}\n")
+        for note in notes:
+            fh.write(f"# {note}\n")
 
 
 def run_analysis(analysis: Analysis, dump_matrix: bool = False) -> int:

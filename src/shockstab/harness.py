@@ -43,7 +43,6 @@ __all__ = [
     "GrowthRateFit",
     "solve_1d_steady",
     "project_1d_to_2d",
-    "make_base_flow",
     "local_wave_speed_sums",
     "evolve_linear",
     "evolve_nonlinear",
@@ -248,36 +247,6 @@ def project_1d_to_2d(oned: OneDResult | np.ndarray, nj: int) -> FlowField:
     if q1.ndim != 2 or q1.shape[1] != 4:
         raise StateError(f"1-D profile must have shape (ni, 4), got {q1.shape}")
     return FlowField(q=np.repeat(q1[:, None, :], nj, axis=1))
-
-
-def make_base_flow(
-    ni: int,
-    nj: int,
-    mach: float,
-    epsilon: float,
-    scheme: ReconstructionScheme,
-    solver: str,
-    init: str = "oned_projection",
-    gas: GasModel = GasModel(),
-    oned_steps: int = 2000,
-    oned_cfl: float = 0.5,
-    shock_col: int | None = None,
-):
-    """Base flow for the normal-shock problem.
-
-    ``init='rankine_hugoniot'`` uses the exact two-state field with a blended
-    shock cell; ``init='oned_projection'`` replicates the time-marched 1-D
-    profile (same scheme and solver) across the rows.  Returns
-    ``(field, oned_result_or_None)``.
-    """
-    if init == "rankine_hugoniot":
-        return init_normal_shock_rh(ni, nj, mach, epsilon, shock_col=shock_col, gas=gas), None
-    if init == "oned_projection":
-        oned = solve_1d_steady(
-            ni, mach, epsilon, oned_steps, scheme, solver, gas=gas, cfl=oned_cfl, shock_col=shock_col
-        )
-        return project_1d_to_2d(oned, nj), oned
-    raise StateError(f"unknown initialization {init!r}; choose 'rankine_hugoniot' or 'oned_projection'")
 
 
 def evolve_linear(

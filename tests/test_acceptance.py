@@ -21,12 +21,13 @@ import time
 import numpy as np
 
 from shockstab import GasModel, ReconstructionScheme, cli
-from shockstab.harness import dominance_gap, make_base_flow
+from shockstab.harness import dominance_gap, project_1d_to_2d, solve_1d_steady
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid, write_grid
 from shockstab.numerics import RIEMANN_SOLVERS, physical_flux, riemann_flux
 from shockstab.residual import fill_ghosts, normal_shock_bcs, residual
 from shockstab.state import (
     FlowField,
+    init_normal_shock_rh,
     normal_shock_states,
     prim_to_cons,
     write_flow_files,
@@ -147,8 +148,7 @@ def test_criterion_03_matrix_matches_residual():
     # branch geometry while still exercising every assembled coupling.
     h = 1.0e-7
     for k, (label, scheme, solver) in enumerate(combos):
-        base, _ = make_base_flow(ni, nj, 20.0, 0.1, scheme, solver,
-                                 init="rankine_hugoniot", gas=GAS)
+        base = init_normal_shock_rh(ni, nj, 20.0, 0.1, gas=GAS)
         smat = assemble(base, metrics, scheme, solver, bc, GAS)
         excluded += int(smat.kink_iface.sum() + smat.kink_jface.sum()
                         + smat.fallback_iface.sum() + smat.fallback_jface.sum())
@@ -364,8 +364,7 @@ def test_criterion_08_resolution_trend():
     for ni, nj in ((50, 10), (50, 50)):
         grid = make_cartesian_grid(ni, nj, (0.0, 50.0, 0.0, 50.0))
         metrics = compute_metrics(grid)
-        base, _ = make_base_flow(ni, nj, 20.0, 0.1, MUSCL_VA, "hllc",
-                                 init="oned_projection", gas=GAS)
+        base = project_1d_to_2d(solve_1d_steady(ni, 20.0, 0.1, 2000, MUSCL_VA, "hllc", gas=GAS), nj)
         smat = assemble(base, metrics, MUSCL_VA, "hllc",
                         normal_shock_bcs(20.0, GAS), GAS)
         leading = eigensolve_leading(smat.matrix, k=12)

@@ -22,6 +22,7 @@ from shockstab.cli import (
     settings_to_text,
 )
 from shockstab.mesh import compute_metrics, make_annular_grid, make_cartesian_grid, read_grid, write_grid
+from shockstab.numerics import LIMITERS, RECONSTRUCTION_KINDS, RIEMANN_SOLVERS
 from shockstab.state import FlowField, GasModel, prim_to_cons, write_flow_files
 
 GAS = GasModel()
@@ -174,6 +175,22 @@ class TestParsing:
     def test_unknown_bc_kind(self):
         with pytest.raises(SettingsError, match="bc_top"):
             parse_settings_text(MINIMAL + "bc_top = farfield\n")
+
+    @pytest.mark.parametrize("key, choices", [
+        ("test_case", cli.TEST_CASES),
+        ("solver", RIEMANN_SOLVERS),
+        ("reconstruction", RECONSTRUCTION_KINDS),
+        ("limiter", LIMITERS),
+        ("variables", ("conservative", "primitive")),
+        ("initialization", ("oned_projection", "rankine_hugoniot")),
+        ("eig_method", ("dense", "arnoldi")),
+    ])
+    def test_unknown_choice(self, key, choices):
+        # The settings check is the one guard on every choice key,
+        # initialization included: the base flow does not check it again.
+        with pytest.raises(SettingsError) as err:
+            parse_settings_text(MINIMAL.replace("test_case = normal_shock\n", f"{key} = bogus\n"))
+        assert str(err.value) == f"key {key!r} must be one of {', '.join(choices)}; got 'bogus'"
 
     def test_echo_round_trip(self):
         s = parse_settings_text(MINIMAL + "solver = hllc\nround_lambda1 = 0.25\n")
@@ -549,7 +566,31 @@ class TestSweepAndValidate:
         for row in rows:
             alone = cli.analyze(replace(settings, mach=float(row[0]), solver=row[1])).spectrum
             assert row[3:5] == [f"{alone[0].real:.17g}", f"{alone[0].imag:.17g}"]
-        assert marches == [(m, s) for s in ("hllc", "roe") for m in (20.0, 3.0, 6.0)]
+        assert marches == [([m], [s]) for s in ("hllc", "roe") for m in (20.0, 3.0, 6.0)]
+
+    @pytest.mark.parametrize("flags", [[], ["--validate"], ["--sweep"]])
+    def test_each_run_mode_marches_one_batch(self, tmp_path, monkeypatch, flags):
+        # Every projected base comes from cli._march_batch, and each run
+        # mode calls it once: a single analysis and --validate with their
+        # case alone, --sweep with every case.
+        batches = []
+        march_batch = cli._march_batch
+
+        def counted(cases, ni):
+            batches.append(([c.mach for c in cases], [c.solver for c in cases], ni))
+            return march_batch(cases, ni)
+
+        monkeypatch.setattr(cli, "_march_batch", counted)
+        out = tmp_path / "out"
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text("test_case = normal_shock\ngrid = 5x3\nmach = 3\nepsilon = 0.1\nsolver = hllc\n"
+                       "oned_steps = 40\nvalidate_linear_steps = 50\nvalidate_nonlinear_steps = 20\n"
+                       f"sweep_mach = 3,6\nsweep_solvers = hllc,roe\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), *flags]) in (0, 1)
+        if flags == ["--sweep"]:
+            assert batches == [([3.0, 6.0] * 2, ["hllc"] * 2 + ["roe"] * 2, 5)]
+        else:
+            assert batches == [([3.0], ["hllc"], 5)]
 
     def test_sweep_mixed_solver_failure_waits_for_its_row(self, tmp_path, capsys):
         # SLAU with MUSCL/superbee leaves the physical state space at step 151
@@ -637,6 +678,19 @@ class TestSweepAndValidate:
         "solver = hllc\nreconstruction = muscl\ninitialization = rankine_hugoniot\n"
         "bc_right = zero_gradient\n"
     )
+
+    def test_validation_notes_a_march_that_stopped_early(self, tmp_path):
+        # On the 11x11 anchor the nonlinear march diverges after 1752 of its
+        # 4000 steps; validation.dat says so below the fitted rates.
+        out = tmp_path / "out"
+        cfg = tmp_path / "val.cfg"
+        cfg.write_text(MINIMAL + "solver = hllc\nreconstruction = muscl\nlimiter = van_albada\n"
+                       f"validate_linear_steps = 300\noutput_dir = {out}\n", encoding="ascii")
+        assert cli.main([str(cfg), "--validate"]) == 1
+        lines = (out / "validation.dat").read_text().splitlines()
+        assert lines[1].split()[6] == "0.12966399700856227"
+        assert lines[2].startswith("# linear: no clean exponential segment")
+        assert lines[3:] == ["# nonlinear: diverged after 1752 steps"]
 
     def test_validation_checks_the_analysed_operator(self, tmp_path):
         out = tmp_path / "out"

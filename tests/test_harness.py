@@ -16,7 +16,6 @@ from shockstab.harness import (
     evolve_nonlinear,
     fit_growth_rate,
     local_wave_speed_sums,
-    make_base_flow,
     project_1d_to_2d,
     solve_1d_steady,
     write_series,
@@ -209,21 +208,22 @@ class TestBaseFlow:
             project_1d_to_2d(np.zeros((5, 3)), 4)
 
     def test_rh_init_returns_exact_field(self):
-        field, oned = make_base_flow(11, 3, 3.0, 0.2, FIRST, "roe", init="rankine_hugoniot")
-        assert oned is None
-        from shockstab.state import init_normal_shock_rh
-
-        assert np.array_equal(field.q, init_normal_shock_rh(11, 3, 3.0, 0.2, gas=GAS).q)
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(StateError):
-            make_base_flow(11, 3, 3.0, 0.2, FIRST, "roe", init="uniform")
+        # A Rankine-Hugoniot base is the exact field through the primitive
+        # round trip every analysed base takes, with no 1-D march behind it.
+        settings = cli.parse_settings_text("grid = 11x3\nmach = 3\nepsilon = 0.2\nreconstruction = first_order\n"
+                                           "initialization = rankine_hugoniot\n")
+        analysis = cli.analyze(settings)
+        assert analysis.oned is None
+        prim = cons_to_prim(init_normal_shock_rh(11, 3, 3.0, 0.2, gas=GAS).q, GAS)
+        assert np.array_equal(analysis.base_prim, prim)
+        assert np.array_equal(analysis.base.q, prim_to_cons(prim, GAS))
 
     def test_projected_base_residual_is_y_invariant(self):
         # the 2-D residual of a projected profile equals the strip residual
         # in every row: transverse fluxes cancel through the periodic pair
         ni, nj = 11, 4
-        field, oned = make_base_flow(ni, nj, 2.0, 0.1, MUSCL, "hllc", oned_steps=300)
+        oned = solve_1d_steady(ni, 2.0, 0.1, 300, MUSCL, "hllc")
+        field = project_1d_to_2d(oned, nj)
         metrics = compute_metrics(make_cartesian_grid(ni, nj))
         bc = normal_shock_bcs(2.0, GAS)
         ghosts = fill_ghosts(field, bc, metrics, GAS)
@@ -439,7 +439,7 @@ class TestEvolveNonlinear:
     def test_blow_up_marks_series_diverged(self):
         # an oversized first step leaves the physical state space; the march
         # reports that as divergence rather than raising
-        base, _ = make_base_flow(7, 3, 20.0, 0.1, MUSCL, "hllc", oned_steps=50)
+        base = project_1d_to_2d(solve_1d_steady(7, 20.0, 0.1, 50, MUSCL, "hllc"), 3)
         metrics = compute_metrics(make_cartesian_grid(7, 3))
         series = evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc", GAS,
                                   steps=50, cfl=3.0, amplitude=1e-2)
@@ -478,7 +478,7 @@ class TestEvolveNonlinear:
         # state equal to the base: there is no deviation to take the
         # log-norm of, so the march refuses to start rather than warn and
         # return a one-step series.
-        base, _ = make_base_flow(5, 5, 20.0, 0.1, MUSCL, "hllc", oned_steps=200)
+        base = project_1d_to_2d(solve_1d_steady(5, 20.0, 0.1, 200, MUSCL, "hllc"), 5)
         metrics = compute_metrics(make_cartesian_grid(5, 5))
         with pytest.raises(EvolutionError, match="initial perturbation is zero"):
             evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc", GAS, steps=10,
@@ -748,7 +748,7 @@ class TestPinnedMarchBytes:
     @pytest.mark.parametrize("solver,kind,steps", sorted(PINNED_NONLINEAR_T_DIGESTS))
     def test_nonlinear_time_axis(self, solver, kind, steps):
         scheme = ReconstructionScheme(kind=kind, limiter="van_albada")
-        base, _ = make_base_flow(5, 5, 20.0, 0.1, scheme, solver)
+        base = project_1d_to_2d(solve_1d_steady(5, 20.0, 0.1, 2000, scheme, solver), 5)
         metrics = compute_metrics(make_cartesian_grid(5, 5))
         series = evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, scheme, solver, GAS, steps=steps)
         assert len(series.t) == steps + 1 and not series.diverged
@@ -791,7 +791,7 @@ class TestMarchErrorState:
         self.restores(run)
 
     def test_nonlinear_march_that_diverges(self):
-        base, _ = make_base_flow(7, 3, 20.0, 0.1, MUSCL, "hllc", oned_steps=50)
+        base = project_1d_to_2d(solve_1d_steady(7, 20.0, 0.1, 50, MUSCL, "hllc"), 3)
         metrics = compute_metrics(make_cartesian_grid(7, 3))
         series = self.restores(lambda: evolve_nonlinear(base, normal_shock_bcs(20.0, GAS), metrics, MUSCL, "hllc",
                                                         GAS, steps=50, cfl=3.0, amplitude=1e-2))

@@ -23,7 +23,7 @@ EXPORTED = [
     "flux_jacobians", "reconstruction_coefficients", "assemble", "eigensolve",
     "eigensolve_leading", "max_real_eigenpair", "spectral_radius_upper", "mode_field",
     "write_matrix", "read_matrix", "OneDResult", "EvolutionSeries", "GrowthRateFit",
-    "solve_1d_steady", "project_1d_to_2d", "make_base_flow", "evolve_linear", "evolve_nonlinear",
+    "solve_1d_steady", "project_1d_to_2d", "evolve_linear", "evolve_nonlinear",
     "fit_growth_rate", "dominance_gap", "write_series",
 ]
 

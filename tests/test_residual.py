@@ -1438,10 +1438,10 @@ class TestNonlinearMarchStage:
             assert len(series.t) == 16
 
     def test_blow_up_equals_the_frame_march(self, monkeypatch):
-        from shockstab.harness import make_base_flow
+        from shockstab.harness import project_1d_to_2d, solve_1d_steady
 
         scheme = PINNED_SCHEMES["muscl_van_albada"]
-        base, _ = make_base_flow(7, 3, 20.0, 0.1, scheme, "hllc", oned_steps=50)
+        base = project_1d_to_2d(solve_1d_steady(7, 20.0, 0.1, 50, scheme, "hllc"), 3)
         metrics = compute_metrics(make_cartesian_grid(7, 3))
         series, reference = self.marches(monkeypatch, base, normal_shock_bcs(20.0, GAS), metrics, scheme, "hllc",
                                          steps=50, cfl=3.0, amplitude=1e-2)
