@@ -102,6 +102,12 @@ _CIRCULANT_TOL = 1.0e-13
 #: (1e-3 .. 1e0), so real parts inside this band are treated as zero.
 NEUTRAL_TOL = 1.0e-10
 
+#: Faces that :func:`assemble` linearizes at a time, and cell rows of ``S``
+#: it converts from COO to CSR at a time.  They bound the transients of an
+#: assembly to a few times the bytes of ``S``; its bits do not depend on them.
+_FACE_BLOCK = 1024
+_CELL_BLOCK = 512
+
 
 def stability_verdict(max_real: float) -> str:
     """Classify a spectrum by its largest real part.
@@ -244,28 +250,40 @@ def assemble(
 ) -> StabilityMatrix:
     """Assemble the global linearized operator about ``base``.
 
-    Every face is linearized in one pass over the face batch that
-    :func:`~shockstab.residual.residual` evaluates (i-faces first): difference
-    the flux against both reconstructed side states, difference the
-    reconstruction against its four stencil cells, chain the two and map the
-    stencil cells through their ghost derivatives.  The component-major
-    stencils are gathered once from the cells and ghost rows of one
-    :func:`~shockstab.residual._ghost_table`, through its stencil map, as
-    in the nonlinear march; they feed the reconstruction, and their
-    ``(faces, 4)`` views the public coefficient and kink-flag functions.
-    The table's source map and
-    :func:`~shockstab.residual._frame_source_jacobian` give each stencil
-    cell's source cell and ghost derivative; the Jacobians and their
-    ``einsum`` chain keep their layout.  Each cell row then takes the 4x4
-    blocks of its four faces (:func:`~shockstab.residual._cell_faces`): a
-    face feeds the cell before it with ``-L/vol`` and the cell after it
-    with ``+L/vol``.  ``base_residual_inf`` comes from one call of the flux
-    kernel :func:`~shockstab.numerics._riemann_flux` on the same
-    reconstructed sides and :func:`~shockstab.residual._flux_balance`, so
-    the base is reconstructed and split into primitives once.  The private
-    kernels set no floating-point error state; their divide and invalid
-    warnings are silenced here, as the public ghost, reconstruction and
-    flux functions silence theirs.
+    Every face of the batch that :func:`~shockstab.residual.residual`
+    evaluates (i-faces first) is linearized: difference the flux against
+    both reconstructed side states, difference the reconstruction against
+    its four stencil cells, chain the two and map the stencil cells through
+    their ghost derivatives.  The component-major stencils are gathered once
+    from the cells and ghost rows of one
+    :func:`~shockstab.residual._ghost_table`, through its stencil map, as in
+    the nonlinear march; they feed the reconstruction, and their ``(faces,
+    4)`` views the public coefficient and kink-flag functions.  The table's
+    source map and :func:`~shockstab.residual._frame_source_jacobian` give
+    each stencil cell's source cell and ghost derivative.  Each cell row
+    then takes the 4x4 blocks of its four faces
+    (:func:`~shockstab.residual._cell_faces`): a face feeds the cell before
+    it with ``-L/vol`` and the cell after it with ``+L/vol``.
+    ``base_residual_inf`` comes from one call of the flux kernel
+    :func:`~shockstab.numerics._riemann_flux` on the same reconstructed
+    sides and :func:`~shockstab.residual._flux_balance`, so the base is
+    reconstructed and split into primitives once.  The private kernels set
+    no floating-point error state; their divide and invalid warnings are
+    silenced here, as the public ghost, reconstruction and flux functions
+    silence theirs.
+
+    Memory stays bounded on large grids: the flux and reconstruction
+    Jacobians, their ``einsum`` chain and the kink flags run over blocks of
+    :data:`_FACE_BLOCK` faces into one ``(faces, 4, 4, 4)`` table, and the
+    scatter becomes CSR :data:`_CELL_BLOCK` cell rows at a time, the blocks
+    joined by ``sp.vstack``.  The bits of ``S`` do not depend on the block
+    sizes: every kernel is elementwise per face, and ``tocsr`` sorts and
+    sums each row's entries within that row, so a row that receives the
+    same entries in the same order gets the same bits in any block.  Only
+    the stencil cells read from a ghost row go through their ghost
+    derivative.  A cell row's is the identity, and an ``einsum`` with it
+    sums from +0.0, which turns -0.0 into +0.0 and keeps every other
+    value; the other cells take ``part + 0.0``, which does the same.
     """
     ni, nj = base.ni, base.nj
     _check_metrics(base, metrics)
@@ -276,35 +294,61 @@ def assemble(
         stencils = table.take(rows, axis=1)  # (4, stencil cell, faces)
         faces, primitives, fallback = _reconstruct_stencil(stencils, scheme, gas)
         base_flux = _riemann_flux(solver, faces, primitives, metrics.face_normal, gas, primitives is None)
-        g_sten = np.moveaxis(_frame_source_jacobian(base.q, bc, metrics, gas).take(rows, axis=0), 0, 1)
+        ghost_jac = _frame_source_jacobian(base.q, bc, metrics, gas)
     stencils = _components_last(stencils)  # the four (faces, 4) cells of the public functions
     left, right = _components_last(faces)
     base_residual_inf = float(np.max(np.abs(_flux_balance(base_flux, metrics))))
-    dep_sten = sources.take(rows).T  # (faces, stencil cell)
-    jl_flux, jr_flux = flux_jacobians(solver, left, right, metrics.face_normal, gas)
-    al, ar = reconstruction_coefficients(*stencils, scheme, gas)
-    # Chain rule per stencil cell, then through the ghost map.
-    contrib = np.einsum("...rk,...ckm->...crm", jl_flux, al)
-    contrib += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
-    contrib = np.einsum("...crk,...ckm->...crm", contrib, g_sten)
+    n_faces = rows.shape[1]
+    contrib = np.empty((n_faces, 4, 4, 4))
+    kink = np.empty(n_faces, dtype=bool)
 
-    # The face order of _cell_faces fixes the COO order.  tocsr then sorts
-    # each row by column (scipy's unstable std::sort) before it sums the
-    # duplicates, and that sort fixes the summation order and the bits of S.
-    faces = _cell_faces(ni, nj)
+    def linearize(block: slice) -> None:
+        """Fill ``contrib`` and ``kink`` for the faces of ``block``."""
+        sten = [s[block] for s in stencils]
+        jl_flux, jr_flux = flux_jacobians(solver, left[block], right[block], metrics.face_normal[block], gas)
+        al, ar = reconstruction_coefficients(*sten, scheme, gas)
+        # Chain rule per stencil cell, then through the ghost map.
+        part = np.einsum("...rk,...ckm->...crm", jl_flux, al)
+        part += np.einsum("...rk,...ckm->...crm", jr_flux, ar)
+        # A cell row's ghost derivative is the identity, which an einsum
+        # applies by summing from +0.0: that is part + 0.0, which turns -0.0
+        # into +0.0 and keeps every other value.  Only the stencil cells read
+        # from a ghost row go through their derivative.
+        sten_rows = rows[:, block].T  # (faces, stencil cell)
+        ghost = sten_rows >= ni * nj
+        np.add(part, 0.0, out=contrib[block])
+        contrib[block][ghost] = np.einsum("...rk,...km->...rm", part[ghost], ghost_jac[sten_rows[ghost]])
+        kink[block] = reconstruction_kink_flags(*sten, scheme, gas)
+
+    for start in range(0, n_faces, _FACE_BLOCK):
+        linearize(slice(start, start + _FACE_BLOCK))
+
+    # The face order of _cell_faces fixes the COO order of each row.  tocsr
+    # then sorts each row by column (scipy's unstable std::sort) before it
+    # sums the duplicates, and that sort fixes the summation order and the
+    # bits of S.  It sees one row at a time, so a block of cell rows gets
+    # the bits it would get inside the whole matrix.
+    cell_faces = _cell_faces(ni, nj)
     length = _join_faces(metrics.iface_len, metrics.jface_len)
-    fac = np.array([-1.0, 1.0, -1.0, 1.0]) * (length[faces] / metrics.volume.T.reshape(-1, 1))
-    blocks = fac[..., None, None, None] * contrib[faces]  # (cell, face, stencil cell, flux, state)
-    sten_cells = dep_sten[faces][..., None, None]
-    cell_rows = 4 * np.arange(ni * nj)[:, None, None, None, None] + np.arange(4)[:, None]
-    cols = 4 * sten_cells + np.arange(4)
-    mask = np.broadcast_to(sten_cells >= 0, blocks.shape)
+    volume = metrics.volume.T.reshape(-1, 1)
+    dep_sten = sources.take(rows).T  # (faces, stencil cell)
     n = 4 * ni * nj
-    matrix = sp.coo_matrix(
-        (blocks[mask], (np.broadcast_to(cell_rows, blocks.shape)[mask], np.broadcast_to(cols, blocks.shape)[mask])),
-        shape=(n, n),
-    ).tocsr()
-    kink_i, kink_j = _split_faces(reconstruction_kink_flags(*stencils, scheme, gas), ni, nj)
+
+    def row_block(start: int) -> sp.csr_matrix:
+        """The CSR rows of the cells from ``start`` on, at most :data:`_CELL_BLOCK` of them."""
+        faces = cell_faces[start : start + _CELL_BLOCK]
+        count = len(faces)
+        fac = np.array([-1.0, 1.0, -1.0, 1.0]) * (length[faces] / volume[start : start + count])
+        blocks = fac[..., None, None, None] * contrib[faces]  # (cell, face, stencil cell, flux, state)
+        sten_cells = dep_sten[faces][..., None, None]
+        cell_rows = 4 * np.arange(count)[:, None, None, None, None] + np.arange(4)[:, None]
+        cols = 4 * sten_cells + np.arange(4)
+        mask = np.broadcast_to(sten_cells >= 0, blocks.shape)
+        entries = (np.broadcast_to(cell_rows, blocks.shape)[mask], np.broadcast_to(cols, blocks.shape)[mask])
+        return sp.coo_matrix((blocks[mask], entries), shape=(4 * count, n)).tocsr()
+
+    matrix = sp.vstack([row_block(start) for start in range(0, ni * nj, _CELL_BLOCK)], format="csr")
+    kink_i, kink_j = _split_faces(kink, ni, nj)
     fallback_i, fallback_j = _split_faces(fallback, ni, nj)
     return StabilityMatrix(
         matrix=matrix,
@@ -449,7 +493,13 @@ def eigensolve(matrix, cap: int = DENSE_CAP, nj: int = 1) -> np.ndarray:
 def eigensolve_leading(matrix: sp.spmatrix, k: int = 12, seed: int = 20230614) -> np.ndarray:
     """Leading eigenvalues (largest real part) via the implicitly restarted
     Arnoldi iteration, with a seeded start vector for reproducibility and
-    ARPACK's default iteration limit and (machine-precision) tolerance."""
+    ARPACK's default iteration limit and (machine-precision) tolerance.
+
+    ARPACK gets a canonical CSR copy of ``matrix`` without its stored zeros
+    (more than half of an assembled ``S``).  The values keep their bits: a
+    stored zero adds +-0.0 to its row sum, which starts from +0.0 and so is
+    never -0.0, and adding +-0.0 to anything else changes nothing.
+    """
     n = matrix.shape[0]
     if not 0 < k < n - 1:
         raise EigenSolveError(f"need 0 < k < n-1 for the iterative path, got k={k}, n={n}")
@@ -462,6 +512,9 @@ def eigensolve_leading(matrix: sp.spmatrix, k: int = 12, seed: int = 20230614) -
     # does, so the iteration sees the same products without a conversion.
     csr = matrix.tocsr().astype(float)
     csr.sum_duplicates()
+    # A stored zero adds +-0.0 to a row sum that starts from +0.0 and so is
+    # never -0.0: dropping it keeps the bits of every product.
+    csr.eliminate_zeros()
     try:
         with np.errstate(all="ignore"):
             values = spla.eigs(csr, k=k, which="LR", v0=v0, return_eigenvectors=False)
@@ -509,6 +562,12 @@ def max_real_eigenpair(
     ``|S v - lambda v| <= 1e-8 * |S|_F * |v|``, with ``|S|_F`` formed as
     :func:`_frobenius_norm` does, so that it stays finite where the sum of
     the squared entries overflows.
+
+    One complex CSR copy of ``matrix`` without its stored zeros gives the
+    shifted matrix and every residual product, so ``S`` is not upcast to
+    complex on each step.  The bits are those of ``S`` itself: a stored zero
+    adds +-0.0 to a row sum that starts from +0.0, which changes nothing,
+    and the sparse subtraction of the shift drops zero results anyway.
     """
     if not sp.issparse(matrix):
         matrix = sp.csr_matrix(np.asarray(matrix, dtype=float))
@@ -519,7 +578,13 @@ def max_real_eigenpair(
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    shifted = (matrix.astype(complex) - (lam + 1.0e-8) * sp.identity(n, dtype=complex)).tocsc()
+    # One complex copy without stored zeros serves the shift and every
+    # residual product.  A dropped zero adds +-0.0 to a row sum that starts
+    # from +0.0, so the products keep their bits; the sparse subtraction
+    # drops zero results anyway, so the shifted matrix is unchanged.
+    cmatrix = matrix.tocsr().astype(complex)
+    cmatrix.eliminate_zeros()
+    shifted = (cmatrix - (lam + 1.0e-8) * sp.identity(n, dtype=complex)).tocsc()
     import scipy.sparse.linalg as spla  # loaded on first use, as in eigensolve_leading
 
     try:
@@ -533,7 +598,7 @@ def max_real_eigenpair(
         for _ in range(50):
             v = lu.solve(v)
             v /= np.linalg.norm(v)
-            res = float(np.linalg.norm(matrix @ v - lam * v))
+            res = float(np.linalg.norm(cmatrix @ v - lam * v))
             if best is None or res < best[0]:
                 best = (res, v.copy())
             if res <= limit:
@@ -543,7 +608,7 @@ def max_real_eigenpair(
             raise EigenSolveError(f"inverse iteration stalled: residual {res:g} exceeds 1e-8 * |S|_F = {limit:g}")
         pivot = int(np.argmax(np.abs(v)))
         v = v / v[pivot]
-        res = float(np.linalg.norm(matrix @ v - lam * v))
+        res = float(np.linalg.norm(cmatrix @ v - lam * v))
     return EigenPair(eigenvalue=lam, vector=v, residual=res)
 
 
@@ -569,8 +634,12 @@ def read_matrix(path) -> sp.csr_matrix:
 
     A file that cannot be read, a header other than three non-negative
     integers, a record count other than the header's ``nnz``, a non-numeric
-    field, or an index that is not an integer inside the header's shape
-    raises :class:`FlowFileError` naming ``path``.
+    field, an index that is not an integer inside the header's shape, a
+    value that is not finite (``nan``, ``inf``), or a ``(row, col)`` pair
+    that an earlier record already holds raises :class:`FlowFileError`
+    naming ``path``, and for the last three the 1-based record.
+    :func:`write_matrix` writes neither of the last two; a repeated pair
+    would otherwise be summed into one entry.
     """
     where = f"matrix file {str(path)!r}"
     try:
@@ -600,5 +669,16 @@ def read_matrix(path) -> sp.csr_matrix:
             k = int(np.argmax(bad))
             raise FlowFileError(f"{where} record {k + 1} has {name} index {tokens[3 * k + column]!r}, "
                                 f"not an integer in [0, {size})")
+    bad = ~np.isfinite(records[:, 2])
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise FlowFileError(f"{where} record {k + 1} has value {tokens[3 * k + 2]!r}, not a finite number")
     rows, cols = records[:, 0].astype(np.int64), records[:, 1].astype(np.int64)
+    order = np.lexsort((np.arange(nnz), cols, rows))  # each pair's records in file order
+    repeat = (rows[order[1:]] == rows[order[:-1]]) & (cols[order[1:]] == cols[order[:-1]])
+    if np.any(repeat):
+        k = int(order[1:][repeat].min())
+        first = int(np.argmax((rows == rows[k]) & (cols == cols[k])))
+        raise FlowFileError(f"{where} record {k + 1} repeats row {rows[k]}, column {cols[k]} "
+                            f"of record {first + 1}")
     return sp.coo_matrix((records[:, 2], (rows, cols)), shape=(nrows, ncols)).tocsr()

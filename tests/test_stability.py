@@ -1,6 +1,7 @@
 """Linearization chain, matrix assembly, and eigenvalue analysis."""
 
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 from scipy.optimize import linear_sum_assignment
 
-from shockstab import EigenSolveError, FlowFileError, LinearizationError, ShockStabError, StateError, cli
+from shockstab import EigenSolveError, FlowFileError, LinearizationError, ShockStabError, StateError, cli, stability
 from shockstab.mesh import Grid, compute_metrics, make_annular_grid, make_cartesian_grid
 from shockstab.numerics import RIEMANN_SOLVERS, ReconstructionScheme
 from shockstab.residual import (
@@ -274,6 +275,22 @@ class TestAssemble:
             lin = smat.matrix @ d.transpose(1, 0, 2).ravel()
             scale = np.max(np.abs(fd_flat))
             assert np.max(np.abs(lin - fd_flat)[ok_rows]) < tol * scale
+
+    def test_traced_peak_stays_within_six_times_the_matrix(self):
+        # at 41x41 the faces span four blocks and the cell rows four; holding
+        # every face's linearization and the whole scatter at once peaked at
+        # 9.6 times the bytes of S
+        n = 41
+        base = init_normal_shock_rh(n, n, mach=20.0, epsilon=0.1, gas=GAS)
+        args = (base, compute_metrics(make_cartesian_grid(n, n)),
+                ReconstructionScheme(kind="muscl", limiter="van_albada"), "hllc", normal_shock_bcs(20.0, GAS), GAS)
+        tracemalloc.start()
+        try:
+            matrix = assemble(*args).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes)
 
     def test_rejects_metrics_of_another_size_and_a_one_cell_slip_wall(self):
         scheme = ReconstructionScheme(kind="muscl")
@@ -887,8 +904,13 @@ class TestMatrixIO:
         ("3 3 1\n0 0.5 1.0\n", "record 1 has column index '0.5', not an integer in [0, 3)"),
         ("3 3 2\n0 0 1.0\n3 1 2.0\n", "record 2 has row index '3', not an integer in [0, 3)"),
         ("3 3 1\n-1 0 1.0\n", "record 1 has row index '-1', not an integer in [0, 3)"),
+        ("2 2 3\n0 0 1.5\n0 0 2.5\n1 1 1\n", "record 2 repeats row 0, column 0 of record 1"),
+        ("3 3 4\n2 2 1\n0 1 2\n2 2 3\n0 1 4\n", "record 3 repeats row 2, column 2 of record 1"),
+        ("2 2 2\n0 0 1\n1 1 nan\n", "record 2 has value 'nan', not a finite number"),
+        ("2 2 2\n0 0 -inf\n1 1 1\n", "record 1 has value '-inf', not a finite number"),
     ], ids=["short", "non_numeric", "header_count", "header_type", "header_negative",
-            "non_integer_index", "index_past_shape", "negative_index"])
+            "non_integer_index", "index_past_shape", "negative_index", "repeated_entry",
+            "first_of_two_repeats", "nan_value", "infinite_value"])
     def test_malformed_dump_names_the_file(self, tmp_path, text, message):
         path = tmp_path / "matrix.dat"
         path.write_text(text, encoding="ascii")
@@ -930,6 +952,62 @@ class TestArnoldiMatrixFormat:
         before = (shuffled.indices.copy(), shuffled.data.copy())
         assert eigensolve_leading(shuffled, k=6).tobytes() == eigensolve_leading(matrix, k=6).tobytes()
         assert np.array_equal(shuffled.indices, before[0]) and np.array_equal(shuffled.data, before[1])
+
+
+def complex_shift_eigenpair(matrix, lam, seed=20230614):
+    """Reference for :func:`max_real_eigenpair`: inverse iteration on ``S`` upcast to complex, stored zeros and all."""
+    import scipy.sparse.linalg as spla
+
+    n = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lu = spla.splu((matrix.astype(complex) - (lam + 1.0e-8) * sp.identity(n, dtype=complex)).tocsc())
+    limit = 1.0e-8 * float(np.linalg.norm(matrix.data))
+    best = None
+    for _ in range(50):
+        v = lu.solve(v)
+        v /= np.linalg.norm(v)
+        res = float(np.linalg.norm(matrix @ v - lam * v))
+        if best is None or res < best[0]:
+            best = (res, v.copy())
+        if res <= limit:
+            break
+    res, v = best
+    assert res <= limit
+    v = v / v[int(np.argmax(np.abs(v)))]
+    return v, float(np.linalg.norm(matrix @ v - lam * v))
+
+
+class TestStoredZeros:
+    """The eigensolvers drop the exact zeros that ``S`` stores, and every bit stays."""
+
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        n = 21
+        base = init_normal_shock_rh(n, n, mach=20.0, epsilon=0.1, gas=GAS)
+        matrix = assemble(base, compute_metrics(make_cartesian_grid(n, n)),
+                          ReconstructionScheme(kind="muscl", limiter="van_albada"), "hllc",
+                          normal_shock_bcs(20.0, GAS), GAS).matrix
+        assert np.count_nonzero(matrix.data == 0.0) > matrix.nnz // 2
+        return matrix
+
+    def test_arnoldi_values_equal_eigs_on_the_stored_zeros(self, matrix):
+        import scipy.sparse.linalg as spla
+
+        v0 = np.random.default_rng(20230614).standard_normal(matrix.shape[0])
+        values = spla.eigs(matrix, k=6, which="LR", v0=v0, return_eigenvectors=False)
+        assert eigensolve_leading(matrix, k=6).tobytes() == _sort_spectrum(values).tobytes()
+
+    def test_eigenpair_equals_the_complex_shift_of_the_stored_zeros(self, matrix):
+        nnz = matrix.nnz
+        values = eigensolve_leading(matrix, k=6)
+        pair = max_real_eigenpair(matrix, values)
+        vector, res = complex_shift_eigenpair(matrix, complex(values[0]))
+        assert pair.eigenvalue == values[0]
+        assert pair.vector.tobytes() == vector.tobytes()
+        assert np.float64(pair.residual).tobytes() == np.float64(res).tobytes()
+        assert matrix.nnz == nnz
 
 
 # ---------------------------------------------------------------------------
@@ -1063,4 +1141,11 @@ PINNED_MATRIX_DIGESTS = {
 
 class TestPinnedMatrixBits:
     def test_assembled_operator_digests(self):
+        assert pinned_matrix_digests() == PINNED_MATRIX_DIGESTS
+
+    @pytest.mark.parametrize("face_block, cell_block", [(1, 1), (7, 3), (64, 17)])
+    def test_digests_do_not_depend_on_the_block_sizes(self, monkeypatch, face_block, cell_block):
+        # the pinned grids fit in one default block; these sizes cut them at many block edges
+        monkeypatch.setattr(stability, "_FACE_BLOCK", face_block)
+        monkeypatch.setattr(stability, "_CELL_BLOCK", cell_block)
         assert pinned_matrix_digests() == PINNED_MATRIX_DIGESTS
